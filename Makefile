@@ -13,8 +13,11 @@ check: build vet test-race test-engine test-wire test-shm test-bpf test-ebpf
 build:
 	$(GO) build ./...
 
+# vet also vets and tests the nested contract-benchmark module, which
+# builds against this one: a root API change that breaks it fails here.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -34,7 +37,7 @@ test-engine:
 # fuzz seed corpus (every seed as a unit test; `go test -fuzz
 # FuzzFrameDecode ./internal/wire` explores further), the codec
 # zero-allocation pins, and the wire-vs-in-process differential suite
-# (100k-event traces, all 15 workloads, batch frames + the coalescer).
+# (100k-event traces, all 15 workloads, batch frames + pipelined singles).
 test-wire:
 	$(GO) test -count=1 -run 'Fuzz' ./internal/wire/
 	$(GO) test -count=1 -run 'ZeroAllocs|TestCheck|TestBatch' ./internal/wire/
@@ -61,7 +64,7 @@ test-shm:
 	$(GO) test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 	$(GO) test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
-	$(GO) test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
 
 # test-bpf runs the BPF differential fuzz seed corpus as unit tests:
 # every accepted program through both the interpreter and the compiled

@@ -103,8 +103,8 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 	}
 
 	srv := server.New(server.Options{Shards: shards, Routing: "syscall"})
-	// One session hub behind every front end: frame dispatch and the
-	// adaptive coalescer are shared, the edges differ only in framing.
+	// One session hub behind both binary front ends: frame dispatch is
+	// shared, the edges differ only in framing.
 	hub := srv.NewSessionHub(server.SessionOptions{})
 
 	// HTTP front end on a loopback listener.
@@ -116,7 +116,7 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 	go hs.Serve(httpLn)
 	defer hs.Close()
 
-	// Wire front end next to it, default coalescing policy.
+	// Wire front end next to it.
 	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return bench.ModeResult{}, err

@@ -122,14 +122,12 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write each experiment's tables as CSV files into this directory")
 
 		// Common benchmark knobs, accepted uniformly by every mode.
-		events   = flag.Int("events", 0, "events per workload trace (0 = mode default; also overrides experiment event counts)")
-		seed     = flag.Int64("seed", 1, "trace/simulation seed (all modes)")
-		reps     = flag.Int("reps", 0, "timed repetitions per measurement (0 = mode default; all benchmark modes)")
-		repeats  = flag.Int("repeats", 0, "deprecated alias for -reps (also: experiment seed-averaging count)")
-		warmup   = flag.Int("warmup", -1, "untimed warmup passes per measurement (-1 = mode default; all benchmark modes)")
-		workls   = flag.String("workloads", "", "comma-separated workload names, or 'all' (default: all; httpd for -engine)")
-		jsonOut  = flag.String("json", "", "write the mode's results as a common-schema JSON document to this file")
-		workload = flag.String("workload", "", "deprecated alias for -workloads")
+		events  = flag.Int("events", 0, "events per workload trace (0 = mode default; also overrides experiment event counts)")
+		seed    = flag.Int64("seed", 1, "trace/simulation seed (all modes)")
+		reps    = flag.Int("reps", 0, "timed repetitions per measurement (0 = mode default; all benchmark modes)")
+		warmup  = flag.Int("warmup", -1, "untimed warmup passes per measurement (-1 = mode default; all benchmark modes)")
+		workls  = flag.String("workloads", "", "comma-separated workload names, or 'all' (default: all; httpd for -engine)")
+		jsonOut = flag.String("json", "", "write the mode's results as a common-schema JSON document to this file")
 
 		// Mode selectors and their mode-specific knobs.
 		engName   = flag.String("engine", "", "engine-bench mode: replay workloads through this registered engine ('all' = every engine)")
@@ -166,13 +164,6 @@ func main() {
 		}
 		pprof.StartCPUProfile(f)
 		defer pprof.StopCPUProfile()
-	}
-
-	if *reps == 0 {
-		*reps = *repeats
-	}
-	if *workls == "" {
-		*workls = *workload
 	}
 
 	fail := func(err error) {

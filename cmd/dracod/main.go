@@ -5,11 +5,11 @@
 //
 //	dracod serve -addr :8477 -engine draco-concurrent -shards 8 -default-profile docker
 //
-// The service listens on up to three fronts sharing one session layer:
-// the HTTP JSON API (-addr), the length-prefixed binary wire protocol
-// (-wire, see internal/wire) with pipelined connections and adaptive
-// batch coalescing, and shared-memory submission/completion rings for
-// co-located clients (-shm <dir>, see internal/shm).
+// The service listens on up to three fronts over one tenant set: the HTTP
+// JSON API (-addr), the length-prefixed binary wire protocol (-wire, see
+// internal/wire) with pipelined connections, and shared-memory
+// submission/completion rings for co-located clients (-shm <dir>, see
+// internal/shm). Wire and shm share one session layer.
 //
 // Control subcommands (thin client over the JSON API):
 //
@@ -129,8 +129,6 @@ func runServe(args []string) error {
 	shmDir := fs.String("shm", "", "serve the shared-memory transport from this directory (empty = disabled)")
 	shmDoorbell := fs.String("shm-doorbell", "auto", "doorbell mechanisms offered to shm clients: auto, socket, futex, or eventfd")
 	shmHuge := fs.Bool("shm-hugepages", false, "back shm regions with huge pages for opted-in clients (best effort)")
-	wireCoalesce := fs.Int("wire-max-coalesce", 0, "max single-check frames coalesced into one engine batch (0 = default)")
-	wireWindow := fs.Duration("wire-flush-window", 0, "coalescer flush-window backstop (0 = default, negative = drain/size flushes only)")
 	shards := fs.Int("shards", concurrent.DefaultShards, "VAT shards per tenant (power of two)")
 	routing := fs.String("routing", "syscall", "shard routing key: syscall (exact sequential semantics) or args (spread hot syscalls)")
 	engName := fs.String("engine", server.DefaultEngine, "default check engine for new tenants: "+strings.Join(engine.Names(), ", "))
@@ -183,10 +181,10 @@ func runServe(args []string) error {
 	if *pprofOn {
 		extra = ", pprof on /debug/pprof/"
 	}
-	// One session hub — frame dispatch, the adaptive coalescer, tenant
-	// lookup — serves every front end; wire and shm differ only in how
-	// bytes reach it.
-	hub := srv.NewSessionHub(server.SessionOptions{MaxCoalesce: *wireCoalesce, FlushWindow: *wireWindow})
+	// One session hub — frame dispatch, tenant lookup, response routing —
+	// serves both binary front ends; wire and shm differ only in how bytes
+	// reach it.
+	hub := srv.NewSessionHub(server.SessionOptions{})
 	if *wireAddr != "" {
 		ln, err := net.Listen("tcp", *wireAddr)
 		if err != nil {

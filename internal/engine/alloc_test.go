@@ -66,6 +66,27 @@ func TestDracoConcurrentCheckZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDracoConcurrentCheckBatchZeroAllocs pins the batch path: the caller's
+// calls reach the checker untranslated and a service-sized batch takes its
+// outcomes on the stack, so a warm 64-call batch into a reused dst allocates
+// nothing.
+func TestDracoConcurrentCheckBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed under -race")
+	}
+	e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4})
+	const batch = 64
+	dst := make([]Decision, 0, batch)
+	off := 0
+	perRun := testing.AllocsPerRun(500, func() {
+		dst = e.CheckBatch(calls[off:off+batch], dst)
+		off = (off + batch) % (len(calls) - batch)
+	})
+	if perRun != 0 {
+		t.Fatalf("draco-concurrent CheckBatch(%d) allocates %.2f allocs/op, want 0", batch, perRun)
+	}
+}
+
 // TestZeroAllocsWithCounters pins that swapping in the atomic Counters
 // observer — the one dracod hangs off /metrics — keeps the hot path
 // allocation-free too: observation delivery is by value.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"draco/internal/concurrent"
+	"draco/internal/core"
 	"draco/internal/seccomp"
 )
 
@@ -59,12 +60,9 @@ func (e *dracoConcurrent) CheckBatch(calls []Call, dst []Decision) []Decision {
 		return dst
 	}
 	// The concurrent checker batches natively (one lock per shard per
-	// batch); translate calls and outcomes at the boundary.
-	ccalls := make([]concurrent.Call, len(calls))
-	for i, cl := range calls {
-		ccalls[i] = concurrent.Call{SID: cl.SID, Args: cl.Args}
-	}
-	outs := e.chk.CheckBatch(ccalls, nil)
+	// batch). Service-sized batches take their outcomes in a stack buffer.
+	var outsA [stackBatch]core.Outcome
+	outs := e.chk.CheckBatch(calls, outsA[:0])
 	for i, out := range outs {
 		dec := decisionFrom(out)
 		class, hit := classify(out)

@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"draco/internal/concurrent"
 	"draco/internal/core"
 	"draco/internal/hashes"
 	"draco/internal/seccomp"
@@ -33,11 +34,13 @@ import (
 // Args is a system call argument vector (up to six 64-bit values), by value.
 type Args = hashes.Args
 
-// Call names one system call invocation in a batch.
-type Call struct {
-	SID  int
-	Args Args
-}
+// Call names one system call invocation in a batch. It is the concurrent
+// checker's own type, so batches reach it without translation.
+type Call = concurrent.Call
+
+// stackBatch bounds the batches whose per-call scratch lives on the stack
+// (the common service batch sizes); larger ones allocate.
+const stackBatch = 128
 
 // Stats aggregates engine behaviour over a run; it is the software
 // checker's counter set, shared by every engine so callers can compare

@@ -330,7 +330,6 @@ func (e *slbEngine) CheckBatch(calls []Call, dst []Decision) []Decision {
 	// Probe phase: serve hits, remember each miss's index and hash pair.
 	// Stack buffers cover the common service batch sizes; an all-hit batch
 	// allocates nothing beyond what the caller's dst already holds.
-	const stackBatch = 128
 	var pairsA [stackBatch]hashes.Pair
 	var missA [stackBatch]int32
 	pairs := pairsA[:0]

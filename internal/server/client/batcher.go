@@ -5,10 +5,10 @@ package client
 // onto a per-tenant fold queue, and whichever caller finds the queue idle
 // becomes the flusher for everything that accumulated behind it. A lone
 // caller therefore flushes itself immediately (a batch of one, no added
-// latency), while N concurrent callers collapse into a handful of frames —
-// the client-side mirror of the server's adaptive coalescer, and the
-// second half of the paper's amortization story: batch on the way in,
-// batch on the way out.
+// latency), while N concurrent callers collapse into a handful of frames.
+// This is where aggregation lives (AnyCall-style, in the caller's hands):
+// the server checks each frame as it arrives and never folds across
+// connections.
 //
 // A small time window backstops the fold for staggered arrivals, and a
 // size bound (the transport's slot capacity for shm) caps frame size.

@@ -89,73 +89,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return uint64(histBaseNanos) >> 1 << idx
 }
 
-// sizeBuckets is the coalesced-batch-size bucket ladder: powers of two
-// from 1 to 2048, plus an overflow bucket (MaxBatch is 4096).
-const sizeBuckets = 13
-
-// SizeHistogram is a fixed-bucket histogram of batch sizes, safe for
-// concurrent use. Bucket i covers sizes in [2^(i-1)+1, 2^i] (bucket 0 is
-// exactly size 1), so recording stays a single atomic increment.
-type SizeHistogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [sizeBuckets]atomic.Uint64
-}
-
-// sizeBucketFor maps a batch size to its bucket index.
-func sizeBucketFor(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	bound := 1
-	for i := 0; i < sizeBuckets-1; i++ {
-		if n <= bound {
-			return i
-		}
-		bound <<= 1
-	}
-	return sizeBuckets - 1
-}
-
-// Observe records one batch size.
-func (h *SizeHistogram) Observe(n int) {
-	h.count.Add(1)
-	h.sum.Add(uint64(n))
-	h.buckets[sizeBucketFor(n)].Add(1)
-}
-
-// Count returns the number of batches observed.
-func (h *SizeHistogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total calls across observed batches.
-func (h *SizeHistogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the mean batch size (0 when empty).
-func (h *SizeHistogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile returns an upper bound on the q-quantile batch size, resolved
-// to bucket granularity. q is clamped to [0,1]. Shares the
-// stats.BucketQuantileIndex rank walk with Histogram.Quantile.
-func (h *SizeHistogram) Quantile(q float64) uint64 {
-	var counts [sizeBuckets]uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-	}
-	idx := stats.BucketQuantileIndex(counts[:], q)
-	if idx < 0 {
-		return 0
-	}
-	// Bucket i covers sizes (2^(i-1), 2^i]; its upper bound 2^i is the
-	// reported value.
-	return uint64(1) << idx
-}
-
 // Metrics is dracod's live counter set. Endpoint histograms are created up
 // front so the hot path never takes a lock.
 type Metrics struct {
@@ -181,20 +114,19 @@ type Metrics struct {
 	WireConnsTotal atomic.Uint64
 	// WireConnsActive tracks currently-open wire connections.
 	WireConnsActive atomic.Int64
-	// WireChecks counts single-check frames served.
+	// WireChecks counts single-check frames answered.
 	WireChecks atomic.Uint64
 	// WireBatchCalls counts calls served through batch frames.
 	WireBatchCalls atomic.Uint64
-	// WireFlushes counts coalesced engine.CheckBatch invocations.
+	// WireFlushes counts response drains that pushed at least one
+	// single-check response, so WireChecks/WireFlushes is the mean burst a
+	// connection pipelines between drains.
 	WireFlushes atomic.Uint64
 	// WireErrors counts error frames sent (request-level failures).
 	WireErrors atomic.Uint64
 	// WireFrameErrors counts framing failures that dropped a connection.
 	WireFrameErrors atomic.Uint64
-	// WireCoalesced histograms the sizes of coalesced check batches.
-	WireCoalesced SizeHistogram
-	// WireCheckLatency tracks submit-to-response-written time for
-	// coalesced single checks.
+	// WireCheckLatency tracks decode-to-publish time of single checks.
 	WireCheckLatency Histogram
 	// WireBatchLatency tracks service time for batch frames.
 	WireBatchLatency Histogram
@@ -332,22 +264,15 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals, obs observedTotals)
 	fmt.Fprintf(w, "dracod_http_encode_errors_total %d\n", m.EncodeErrors.Load())
 	fmt.Fprintf(w, "dracod_http_write_errors_total %d\n", m.WriteErrors.Load())
 
-	// Wire front-end series: the binary protocol's connection, frame, and
-	// coalescing counters.
+	// Wire front-end series: the binary protocol's connection and frame
+	// counters.
 	fmt.Fprintf(w, "dracod_wire_conns_active %d\n", m.WireConnsActive.Load())
 	fmt.Fprintf(w, "dracod_wire_conns_total %d\n", m.WireConnsTotal.Load())
 	fmt.Fprintf(w, "dracod_wire_checks_total %d\n", m.WireChecks.Load())
 	fmt.Fprintf(w, "dracod_wire_batch_calls_total %d\n", m.WireBatchCalls.Load())
-	fmt.Fprintf(w, "dracod_wire_coalesced_flushes_total %d\n", m.WireFlushes.Load())
+	fmt.Fprintf(w, "dracod_wire_check_flushes_total %d\n", m.WireFlushes.Load())
 	fmt.Fprintf(w, "dracod_wire_errors_total %d\n", m.WireErrors.Load())
 	fmt.Fprintf(w, "dracod_wire_frame_errors_total %d\n", m.WireFrameErrors.Load())
-	if m.WireCoalesced.Count() > 0 {
-		fmt.Fprintf(w, "dracod_wire_coalesced_batch_size_count %d\n", m.WireCoalesced.Count())
-		fmt.Fprintf(w, "dracod_wire_coalesced_batch_size_mean %.2f\n", m.WireCoalesced.Mean())
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(w, "dracod_wire_coalesced_batch_size{quantile=\"%g\"} %d\n", q, m.WireCoalesced.Quantile(q))
-		}
-	}
 	for _, wh := range []struct {
 		op string
 		h  *Histogram

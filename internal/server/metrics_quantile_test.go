@@ -35,33 +35,6 @@ func refHistQuantile(counts []uint64, total uint64, q float64) uint64 {
 	return bound >> 1
 }
 
-// refSizeQuantile is the pre-refactor SizeHistogram.Quantile walk.
-func refSizeQuantile(counts []uint64, total uint64, q float64) uint64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	bound := uint64(1)
-	for i := 0; i < sizeBuckets; i++ {
-		seen += counts[i]
-		if seen > rank {
-			return bound
-		}
-		bound <<= 1
-	}
-	return bound >> 1
-}
-
 func TestHistogramQuantileMatchesOriginal(t *testing.T) {
 	fixtures := [][]time.Duration{
 		{},
@@ -93,41 +66,6 @@ func TestHistogramQuantileMatchesOriginal(t *testing.T) {
 			want := refHistQuantile(counts, h.Count(), q)
 			if got != want {
 				t.Errorf("fixture %d: Histogram.Quantile(%v) = %d, original = %d", fi, q, got, want)
-			}
-		}
-	}
-}
-
-func TestSizeHistogramQuantileMatchesOriginal(t *testing.T) {
-	fixtures := [][]int{
-		{},
-		{1},
-		{1, 1, 1, 2, 3},
-		{512, 512, 4096, 10000},
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(300)
-		fix := make([]int, n)
-		for i := range fix {
-			fix[i] = 1 + rng.Intn(5000)
-		}
-		fixtures = append(fixtures, fix)
-	}
-	for fi, fix := range fixtures {
-		var h SizeHistogram
-		for _, n := range fix {
-			h.Observe(n)
-		}
-		counts := make([]uint64, sizeBuckets)
-		for i := range counts {
-			counts[i] = h.buckets[i].Load()
-		}
-		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			got := h.Quantile(q)
-			want := refSizeQuantile(counts, h.Count(), q)
-			if got != want {
-				t.Errorf("fixture %d: SizeHistogram.Quantile(%v) = %d, original = %d", fi, q, got, want)
 			}
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"draco/internal/engine"
@@ -83,12 +82,6 @@ type Server struct {
 	// check hot path never touches a map under a lock.
 	obsAll      *engine.Counters
 	obsByEngine map[string]*engine.Counters
-
-	// hub is the session layer, set by NewSessionHub. When present, HTTP
-	// single checks route through its coalescer so all front ends share one
-	// check path; without one (a plain HTTP-only Server) checks go straight
-	// to the tenant engine.
-	hub atomic.Pointer[SessionHub]
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -411,16 +404,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// With a session hub attached, single checks fold into the shared
-	// coalescer next to wire and shm traffic; a hub-less server checks
-	// directly.
-	var d engine.Decision
-	if h := s.hub.Load(); h != nil {
-		d = h.Check(t, cl)
-	} else {
-		d = t.engine().Check(cl.SID, cl.Args)
-	}
-	s.writeJSON(w, http.StatusOK, resultFrom(d))
+	s.writeJSON(w, http.StatusOK, resultFrom(t.engine().Check(cl.SID, cl.Args)))
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {

@@ -1,30 +1,36 @@
 package server
 
-// The transport-independent session layer. PR-4 built the adaptive batch
-// coalescer into the wire front end; this file lifts it — together with
-// frame dispatch, tenant resolution, and response routing — out of any one
-// transport, so the HTTP JSON API, the TCP wire protocol, and the
-// shared-memory rings are three front ends over one check path.
+// The transport-independent session layer: frame dispatch, tenant
+// resolution, and response routing shared by the TCP wire protocol and the
+// shared-memory rings, so both front ends are one check path.
 //
+// A single-check frame runs to completion on the connection's own dispatch
+// goroutine: decode, resolve the tenant through the session-local cache,
+// Engine.Check, hand the decision to the responder. Nothing is queued and no
+// state is shared between connections, which gives two guarantees by
+// construction:
+//
+//   - ordering: responses on a connection are produced in the order its
+//     frames were consumed, so a profile or stats frame sees every check
+//     that preceded it on the same stream;
+//   - isolation: only a connection's own dispatch goroutine writes to its
+//     responder, so a peer that stops reading (a full TCP window, a full
+//     completion ring) blocks that goroutine and nobody else's.
+//
+// Aggregation is the caller's choice (client.Batcher, TypeBatchReq frames).
 // The split of responsibilities:
 //
-//   - SessionHub owns the per-tenant coalescers and the coalescing policy
-//     (MaxCoalesce, FlushWindow). One hub serves every front end of a
-//     Server, so checks from an HTTP request, a wire frame, and an shm slot
-//     all fold into the same engine.CheckBatch calls.
+//   - SessionHub binds the front ends to one Server; transports create
+//     sessions from it.
 //   - session is one connection's transport-agnostic state: the tenant
-//     cache, the dirty-coalescer list, and the scratch buffers for batch
-//     frames. Transports own the framing (HTTP request, wire frame, ring
-//     slot) and hand the session (type, id, payload) triples.
+//     cache and the scratch buffers for batch frames. Transports own the
+//     framing (wire frame, ring slot) and hand the session (type, id,
+//     payload) triples.
 //   - responder abstracts the response channel: a wire.Writer for TCP, a
-//     completion-ring producer for shm, a synchronous waiter for HTTP.
+//     completion-ring producer for shm.
 //
-// The adaptive coalescer policy itself is unchanged from PR-4 (see the
-// wire.go doc comment for the drain-signal / size-bound / flush-window
-// reasoning); what changed is that "connection" became "session" and the
-// response path became the responder interface. The coalescer metrics keep
-// their wire-era names (WireChecks, WireFlushes, WireCoalesced): they now
-// count coalesced checks across every transport.
+// The session metrics keep their wire-era names (WireChecks, WireFlushes,
+// WireCheckLatency): they count checks across both transports.
 
 import (
 	"bytes"
@@ -32,116 +38,53 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"draco/internal/engine"
 	"draco/internal/wire"
 )
 
-// DefaultMaxCoalesce bounds how many single-check requests fold into one
-// engine.CheckBatch call. It matches the PR-3 grouped-batch stack-buffer
-// bound, so coalesced batches stay on the 0-alloc grouping path.
-const DefaultMaxCoalesce = 512
+// SessionOptions is empty: the session layer has nothing to configure. The
+// type stays so existing NewSessionHub call sites keep compiling.
+type SessionOptions struct{}
 
-// DefaultFlushWindow is the microsecond-scale timer backstop: the longest
-// a submitted check waits for companions before flushing anyway.
-const DefaultFlushWindow = 50 * time.Microsecond
-
-// SessionOptions configures a SessionHub's coalescing policy.
-type SessionOptions struct {
-	// MaxCoalesce bounds a coalesced batch (0 = DefaultMaxCoalesce; capped
-	// at wire.MaxBatch).
-	MaxCoalesce int
-	// FlushWindow is the coalescer's timer backstop (0 = DefaultFlushWindow,
-	// negative = no timer: flush only on drain or size).
-	FlushWindow time.Duration
-}
-
-// SessionHub is the shared session layer over one Server: per-tenant
-// coalescers plus the policy knobs. Transports create sessions from it.
+// SessionHub is the shared session layer over one Server. Transports create
+// sessions from it.
 type SessionHub struct {
-	s           *Server
-	maxCoalesce int
-	flushWindow time.Duration
-
-	mu       sync.Mutex
-	coalesce map[string]*coalescer
+	s *Server
 }
 
-// NewSessionHub builds the session layer over s and routes the server's
-// HTTP single-check path through it (so HTTP checks coalesce with wire and
-// shm checks once any hub exists).
-func (s *Server) NewSessionHub(opts SessionOptions) *SessionHub {
-	maxCo := opts.MaxCoalesce
-	if maxCo <= 0 {
-		maxCo = DefaultMaxCoalesce
-	}
-	if maxCo > wire.MaxBatch {
-		maxCo = wire.MaxBatch
-	}
-	window := opts.FlushWindow
-	if window == 0 {
-		window = DefaultFlushWindow
-	}
-	h := &SessionHub{
-		s:           s,
-		maxCoalesce: maxCo,
-		flushWindow: window,
-		coalesce:    make(map[string]*coalescer),
-	}
-	s.hub.Store(h)
-	return h
-}
-
-// coalescerFor returns the tenant's coalescer, creating it on first use.
-// Coalescers are keyed by tenant name so engine rebuilds (profile uploads
-// that switch mechanisms) keep their pending queue.
-func (h *SessionHub) coalescerFor(t *tenant) *coalescer {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	co := h.coalesce[t.name]
-	if co == nil {
-		co = &coalescer{h: h, t: t}
-		h.coalesce[t.name] = co
-	}
-	return co
+// NewSessionHub builds the session layer over s.
+func (s *Server) NewSessionHub(SessionOptions) *SessionHub {
+	return &SessionHub{s: s}
 }
 
 // responder is a session's response channel. sendCheck buffers one
 // single-check decision; send frames any other response; flush pushes
-// buffered responses to the peer. Implementations must be safe for
-// concurrent use: coalescer flushes run on arbitrary goroutines.
+// buffered responses to the peer. Only the session's dispatch goroutine
+// calls it.
 type responder interface {
 	sendCheck(id uint64, d engine.Decision)
 	send(t wire.Type, id uint64, payload []byte)
 	flush()
 }
 
-// session is one connection's transport-independent state. Everything here
-// is owned by the transport's dispatch goroutine except resp (responders
-// are concurrency-safe) and respSeq (atomic).
+// session is one connection's transport-independent state, owned by the
+// transport's dispatch goroutine.
 type session struct {
 	hub  *SessionHub
 	resp responder
 
-	// respSeq dedupes response-flush targets inside one coalescer flush
-	// (see coalescer.flush).
-	respSeq atomic.Uint64
-
 	// Tenant cache: single-tenant connections (the common case) resolve
-	// the tenant and its coalescer without a map lookup or allocation.
+	// the tenant without a map lookup or allocation.
 	lastName []byte
 	lastTen  *tenant
-	lastCo   *coalescer
 
-	// dirty lists coalescers this session submitted to since its last
-	// drain; almost always length 0 or 1.
-	dirty []*coalescer
+	// unflushed reports single-check responses handed to the responder
+	// since the last drain.
+	unflushed bool
 
-	// Batch-frame scratch, reused across frames (the dispatch goroutine is
-	// the only writer).
+	// Batch-frame scratch, reused across frames.
 	calls   []engine.Call
 	outs    []engine.Decision
 	respBuf []byte
@@ -179,11 +122,11 @@ func (c *session) sendError(id uint64, err error) {
 	wire.PutBuffer(buf)
 }
 
-// resolve maps a tenant name (aliasing the frame payload) to its tenant
-// and coalescer, through the session-local cache on repeats.
-func (c *session) resolve(name []byte) (*tenant, *coalescer, error) {
+// resolve maps a tenant name (aliasing the frame payload) to its tenant,
+// through the session-local cache on repeats.
+func (c *session) resolve(name []byte) (*tenant, error) {
 	if c.lastTen != nil && bytes.Equal(name, c.lastName) {
-		return c.lastTen, c.lastCo, nil
+		return c.lastTen, nil
 	}
 	s := c.hub.s
 	s.mu.RLock()
@@ -194,49 +137,47 @@ func (c *session) resolve(name []byte) (*tenant, *coalescer, error) {
 		var err error
 		t, err = s.lookupTenant(string(name), "")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	co := c.hub.coalescerFor(t)
 	c.lastName = append(c.lastName[:0], name...)
-	c.lastTen, c.lastCo = t, co
-	return t, co, nil
+	c.lastTen = t
+	return t, nil
 }
 
-// markDirty remembers a coalescer for this session's next drain.
-func (c *session) markDirty(co *coalescer) {
-	for _, d := range c.dirty {
-		if d == co {
-			return
-		}
-	}
-	c.dirty = append(c.dirty, co)
-}
-
-// drain flushes every coalescer this session fed, then pushes out any
-// response bytes still buffered on the responder.
+// drain pushes out any response bytes still buffered on the responder.
+// Transports call it when the peer's burst is fully consumed.
 func (c *session) drain() {
-	for i, co := range c.dirty {
-		co.flushPending()
-		c.dirty[i] = nil
+	if c.unflushed {
+		c.unflushed = false
+		c.hub.s.metrics.WireFlushes.Add(1)
 	}
-	c.dirty = c.dirty[:0]
 	c.resp.flush()
 }
 
 func (c *session) handleCheck(id uint64, p []byte) {
+	start := time.Now()
 	name, call, err := wire.DecodeCheckReq(p)
 	if err != nil {
 		c.sendError(id, err)
 		return
 	}
-	_, co, err := c.resolve(name)
+	t, err := c.resolve(name)
 	if err != nil {
 		c.sendError(id, err)
 		return
 	}
-	co.submit(c, id, call)
-	c.markDirty(co)
+	// The engine is fetched per check, so profile uploads that rebuild the
+	// tenant on a new mechanism take effect check-to-check.
+	d := t.engine().Check(call.SID, call.Args)
+	// Count before publishing: a shm client spinning on the completion
+	// ring can observe the response — and read the metrics — the moment
+	// the frame lands, so counters must already cover it.
+	m := c.hub.s.metrics
+	m.WireChecks.Add(1)
+	c.resp.sendCheck(id, d)
+	c.unflushed = true
+	m.WireCheckLatency.Observe(time.Since(start))
 }
 
 func (c *session) handleBatch(id uint64, p []byte) {
@@ -246,7 +187,7 @@ func (c *session) handleBatch(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	t, _, err := c.resolve(name)
+	t, err := c.resolve(name)
 	if err != nil {
 		c.sendError(id, err)
 		return
@@ -257,9 +198,7 @@ func (c *session) handleBatch(id uint64, p []byte) {
 	}
 	c.outs = t.engine().CheckBatch(c.calls, c.outs[:0])
 	c.respBuf = wire.AppendBatchResp(c.respBuf[:0], c.outs)
-	// Count before publishing: a shm client spinning on the completion
-	// ring can observe the response — and read the metrics — the moment
-	// the frame lands, so counters must already cover it.
+	// Count before publishing, as in handleCheck.
 	m := c.hub.s.metrics
 	m.WireBatchCalls.Add(uint64(seq.Len()))
 	c.resp.send(wire.TypeBatchResp, id, c.respBuf)
@@ -272,10 +211,6 @@ func (c *session) handleProfile(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	// Control-plane frames settle the data plane first: pending coalesced
-	// checks flush before the swap, so a client interleaving check and
-	// profile frames on one stream sees its own program order.
-	c.drain()
 	resp, err := c.hub.s.putProfile(string(name), string(engName), bytes.NewReader(profileJSON))
 	if err != nil {
 		c.sendError(id, err)
@@ -290,7 +225,6 @@ func (c *session) handleStats(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	c.drain()
 	s := c.hub.s
 	s.mu.RLock()
 	t := s.tenants[string(name)]
@@ -312,155 +246,4 @@ func (c *session) sendJSON(t wire.Type, id uint64, v any) {
 		return
 	}
 	c.resp.send(t, id, payload)
-}
-
-// --- the synchronous front end (HTTP) ----------------------------------------
-
-// syncWaiter is the responder for a one-shot synchronous check: the HTTP
-// handler's bridge onto the coalescer. sendCheck stores the decision and
-// flush signals the waiting goroutine — exactly one of each per check.
-// Pooled, together with its dedicated session.
-type syncWaiter struct {
-	sess *session
-	d    engine.Decision
-	done chan struct{}
-}
-
-func (w *syncWaiter) sendCheck(id uint64, d engine.Decision) { w.d = d }
-func (w *syncWaiter) send(t wire.Type, id uint64, p []byte)  {}
-func (w *syncWaiter) flush()                                 { w.done <- struct{}{} }
-
-var syncWaiterPool = sync.Pool{New: func() any {
-	return &syncWaiter{done: make(chan struct{}, 1)}
-}}
-
-// Check routes one call through the tenant's coalescer and waits for its
-// decision: the synchronous front ends' entry point. The immediate
-// flushPending is the drain-signal analog — a synchronous caller has
-// nothing else in flight, so its batch closes at once (companions that
-// submitted meanwhile ride along; a lone caller sees a batch of 1).
-func (h *SessionHub) Check(t *tenant, call engine.Call) engine.Decision {
-	w := syncWaiterPool.Get().(*syncWaiter)
-	if w.sess == nil {
-		w.sess = h.newSession(w)
-	} else {
-		w.sess.hub = h
-	}
-	co := h.coalescerFor(t)
-	co.submit(w.sess, 1, call)
-	co.flushPending()
-	<-w.done
-	d := w.d
-	syncWaiterPool.Put(w)
-	return d
-}
-
-// --- the adaptive coalescer -------------------------------------------------
-
-// coalescer folds a tenant's concurrent single-check requests into shared
-// engine.CheckBatch calls.
-type coalescer struct {
-	h *SessionHub
-	t *tenant
-
-	mu    sync.Mutex
-	cur   *flushBatch
-	timer *time.Timer
-}
-
-// pendingCheck is one queued single-check request's response routing.
-type pendingCheck struct {
-	sess  *session
-	id    uint64
-	start time.Time
-}
-
-// flushBatch is the pooled per-flush working set: the queued requests,
-// their decoded calls (parallel slices), the decision output buffer, and
-// the distinct-session scratch for response flushing.
-type flushBatch struct {
-	pend  []pendingCheck
-	calls []engine.Call
-	outs  []engine.Decision
-	sess  []*session
-}
-
-var flushBatchPool = sync.Pool{New: func() any { return new(flushBatch) }}
-
-// flushSeq stamps coalescer flushes so session dedup in flush() is one
-// atomic load per pending entry instead of a per-flush set.
-var flushSeq atomic.Uint64
-
-// submit queues one check. The batch flushes inline when it reaches the
-// size bound (which is also the backpressure path); otherwise the first
-// submission arms the flush-window timer as a latency backstop.
-func (c *coalescer) submit(sess *session, id uint64, call engine.Call) {
-	start := time.Now()
-	c.mu.Lock()
-	b := c.cur
-	if b == nil {
-		b = flushBatchPool.Get().(*flushBatch)
-		c.cur = b
-	}
-	b.pend = append(b.pend, pendingCheck{sess: sess, id: id, start: start})
-	b.calls = append(b.calls, call)
-	if len(b.pend) >= c.h.maxCoalesce {
-		c.cur = nil
-		c.mu.Unlock()
-		c.flush(b)
-		return
-	}
-	if len(b.pend) == 1 && c.h.flushWindow > 0 {
-		if c.timer == nil {
-			c.timer = time.AfterFunc(c.h.flushWindow, c.flushPending)
-		} else {
-			c.timer.Reset(c.h.flushWindow)
-		}
-	}
-	c.mu.Unlock()
-}
-
-// flushPending detaches whatever is queued and flushes it. Called from the
-// drain signal, the timer, and profile-swap settling.
-func (c *coalescer) flushPending() {
-	c.mu.Lock()
-	b := c.cur
-	c.cur = nil
-	c.mu.Unlock()
-	if b != nil {
-		c.flush(b)
-	}
-}
-
-// flush runs one coalesced engine.CheckBatch and routes each decision back
-// to its session. The engine is fetched per flush, so profile uploads
-// that rebuild the tenant on a new mechanism take effect batch-to-batch.
-func (c *coalescer) flush(b *flushBatch) {
-	b.outs = c.t.engine().CheckBatch(b.calls, b.outs[:0])
-	m := c.h.s.metrics
-	m.WireFlushes.Add(1)
-	m.WireChecks.Add(uint64(len(b.pend)))
-	m.WireCoalesced.Observe(len(b.pend))
-
-	seq := flushSeq.Add(1)
-	b.sess = b.sess[:0]
-	for i := range b.pend {
-		pc := &b.pend[i]
-		pc.sess.resp.sendCheck(pc.id, b.outs[i])
-		if pc.sess.respSeq.Load() != seq {
-			pc.sess.respSeq.Store(seq)
-			b.sess = append(b.sess, pc.sess)
-		}
-	}
-	for i, sc := range b.sess {
-		sc.resp.flush()
-		b.sess[i] = nil
-	}
-	for i := range b.pend {
-		m.WireCheckLatency.Observe(time.Since(b.pend[i].start))
-		b.pend[i] = pendingCheck{}
-	}
-	b.pend, b.calls, b.outs = b.pend[:0], b.calls[:0], b.outs[:0]
-	b.sess = b.sess[:0]
-	flushBatchPool.Put(b)
 }

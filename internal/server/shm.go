@@ -24,17 +24,16 @@ package server
 //   - liveness: when the socket drops, both sides tear the rings down.
 //
 // Frames consumed from the submission ring feed the same session layer as
-// TCP and HTTP (session.go): tenant resolution, the adaptive coalescer,
-// and response routing are shared; only the responder differs — it
-// publishes into the completion ring (MPSC, so coalescer flushes from
-// arbitrary goroutines publish concurrently) and rings the doorbell when
-// the client's reaper has parked.
+// TCP (session.go): frame dispatch, tenant resolution, and response routing
+// are shared; only the responder differs — the ring consumer publishes each
+// decision into the completion ring itself and rings the doorbell when the
+// client's reaper has parked.
 //
 // Ordering: the socket and the rings are independent streams, so control
 // frames are ordered only against other socket frames. A client that wants
 // a profile swap to settle its in-flight ring checks should quiesce them
 // first (the client in internal/server/client does not need to: decisions
-// carry ids, and the coalescer flushes on the swap anyway).
+// carry ids).
 
 import (
 	"encoding/binary"
@@ -407,7 +406,7 @@ func parseRingReq(p []byte) (shm.Layout, shm.Caps, error) {
 // read loop, run through the shared ConsumeLoop (park protocol, adaptive
 // spin budget, doorbell). Frames dispatch into a session whose responder
 // publishes to the completion ring; an empty ring after a burst is the
-// drain signal.
+// drain signal that rings the client's doorbell.
 func (c *shmConn) consumeRing() {
 	defer close(c.ringDone)
 	m := c.srv.hub.s.metrics
@@ -421,10 +420,7 @@ func (c *shmConn) consumeRing() {
 			m.ShmFrames.Add(1)
 			sess.handleFrame(wire.Type(f.Type), f.ID, f.Payload)
 		},
-		// Drain signal: the submission burst is fully consumed, so nothing
-		// more is joining the batch from this ring — flush what it
-		// contributed to.
-		Drained: func() { sess.drain() },
+		Drained: sess.drain,
 	}
 	if err := loop.Run(); err != nil {
 		// Torn or corrupt slot state: the peer cannot be resynchronized.
@@ -435,11 +431,11 @@ func (c *shmConn) consumeRing() {
 }
 
 // shmResponder publishes responses into the connection's completion ring.
-// The ring is MPSC, so coalescer flushes on arbitrary goroutines publish
-// concurrently under a shared read-lock; the write-lock belongs to
-// teardown, which must exclude all producers before unmapping. A full
-// ring makes Claim spin — the transport's backpressure, same as a wire
-// responder blocked on TCP flow control.
+// The ring consumer is the only producer; it publishes under a read-lock
+// because the write-lock belongs to teardown, which must exclude it before
+// unmapping. A full ring makes Claim spin — the transport's backpressure,
+// same as a wire responder blocked on TCP flow control — and stalls this
+// connection's consumer only.
 type shmResponder struct {
 	conn *shmConn
 	mu   sync.RWMutex

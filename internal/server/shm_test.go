@@ -9,10 +9,11 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -31,9 +32,9 @@ import (
 // newShmServer starts a Server with an shm front end in a test-owned
 // directory and returns it with a connected shm client. Skips the test on
 // platforms without mmap support.
-func newShmServer(t testing.TB, opts server.Options, sopts server.SessionOptions, copts client.ShmOptions) (*server.Server, *client.Shm) {
+func newShmServer(t testing.TB, opts server.Options, copts client.ShmOptions) (*server.Server, *client.Shm) {
 	t.Helper()
-	srv, ss := newShmServerOnly(t, opts, sopts, server.ShmServerOptions{})
+	srv, ss := newShmServerOnly(t, opts, server.ShmServerOptions{})
 	sc, err := client.DialShm(ss.Dir(), copts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,13 +45,13 @@ func newShmServer(t testing.TB, opts server.Options, sopts server.SessionOptions
 
 // newShmServerOnly starts the shm front end without dialing it, for tests
 // that speak the handshake themselves or need server-side options.
-func newShmServerOnly(t testing.TB, opts server.Options, sopts server.SessionOptions, ssopts server.ShmServerOptions) (*server.Server, *server.ShmServer) {
+func newShmServerOnly(t testing.TB, opts server.Options, ssopts server.ShmServerOptions) (*server.Server, *server.ShmServer) {
 	t.Helper()
 	if !shm.Supported() {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	srv := server.New(opts)
-	ss, err := srv.NewSessionHub(sopts).NewShmServerOpts(t.TempDir(), ssopts)
+	ss, err := srv.NewSessionHub(server.SessionOptions{}).NewShmServerOpts(t.TempDir(), ssopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +60,93 @@ func newShmServerOnly(t testing.TB, opts server.Options, sopts server.SessionOpt
 	return srv, ss
 }
 
+// rawShm is a hand-driven shm connection speaking the PR-8 (v1) handshake:
+// socket doorbell, TypeWake frames, no reaper goroutine. Tests that pipeline
+// frames themselves, or deliberately stop reaping, drive the rings through
+// it.
+type rawShm struct {
+	w   *wire.Writer
+	reg *shm.Region
+}
+
+// dialRawShm connects to the shm front end in dir and requests a ring pair
+// of the given geometry (0 = server default) with a v1 ring request — 12
+// bytes, no capabilities word. The connection is torn down with the test;
+// goroutines still using the rings must be stopped (reg.Invalidate) first.
+func dialRawShm(t testing.TB, dir string, submitSlots, completeSlots int) *rawShm {
+	t.Helper()
+	nc, err := net.Dial("unix", filepath.Join(dir, server.ShmSocketName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	w := wire.NewWriter(nc)
+	var req [12]byte
+	binary.LittleEndian.PutUint32(req[4:], uint32(submitSlots))
+	binary.LittleEndian.PutUint32(req[8:], uint32(completeSlots))
+	if err := w.Send(wire.TypeRingReq, 1, req[:]); err != nil {
+		t.Fatal(err)
+	}
+	h, p, err := wire.NewReader(nc).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Type != wire.TypeRingResp {
+		t.Fatalf("handshake answered %v (%q)", h.Type, p)
+	}
+	reg, err := shm.OpenFile(string(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	return &rawShm{w: w, reg: reg}
+}
+
+// submit publishes one single-check frame and wakes the server's consumer
+// over the socket if it had parked. It blocks while the submission ring is
+// full and fails once the ring is closed.
+func (c *rawShm) submit(id uint64, tenant string, call engine.Call) error {
+	pos, buf := c.reg.Submit.Claim()
+	if buf == nil {
+		return errors.New("submission ring closed")
+	}
+	if err := c.reg.Submit.Publish(pos, uint8(wire.TypeCheckReq), id, wire.AppendCheckReq(buf, tenant, call)); err != nil {
+		return err
+	}
+	if c.reg.Submit.ConsumerParked() {
+		return c.w.Send(wire.TypeWake, 0, nil)
+	}
+	return nil
+}
+
+// reap polls the completion ring for the next frame and hands it to use
+// before releasing the slot (the payload aliases ring memory).
+func (c *rawShm) reap(t testing.TB, use func(f *shm.Frame)) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	var f shm.Frame
+	var bo shm.Backoff
+	for {
+		ok, err := c.reg.Complete.Consume(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no completion within 10s")
+		}
+		bo.Wait()
+	}
+	use(&f)
+	c.reg.Complete.Release()
+}
+
 func TestShmCheckAndBatch(t *testing.T) {
 	srv, sc := newShmServer(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{}, client.ShmOptions{})
+		client.ShmOptions{})
 	ctx := context.Background()
 
 	read := sidOf(t, "read")
@@ -121,7 +205,7 @@ func TestShmCheckAndBatch(t *testing.T) {
 
 func TestShmProfileSwapAndStats(t *testing.T) {
 	_, sc := newShmServer(t, server.Options{Shards: 4},
-		server.SessionOptions{}, client.ShmOptions{})
+		client.ShmOptions{})
 	ctx := context.Background()
 
 	// Unknown tenant: the error frame comes back over the completion ring
@@ -171,7 +255,6 @@ func TestShmProfileSwapAndStats(t *testing.T) {
 func TestShmCustomGeometryAndLimits(t *testing.T) {
 	_, sc := newShmServer(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{},
 		client.ShmOptions{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8})
 	ctx := context.Background()
 
@@ -207,7 +290,7 @@ func TestShmCustomGeometryAndLimits(t *testing.T) {
 func TestShmMetricsPage(t *testing.T) {
 	srv, sc := newShmServer(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{}, client.ShmOptions{})
+		client.ShmOptions{})
 	if _, err := sc.Check(context.Background(), "t", sidOf(t, "read"), engine.Args{}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +318,7 @@ func TestShmMetricsPage(t *testing.T) {
 
 // TestShmDifferentialAllWorkloads is the transport-transparency proof for
 // the rings: on 100k-event traces of every workload, decisions served over
-// shared memory — batch frames, pipelined singles through the coalescer,
+// shared memory — batch frames, singles pipelined through one ring pair,
 // and singles folded by the client-side Batcher — are identical, cached
 // flag included, to an in-process engine with the same configuration.
 func TestShmDifferentialAllWorkloads(t *testing.T) {
@@ -247,9 +330,14 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 	const shards = 4
 	genOpts := profilegen.Options{IncludeRuntime: true}
 
-	_, sc := newShmServer(t, server.Options{Shards: shards, Routing: "syscall"},
-		server.SessionOptions{}, client.ShmOptions{})
+	_, ss := newShmServerOnly(t, server.Options{Shards: shards, Routing: "syscall"}, server.ShmServerOptions{})
+	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
 	fold := client.NewBatcher(sc, client.BatcherOptions{})
+	raw := dialRawShm(t, ss.Dir(), 0, 0)
 
 	newRef := func(t *testing.T, p *seccomp.Profile) engine.Engine {
 		t.Helper()
@@ -300,22 +388,49 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 				}
 			}
 
-			// Single-check frames through the server-side coalescer,
-			// sequentially, so the decision stream (cached flag included)
-			// stays ordered.
+			// Single-check frames pipelined through one ring pair: the
+			// producer keeps the submission ring full while this goroutine
+			// reaps, and per-connection program order keeps the decision
+			// stream (cached flag included) exact.
 			single := w.Name + "-single"
 			if _, err := sc.PutProfile(ctx, single, "", pj); err != nil {
 				t.Fatal(err)
 			}
 			ref2 := newRef(t, p)
+			sent := make(chan error, 1)
+			go func() {
+				for i, ev := range tr[:singles] {
+					if err := raw.submit(uint64(i), single, engine.Call{SID: ev.SID, Args: ev.Args}); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- nil
+			}()
+			// A failing reap must not leave the producer spinning on rings
+			// the test's cleanup is about to unmap.
+			defer func() {
+				if t.Failed() {
+					raw.reg.Invalidate()
+					<-sent
+				}
+			}()
 			for i, ev := range tr[:singles] {
-				got, err := sc.Check(ctx, single, ev.SID, ev.Args)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := ref2.Check(ev.SID, ev.Args); got != want {
-					t.Fatalf("single event %d (sid=%d): shm %+v, in-process %+v", i, ev.SID, got, want)
-				}
+				raw.reap(t, func(f *shm.Frame) {
+					if wire.Type(f.Type) != wire.TypeCheckResp || f.ID != uint64(i) {
+						t.Fatalf("single event %d: completion %v id=%d (%q)", i, wire.Type(f.Type), f.ID, f.Payload)
+					}
+					got, err := wire.DecodeCheckResp(f.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := ref2.Check(ev.SID, ev.Args); got != want {
+						t.Fatalf("single event %d (sid=%d): shm %+v, in-process %+v", i, ev.SID, got, want)
+					}
+				})
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
 			}
 
 			// The same prefix through the client-side Batcher: a sequential
@@ -343,12 +458,12 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 // goroutines hammer one shm connection — checks through the Batcher fold
 // and direct batches, all funneling into the single submission ring —
 // while a writer hot-swaps the tenant's profile over the control socket
-// (alternating engines, so whole-engine rebuilds race with ring traffic
-// and coalesced flushes). Every request must complete without a
-// transport- or request-level error.
+// (alternating engines, so whole-engine rebuilds race with ring traffic).
+// Every request must complete without a transport- or request-level
+// error.
 func TestShmHotSwapHammer(t *testing.T) {
 	_, sc := newShmServer(t, server.Options{Shards: 4},
-		server.SessionOptions{}, client.ShmOptions{})
+		client.ShmOptions{})
 	fold := client.NewBatcher(sc, client.BatcherOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -427,7 +542,7 @@ func TestShmDoorbellNegotiation(t *testing.T) {
 			}
 			_, ss := newShmServerOnly(t,
 				server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-				server.SessionOptions{}, server.ShmServerOptions{})
+				server.ShmServerOptions{})
 			sc, err := client.DialShm(ss.Dir(), client.ShmOptions{Doorbell: tc.mode})
 			if err != nil {
 				t.Fatal(err)
@@ -463,70 +578,22 @@ func TestShmHandshakeV1Downgrade(t *testing.T) {
 	}
 	_, ss := newShmServerOnly(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{}, server.ShmServerOptions{})
-	nc, err := net.Dial("unix", filepath.Join(ss.Dir(), server.ShmSocketName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	w := wire.NewWriter(nc)
-	r := wire.NewReader(nc)
-
-	var req [12]byte // v1: three geometry words, no caps
-	if err := w.Send(wire.TypeRingReq, 1, req[:]); err != nil {
-		t.Fatal(err)
-	}
-	h, p, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Type != wire.TypeRingResp {
-		t.Fatalf("handshake answered %v (%q)", h.Type, p)
-	}
-	reg, err := shm.OpenFile(string(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	l := reg.Layout()
-	if l.Doorbell != shm.DoorbellSocket || l.HugePages {
+		server.ShmServerOptions{})
+	raw := dialRawShm(t, ss.Dir(), 0, 0)
+	if l := raw.reg.Layout(); l.Doorbell != shm.DoorbellSocket || l.HugePages {
 		t.Fatalf("v1 client negotiated %+v, want socket doorbell and no huge pages", l)
 	}
 
 	// One check, v1 style: publish, wake the server over the socket if it
 	// parked, poll the completion ring.
-	pos, buf := reg.Submit.Claim()
-	if buf == nil {
-		t.Fatal("claim failed")
-	}
-	payload := wire.AppendCheckReq(buf, "t", engine.Call{SID: sidOf(t, "read"), Args: engine.Args{3}})
-	if err := reg.Submit.Publish(pos, uint8(wire.TypeCheckReq), 7, payload); err != nil {
+	if err := raw.submit(7, "t", engine.Call{SID: sidOf(t, "read"), Args: engine.Args{3}}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Submit.ConsumerParked() {
-		if err := w.Send(wire.TypeWake, 0, nil); err != nil {
-			t.Fatal(err)
+	raw.reap(t, func(f *shm.Frame) {
+		if f.ID != 7 || wire.Type(f.Type) != wire.TypeCheckResp {
+			t.Fatalf("completion %v id=%d", wire.Type(f.Type), f.ID)
 		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	var f shm.Frame
-	for {
-		ok, err := reg.Complete.Consume(&f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no completion within 10s")
-		}
-		runtime.Gosched()
-	}
-	if f.ID != 7 || wire.Type(f.Type) != wire.TypeCheckResp {
-		t.Fatalf("completion %v id=%d", wire.Type(f.Type), f.ID)
-	}
-	reg.Complete.Release()
+	})
 }
 
 // TestShmServerDoorbellRestriction proves the server side of the
@@ -538,7 +605,7 @@ func TestShmServerDoorbellRestriction(t *testing.T) {
 	}
 	_, ss := newShmServerOnly(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{}, server.ShmServerOptions{Doorbells: shm.CapDoorbellSocket})
+		server.ShmServerOptions{Doorbells: shm.CapDoorbellSocket})
 	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{Doorbell: "auto"})
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +629,7 @@ func TestShmHugePages(t *testing.T) {
 	}
 	_, ss := newShmServerOnly(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.SessionOptions{}, server.ShmServerOptions{HugePages: true})
+		server.ShmServerOptions{HugePages: true})
 	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{HugePages: true})
 	if err != nil {
 		t.Fatal(err)

@@ -3,32 +3,15 @@ package server
 // The wire front end: dracod's length-prefixed binary protocol served over
 // persistent, pipelined TCP connections (see internal/wire for framing).
 //
-// The interesting part is the adaptive batch coalescer. PR-3 gave
-// concurrent.CheckBatch a shard-grouped path that takes one lock per shard
-// per batch — but only the explicit batch endpoint exercised it. Here,
-// concurrent single-check frames from *all* connections of a tenant are
-// folded into one engine.CheckBatch call, AnyCall-style: fixed per-crossing
-// cost (frame handling, tenant resolution, shard locking) is amortized over
-// however many checks happen to be in flight. The policy is adaptive along
-// three axes:
+// Each connection's read loop is its dispatch goroutine: a frame is decoded,
+// checked, and answered in place through the session layer (session.go,
+// shared with the shm front end). Responses carry the request id and are
+// produced in request order; single-check responses gather in the
+// connection's write buffer and go out when the read buffer empties — the
+// client's pipelined burst is consumed — so a lone synchronous caller sees
+// one write per check and a pipelining caller one write per burst.
 //
-//   - drain signal: when a connection's read buffer empties (the client's
-//     pipelined burst is consumed), its pending checks flush immediately —
-//     a lone synchronous caller sees one batch of 1, no added latency;
-//   - size bound: a batch reaching MaxCoalesce flushes inline on the
-//     submitting goroutine, which is also the backpressure path — when
-//     arrival outpaces checking, submitters do the checking themselves,
-//     throttling the read loops behind TCP flow control;
-//   - flush window: a timer flushes whatever accumulated within
-//     FlushWindow, bounding tail latency when a burst spans connections
-//     whose reads never drain simultaneously.
-//
-// Responses carry the request id, so out-of-order completion across the
-// coalescer is fine; within one connection the client matches by id.
-//
-// Since the session-layer refactor the coalescer, frame dispatch, and
-// tenant resolution live in session.go, shared with the shm and HTTP front
-// ends; this file keeps only what is TCP-specific — listeners, connection
+// This file keeps only what is TCP-specific: listeners, connection
 // lifecycle, and the read loop with its buffered-bytes drain signal.
 
 import (
@@ -37,26 +20,13 @@ import (
 	"log"
 	"net"
 	"sync"
-	"time"
 
 	"draco/internal/engine"
 	"draco/internal/wire"
 )
 
-// WireOptions configures the wire front end (it mirrors SessionOptions for
-// the servers that build their hub implicitly through NewWireServer).
-type WireOptions struct {
-	// MaxCoalesce bounds a coalesced batch (0 = DefaultMaxCoalesce; capped
-	// at wire.MaxBatch).
-	MaxCoalesce int
-	// FlushWindow is the coalescer's timer backstop (0 = DefaultFlushWindow,
-	// negative = no timer: flush only on drain or size).
-	FlushWindow time.Duration
-}
-
 // WireServer serves the binary protocol for a Server. One WireServer may
-// serve many listeners; all share the tenant set, metrics, and (through
-// the hub) the coalescers.
+// serve many listeners; all share the tenant set and metrics.
 type WireServer struct {
 	hub *SessionHub
 
@@ -64,12 +34,6 @@ type WireServer struct {
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	closed    bool
-}
-
-// NewWireServer builds the wire front end over s with its own session hub.
-// To share one hub across front ends, use NewSessionHub + hub.NewWireServer.
-func (s *Server) NewWireServer(opts WireOptions) *WireServer {
-	return s.NewSessionHub(SessionOptions(opts)).NewWireServer()
 }
 
 // NewWireServer builds a wire front end over the hub's session layer.
@@ -136,8 +100,7 @@ func (ws *WireServer) Close() error {
 	return nil
 }
 
-// wireResponder answers through a wire.Writer (which is concurrency-safe
-// and group-commits flushes).
+// wireResponder answers through a wire.Writer.
 type wireResponder struct{ w *wire.Writer }
 
 func (r wireResponder) sendCheck(id uint64, d engine.Decision) { r.w.SendCheckResp(id, d) }
@@ -170,8 +133,7 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 		}
 		sess.handleFrame(h.Type, h.ID, p)
 		// Drain signal: the client's pipelined burst is fully consumed, so
-		// nothing more is joining the batch from this connection — flush
-		// what it contributed to.
+		// push out the responses it produced.
 		if r.Buffered() == 0 {
 			sess.drain()
 		}

@@ -3,8 +3,8 @@ package server_test
 // Wire front-end tests: end-to-end over real TCP connections, the
 // wire-vs-in-process differential suite (the binary protocol must be a
 // transparent transport: decisions identical to calling the engine
-// directly), coalescing behaviour, and the 32-goroutine hot-swap hammer
-// that scripts/check.sh runs under -race.
+// directly), and the 32-goroutine hot-swap hammer that scripts/check.sh
+// runs under -race.
 
 import (
 	"bytes"
@@ -27,19 +27,27 @@ import (
 	"draco/internal/workloads"
 )
 
-// newWireServer starts a Server with a wire listener and returns it with a
-// pooled wire client. Both are torn down with the test.
-func newWireServer(t testing.TB, opts server.Options, wopts server.WireOptions, copts client.WireOptions) (*server.Server, *client.Wire) {
+// startWireServer starts a Server with a wire listener and returns it with
+// the listener's address. It is torn down with the test.
+func startWireServer(t testing.TB, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(opts)
-	ws := srv.NewWireServer(wopts)
+	ws := srv.NewSessionHub(server.SessionOptions{}).NewWireServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go ws.Serve(ln)
 	t.Cleanup(func() { ws.Close() })
-	wc, err := client.DialWire(ln.Addr().String(), copts)
+	return srv, ln.Addr().String()
+}
+
+// newWireServer starts a wire-serving Server and returns it with a pooled
+// wire client. Both are torn down with the test.
+func newWireServer(t testing.TB, opts server.Options, copts client.WireOptions) (*server.Server, *client.Wire) {
+	t.Helper()
+	srv, addr := startWireServer(t, opts)
+	wc, err := client.DialWire(addr, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +67,7 @@ func sidOf(t testing.TB, name string) int {
 func TestWireCheckAndBatch(t *testing.T) {
 	srv, wc := newWireServer(t,
 		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.WireOptions{}, client.WireOptions{})
+		client.WireOptions{})
 	ctx := context.Background()
 
 	read := sidOf(t, "read")
@@ -111,14 +119,35 @@ func TestWireCheckAndBatch(t *testing.T) {
 	if got := m.WireBatchCalls.Load(); got != 3 {
 		t.Fatalf("WireBatchCalls = %d, want 3", got)
 	}
-	if m.WireFlushes.Load() == 0 || m.WireConnsTotal.Load() == 0 {
-		t.Fatalf("flushes=%d conns=%d", m.WireFlushes.Load(), m.WireConnsTotal.Load())
+	// Three sequential round trips: each drain pushed exactly one response.
+	if got := m.WireFlushes.Load(); got != 3 {
+		t.Fatalf("WireFlushes = %d, want 3", got)
+	}
+	if m.WireConnsTotal.Load() == 0 {
+		t.Fatal("no wire connection counted")
+	}
+
+	// The wire series render on the /metrics page.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	text, err := client.New(ts.URL, ts.Client()).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		"dracod_wire_checks_total 3",
+		"dracod_wire_check_flushes_total 3",
+		`dracod_wire_latency_ns{op="check",quantile="0.99"}`,
+	} {
+		if !strings.Contains(text, series) {
+			t.Fatalf("metrics page missing %s:\n%s", series, text)
+		}
 	}
 }
 
 func TestWireProfileSwapAndStats(t *testing.T) {
 	_, wc := newWireServer(t, server.Options{Shards: 4},
-		server.WireOptions{}, client.WireOptions{})
+		client.WireOptions{})
 	ctx := context.Background()
 
 	// No default profile: unknown tenants are rejected with an error frame
@@ -169,16 +198,9 @@ func TestWireProfileSwapAndStats(t *testing.T) {
 // garbage on the stream closes the connection and is counted, while other
 // connections keep serving.
 func TestWireFrameErrorDropsConnection(t *testing.T) {
-	srv := server.New(server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
-	ws := srv.NewWireServer(server.WireOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ws.Serve(ln)
-	defer ws.Close()
+	srv, addr := startWireServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
 
-	nc, err := net.Dial("tcp", ln.Addr().String())
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +218,7 @@ func TestWireFrameErrorDropsConnection(t *testing.T) {
 	}
 
 	// A well-formed connection still works after the bad one died.
-	wc, err := client.DialWire(ln.Addr().String(), client.WireOptions{Conns: 1})
+	wc, err := client.DialWire(addr, client.WireOptions{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,81 +228,11 @@ func TestWireFrameErrorDropsConnection(t *testing.T) {
 	}
 }
 
-// TestWireCoalescing drives 32 concurrent pipelined callers through one
-// connection and asserts the server folded their single-check frames into
-// shared engine.CheckBatch calls.
-func TestWireCoalescing(t *testing.T) {
-	srv, wc := newWireServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.WireOptions{}, client.WireOptions{Conns: 1})
-	ctx := context.Background()
-
-	const goroutines, perG = 32, 300
-	read := sidOf(t, "read")
-	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				d, err := wc.Check(ctx, "t", read, engine.Args{uint64(g), uint64(i)})
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if !d.Allowed {
-					errCh <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	m := srv.Metrics()
-	checks, flushes := m.WireChecks.Load(), m.WireFlushes.Load()
-	if checks != goroutines*perG {
-		t.Fatalf("WireChecks = %d, want %d", checks, goroutines*perG)
-	}
-	if flushes == 0 || flushes >= checks {
-		t.Fatalf("no coalescing: %d flushes for %d checks", flushes, checks)
-	}
-	if got := m.WireCoalesced.Count(); got != flushes {
-		t.Fatalf("size histogram saw %d batches, flushes say %d", got, flushes)
-	}
-	if m.WireCoalesced.Sum() != checks {
-		t.Fatalf("size histogram sums %d calls, checks say %d", m.WireCoalesced.Sum(), checks)
-	}
-
-	// The wire series render on the /metrics page.
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	text, err := client.New(ts.URL, ts.Client()).Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		"dracod_wire_checks_total",
-		"dracod_wire_coalesced_flushes_total",
-		"dracod_wire_coalesced_batch_size_mean",
-		`dracod_wire_latency_ns{op="check",quantile="0.99"}`,
-	} {
-		if !strings.Contains(text, series) {
-			t.Fatalf("metrics page missing %s:\n%s", series, text)
-		}
-	}
-}
-
 // TestWireDifferentialAllWorkloads is the transport-transparency proof: on
 // 100k-event traces of every workload, decisions served over the wire
-// (batch frames, and a pipelined single-check prefix through the
-// coalescer) are identical — including the cached flag — to an in-process
-// engine with the same configuration.
+// (batch frames, and a single-check prefix pipelined on one connection) are
+// identical — including the cached flag — to an in-process engine with the
+// same configuration.
 func TestWireDifferentialAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite replays 1.5M events over TCP")
@@ -290,8 +242,12 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 	const shards = 4
 	genOpts := profilegen.Options{IncludeRuntime: true}
 
-	_, wc := newWireServer(t, server.Options{Shards: shards, Routing: "syscall"},
-		server.WireOptions{}, client.WireOptions{Conns: 4})
+	_, addr := startWireServer(t, server.Options{Shards: shards, Routing: "syscall"})
+	wc, err := client.DialWire(addr, client.WireOptions{Conns: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wc.Close() })
 
 	for _, w := range workloads.All() {
 		w := w
@@ -336,8 +292,9 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 				}
 			}
 
-			// Single-check frames through the coalescer, sequentially, so
-			// the decision stream (cached flag included) stays ordered.
+			// Single-check frames pipelined on one connection: the whole
+			// prefix is in flight at once, and per-connection program order
+			// keeps the decision stream (cached flag included) exact.
 			single := w.Name + "-single"
 			if _, err := wc.PutProfile(ctx, single, "", pj); err != nil {
 				t.Fatal(err)
@@ -347,14 +304,43 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ref2.Close()
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			sent := make(chan error, 1)
+			go func() {
+				pw := wire.NewWriter(nc)
+				var buf []byte
+				for i, ev := range tr[:singles] {
+					buf = wire.AppendCheckReq(buf[:0], single, engine.Call{SID: ev.SID, Args: ev.Args})
+					if err := pw.SendBuffered(wire.TypeCheckReq, uint64(i), buf); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- pw.Flush()
+			}()
+			pr := wire.NewReader(nc)
 			for i, ev := range tr[:singles] {
-				got, err := wc.Check(ctx, single, ev.SID, ev.Args)
+				h, payload, err := pr.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Type != wire.TypeCheckResp || h.ID != uint64(i) {
+					t.Fatalf("single event %d: response %v id=%d (%q)", i, h.Type, h.ID, payload)
+				}
+				got, err := wire.DecodeCheckResp(payload)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := ref2.Check(ev.SID, ev.Args); got != want {
 					t.Fatalf("single event %d (sid=%d): wire %+v, in-process %+v", i, ev.SID, got, want)
 				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -363,11 +349,11 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 // TestWireHotSwapHammer is the -race workout: 32 goroutines hammer one
 // wire connection pool with checks and batches while a writer hot-swaps
 // the tenant's profile (alternating engines, so whole-engine rebuilds race
-// with coalesced flushes). Every request must complete without a
+// with in-flight checks). Every request must complete without a
 // transport- or request-level error.
 func TestWireHotSwapHammer(t *testing.T) {
 	_, wc := newWireServer(t, server.Options{Shards: 4},
-		server.WireOptions{}, client.WireOptions{Conns: 4})
+		client.WireOptions{Conns: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 

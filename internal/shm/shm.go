@@ -83,7 +83,7 @@ const (
 	// MaxSlots bounds a ring's slot count.
 	MaxSlots = 1 << 16
 
-	// DefaultSlotSize fits a coalesced batch of ~78 wire-encoded calls
+	// DefaultSlotSize fits a batch frame of ~78 wire-encoded calls
 	// (52 bytes each) behind the 24-byte slot header.
 	DefaultSlotSize = 4096
 	// DefaultSlots is the per-ring slot count: 256 slots × 4KiB ≈ 1MiB per

@@ -448,7 +448,7 @@ func (r *Reader) Next() (Header, []byte, error) {
 
 // Buffered reports the bytes already read from the connection but not yet
 // consumed as frames. Zero means the peer has no further request in this
-// burst — the server uses that as its coalescer drain signal.
+// burst — the server uses that as its response-flush signal.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // Writer frames and writes messages to a connection, safe for concurrent
@@ -530,7 +530,7 @@ func (w *Writer) SendBuffered(t Type, id uint64, payload []byte) error {
 }
 
 // SendCheckResp frames a single-check response built in the writer's own
-// scratch space: the coalescer's hot path, allocation-free, no flush.
+// scratch space: the server's hot path, allocation-free, no flush.
 func (w *Writer) SendCheckResp(id uint64, d engine.Decision) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -12,6 +12,10 @@ set -eux
 
 go build ./...
 go vet ./...
+# The contract benchmark is a nested module built against this one: vet and
+# test it here so a root API change that breaks it fails the gate, not the
+# benchmark pipeline.
+(cd benchmark && go vet ./... && go test ./...)
 # -timeout raised over the 10m default: the experiments suite replays full
 # simulations and needs well over 30m under the race detector on slow
 # single-core runners (Fig16 alone replays the Fig2 matrix twice).
@@ -37,7 +41,8 @@ go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/co
 # ./internal/wire` to explore beyond it), the codec 0-allocs/op pins, and
 # the wire-vs-in-process differential suite (decisions over the wire are
 # identical to calling the engine directly on 100k-event traces of all 15
-# workloads, through batch frames and through the coalescer).
+# workloads, through batch frames and through single-check frames
+# pipelined on one connection).
 go test -count=1 -run 'Fuzz' ./internal/wire/
 go test -count=1 -run 'ZeroAllocs|TestCheck|TestBatch' ./internal/wire/
 go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
@@ -57,14 +62,16 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # CAS-claiming slots on one MPSC ring, the futex/eventfd/socket doorbell
 # park-wake stress (spurious wakes included), and 16 goroutines storming
 # one ring pair while profiles hot-swap mid-stream, plus the doorbell
-# negotiation matrix and the v1-handshake downgrade path.
+# negotiation matrix, the v1-handshake downgrade path, and the isolation
+# test (a wire or shm peer that stops taking responses stalls only
+# itself).
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestBatcher' ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 go test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
-go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade' ./internal/server/
+go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
 
 # BPF differential fuzz seed corpus, run explicitly (each seed as a unit
 # test; use `go test -fuzz FuzzValidateAndRun ./internal/bpf` to explore
