@@ -46,15 +46,18 @@ test-wire:
 # test-shm runs the shared-memory transport's guards explicitly: the slot
 # parser fuzz seed corpus (adversarial seq/len/lap encodings plus v2
 # header layouts and MPSC claimed-unpublished states; `go test -fuzz
-# FuzzParseSlot ./internal/shm` explores further), the ring and
-# Batcher-fold 0-allocs/op pins, the Batcher fold tests (including the
-# MaxInflight concurrent-flusher contract), the shm-vs-in-process
+# FuzzParseSlot ./internal/shm` explores further), the ring,
+# Batcher-fold and full Shm.Check round-trip 0-allocs/op pins, the
+# Batcher fold tests (including the MaxInflight concurrent-flusher
+# contract), the shm-vs-in-process
 # differential suite (100k-event traces, all 15 workloads, batch frames +
 # single checks + the client-side Batcher fold), and the race hammers:
 # the SPSC producer/consumer pair, the 16-producer MPSC claim hammer, the
 # futex/eventfd/socket doorbell park-wake stress (spurious wakes
-# included), and the 16-goroutine check storm over one ring pair with
-# mid-stream profile hot-swaps and doorbell negotiation, all under -race.
+# included), the 16-goroutine check storm over one ring pair with
+# mid-stream profile hot-swaps and doorbell negotiation, and the client's
+# caller-side reaping tests (context and Close under a parked leader,
+# follower promotion, the 16-goroutine reap-role hammer), all under -race.
 # Every piece skips (not fails) on platforms without mmap or the
 # negotiated doorbell primitive.
 test-shm:
@@ -65,6 +68,7 @@ test-shm:
 	$(GO) test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 	$(GO) test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
 	$(GO) test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestShm' ./internal/server/client/
 
 # test-bpf runs the BPF differential fuzz seed corpus as unit tests:
 # every accepted program through both the interpreter and the compiled
@@ -92,8 +96,11 @@ test-ebpf:
 bench:
 	$(GO) test -run='^$$' -bench 'BenchmarkConcurrentChecker' -benchmem ./internal/concurrent
 
+# bench-server: the HTTP edge, plus a single shm check from one caller
+# (always holds the reap role) and from eight on one connection (mostly
+# followers, promoted as leaders leave).
 bench-server:
-	$(GO) test -run='^$$' -bench 'BenchmarkServerCheck' ./internal/server
+	$(GO) test -run='^$$' -bench 'BenchmarkServerCheck|BenchmarkShmCheck' -benchmem ./internal/server
 
 # bench-engine runs the registry-level sweep: every engine serially plus the
 # PR-1 shard grid through draco-concurrent (results/engine_baseline.json

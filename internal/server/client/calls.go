@@ -3,8 +3,9 @@ package client
 // The in-flight call table: the id-matched completion machinery shared by
 // every pipelined transport (the TCP wire client and the shared-memory
 // client). A transport registers a call to get its id, sends the request
-// however it likes — wire frame or ring slot — and awaits completion; a
-// background receiver (read loop or ring reaper) completes calls by id.
+// however it likes — wire frame or ring slot — and awaits completion; the
+// receiver (the wire read loop, or whichever shm caller holds the
+// completion ring's reap role) completes calls by id.
 
 import (
 	"context"

@@ -13,11 +13,21 @@ package client
 // Concurrency: the submission ring is multi-producer (CAS slot claiming),
 // so calling goroutines and Batcher flushers publish concurrently under a
 // shared read-lock — the write-lock belongs to teardown, which must
-// exclude all producers before unmapping. The completion ring's single
-// consumer is the reaper goroutine, which routes decisions back through
-// the same callTable as the TCP client. For call-level aggregation that
-// amortizes even the per-call ring traffic, wrap the connection in a
-// Batcher (batcher.go).
+// exclude all producers before unmapping. The completion ring has no
+// goroutine of its own: callers reap their own completions. After
+// submitting, a caller try-locks the connection's reap role; the one that
+// gets it (the leader) runs the shared shm.ConsumeLoop on the completion
+// ring — spin, park, doorbell and all — completing every call it finds
+// through the same callTable as the TCP client, and leaves the moment its
+// own call is done or its context is cancelled. Callers that find the
+// role taken (followers) block on their own completion exactly like wire
+// callers. A leaving leader drops one token into a one-slot channel, which
+// promotes exactly one follower to try for the role, so a pending call is
+// never without someone reaping for it and a lone caller never crosses a
+// goroutine boundary on its way to the decision. Teardown takes the reap
+// role and the producer write-lock before unmapping. For call-level
+// aggregation that amortizes even the per-call ring traffic, wrap the
+// connection in a Batcher (batcher.go).
 
 import (
 	"context"
@@ -63,9 +73,11 @@ type RingStats struct {
 	Doorbell shm.DoorbellKind
 	// HugePages reports whether the region asked for huge pages.
 	HugePages bool
-	// Parks / Wakes count the reaper's doorbell parks and wakeups.
+	// Parks / Wakes count doorbell parks and wakeups on the completion
+	// ring, by whichever caller held the reap role at the time.
 	Parks, Wakes uint64
-	// SpinBudget is the reaper's current adaptive empty-poll budget.
+	// SpinBudget is the connection's current adaptive empty-poll budget:
+	// what a caller reaping the completion ring burns before it parks.
 	SpinBudget int
 }
 
@@ -91,8 +103,17 @@ type Shm struct {
 	spin     *shm.SpinController
 	efds     []int // eventfd doorbell fds received over SCM_RIGHTS
 
+	// reapMu is the reap role: its holder is the completion ring's single
+	// consumer. Callers only ever TryLock it (see awaitRing); teardown
+	// Locks it, so the mapping outlives whoever is in the ring loop.
+	reapMu sync.Mutex
+	// reaper is the completion-ring consume loop, run under reapMu.
+	reaper shm.ConsumeLoop
+	// promote carries at most one token from a leader leaving the reap
+	// role to one follower, which then tries for the role itself.
+	promote chan struct{}
+
 	stop      chan struct{}
-	reapDone  chan struct{}
 	closeOnce sync.Once
 	closed    atomic.Bool
 }
@@ -124,11 +145,11 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 		return nil, fmt.Errorf("shm: dialing %s: %w", sock, err)
 	}
 	s := &Shm{
-		nc:       nc,
-		w:        wire.NewWriter(nc),
-		tab:      newCallTable(),
-		stop:     make(chan struct{}),
-		reapDone: make(chan struct{}),
+		nc:      nc,
+		w:       wire.NewWriter(nc),
+		tab:     newCallTable(),
+		promote: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
 	// Handshake runs synchronously before the read loops start: one
 	// TypeRingReq out, one TypeRingResp (or error) back — read raw so any
@@ -201,8 +222,16 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 		return nil, err
 	}
 	s.spin = shm.NewSpinController()
+	s.reaper = shm.ConsumeLoop{
+		Ring: reg.Complete,
+		Door: s.compDoor,
+		Spin: s.spin,
+		Stop: s.stop,
+		Handle: func(f *shm.Frame) {
+			s.tab.complete(wire.Type(f.Type), f.ID, f.Payload)
+		},
+	}
 	go s.readSocket(wire.NewReader(nc))
-	go s.reap()
 	return s, nil
 }
 
@@ -213,7 +242,7 @@ func (s *Shm) Close() error {
 }
 
 // RingStats snapshots the transport internals (doorbell mode, park/wake
-// counters, the reaper's adaptive spin budget).
+// counters, the adaptive spin budget of the completion-ring consumer).
 func (s *Shm) RingStats() RingStats {
 	return RingStats{
 		Doorbell:   s.compDoor.Kind(),
@@ -233,30 +262,29 @@ func (s *Shm) sendWake() {
 	s.wMu.Unlock()
 }
 
-// fail poisons the table, closes the socket, and invalidates the rings,
-// unparking the reaper so it can exit. The mapping and any doorbell fds
-// are released only after the reaper is out and producers are excluded —
-// unmapping under a live ring loop is a fault. Idempotent; safe to call
-// from the reaper.
+// fail poisons the table (completing every in-flight call with err),
+// closes the socket, and invalidates the rings, unparking whichever caller
+// is reaping so it can leave. The mapping and any doorbell fds are
+// released only once this goroutine holds the reap role and the producer
+// write-lock — unmapping under a live ring loop is a fault — so fail
+// returns after the current leader is out and must not be called with the
+// reap role held. Callers arriving later find closed set. Idempotent.
 func (s *Shm) fail(err error) {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		s.tab.fail(err)
 		s.nc.Close()
 		close(s.stop)
-		if s.reg != nil {
-			s.reg.Invalidate()
-			s.subDoor.Close()
-			s.compDoor.Close()
-			go func() {
-				<-s.reapDone
-				s.submitMu.Lock()
-				s.reg.Close()
-				s.submitMu.Unlock()
-				for _, fd := range s.efds {
-					shm.CloseFD(fd)
-				}
-			}()
+		s.reg.Invalidate()
+		s.subDoor.Close()
+		s.compDoor.Close()
+		s.reapMu.Lock()
+		s.submitMu.Lock()
+		s.reg.Close()
+		s.submitMu.Unlock()
+		s.reapMu.Unlock()
+		for _, fd := range s.efds {
+			shm.CloseFD(fd)
 		}
 	})
 }
@@ -274,25 +302,6 @@ func (s *Shm) readSocket(r *wire.Reader) {
 			continue
 		}
 		s.tab.complete(h.Type, h.ID, p)
-	}
-}
-
-// reap is the completion-ring consumer: decisions come back here and
-// complete their calls by id. The shared ConsumeLoop owns the park
-// protocol and the adaptive spin budget.
-func (s *Shm) reap() {
-	defer close(s.reapDone)
-	loop := &shm.ConsumeLoop{
-		Ring: s.reg.Complete,
-		Door: s.compDoor,
-		Spin: s.spin,
-		Stop: s.stop,
-		Handle: func(f *shm.Frame) {
-			s.tab.complete(wire.Type(f.Type), f.ID, f.Payload)
-		},
-	}
-	if err := loop.Run(); err != nil {
-		s.fail(fmt.Errorf("shm: completion ring: %w", err))
 	}
 }
 
@@ -340,6 +349,45 @@ func (s *Shm) roundTripRing(ctx context.Context, t wire.Type, enc func([]byte) [
 		s.tab.drop(id, call)
 		return nil, err
 	}
+	return s.awaitRing(ctx, id, call)
+}
+
+// awaitRing waits for a submitted call's completion, reaping the
+// completion ring itself when nobody else is. The caller that gets the
+// reap role (the leader) consumes completions for every pending call
+// until its own is in or ctx is cancelled; the others (followers) block
+// on their own completion, ctx, or a promotion. Every leader drops a
+// promotion token on its way out, and every follower that takes one
+// tries for the role, so while calls are pending somebody is reaping or
+// about to; a token nobody needed is swallowed by the next follower at
+// the cost of one failed TryLock. tab.fail completes every registered
+// call, so teardown needs no case of its own here.
+func (s *Shm) awaitRing(ctx context.Context, id uint64, call *wireCall) (*wireCall, error) {
+	for !s.reapMu.TryLock() {
+		select {
+		case <-call.done:
+			return call, nil
+		case <-s.promote:
+		case <-ctx.Done():
+			return s.tab.await(ctx, id, call)
+		}
+	}
+	// The role is ours. After teardown has had it the mapping is gone;
+	// closed is set before teardown asks for the role, so this check
+	// under the role is what keeps a late leader off the rings.
+	var err error
+	if !s.closed.Load() {
+		err = s.reaper.RunUntil(ctx, func() bool { return len(call.done) != 0 })
+	}
+	s.reapMu.Unlock()
+	select {
+	case s.promote <- struct{}{}:
+	default:
+	}
+	if err != nil {
+		s.fail(fmt.Errorf("shm: completion ring: %w", err))
+	}
+	// Done, cancelled, or failed: await settles which without blocking.
 	return s.tab.await(ctx, id, call)
 }
 

@@ -145,7 +145,7 @@ type Metrics struct {
 	ShmFrames atomic.Uint64
 	// ShmFrameErrors counts torn or corrupt slots that killed a session.
 	ShmFrameErrors atomic.Uint64
-	// ShmWakes counts doorbell rings sent to parked client reapers.
+	// ShmWakes counts doorbell rings sent to parked client consumers.
 	ShmWakes atomic.Uint64
 	// ShmParks accumulates server ring-consumer parks folded in from
 	// spin controllers of torn-down rings; live rings contribute their

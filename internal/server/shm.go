@@ -27,7 +27,7 @@ package server
 // TCP (session.go): frame dispatch, tenant resolution, and response routing
 // are shared; only the responder differs — the ring consumer publishes each
 // decision into the completion ring itself and rings the doorbell when the
-// client's reaper has parked.
+// client's completion consumer (whichever caller is reaping) has parked.
 //
 // Ordering: the socket and the rings are independent streams, so control
 // frames are ordered only against other socket frames. A client that wants
@@ -478,7 +478,7 @@ func (r *shmResponder) send(t wire.Type, id uint64, p []byte) {
 	r.doorbell()
 }
 
-// flush rings the client's doorbell if its reaper has parked. Publication
+// flush rings the client's doorbell if its consumer has parked. Publication
 // itself needs no flushing — slots are visible at Publish — so this is the
 // whole "push buffered responses" obligation for shm.
 func (r *shmResponder) flush() { r.doorbell() }

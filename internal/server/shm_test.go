@@ -61,9 +61,9 @@ func newShmServerOnly(t testing.TB, opts server.Options, ssopts server.ShmServer
 }
 
 // rawShm is a hand-driven shm connection speaking the PR-8 (v1) handshake:
-// socket doorbell, TypeWake frames, no reaper goroutine. Tests that pipeline
-// frames themselves, or deliberately stop reaping, drive the rings through
-// it.
+// socket doorbell, TypeWake frames, completions reaped by hand. Tests that
+// pipeline frames themselves, or deliberately stop reaping, drive the rings
+// through it.
 type rawShm struct {
 	w   *wire.Writer
 	reg *shm.Region

@@ -1,18 +1,23 @@
 package shm
 
 // ConsumeLoop is the one consume-side driver both ends of the transport
-// share: dracod's per-ring server goroutine draining submissions and the
-// client's reaper draining completions run exactly this loop. It owns
-// the park protocol (set parked → re-check → sleep on the doorbell →
-// unpark), the adaptive spin budget, and tolerance for spurious wakes —
-// a doorbell that rings with nothing published just runs another poll
-// round.
+// share: dracod's per-ring server goroutine draining submissions runs it
+// for the life of the connection (Run), and on the client whichever
+// caller holds the completion ring's reap role runs it for as long as it
+// is waiting for its own completion (RunUntil). It owns the park protocol
+// (set parked → re-check → sleep on the doorbell → unpark), the adaptive
+// spin budget, and tolerance for spurious wakes — a doorbell that rings
+// with nothing published just runs another poll round.
 
 import (
+	"context"
 	"time"
 )
 
-// ConsumeLoop drains one ring until the ring closes or Stop fires.
+// ConsumeLoop drains one ring until the ring closes or Stop fires. The
+// consumer side of a ring is single-threaded: at most one goroutine may be
+// inside Run/RunUntil at a time, and successive runs by different
+// goroutines must be ordered by a lock.
 type ConsumeLoop struct {
 	// Ring is the ring this side consumes.
 	Ring *Ring
@@ -30,35 +35,64 @@ type ConsumeLoop struct {
 	// Drained, when set, fires after handling a frame that leaves the
 	// ring empty — the transport's batch-boundary signal.
 	Drained func()
+
+	// frame is what Handle is shown. It escapes through that indirect
+	// call, so it lives here, allocated once per loop, not once per run.
+	frame Frame
 }
 
 // Run consumes until the ring closes (nil return) or a slot is torn
 // (the protocol-violation error).
-func (cl *ConsumeLoop) Run() error {
+func (cl *ConsumeLoop) Run() error { return cl.RunUntil(context.Background(), nil) }
+
+// RunUntil is Run with one more way out, for a consumer that needs the
+// ring only while it waits for something: it also returns nil as soon as
+// done reports true or ctx is cancelled, checked after every handled
+// frame and on every empty poll, and leaves whatever is still unconsumed
+// to the next run. A parked consumer cannot poll, so the park itself is
+// made interruptible: ctx's cancellation rings the doorbell (armed only
+// around the sleep, so the polling path pays nothing for it). done may be
+// nil.
+func (cl *ConsumeLoop) RunUntil(ctx context.Context, done func() bool) error {
 	r := cl.Ring
+	cancelled := ctx.Done() // nil for a context that cannot be cancelled
+	leave := func() bool {
+		if done != nil && done() {
+			return true
+		}
+		select {
+		case <-cancelled:
+			return true
+		default:
+			return false
+		}
+	}
 	// Poll ladder: no tight spinning, yield every empty poll — the
 	// producer is usually another goroutine (or, on a small host, shares
 	// the core with us), so giving up the slice IS the fast path. Parking
 	// is the terminal state; the ladder never reaches sleep.
 	poll := Backoff{Spin: -1, Yield: -1}
 	empties := 0
-	var f Frame
+	f := &cl.frame
 	for {
-		ok, err := r.Consume(&f)
+		ok, err := r.Consume(f)
 		if err != nil {
 			return err
 		}
 		if ok {
-			cl.Handle(&f)
+			cl.Handle(f)
 			r.Release()
 			if r.Empty() && cl.Drained != nil {
 				cl.Drained()
+			}
+			if leave() {
+				return nil
 			}
 			empties = 0
 			poll.Reset()
 			continue
 		}
-		if r.Closed() || cl.stopped() {
+		if r.Closed() || cl.stopped() || leave() {
 			return nil
 		}
 		empties++
@@ -72,14 +106,24 @@ func (cl *ConsumeLoop) Run() error {
 		// skipped the doorbell, so we must not sleep.
 		token := cl.Door.Prepare()
 		r.SetParked(true)
-		if !r.Empty() || r.Closed() || cl.stopped() {
+		if !r.Empty() || r.Closed() || cl.stopped() || leave() {
 			r.SetParked(false)
 			empties = 0
 			continue
 		}
 		cl.Spin.Parked()
 		start := time.Now()
+		// A cancellation from here on bumps the doorbell after Prepare, so
+		// the sleep below cannot miss it (one already delivered makes
+		// AfterFunc ring at once).
+		var disarm func() bool
+		if cancelled != nil {
+			disarm = context.AfterFunc(ctx, cl.Door.Notify)
+		}
 		cl.Door.Sleep(token, cl.Stop)
+		if disarm != nil {
+			disarm()
+		}
 		r.SetParked(false)
 		// Productive = frames waiting right now. A timeout that raced a
 		// publish classifies as productive, which is the truth that

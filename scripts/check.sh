@@ -53,8 +53,9 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # seq/len/lap encodings plus v2 header layouts and MPSC
 # claimed-unpublished slot states (use `go test -fuzz FuzzParseSlot
 # ./internal/shm` to explore beyond it); the 0-allocs/op pins cover ring
-# enqueue/dequeue and the client-side Batcher fold; the Batcher tests
-# include the MaxInflight concurrent-flusher contract; the shm
+# enqueue/dequeue, the client-side Batcher fold and a full Shm.Check
+# round trip; the Batcher tests include the MaxInflight
+# concurrent-flusher contract; the shm
 # differential proves decisions through the rings — batch frames, single
 # checks, and Batcher-folded singles — are identical to calling the
 # engine directly on 100k-event traces of all 15 workloads; and the race
@@ -62,9 +63,13 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # CAS-claiming slots on one MPSC ring, the futex/eventfd/socket doorbell
 # park-wake stress (spurious wakes included), and 16 goroutines storming
 # one ring pair while profiles hot-swap mid-stream, plus the doorbell
-# negotiation matrix, the v1-handshake downgrade path, and the isolation
+# negotiation matrix, the v1-handshake downgrade path, the isolation
 # test (a wire or shm peer that stops taking responses stalls only
-# itself).
+# itself), and the client's caller-side reaping tests against a
+# hand-driven server end: a deadline and a Close while the leader is
+# parked on the doorbell, promotion of a follower when the leader leaves,
+# and 16 goroutines of mixed single/batch/cancelled calls passing the
+# reap role around.
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestBatcher' ./internal/server/client/
@@ -72,6 +77,7 @@ go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 go test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
 go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
+go test -race -count=1 -run 'TestShm' ./internal/server/client/
 
 # BPF differential fuzz seed corpus, run explicitly (each seed as a unit
 # test; use `go test -fuzz FuzzValidateAndRun ./internal/bpf` to explore
