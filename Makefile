@@ -56,8 +56,9 @@ test-wire:
 # futex/eventfd/socket doorbell park-wake stress (spurious wakes
 # included), the 16-goroutine check storm over one ring pair with
 # mid-stream profile hot-swaps and doorbell negotiation, and the client's
-# caller-side reaping tests (context and Close under a parked leader,
-# follower promotion, the 16-goroutine reap-role hammer), all under -race.
+# caller-side reaping tests (context, Close and cancel-then-Close under a
+# parked leader, follower promotion, the cancelled-call storm, the
+# 16-goroutine reap-role hammer), all under -race.
 # Every piece skips (not fails) on platforms without mmap or the
 # negotiated doorbell primitive.
 test-shm:

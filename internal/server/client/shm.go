@@ -14,20 +14,10 @@ package client
 // so calling goroutines and Batcher flushers publish concurrently under a
 // shared read-lock — the write-lock belongs to teardown, which must
 // exclude all producers before unmapping. The completion ring has no
-// goroutine of its own: callers reap their own completions. After
-// submitting, a caller try-locks the connection's reap role; the one that
-// gets it (the leader) runs the shared shm.ConsumeLoop on the completion
-// ring — spin, park, doorbell and all — completing every call it finds
-// through the same callTable as the TCP client, and leaves the moment its
-// own call is done or its context is cancelled. Callers that find the
-// role taken (followers) block on their own completion exactly like wire
-// callers. A leaving leader drops one token into a one-slot channel, which
-// promotes exactly one follower to try for the role, so a pending call is
-// never without someone reaping for it and a lone caller never crosses a
-// goroutine boundary on its way to the decision. Teardown takes the reap
-// role and the producer write-lock before unmapping. For call-level
-// aggregation that amortizes even the per-call ring traffic, wrap the
-// connection in a Batcher (batcher.go).
+// goroutine of its own: whichever caller is waiting for an answer consumes
+// it under the connection's reap role (awaitRing; the protocol is written
+// up in DESIGN.md §12). For call-level aggregation that amortizes even the
+// per-call ring traffic, wrap the connection in a Batcher (batcher.go).
 
 import (
 	"context"
@@ -109,6 +99,9 @@ type Shm struct {
 	reapMu sync.Mutex
 	// reaper is the completion-ring consume loop, run under reapMu.
 	reaper shm.ConsumeLoop
+	// drained reports the completion ring empty: the leave condition of a
+	// leader with no call of its own to wait for (see submit).
+	drained func() bool
 	// promote carries at most one token from a leader leaving the reap
 	// role to one follower, which then tries for the role itself.
 	promote chan struct{}
@@ -231,6 +224,7 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 			s.tab.complete(wire.Type(f.Type), f.ID, f.Payload)
 		},
 	}
+	s.drained = reg.Complete.Empty
 	go s.readSocket(wire.NewReader(nc))
 	return s, nil
 }
@@ -309,33 +303,45 @@ func (s *Shm) readSocket(r *wire.Reader) {
 // slot's own buffer — zero copy), publishes, and rings the server's
 // doorbell if its consumer has parked. Multiple goroutines submit
 // concurrently; the ring's CAS claim orders them.
+//
+// A full submission ring is backpressure, but it is not waited out blindly:
+// the server stops consuming submissions when it cannot publish their
+// completions, and completions are reaped only by callers — which may all
+// be stuck right here, or have given up on their contexts without reaping.
+// So a producer that finds the ring full drains the completion ring if
+// nobody else is, then backs off.
 func (s *Shm) submit(t wire.Type, id uint64, enc func([]byte) []byte) error {
 	sub := s.reg.Submit
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	// The closed check shares the lock with the deferred unmap in fail, so
-	// a producer never touches the mapping after it is gone.
-	if sub.Closed() {
-		return shm.ErrRingClosed
-	}
-	pos, buf := sub.Claim()
-	if buf == nil {
-		return shm.ErrRingClosed
-	}
-	err := sub.Publish(pos, uint8(t), id, enc(buf))
-	if err != nil {
-		// Only ErrFrameTooBig reaches here, and the MPSC claim contract is
-		// hole-free: this slot must still publish. A zero-length error
-		// frame stands in; the server answers it with an "unexpected
-		// frame" error for an id nobody is waiting on, and the caller gets
-		// the local error.
-		sub.Publish(pos, uint8(wire.TypeError), id, buf[:0])
+	var bo shm.Backoff
+	for {
+		// The closed check shares the lock with the deferred unmap in fail,
+		// so a producer never touches the mapping after it is gone.
+		s.submitMu.RLock()
+		if sub.Closed() {
+			s.submitMu.RUnlock()
+			return shm.ErrRingClosed
+		}
+		pos, buf, ok := sub.TryClaim()
+		if !ok {
+			s.submitMu.RUnlock()
+			s.lead(context.Background(), s.drained)
+			bo.Wait()
+			continue
+		}
+		err := sub.Publish(pos, uint8(t), id, enc(buf))
+		if err != nil {
+			// Only ErrFrameTooBig reaches here, and the MPSC claim contract
+			// is hole-free: this slot must still publish. A zero-length
+			// error frame stands in; the server answers it with an
+			// "unexpected frame" error for an id nobody is waiting on, and
+			// the caller gets the local error.
+			sub.Publish(pos, uint8(wire.TypeError), id, buf[:0])
+		} else if sub.ConsumerParked() {
+			s.subDoor.Ring()
+		}
+		s.submitMu.RUnlock()
 		return err
 	}
-	if sub.ConsumerParked() {
-		s.subDoor.Ring()
-	}
-	return nil
 }
 
 // roundTripRing registers a request, publishes it to the submission ring,
@@ -352,6 +358,34 @@ func (s *Shm) roundTripRing(ctx context.Context, t wire.Type, enc func([]byte) [
 	return s.awaitRing(ctx, id, call)
 }
 
+// lead takes the reap role if it is free and runs the completion ring's
+// consume loop — completing every pending call it finds — until done
+// reports true or ctx is cancelled; it reports false, having done nothing,
+// when another caller holds the role. Every leader drops a promotion token
+// on its way out (see awaitRing). Must not be called with submitMu held:
+// a torn slot ends in fail, which takes it.
+func (s *Shm) lead(ctx context.Context, done func() bool) bool {
+	if !s.reapMu.TryLock() {
+		return false
+	}
+	// The role is ours. After teardown has had it the mapping is gone;
+	// closed is set before teardown asks for the role, so this check
+	// under the role is what keeps a late leader off the rings.
+	var err error
+	if !s.closed.Load() {
+		err = s.reaper.RunUntil(ctx, done)
+	}
+	s.reapMu.Unlock()
+	select {
+	case s.promote <- struct{}{}:
+	default:
+	}
+	if err != nil {
+		s.fail(fmt.Errorf("shm: completion ring: %w", err))
+	}
+	return true
+}
+
 // awaitRing waits for a submitted call's completion, reaping the
 // completion ring itself when nobody else is. The caller that gets the
 // reap role (the leader) consumes completions for every pending call
@@ -363,7 +397,7 @@ func (s *Shm) roundTripRing(ctx context.Context, t wire.Type, enc func([]byte) [
 // the cost of one failed TryLock. tab.fail completes every registered
 // call, so teardown needs no case of its own here.
 func (s *Shm) awaitRing(ctx context.Context, id uint64, call *wireCall) (*wireCall, error) {
-	for !s.reapMu.TryLock() {
+	for !s.lead(ctx, func() bool { return len(call.done) != 0 }) {
 		select {
 		case <-call.done:
 			return call, nil
@@ -371,21 +405,6 @@ func (s *Shm) awaitRing(ctx context.Context, id uint64, call *wireCall) (*wireCa
 		case <-ctx.Done():
 			return s.tab.await(ctx, id, call)
 		}
-	}
-	// The role is ours. After teardown has had it the mapping is gone;
-	// closed is set before teardown asks for the role, so this check
-	// under the role is what keeps a late leader off the rings.
-	var err error
-	if !s.closed.Load() {
-		err = s.reaper.RunUntil(ctx, func() bool { return len(call.done) != 0 })
-	}
-	s.reapMu.Unlock()
-	select {
-	case s.promote <- struct{}{}:
-	default:
-	}
-	if err != nil {
-		s.fail(fmt.Errorf("shm: completion ring: %w", err))
 	}
 	// Done, cancelled, or failed: await settles which without blocking.
 	return s.tab.await(ctx, id, call)

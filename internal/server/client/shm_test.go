@@ -253,6 +253,38 @@ func TestShmCloseWhileParked(t *testing.T) {
 	}
 }
 
+// TestShmCancelThenCloseWhileParked is the usual shutdown, cancel() then
+// Close(), under a parked leader. The cancellation rings the doorbell from
+// a goroutine of its own; Close must not release the mapping (futex word)
+// under that ring, which would be a fault rather than a test failure, so
+// the leader may not give up the reap role while its ring is in flight.
+func TestShmCancelThenCloseWhileParked(t *testing.T) {
+	for _, kind := range []shm.DoorbellKind{shm.DoorbellFutex, shm.DoorbellSocket} {
+		t.Run(kind.String(), func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				t.Run("", func(t *testing.T) {
+					sc, peer := dialHandDriven(t, kind)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					errc := make(chan error, 1)
+					go func() {
+						_, err := sc.Check(ctx, "t", testSID(t, "read"), engine.Args{1})
+						errc <- err
+					}()
+					peer.next()
+					peer.waitParked()
+					cancel()
+					sc.Close()
+					// Whichever of the two the caller saw first.
+					if err := <-errc; !errors.Is(err, context.Canceled) && (err == nil || err.Error() != "shm: client closed") {
+						t.Fatalf("caller returned %v, want context.Canceled or the terminal error", err)
+					}
+				})
+			}
+		})
+	}
+}
+
 // TestShmFollowerPromoted: A leads and parks, B submits behind it. The
 // server answers A, and answers B only after A has returned — by then
 // nobody holds the reap role unless A's exit promoted B. B must complete
@@ -305,7 +337,7 @@ func TestShmFollowerPromoted(t *testing.T) {
 
 // dialRealServer starts a dracod shm front end on a fresh Server and dials
 // it.
-func dialRealServer(t testing.TB, opts server.Options) *Shm {
+func dialRealServer(t testing.TB, opts server.Options, copts ShmOptions) *Shm {
 	t.Helper()
 	if !shm.Supported() {
 		t.Skip("shm transport unsupported on this platform")
@@ -316,7 +348,7 @@ func dialRealServer(t testing.TB, opts server.Options) *Shm {
 	}
 	go ss.Serve()
 	t.Cleanup(func() { ss.Close() })
-	sc, err := DialShm(ss.Dir(), ShmOptions{})
+	sc, err := DialShm(ss.Dir(), copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +365,7 @@ func dialRealServer(t testing.TB, opts server.Options) *Shm {
 func TestShmCallerReapHammer(t *testing.T) {
 	const shards = 4
 	p := seccomp.DockerDefault()
-	sc := dialRealServer(t, server.Options{Shards: shards, Routing: "syscall", DefaultProfile: p})
+	sc := dialRealServer(t, server.Options{Shards: shards, Routing: "syscall", DefaultProfile: p}, ShmOptions{})
 	ref, err := engine.New("draco-concurrent", engine.Options{Profile: p, Shards: shards, Routing: "syscall"})
 	if err != nil {
 		t.Fatal(err)
@@ -426,6 +458,52 @@ func TestShmCallerReapHammer(t *testing.T) {
 	}
 }
 
+// TestShmCancelledStormDoesNotWedge: callers whose contexts are already
+// cancelled submit but leave without waiting, so on small rings their
+// un-reaped completions fill the completion ring, the server stalls
+// publishing, and the submission ring fills behind it. Producers that find
+// it full must reap; otherwise every caller spins in the claim with nobody
+// holding the reap role. After the storm a healthy call must complete.
+func TestShmCancelledStormDoesNotWedge(t *testing.T) {
+	sc := dialRealServer(t,
+		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		ShmOptions{SubmitSlots: 4, CompleteSlots: 4})
+	read := testSID(t, "read")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	const goroutines, perG = 8, 2000
+	stormed := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if _, err := sc.Check(cancelled, "t", read, engine.Args{uint64(i % 4)}); err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled check: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(stormed) }()
+	select {
+	case <-stormed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("wedged: cancelled callers are stuck submitting and nobody reaps")
+	}
+
+	ctx, cancelHealthy := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelHealthy()
+	if d, err := sc.Check(ctx, "t", read, engine.Args{0}); err != nil || !d.Allowed {
+		t.Fatalf("healthy check after the storm: %+v, %v", d, err)
+	}
+	if n := sc.pendingCalls(); n != 0 {
+		t.Fatalf("%d calls still pending", n)
+	}
+}
+
 // TestZeroAllocsShmCheck pins a full Shm.Check round trip — submit, lead
 // the completion ring, decode — at zero allocations on a warm tenant. The
 // server shares the process, so its side of the round trip is pinned with
@@ -434,7 +512,7 @@ func TestZeroAllocsShmCheck(t *testing.T) {
 	if shm.RaceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
-	sc := dialRealServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	sc := dialRealServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
 	ctx := context.Background()
 	read := testSID(t, "read")
 	args := engine.Args{3, 0, 4096}

@@ -115,14 +115,22 @@ func (cl *ConsumeLoop) RunUntil(ctx context.Context, done func() bool) error {
 		start := time.Now()
 		// A cancellation from here on bumps the doorbell after Prepare, so
 		// the sleep below cannot miss it (one already delivered makes
-		// AfterFunc ring at once).
+		// AfterFunc ring at once). The ring runs on a goroutine of its own
+		// and touches the doorbell's mapped word or fd, which whoever
+		// takes the ring over next may release: a ring that has started is
+		// waited for, so none outlives this run.
 		var disarm func() bool
+		var rung chan struct{}
 		if cancelled != nil {
-			disarm = context.AfterFunc(ctx, cl.Door.Notify)
+			rung = make(chan struct{})
+			disarm = context.AfterFunc(ctx, func() {
+				cl.Door.Notify()
+				close(rung)
+			})
 		}
 		cl.Door.Sleep(token, cl.Stop)
-		if disarm != nil {
-			disarm()
+		if disarm != nil && !disarm() {
+			<-rung
 		}
 		r.SetParked(false)
 		// Productive = frames waiting right now. A timeout that raced a

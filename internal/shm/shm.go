@@ -410,23 +410,35 @@ func (r *Ring) Closed() bool { return r.closed.Load() }
 func (r *Ring) Claim() (uint64, []byte) {
 	var bo Backoff
 	for {
+		if pos, buf, ok := r.TryClaim(); ok {
+			return pos, buf
+		}
+		if r.closed.Load() {
+			return 0, nil
+		}
+		bo.Wait()
+	}
+}
+
+// TryClaim is Claim without the wait: it reports false when the ring is
+// full, and the producer decides what to do about it. A producer that is
+// also the consumer of the opposite ring must not simply wait here — its
+// peer may be unable to drain this ring until the opposite one is reaped.
+func (r *Ring) TryClaim() (uint64, []byte, bool) {
+	for {
 		pos := r.tail.Load()
 		if pos-r.headCache.Load() >= r.n {
 			h := r.head.Load()
 			r.headCache.Store(h)
 			if pos-h >= r.n {
-				if r.closed.Load() {
-					return 0, nil
-				}
-				bo.Wait()
-				continue
+				return 0, nil, false
 			}
 		}
 		if r.tail.CompareAndSwap(pos, pos+1) {
 			s := r.slot(pos)
-			return pos, s[SlotHdrSize:SlotHdrSize:r.size]
+			return pos, s[SlotHdrSize:SlotHdrSize:r.size], true
 		}
-		bo.Reset() // lost the CAS to another producer: that is progress
+		// Lost the CAS to another producer: that is progress, go again.
 	}
 }
 

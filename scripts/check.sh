@@ -66,10 +66,11 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # negotiation matrix, the v1-handshake downgrade path, the isolation
 # test (a wire or shm peer that stops taking responses stalls only
 # itself), and the client's caller-side reaping tests against a
-# hand-driven server end: a deadline and a Close while the leader is
-# parked on the doorbell, promotion of a follower when the leader leaves,
-# and 16 goroutines of mixed single/batch/cancelled calls passing the
-# reap role around.
+# hand-driven server end: a deadline, a Close and a cancel-then-Close
+# while the leader is parked on the doorbell, promotion of a follower when
+# the leader leaves, a storm of cancelled calls on 4-slot rings, and 16
+# goroutines of mixed single/batch/cancelled calls passing the reap role
+# around.
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestBatcher' ./internal/server/client/
