@@ -29,9 +29,13 @@ test-race:
 # race detector: the 0-allocs/op assertions (perturbed by -race; engine hot
 # paths plus the compiled-exec and bitmap filter fast paths), the
 # registry-level decision-stream differential tests, the interp-vs-compiled
-# and bitmap exec-mode differentials, and the bitmap soundness suite.
+# and bitmap exec-mode differentials, and the bitmap soundness suite; plus
+# the retired-generation guard at full depth (2000 profile swaps must
+# neither grow the live heap nor lose a check from Stats; under -race it
+# runs a tenth of them).
 test-engine:
 	$(GO) test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+	$(GO) test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
 
 # test-wire runs the wire protocol's guards explicitly: the frame-decoder
 # fuzz seed corpus (every seed as a unit test; `go test -fuzz

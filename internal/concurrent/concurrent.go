@@ -7,17 +7,21 @@
 //
 //   - A read-mostly profile state behind an atomic pointer. Check paths
 //     load the pointer once and never block on profile reloads; SetProfile
-//     builds a whole new state and swaps it in, so in-flight checks finish
-//     against the state they started with.
+//     builds a whole new state, swaps it in, then seals the old one: its
+//     counters are folded into a running total and the state is dropped.
+//     An in-flight check either finishes against the state it started with
+//     before the seal, or finds it sealed and starts over on the new one.
 //   - An N-way sharded VAT. A check routes to a shard by a CRC-64/ECMA
 //     routing key, and each shard is an independent core.Checker (own SPT,
 //     own VAT sections, own compiled filter chain) guarded by one mutex.
 //
 // Two routing keys are offered. The default, RouteBySyscall, hashes the
-// syscall ID alone, so a syscall's whole cuckoo table lives in exactly one
-// shard and the sharded checker reproduces the sequential checker's
-// decisions bit for bit — including the cache evictions that 2-ary cuckoo
-// tables at 0.5 load actually perform. RouteByArgs additionally mixes in
+// syscall ID alone (once per syscall, when the state is built: a check
+// reads the shard from the syscall's plane record), so a syscall's whole
+// cuckoo table lives in exactly one shard and the sharded checker
+// reproduces the sequential checker's decisions bit for bit — including
+// the cache evictions that 2-ary cuckoo tables at 0.5 load actually
+// perform. RouteByArgs additionally mixes in
 // the argument-set hash (computed under the syscall's SPT Argument Bitmask,
 // the same masked-byte hash family the VAT probes with), spreading a hot
 // syscall's argument sets across shards for maximum parallelism; allow/deny
@@ -97,6 +101,10 @@ type Outcome = core.Outcome
 type shard struct {
 	mu  sync.Mutex
 	chk *core.Checker
+	// sealed is set, under mu, when the shard's generation is retired and
+	// its statistics folded into the checker's total: a check that locks a
+	// sealed shard must be redone on the checker's current state.
+	sealed bool
 }
 
 // state is one immutable profile generation. All fields except the shards'
@@ -149,7 +157,7 @@ func newState(p *seccomp.Profile, nShards int, routing Routing, mode seccomp.Exe
 	// Compile the decision plane from the same attach-time proofs the
 	// filter and program carry: f.Bitmap() is nil below ExecBitmap, which
 	// builds the plane in pass-through (routing masks only) form.
-	st.plane = buildPlane(p, f.Bitmap(), st.prog, noFast)
+	st.plane = buildPlane(p, f.Bitmap(), st.prog, noFast, nShards, routing)
 	for i := range st.shards {
 		chk := core.NewChecker(p, seccomp.Chain{f})
 		chk.Prog = st.prog
@@ -163,38 +171,47 @@ func (st *state) mask(sid int) uint64 {
 	return st.plane.maskOf(sid)
 }
 
-// shardFor routes a call to its shard: CRC-64 over the syscall ID and —
-// under RouteByArgs — the H1 hash of the argument bytes selected by the
-// syscall's bitmask. ID-only syscalls always hash by ID alone.
-func (st *state) shardFor(sid int, args hashes.Args) *shard {
-	return st.shards[st.shardIndex(sid, args)]
-}
-
-func (st *state) shardIndex(sid int, args hashes.Args) int {
-	if len(st.shards) == 1 {
+// shardIndex routes a call to its shard. Under RouteBySyscall the shard is
+// the one the plane record stored at build (sidShard for numbers beyond the
+// plane); under RouteByArgs it is CRC-64 over the syscall ID and the H1
+// hash of the argument bytes selected by the syscall's bitmask, hashed per
+// call. ID-only syscalls always route by ID alone.
+func (st *state) shardIndex(sid int, args *hashes.Args) int {
+	n := len(st.shards)
+	if n == 1 {
 		return 0
+	}
+	if st.routing == RouteBySyscall {
+		if uint(sid) < uint(len(st.plane.records)) {
+			return int(st.plane.records[sid].shard)
+		}
+		return sidShard(sid, n)
 	}
 	var key [16]byte
 	binary.LittleEndian.PutUint64(key[:8], uint64(sid))
-	n := 8
-	if st.routing == RouteByArgs {
-		if m := st.mask(sid); m != 0 {
-			binary.LittleEndian.PutUint64(key[8:], hashes.ArgSet(args, m).H1)
-		}
-		n = 16
+	if m := st.mask(sid); m != 0 {
+		binary.LittleEndian.PutUint64(key[8:], hashes.ArgSet(*args, m).H1)
 	}
-	return int(hashes.Sum64(key[:n]) % uint64(len(st.shards)))
+	return int(hashes.Sum64(key[:]) % uint64(n))
+}
+
+// sidShard is RouteBySyscall's routing function: CRC-64/ECMA of the syscall
+// ID, reduced to the shard count.
+func sidShard(sid, nShards int) int {
+	var key [8]byte
+	binary.LittleEndian.PutUint64(key[:], uint64(sid))
+	return int(hashes.Sum64(key[:]) % uint64(nShards))
 }
 
 // Checker is a concurrency-safe Draco checker: any number of goroutines may
 // call Check/CheckBatch while another reloads the profile with SetProfile.
 type Checker struct {
 	state atomic.Pointer[state]
-	// mu serializes profile swaps and guards retired.
+	// mu serializes profile swaps and guards folded.
 	mu sync.Mutex
-	// retired keeps superseded generations so Stats stays cumulative across
-	// hot swaps (in-flight checks may still be ticking their counters).
-	retired []*state
+	// folded is the statistics of every superseded generation, so Stats
+	// stays cumulative across hot swaps without keeping the generations.
+	folded Stats
 	// noFast disables the decision plane across every generation this
 	// checker builds: the measurement baseline for the fast path.
 	noFast bool
@@ -267,18 +284,28 @@ func NewCheckerConfig(p *seccomp.Profile, cfg Config) (*Checker, error) {
 // one atomic state load and no locks, table probes, or filter execution.
 // Everything else takes the locked shard path, which afterwards seeds the
 // plane (noteLocked) so constant-allow syscalls hand over once their
-// first check has warmed the tables.
+// first check has warmed the tables. A check that loses the race with a
+// profile swap — its generation was retired before it could be counted
+// there — is redone on the successor, which the swap published first.
 func (c *Checker) Check(sid int, args hashes.Args) core.Outcome {
 	st := c.state.Load()
-	if out, ok := st.plane.fastCheck(sid); ok {
-		return out
+	hit, sealed := st.plane.fastCheck(sid)
+	if hit != nil {
+		return *hit
 	}
-	sh := st.shardFor(sid, args)
-	sh.mu.Lock()
-	out := sh.chk.Check(sid, args)
-	sh.mu.Unlock()
-	st.plane.noteLocked(sid)
-	return out
+	if !sealed {
+		sh := st.shards[st.shardIndex(sid, &args)]
+		sh.mu.Lock()
+		if !sh.sealed {
+			out := sh.chk.Check(sid, args)
+			sh.mu.Unlock()
+			st.plane.noteLocked(sid)
+			return out
+		}
+		sh.mu.Unlock()
+	}
+	// st was retired under this call, so its successor is published.
+	return c.Check(sid, args)
 }
 
 // CheckBatch validates a batch of calls, amortizing state loads and shard
@@ -297,16 +324,25 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 	if len(st.shards) == 1 {
 		sh := st.shards[0]
 		sh.mu.Lock()
-		for i, cl := range calls {
+		if sh.sealed {
+			// Retired before anything was done: redo on the successor.
+			sh.mu.Unlock()
+			return c.CheckBatch(calls, dst)
+		}
+		for i := range calls {
+			cl := &calls[i]
 			// Plane-resolved calls skip the checker even under the batch
 			// lock: the decision needs no table, and the per-record hit
 			// counter keeps Stats exact.
-			if out, ok := st.plane.fastCheck(cl.SID); ok {
-				dst[i] = out
-				continue
+			switch hit, sealed := st.plane.fastCheck(cl.SID); {
+			case hit != nil:
+				dst[i] = *hit
+			case sealed:
+				dst[i] = c.Check(cl.SID, cl.Args)
+			default:
+				dst[i] = sh.chk.Check(cl.SID, cl.Args)
+				st.plane.noteLocked(cl.SID)
 			}
-			dst[i] = sh.chk.Check(cl.SID, cl.Args)
-			st.plane.noteLocked(cl.SID)
 		}
 		sh.mu.Unlock()
 		return dst
@@ -318,16 +354,8 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 		// call, in order. Plane-resolved calls are constant — they neither
 		// read nor write map state — so answering them lock-free preserves
 		// the submission-order semantics of the rest.
-		for i, cl := range calls {
-			if out, ok := st.plane.fastCheck(cl.SID); ok {
-				dst[i] = out
-				continue
-			}
-			sh := st.shardFor(cl.SID, cl.Args)
-			sh.mu.Lock()
-			dst[i] = sh.chk.Check(cl.SID, cl.Args)
-			sh.mu.Unlock()
-			st.plane.noteLocked(cl.SID)
+		for i := range calls {
+			dst[i] = c.Check(calls[i].SID, calls[i].Args)
 		}
 		return dst
 	}
@@ -353,10 +381,10 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 	ns := len(st.shards)
 	if ns <= smallShards {
 		var counts [smallShards + 1]int32
-		st.drainGrouped(calls, dst, sidx, order, counts[:ns+1])
+		c.drainGrouped(st, calls, dst, sidx, order, counts[:ns+1])
 	} else {
 		var counts [MaxShards + 1]int32
-		st.drainGrouped(calls, dst, sidx, order, counts[:ns+1])
+		c.drainGrouped(st, calls, dst, sidx, order, counts[:ns+1])
 	}
 	return dst
 }
@@ -365,16 +393,23 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 // answered during the grouping pass itself (marked with shard index -1 so
 // the sort skips them), then the residue is stable counting-sorted by
 // shard (len(counts) == shards+1) and drained one lock per touched shard.
-func (st *state) drainGrouped(calls []Call, dst []core.Outcome, sidx, order, counts []int32) {
+// Calls that find st retired under them — a sealed plane counter or a
+// sealed shard — are redone one by one through Check.
+func (c *Checker) drainGrouped(st *state, calls []Call, dst []core.Outcome, sidx, order, counts []int32) {
 	resolved := 0
-	for i, cl := range calls {
-		if out, ok := st.plane.fastCheck(cl.SID); ok {
-			dst[i] = out
+	for i := range calls {
+		cl := &calls[i]
+		if hit, sealed := st.plane.fastCheck(cl.SID); hit != nil || sealed {
+			if hit != nil {
+				dst[i] = *hit
+			} else {
+				dst[i] = c.Check(cl.SID, cl.Args)
+			}
 			sidx[i] = -1
 			resolved++
 			continue
 		}
-		si := st.shardIndex(cl.SID, cl.Args)
+		si := st.shardIndex(cl.SID, &cl.Args)
 		sidx[i] = int32(si)
 		counts[si+1]++
 	}
@@ -400,12 +435,20 @@ func (st *state) drainGrouped(calls []Call, dst []core.Outcome, sidx, order, cou
 		}
 		sh := st.shards[s]
 		sh.mu.Lock()
-		for _, i := range order[start:end] {
-			cl := calls[i]
-			dst[i] = sh.chk.Check(cl.SID, cl.Args)
-			st.plane.noteLocked(cl.SID)
+		sealed := sh.sealed
+		if !sealed {
+			for _, i := range order[start:end] {
+				cl := &calls[i]
+				dst[i] = sh.chk.Check(cl.SID, cl.Args)
+				st.plane.noteLocked(cl.SID)
+			}
 		}
 		sh.mu.Unlock()
+		if sealed {
+			for _, i := range order[start:end] {
+				dst[i] = c.Check(calls[i].SID, calls[i].Args)
+			}
+		}
 		start = end
 	}
 }
@@ -419,34 +462,44 @@ const batchStack = 512
 const smallShards = 64
 
 // SetProfile hot-swaps the profile: a fresh state (empty SPT/VAT, newly
-// compiled filters) is built off to the side and atomically published.
-// Checks already in flight complete against the old generation; new checks
-// see the new one. Shard count and routing are preserved.
+// compiled filters) is built off to the side and atomically published, and
+// the superseded generation is sealed and dropped. Checks that started
+// against the old generation either complete and are counted there before
+// it is sealed, or are redone on the new one. Shard count and routing are
+// preserved.
 func (c *Checker) SetProfile(p *seccomp.Profile) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.state.Load()
-	st, err := newState(p, len(old.shards), old.routing, old.mode, old.gen+1, c.noFast)
-	if err != nil {
-		return err
-	}
-	c.state.Store(st)
-	c.retired = append(c.retired, old)
-	return nil
+	return c.swap(p)
 }
 
 // Reset clears all cached state (every shard's SPT and VAT) while keeping
 // the current profile, like core.Checker.Reset on a security-epoch change.
 func (c *Checker) Reset() error {
+	return c.swap(nil)
+}
+
+// swap builds and publishes the next generation for p (nil keeps the
+// current profile) and retires the old one into folded.
+func (c *Checker) swap(p *seccomp.Profile) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := c.state.Load()
-	st, err := newState(old.profile, len(old.shards), old.routing, old.mode, old.gen+1, c.noFast)
+	if p == nil {
+		p = old.profile
+	}
+	st, err := newState(p, len(old.shards), old.routing, old.mode, old.gen+1, c.noFast)
 	if err != nil {
 		return err
 	}
+	// Publish before sealing: whoever then finds the old generation sealed
+	// is guaranteed to load the new one.
 	c.state.Store(st)
-	c.retired = append(c.retired, old)
+	for _, sh := range old.shards {
+		sh.mu.Lock()
+		c.folded.Add(sh.chk.Stats)
+		sh.sealed = true
+		sh.mu.Unlock()
+	}
+	old.plane.seal(&c.folded)
 	return nil
 }
 
@@ -483,27 +536,17 @@ func (c *Checker) Shards() int {
 // path-independent: fast path on or off, the same workload produces the
 // same Stats.
 func (c *Checker) Stats() Stats {
+	// Held throughout, so the generation read below stays the live one.
 	c.mu.Lock()
-	states := make([]*state, 0, len(c.retired)+1)
-	states = append(states, c.retired...)
-	states = append(states, c.state.Load())
-	c.mu.Unlock()
-	var total Stats
-	for _, st := range states {
-		for _, sh := range st.shards {
-			sh.mu.Lock()
-			s := sh.chk.Stats
-			sh.mu.Unlock()
-			total.Checks += s.Checks
-			total.SPTHits += s.SPTHits
-			total.VATHits += s.VATHits
-			total.FilterRuns += s.FilterRuns
-			total.FilterInsns += s.FilterInsns
-			total.Inserts += s.Inserts
-			total.Denied += s.Denied
-		}
-		st.plane.foldStats(&total)
+	defer c.mu.Unlock()
+	total := c.folded
+	st := c.state.Load()
+	for _, sh := range st.shards {
+		sh.mu.Lock()
+		total.Add(sh.chk.Stats)
+		sh.mu.Unlock()
 	}
+	st.plane.foldStats(&total)
 	return total
 }
 

@@ -21,11 +21,13 @@ package concurrent
 // Publication follows the package's epoch discipline: the plane is a field
 // of the immutable per-generation state behind the checker's atomic
 // pointer. A hot swap builds the new plane off to the side and publishes
-// it with the state in one atomic store; in-flight checks finish against
-// the plane they loaded. Records are immutable after construction except
-// for two atomics — a hit counter (folded into Stats) and the constAllow
-// "seeded" latch described below — so readers never need fences beyond
-// the state load itself.
+// it with the state in one atomic store. Records are immutable after
+// construction except for two atomics — a hit counter (folded into Stats)
+// and the constAllow "seeded" latch described below — so readers never need
+// fences beyond the state load itself. A superseded plane is sealed: each
+// counter is folded into the checker's running total and marked, and a late
+// reader whose count lands on a marked counter retries on the new plane, so
+// the old generation can be dropped without losing a check.
 
 import (
 	"sync/atomic"
@@ -60,13 +62,17 @@ type planeRecord struct {
 	kind uint8
 	// nargs is CountArgs(mask), precomputed at plane build.
 	nargs uint8
+	// shard is the syscall's shard under RouteBySyscall: a pure function of
+	// the number, so it is hashed once at plane build instead of per check.
+	shard uint16
 	// mask is the rule's SPT Argument Bitmask (zero for ID-only and
 	// unknown syscalls), read by shard routing instead of a masks slice.
 	mask uint64
 	// steady is the outcome a fast hit returns, byte-identical to what the
 	// locked path would report in steady state, with FastHit set.
 	steady core.Outcome
-	// hits counts fast-path decisions; folded into Stats by kind.
+	// hits counts fast-path decisions; folded into Stats by kind. sealBit
+	// is set once the generation is retired and the count folded.
 	hits atomic.Uint64
 	// seeded latches after the first locked check of a constAllow syscall.
 	// The first check must take the locked path: it runs the filter once
@@ -78,6 +84,9 @@ type planeRecord struct {
 	// early or late never changes a decision, only which path reports it.
 	seeded atomic.Bool
 }
+
+// sealBit marks a hit counter whose generation has been retired.
+const sealBit = 1 << 63
 
 // plane is the compiled per-generation decision table. Immutable after
 // build except the per-record atomics.
@@ -93,8 +102,9 @@ type plane struct {
 // shared filter's constant-action bitmap (nil below ExecBitmap), prog the
 // generation's attached program (nil without one). When noFast is set the
 // plane still carries the routing masks but marks every record
-// fallthrough — the measurement baseline for the fast path itself.
-func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool) *plane {
+// fallthrough — the measurement baseline for the fast path itself. Under
+// RouteBySyscall every record also gets its shard among nShards.
+func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool, nShards int, routing Routing) *plane {
 	maxNum := 0
 	for _, r := range p.Rules {
 		if r.Syscall.Num > maxNum {
@@ -110,6 +120,11 @@ func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noF
 		n = seccomp.BitmapMaxNr
 	}
 	pl := &plane{records: make([]planeRecord, n), enabled: useBM}
+	if routing == RouteBySyscall && nShards > 1 {
+		for sid := range pl.records {
+			pl.records[sid].shard = uint16(sidShard(sid, nShards))
+		}
+	}
 	for _, r := range p.Rules {
 		if r.ChecksArgs() {
 			rec := &pl.records[r.Syscall.Num]
@@ -226,26 +241,30 @@ func compileRecord(rec *planeRecord, sid int, p *seccomp.Profile, bm *seccomp.Bi
 	}
 }
 
-// fastCheck resolves one call from the plane. ok=false routes the call to
-// the locked shard path. Lock-free: one bounds check, one kind switch,
-// one atomic add on the hit path.
-func (pl *plane) fastCheck(sid int) (core.Outcome, bool) {
+// fastCheck resolves one call from the plane: a non-nil outcome is the
+// decision (the record's steady outcome, in place). Otherwise the call takes
+// the locked shard path — unless sealed, which says the generation was
+// retired before the hit could be counted in it and the call must be redone
+// on the checker's current state. Lock-free: one bounds check, one kind
+// switch, one atomic add on the hit path.
+func (pl *plane) fastCheck(sid int) (hit *core.Outcome, sealed bool) {
 	if uint(sid) >= uint(len(pl.records)) {
-		return core.Outcome{}, false
+		return nil, false
 	}
 	rec := &pl.records[sid]
 	switch rec.kind {
-	case planeConstDeny:
-		rec.hits.Add(1)
-		return rec.steady, true
 	case planeConstAllow:
 		if !rec.seeded.Load() {
-			return core.Outcome{}, false
+			return nil, false
 		}
-		rec.hits.Add(1)
-		return rec.steady, true
+		fallthrough
+	case planeConstDeny:
+		if rec.hits.Add(1)&sealBit != 0 {
+			return nil, true
+		}
+		return &rec.steady, false
 	}
-	return core.Outcome{}, false
+	return nil, false
 }
 
 // noteLocked records that a locked check of sid completed, seeding its
@@ -280,25 +299,39 @@ func (pl *plane) maskOf(sid int) uint64 {
 	return pl.records[sid].mask
 }
 
-// foldStats adds the plane's fast-path decisions into s, charging each
-// kind exactly what the locked path would have charged: a constAllow hit
-// is an SPT valid-bit hit; a constDeny hit is a filter run (bitmap-
-// resolved, zero instructions) that denied.
+// fold adds h fast-path decisions of this record into s, charging exactly
+// what the locked path would have charged: a constAllow hit is an SPT
+// valid-bit hit; a constDeny hit is a filter run (bitmap-resolved, zero
+// instructions) that denied.
+func (rec *planeRecord) fold(h uint64, s *Stats) {
+	switch rec.kind {
+	case planeConstAllow:
+		s.Checks += h
+		s.SPTHits += h
+	case planeConstDeny:
+		s.Checks += h
+		s.FilterRuns += h
+		s.Denied += h
+	}
+}
+
+// foldStats adds the live plane's fast-path decisions into s. The caller
+// holds the checker's swap lock, so the plane cannot be sealed meanwhile.
 func (pl *plane) foldStats(s *Stats) {
 	for i := range pl.records {
 		rec := &pl.records[i]
-		h := rec.hits.Load()
-		if h == 0 {
-			continue
-		}
-		switch rec.kind {
-		case planeConstAllow:
-			s.Checks += h
-			s.SPTHits += h
-		case planeConstDeny:
-			s.Checks += h
-			s.FilterRuns += h
-			s.Denied += h
+		rec.fold(rec.hits.Load(), s)
+	}
+}
+
+// seal retires the plane: every counter is folded into s and marked in one
+// exchange, so a hit is either in the folded count or sees the mark and is
+// redone elsewhere — never both, never neither.
+func (pl *plane) seal(s *Stats) {
+	for i := range pl.records {
+		rec := &pl.records[i]
+		if rec.kind != planeFallthrough {
+			rec.fold(rec.hits.Swap(sealBit), s)
 		}
 	}
 }
@@ -319,7 +352,9 @@ func (pl *plane) fastStats() FastStats {
 	fs := FastStats{Enabled: pl.enabled}
 	for i := range pl.records {
 		rec := &pl.records[i]
-		fs.Hits += rec.hits.Load()
+		if h := rec.hits.Load(); h&sealBit == 0 {
+			fs.Hits += h
+		}
 		switch rec.kind {
 		case planeConstAllow:
 			fs.AllowRecords++

@@ -60,6 +60,17 @@ type Stats struct {
 	Denied      uint64
 }
 
+// Add folds o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Checks += o.Checks
+	s.SPTHits += o.SPTHits
+	s.VATHits += o.VATHits
+	s.FilterRuns += o.FilterRuns
+	s.FilterInsns += o.FilterInsns
+	s.Inserts += o.Inserts
+	s.Denied += o.Denied
+}
+
 // Checker is the software implementation of Draco (paper §V-C): a kernel
 // component that consults the SPT and VAT at the system call entry point
 // and falls back to the Seccomp filter chain on a miss.
@@ -113,7 +124,7 @@ func (c *Checker) Check(sid int, args hashes.Args) Outcome {
 	}
 	var out Outcome
 	e := c.SPT.Lookup(sid)
-	if e != nil && e.Valid {
+	if e != nil {
 		e.MarkAccessed()
 		out.SPTHit = true
 		if !e.ChecksArgs() {
@@ -124,7 +135,7 @@ func (c *Checker) Check(sid int, args hashes.Args) Outcome {
 			return out
 		}
 		out.ArgsChecked = true
-		found, way, pair := c.VAT.Lookup(sid, args)
+		found, way, pair := e.table.Lookup(args)
 		out.Pair = pair
 		if found {
 			c.Stats.VATHits++
@@ -214,7 +225,7 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 		return out
 	}
 	e := c.SPT.Lookup(sid)
-	if e == nil || !e.Valid {
+	if e == nil {
 		entry := SPTEntry{Valid: true}
 		entry.MarkAccessed()
 		if rule.ChecksArgs() || progMask != 0 {
@@ -224,21 +235,26 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 			// argument-reading program therefore still gets a VAT table:
 			// the ID-fast path alone would skip the program's condition.
 			entry.ArgBitmask = BitmaskFor(rule) | progMask
-			sets := len(rule.AllowedSets)
+			sets := estimatedSets(rule)
 			if progMask != 0 {
 				sets += 32 // headroom for distinct arg tuples the program passes
 			}
 			entry.Base = c.VAT.CreateTable(sid, sets, entry.ArgBitmask)
+			entry.table = c.VAT.Table(sid)
 		}
 		c.SPT.Set(sid, entry)
 		e = c.SPT.Lookup(sid)
 	}
 	if e.ChecksArgs() {
 		out.ArgsChecked = true
-		out.Hash = c.VAT.Insert(sid, args)
 		out.Pair = hashes.ArgSet(args, e.ArgBitmask)
-		out.Inserted = true
-		c.Stats.Inserts++
+		// A set the relocation chain dropped again is not in the VAT: no
+		// hash to hand the SLB/STB, and not an insert.
+		if h, resident := e.table.Put(args); resident {
+			out.Hash = h
+			out.Inserted = true
+			c.Stats.Inserts++
+		}
 	}
 	return out
 }
@@ -274,11 +290,7 @@ func BitmaskFor(rule seccomp.Rule) uint64 {
 // each masked-condition family gets headroom for the distinct values that
 // will be observed passing it.
 func estimatedSets(rule seccomp.Rule) int {
-	n := len(rule.AllowedSets) + 16*len(rule.MaskedSets)
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return len(rule.AllowedSets) + 16*len(rule.MaskedSets)
 }
 
 // Reset clears the cached state (SPT and VAT) but keeps the profile and

@@ -245,6 +245,117 @@ func TestResetClearsCaches(t *testing.T) {
 	}
 }
 
+// TestHitReachesTableThroughSPTEntry pins the hit path's one pointer: the
+// SPT entry holds the syscall's VAT table, and keeps holding the right one
+// when the SPT reallocates under it and when Reset replaces both tables.
+func TestHitReachesTableThroughSPTEntry(t *testing.T) {
+	c := newChecker(t, figure1Profile())
+	personality, getppid := 135, syscalls.MustByName("getppid").Num
+	mustHit := func(when string) {
+		t.Helper()
+		e := c.SPT.Lookup(personality)
+		if e == nil || e.table == nil || e.table != c.VAT.Table(personality) {
+			t.Fatalf("%s: SPT entry does not hold the VAT's table: %+v", when, e)
+		}
+		// Empty the VAT's index: a hit can now only come through the entry.
+		sections := c.VAT.sections
+		c.VAT.sections = nil
+		out := c.Check(personality, hashes.Args{0x20008})
+		c.VAT.sections = sections
+		if !out.VATHit || out.FilterRan {
+			t.Fatalf("%s: warm check did not hit through the SPT entry: %+v", when, out)
+		}
+	}
+	if getppid >= personality {
+		t.Fatalf("getppid (%d) must index below personality (%d) for Set to grow the SPT", getppid, personality)
+	}
+	c.Check(getppid, hashes.Args{})
+	c.Check(personality, hashes.Args{0x20008})
+	mustHit("after install")
+
+	// A higher syscall number makes Set reallocate the entries.
+	before := &c.SPT.entries[personality]
+	c.SPT.Set(4*personality, SPTEntry{Valid: true})
+	if before == &c.SPT.entries[personality] {
+		t.Fatal("SPT did not reallocate")
+	}
+	mustHit("after SPT growth")
+
+	old := c.VAT.Table(personality)
+	c.Reset()
+	if out := c.Check(personality, hashes.Args{0x20008}); !out.FilterRan || !out.Inserted {
+		t.Fatalf("first check after Reset: %+v", out)
+	}
+	if c.VAT.Table(personality) == old {
+		t.Fatal("Reset kept the old table")
+	}
+	mustHit("after Reset")
+}
+
+// TestMaskedRuleTableHasHeadroom: a rule with masked conditions and no
+// exact sets (Docker's clone) gets room for the values that pass, instead
+// of the two slots its empty AllowedSets would size.
+func TestMaskedRuleTableHasHeadroom(t *testing.T) {
+	p := seccomp.DockerDefaultMasked()
+	c := newChecker(t, p)
+	clone := syscalls.MustByName("clone").Num
+	flags := make([]uint64, 16)
+	for i := range flags {
+		// Distinct values with no denied namespace bit set.
+		flags[i] = uint64(i+1) << 8 &^ seccomp.CloneDeniedNamespaceBits
+	}
+	for _, f := range flags {
+		if out := c.Check(clone, hashes.Args{f}); !out.Allowed || !out.Inserted {
+			t.Fatalf("first clone(%#x): %+v", f, out)
+		}
+	}
+	for _, f := range flags {
+		if out := c.Check(clone, hashes.Args{f}); !out.VATHit {
+			t.Fatalf("second clone(%#x) missed the VAT: %+v", f, out)
+		}
+	}
+	if ev := c.VAT.Table(clone).Evictions(); ev != 0 {
+		t.Fatalf("%d evictions among %d values", ev, len(flags))
+	}
+}
+
+// TestDroppedSetIsNotReportedInserted overfills a masked rule's table: a
+// set its own relocation chain dropped is allowed, but not in the VAT, so
+// the outcome must carry neither Inserted nor a hash.
+func TestDroppedSetIsNotReportedInserted(t *testing.T) {
+	c := newChecker(t, seccomp.DockerDefaultMasked())
+	clone := syscalls.MustByName("clone").Num
+	dropped, inserted := 0, uint64(0)
+	for i := uint64(1); i <= 400; i++ {
+		args := hashes.Args{i << 8 &^ seccomp.CloneDeniedNamespaceBits}
+		out := c.Check(clone, args)
+		if !out.Allowed {
+			t.Fatalf("clone(%#x) denied", args[0])
+		}
+		if out.VATHit {
+			continue // i<<8 collided with an earlier value once masked
+		}
+		found, _, _ := c.VAT.Lookup(clone, args)
+		if out.Inserted != found {
+			t.Fatalf("clone(%#x): Inserted=%v, resident=%v", args[0], out.Inserted, found)
+		}
+		if out.Inserted {
+			inserted++
+		} else {
+			dropped++
+			if out.Hash != 0 {
+				t.Fatalf("clone(%#x): dropped set reported under hash %#x", args[0], out.Hash)
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no set was dropped: the table is no longer overfilled")
+	}
+	if c.Stats.Inserts != inserted {
+		t.Fatalf("Stats.Inserts = %d, outcomes reported %d", c.Stats.Inserts, inserted)
+	}
+}
+
 func TestSPTEntryArgCount(t *testing.T) {
 	e := SPTEntry{ArgBitmask: 0xff | 0xff<<16} // args 0 and 2
 	if e.ArgCount() != 2 {
@@ -267,15 +378,30 @@ func BenchmarkCheckSPTHit(b *testing.B) {
 	}
 }
 
-func BenchmarkCheckVATHit(b *testing.B) {
+// BenchmarkCheckerVATHit is the warm argument-checked hit: SPT index, the
+// entry's table, two CRCs, one masked compare. It must not allocate.
+func BenchmarkCheckerVATHit(b *testing.B) {
 	p := figure1Profile()
 	f, _ := seccomp.NewFilter(p, seccomp.ShapeLinear)
 	c := NewChecker(p, seccomp.Chain{f})
-	c.Check(135, hashes.Args{0xffffffff})
-	args := hashes.Args{0xffffffff}
+	sets := [2]hashes.Args{{0xffffffff}, {0x20008}}
+	for _, a := range sets {
+		c.Check(135, a)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
+	hits := 0
 	for i := 0; i < b.N; i++ {
-		c.Check(135, args)
+		if c.Check(135, sets[i&1]).VATHit {
+			hits++
+		}
+	}
+	b.StopTimer()
+	if hits != b.N {
+		b.Fatalf("%d of %d checks hit the VAT", hits, b.N)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Check(135, sets[0]) }); allocs != 0 {
+		b.Fatalf("VAT hit allocates %.1f times per check", allocs)
 	}
 }
 

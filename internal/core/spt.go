@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"draco/internal/cuckoo"
 	"draco/internal/syscalls"
 )
 
@@ -30,6 +31,10 @@ type SPTEntry struct {
 	accessed uint32
 	// Base is the virtual address of this syscall's VAT hash table.
 	Base uint64
+	// table is what Base points at: the syscall's VAT section, so a hit
+	// goes from the SPT index straight to the table. Nil for an ID-only
+	// entry.
+	table *cuckoo.Table
 	// ArgBitmask selects the checked argument bytes; zero means the call
 	// is checked by ID only.
 	ArgBitmask uint64
@@ -39,8 +44,14 @@ type SPTEntry struct {
 func (e *SPTEntry) ChecksArgs() bool { return e.ArgBitmask != 0 }
 
 // MarkAccessed sets the Accessed bit. Safe to call concurrently with other
-// readers and with the periodic ClearAccessed sweep.
-func (e *SPTEntry) MarkAccessed() { atomic.StoreUint32(&e.accessed, 1) }
+// readers and with the periodic ClearAccessed sweep. The bit is almost
+// always set already, so it is loaded first and stored only when clear: a
+// hit then costs a read of a line it reads anyway, not an exchange.
+func (e *SPTEntry) MarkAccessed() {
+	if atomic.LoadUint32(&e.accessed) == 0 {
+		atomic.StoreUint32(&e.accessed, 1)
+	}
+}
 
 // Accessed reports the Accessed bit.
 func (e *SPTEntry) Accessed() bool { return atomic.LoadUint32(&e.accessed) == 1 }
@@ -144,7 +155,7 @@ func (t *SPT) AccessedEntries() map[int]SPTEntry {
 			// Field-by-field copy: a whole-struct copy would read the
 			// accessed word non-atomically, racing concurrent MarkAccessed.
 			out[sid] = SPTEntry{Valid: true, NArgs: e.NArgs, accessed: 1,
-				Base: e.Base, ArgBitmask: e.ArgBitmask}
+				Base: e.Base, table: e.table, ArgBitmask: e.ArgBitmask}
 		}
 	}
 	return out

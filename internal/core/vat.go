@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"draco/internal/cuckoo"
 	"draco/internal/hashes"
 )
@@ -20,8 +18,11 @@ const DefaultVATBase = 0x7f5a_0000_0000
 // at stable virtual addresses so the hardware model can walk the memory
 // hierarchy on VAT accesses.
 type VAT struct {
-	tables map[int]*vatSection
-	nextVA uint64
+	// sections is indexed by syscall ID, like the SPT; a nil table marks a
+	// syscall without a section.
+	sections []vatSection
+	n        int
+	nextVA   uint64
 }
 
 type vatSection struct {
@@ -31,7 +32,15 @@ type vatSection struct {
 
 // NewVAT creates an empty VAT with its region based at DefaultVATBase.
 func NewVAT() *VAT {
-	return &VAT{tables: make(map[int]*vatSection), nextVA: DefaultVATBase}
+	return &VAT{nextVA: DefaultVATBase}
+}
+
+// section returns the syscall's section; its table is nil when there is none.
+func (v *VAT) section(sid int) vatSection {
+	if uint(sid) >= uint(len(v.sections)) {
+		return vatSection{}
+	}
+	return v.sections[sid]
 }
 
 // CreateTable allocates the cuckoo table for a syscall, sized for
@@ -39,12 +48,18 @@ func NewVAT() *VAT {
 // §VII-A). It returns the section's base virtual address. Creating a table
 // that already exists returns the existing base.
 func (v *VAT) CreateTable(sid int, estimatedSets int, bitmask uint64) uint64 {
-	if s, ok := v.tables[sid]; ok {
+	if s := v.section(sid); s.table != nil {
 		return s.base
+	}
+	if sid >= len(v.sections) {
+		grown := make([]vatSection, sid+1)
+		copy(grown, v.sections)
+		v.sections = grown
 	}
 	t := cuckoo.New(estimatedSets, bitmask)
 	base := v.nextVA
-	v.tables[sid] = &vatSection{table: t, base: base}
+	v.sections[sid] = vatSection{table: t, base: base}
+	v.n++
 	// Keep sections cache-line aligned; the next table starts after this
 	// one's slots.
 	size := uint64(t.SizeBytes())
@@ -53,27 +68,17 @@ func (v *VAT) CreateTable(sid int, estimatedSets int, bitmask uint64) uint64 {
 }
 
 // Table returns the cuckoo table for a syscall, or nil.
-func (v *VAT) Table(sid int) *cuckoo.Table {
-	if s, ok := v.tables[sid]; ok {
-		return s.table
-	}
-	return nil
-}
+func (v *VAT) Table(sid int) *cuckoo.Table { return v.section(sid).table }
 
 // Base returns the base virtual address of a syscall's section (0 if none).
-func (v *VAT) Base(sid int) uint64 {
-	if s, ok := v.tables[sid]; ok {
-		return s.base
-	}
-	return 0
-}
+func (v *VAT) Base(sid int) uint64 { return v.section(sid).base }
 
 // SlotAddr returns the virtual address the given hash probes in the
 // syscall's section; the hardware fetches this address through the cache
 // hierarchy (Figure 7 step 3).
 func (v *VAT) SlotAddr(sid int, hash uint64) uint64 {
-	s, ok := v.tables[sid]
-	if !ok {
+	s := v.section(sid)
+	if s.table == nil {
 		return 0
 	}
 	idx := hash & uint64(s.table.Cap()-1)
@@ -82,48 +87,45 @@ func (v *VAT) SlotAddr(sid int, hash uint64) uint64 {
 
 // Lookup probes the syscall's table for an argument set.
 func (v *VAT) Lookup(sid int, args hashes.Args) (found bool, way int, pair hashes.Pair) {
-	s, ok := v.tables[sid]
-	if !ok {
+	t := v.Table(sid)
+	if t == nil {
 		return false, 0, hashes.Pair{}
 	}
-	return s.table.Lookup(args)
+	return t.Lookup(args)
 }
 
 // LookupHash probes by stored hash value, the access the SLB preloader
 // performs (paper §VI-B).
 func (v *VAT) LookupHash(sid int, hash uint64) (cuckoo.Entry, bool) {
-	s, ok := v.tables[sid]
-	if !ok {
+	t := v.Table(sid)
+	if t == nil {
 		return cuckoo.Entry{}, false
 	}
-	return s.table.LookupHash(hash)
-}
-
-// Insert records a validated argument set and returns the hash under which
-// it was stored. The table must exist.
-func (v *VAT) Insert(sid int, args hashes.Args) uint64 {
-	return v.tables[sid].table.Insert(args)
+	return t.LookupHash(hash)
 }
 
 // SizeBytes returns the total memory the VAT occupies; the paper reports a
 // geometric mean of 6.98KB per process (§XI-C).
 func (v *VAT) SizeBytes() int {
 	n := 0
-	for _, s := range v.tables {
-		n += s.table.SizeBytes()
+	for _, s := range v.sections {
+		if s.table != nil {
+			n += s.table.SizeBytes()
+		}
 	}
 	return n
 }
 
 // NumTables returns how many syscalls have argument tables.
-func (v *VAT) NumTables() int { return len(v.tables) }
+func (v *VAT) NumTables() int { return v.n }
 
-// SIDs returns the syscall IDs with tables, sorted.
+// SIDs returns the syscall IDs with tables, ascending.
 func (v *VAT) SIDs() []int {
-	out := make([]int, 0, len(v.tables))
-	for sid := range v.tables {
-		out = append(out, sid)
+	out := make([]int, 0, v.n)
+	for sid, s := range v.sections {
+		if s.table != nil {
+			out = append(out, sid)
+		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -11,6 +11,7 @@ package cuckoo
 
 import (
 	"draco/internal/hashes"
+	"draco/internal/syscalls"
 )
 
 // RelocationLimit bounds the cuckoo displacement chain before the table
@@ -38,6 +39,37 @@ type Table struct {
 	// bitmask is the SPT argument bitmask used to hash entries; all
 	// entries of one table belong to one system call and share it.
 	bitmask uint64
+	// wmask is bitmask expanded once, at construction, to the per-argument
+	// word masks every probe compares under.
+	wmask WordMask
+}
+
+// WordMask is an SPT Argument Bitmask (one bit per argument byte) expanded
+// to one 64-bit mask per argument, so a masked compare is an XOR and an AND
+// per lane instead of a walk over the bits.
+type WordMask [syscalls.MaxArgs]uint64
+
+// ExpandMask expands a bitmask into its WordMask: bit k of the bitmask
+// selects byte k%8 of argument k/8.
+func ExpandMask(bitmask uint64) WordMask {
+	var m WordMask
+	for i := range m {
+		// Put bit b of the lane's byte in byte b, then widen each non-zero
+		// byte to 0xff.
+		lane := (bitmask >> uint(i*syscalls.ArgBytes)) & 0xff
+		bits := lane * 0x0101010101010101 & 0x8040201008040201
+		m[i] = ((bits + 0x7f7f7f7f7f7f7f7f) >> 7 & 0x0101010101010101) * 0xff
+	}
+	return m
+}
+
+// EqualMasked reports whether a and b agree on every byte m selects.
+func EqualMasked(a, b *hashes.Args, m *WordMask) bool {
+	var diff uint64
+	for i, w := range m {
+		diff |= (a[i] ^ b[i]) & w
+	}
+	return diff == 0
 }
 
 // New creates a table able to hold estimatedSets argument sets, sized with
@@ -58,7 +90,7 @@ func NewWithProvision(estimatedSets, provision int, bitmask uint64) *Table {
 	for capacity < want {
 		capacity *= 2
 	}
-	return &Table{slots: make([]Entry, capacity), bitmask: bitmask}
+	return &Table{slots: make([]Entry, capacity), bitmask: bitmask, wmask: ExpandMask(bitmask)}
 }
 
 // Bitmask returns the argument bitmask the table hashes under.
@@ -86,16 +118,24 @@ func (t *Table) index(h uint64) int {
 	return int(h & uint64(len(t.slots)-1))
 }
 
+// holds reports whether the slot h indexes stores an argument set equal to
+// args under the table's mask. Slots are probed in place: an Entry is 64
+// bytes, and a probe only needs to read it.
+func (t *Table) holds(h uint64, args *hashes.Args) bool {
+	e := &t.slots[t.index(h)]
+	return e.Valid && EqualMasked(&e.Args, args, &t.wmask)
+}
+
 // Lookup probes both ways for an argument set equal to args (compared under
 // the table's bitmask) and reports whether it was found, and under which
 // hash function (1 or 2; 0 when absent). Both probe indices are returned so
 // timing models can charge the two parallel memory accesses.
 func (t *Table) Lookup(args hashes.Args) (found bool, way int, pair hashes.Pair) {
 	pair = hashes.ArgSet(args, t.bitmask)
-	if e := t.slots[t.index(pair.H1)]; e.Valid && t.equalMasked(e.Args, args) {
+	if t.holds(pair.H1, &args) {
 		return true, 1, pair
 	}
-	if e := t.slots[t.index(pair.H2)]; e.Valid && t.equalMasked(e.Args, args) {
+	if t.holds(pair.H2, &args) {
 		return true, 2, pair
 	}
 	return false, 0, pair
@@ -112,66 +152,56 @@ func (t *Table) LookupHash(h uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-func (t *Table) equalMasked(a, b hashes.Args) bool {
-	for i := 0; i < len(a); i++ {
-		byteBits := (t.bitmask >> uint(i*8)) & 0xff
-		if byteBits == 0 {
-			continue
-		}
-		var m uint64
-		for bb := 0; bb < 8; bb++ {
-			if byteBits&(1<<uint(bb)) != 0 {
-				m |= 0xff << uint(bb*8)
-			}
-		}
-		if a[i]&m != b[i]&m {
-			return false
-		}
-	}
-	return true
-}
-
-// Insert adds args as a validated set. It returns the hash value under
-// which the entry was finally stored. Inserting an already-present set is a
-// no-op returning the existing way's hash.
-func (t *Table) Insert(args hashes.Args) uint64 {
-	found, way, pair := t.Lookup(args)
-	if found {
-		if way == 1 {
-			return pair.H1
-		}
-		return pair.H2
+// Put adds args as a validated set and returns the hash value under which
+// it is stored. Putting an already-present set is a no-op returning the
+// existing way's hash. resident is false when the relocation chain ran out
+// and the entry it dropped was the new one: nothing is stored for args then,
+// and hash is zero.
+func (t *Table) Put(args hashes.Args) (hash uint64, resident bool) {
+	pair := hashes.ArgSet(args, t.bitmask)
+	if h, ok := t.storedHash(&args, pair); ok {
+		return h, true
 	}
 	e := Entry{Args: args, Hash: pair.H1, Valid: true}
 	// Try H1's slot, then displace along the cuckoo chain.
 	for n := 0; n < RelocationLimit; n++ {
-		idx := t.index(e.Hash)
-		victim := t.slots[idx]
-		t.slots[idx] = e
+		slot := &t.slots[t.index(e.Hash)]
+		victim := *slot
+		*slot = e
 		if !victim.Valid {
 			t.used++
-			return t.storedHash(args, pair)
+			return t.storedHash(&args, pair)
 		}
 		// Relocate the victim to its alternate slot.
 		e = victim
-		e.Hash = t.alternate(victim)
+		e.Hash = t.alternate(&victim)
 	}
 	// Relocation chain too long: evict the current displaced entry
 	// permanently (paper §VII-A: "the OS makes room by evicting one entry").
 	t.evictions++
-	return t.storedHash(args, pair)
+	return t.storedHash(&args, pair)
 }
 
-// storedHash returns the hash under which args currently resides.
-func (t *Table) storedHash(args hashes.Args, pair hashes.Pair) uint64 {
-	if e := t.slots[t.index(pair.H1)]; e.Valid && t.equalMasked(e.Args, args) {
-		return pair.H1
+// Insert is Put without the residency report: the zero hash stands for a
+// set that was not kept.
+func (t *Table) Insert(args hashes.Args) uint64 {
+	h, _ := t.Put(args)
+	return h
+}
+
+// storedHash returns the hash under which args currently resides, if it does.
+func (t *Table) storedHash(args *hashes.Args, pair hashes.Pair) (uint64, bool) {
+	if t.holds(pair.H1, args) {
+		return pair.H1, true
 	}
-	return pair.H2
+	if t.holds(pair.H2, args) {
+		return pair.H2, true
+	}
+	return 0, false
 }
 
 // alternate returns the other hash value of an entry's argument set.
-func (t *Table) alternate(e Entry) uint64 {
+func (t *Table) alternate(e *Entry) uint64 {
 	pair := hashes.ArgSet(e.Args, t.bitmask)
 	if e.Hash == pair.H1 {
 		return pair.H2
@@ -182,15 +212,12 @@ func (t *Table) alternate(e Entry) uint64 {
 // Remove deletes an argument set if present, returning whether it was found.
 func (t *Table) Remove(args hashes.Args) bool {
 	pair := hashes.ArgSet(args, t.bitmask)
-	for _, h := range [2]uint64{pair.H1, pair.H2} {
-		idx := t.index(h)
-		if e := t.slots[idx]; e.Valid && t.equalMasked(e.Args, args) {
-			t.slots[idx] = Entry{}
-			t.used--
-			return true
-		}
+	h, ok := t.storedHash(&args, pair)
+	if ok {
+		t.slots[t.index(h)] = Entry{}
+		t.used--
 	}
-	return false
+	return ok
 }
 
 // Clear removes all entries.

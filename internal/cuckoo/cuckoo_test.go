@@ -236,3 +236,96 @@ func TestOverProvisionAblation(t *testing.T) {
 		t.Skip("hash-dependent: tight table happened to fit; acceptable")
 	}
 }
+
+// referenceEqualMasked is the per-bit masked compare the word masks
+// replaced: it rebuilds each lane's byte mask from the bitmask on every
+// call. Kept test-only as the oracle for EqualMasked.
+func referenceEqualMasked(a, b hashes.Args, bitmask uint64) bool {
+	for i := 0; i < len(a); i++ {
+		byteBits := (bitmask >> uint(i*8)) & 0xff
+		if byteBits == 0 {
+			continue
+		}
+		var m uint64
+		for bb := 0; bb < 8; bb++ {
+			if byteBits&(1<<uint(bb)) != 0 {
+				m |= 0xff << uint(bb*8)
+			}
+		}
+		if a[i]&m != b[i]&m {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickEqualMaskedMatchesPerBitReference checks the precompiled word
+// masks against the per-bit reference over regular and irregular byte
+// patterns, on pairs that differ everywhere, nowhere, in one byte, and only
+// in bytes the mask does not select.
+func TestQuickEqualMaskedMatchesPerBitReference(t *testing.T) {
+	lanes := []uint64{0x00, 0xff, 0x0f, 0x03, 0xa5, 0x01, 0x80, 0xf0}
+	f := func(a, b hashes.Args, random uint64, pick [6]uint8, flip uint8) bool {
+		var patterned uint64
+		for i, p := range pick {
+			patterned |= lanes[int(p)%len(lanes)] << uint(i*8)
+		}
+		for _, bitmask := range []uint64{patterned, random & (1<<48 - 1), 0, 1<<48 - 1} {
+			wm := ExpandMask(bitmask)
+			// onlyUnselected equals a on exactly the selected bytes, so it
+			// must compare equal however the other bytes differ.
+			var onlyUnselected hashes.Args
+			for i := range a {
+				onlyUnselected[i] = a[i]&wm[i] | b[i]&^wm[i]
+			}
+			oneByte := a
+			oneByte[int(flip)%6] ^= 0xff << (uint(flip) / 6 % 8 * 8)
+			if !EqualMasked(&a, &onlyUnselected, &wm) {
+				return false
+			}
+			for _, other := range []hashes.Args{b, a, onlyUnselected, oneByte} {
+				if EqualMasked(&a, &other, &wm) != referenceEqualMasked(a, other, bitmask) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutReportsResidency fills exactly-provisioned 16-slot tables past
+// what their relocation chains can place. The set a chain drops can be the
+// one being inserted; Put must then say so instead of naming a slot that
+// holds something else.
+func TestPutReportsResidency(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	lost := 0
+	for table := 0; table < 800; table++ {
+		tb := NewWithProvision(16, 1, testMask)
+		for i := 0; i < 16; i++ {
+			a := args(rng.Uint64(), rng.Uint64())
+			h, resident := tb.Put(a)
+			found, way, pair := tb.Lookup(a)
+			if resident != found {
+				t.Fatalf("table %d insert %d: Put resident=%v, Lookup found=%v", table, i, resident, found)
+			}
+			if !resident {
+				lost++
+				if h != 0 {
+					t.Fatalf("non-resident set reported under hash %#x", h)
+				}
+				continue
+			}
+			if want := [3]uint64{0, pair.H1, pair.H2}[way]; h != want {
+				t.Fatalf("Put hash %#x, Lookup way %d hash %#x", h, way, want)
+			}
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no insert lost its own entry: the probe no longer reaches the case it pins")
+	}
+	t.Logf("%d of %d inserts were dropped by their own relocation chain", lost, 800*16)
+}

@@ -72,7 +72,9 @@ func (e *dracoSW) CheckBatch(calls []Call, dst []Decision) []Decision {
 }
 
 func (e *dracoSW) Stats() Stats {
-	return addStats(e.prior, e.chk.Stats)
+	s := e.prior
+	s.Add(e.chk.Stats)
+	return s
 }
 
 func (e *dracoSW) SetProfile(p *seccomp.Profile) error {
@@ -80,7 +82,7 @@ func (e *dracoSW) SetProfile(p *seccomp.Profile) error {
 	if err != nil {
 		return err
 	}
-	e.prior = addStats(e.prior, e.chk.Stats)
+	e.prior.Add(e.chk.Stats)
 	e.chk = chk
 	e.gen++
 	return nil
@@ -93,16 +95,3 @@ func (e *dracoSW) Describe() Desc {
 }
 
 func (e *dracoSW) Close() error { return closeObserver(e.obs) }
-
-// addStats sums two counter sets.
-func addStats(a, b Stats) Stats {
-	return Stats{
-		Checks:      a.Checks + b.Checks,
-		SPTHits:     a.SPTHits + b.SPTHits,
-		VATHits:     a.VATHits + b.VATHits,
-		FilterRuns:  a.FilterRuns + b.FilterRuns,
-		FilterInsns: a.FilterInsns + b.FilterInsns,
-		Inserts:     a.Inserts + b.Inserts,
-		Denied:      a.Denied + b.Denied,
-	}
-}

@@ -100,6 +100,26 @@ func TestArgSetMatchesBytewiseReference(t *testing.T) {
 			t.Fatalf("ArgSet(%v, %#x) = %+v, reference %+v", args, mask, got, want)
 		}
 	}
+	// Every gathered length 0..48, so each tail shape after the last whole
+	// word (0-7 bytes: nothing, bytewise only, the 4-byte step alone, the
+	// step plus bytes) is pinned — once with the selected bytes packed low
+	// and once scattered over the lanes.
+	for n := 0; n <= syscalls.BitmaskBits; n++ {
+		packed := uint64(1)<<uint(n) - 1
+		var scattered uint64
+		for _, bit := range rng.Perm(syscalls.BitmaskBits)[:n] {
+			scattered |= 1 << uint(bit)
+		}
+		for _, mask := range []uint64{packed, scattered} {
+			var args Args
+			for i := range args {
+				args[i] = rng.Uint64()
+			}
+			if got, want := ArgSet(args, mask), referenceArgSet(args, mask); got != want {
+				t.Fatalf("%d selected bytes: ArgSet(%v, %#x) = %+v, reference %+v", n, args, mask, got, want)
+			}
+		}
+	}
 }
 
 // --- benchmarks: the routing + VAT-probe hash path ------------------------

@@ -2,6 +2,7 @@ package hwdraco
 
 import (
 	"draco/internal/core"
+	"draco/internal/cuckoo"
 	"draco/internal/hashes"
 	"draco/internal/syscalls"
 )
@@ -168,10 +169,11 @@ func (s *SLB) Access(sid, argc int, args hashes.Args, bitmask uint64) (uint64, b
 	} else {
 		sets = s.setsFor(t, sid)
 	}
+	wm := cuckoo.ExpandMask(bitmask)
 	for _, idx := range sets {
 		ws := t.sets[idx]
 		for i, e := range ws {
-			if e.valid && e.sid == sid && equalMasked(e.args, args, bitmask) {
+			if e.valid && e.sid == sid && cuckoo.EqualMasked(&e.args, &args, &wm) {
 				copy(ws[1:i+1], ws[:i])
 				ws[0] = e
 				return e.hash, true
@@ -252,25 +254,6 @@ func (s *SLB) Invalidate() {
 	}
 }
 
-func equalMasked(a, b hashes.Args, bitmask uint64) bool {
-	for i := 0; i < syscalls.MaxArgs; i++ {
-		byteBits := (bitmask >> uint(i*syscalls.ArgBytes)) & 0xff
-		if byteBits == 0 {
-			continue
-		}
-		var m uint64
-		for bb := 0; bb < 8; bb++ {
-			if byteBits&(1<<uint(bb)) != 0 {
-				m |= 0xff << uint(bb*8)
-			}
-		}
-		if a[i]&m != b[i]&m {
-			return false
-		}
-	}
-	return true
-}
-
 // --- Temporary Buffer (paper §IX) ---------------------------------------
 
 type tmpEntry struct {
@@ -304,8 +287,9 @@ func (b *TempBuffer) Add(sid, argc int, hash uint64, args hashes.Args) {
 
 // Take removes and returns the entry matching (sid, args) under bitmask.
 func (b *TempBuffer) Take(sid int, args hashes.Args, bitmask uint64) (tmpEntry, bool) {
+	wm := cuckoo.ExpandMask(bitmask)
 	for i, e := range b.entries {
-		if e.sid == sid && equalMasked(e.args, args, bitmask) {
+		if e.sid == sid && cuckoo.EqualMasked(&e.args, &args, &wm) {
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
 			return e, true
 		}

@@ -35,6 +35,10 @@ go test -race -timeout 60m ./...
 # bitmap action identity across every registered engine and workload;
 # bitmap soundness against the interpreter on all 512 syscall numbers).
 go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+# The retired-generation guard at full depth (under -race it runs a tenth
+# of the swaps): 2000 profile swaps with checks in between must neither
+# grow the live heap nor lose a check from Stats.
+go test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
 
 # Wire-protocol guards, run explicitly: the frame-decoder fuzz seed corpus
 # (each seed as a unit test; use `go test -fuzz FuzzFrameDecode
@@ -97,8 +101,8 @@ go test -count=1 -run 'Fuzz' ./internal/ebpf/
 
 # Decision-plane guards, run explicitly under -race: the hot-swap hammer
 # (16 goroutines checking through the lock-free fast path while the
-# profile — and with it the compiled plane — swaps mid-stream; hit
-# counters must fold across retired generations) and the SPT Accessed-bit
+# profile — and with it the compiled plane — swaps mid-stream; every hit
+# must be folded exactly once as generations are sealed) and the SPT Accessed-bit
 # atomicity regression test (markers racing the periodic clear sweep).
 go test -race -count=1 -run 'TestFastPathHotSwapHammer' ./internal/concurrent/
 go test -race -count=1 -run 'TestSPTAccessedConcurrentMark' ./internal/core/
