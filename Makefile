@@ -29,19 +29,26 @@ test-race:
 # race detector: the 0-allocs/op assertions (perturbed by -race; engine hot
 # paths plus the compiled-exec and bitmap filter fast paths), the
 # registry-level decision-stream differential tests, the interp-vs-compiled
-# and bitmap exec-mode differentials, and the bitmap soundness suite; plus
+# and bitmap exec-mode differentials, the fold-vs-hook differential (every
+# registry engine's Stats() against a Counters observer over 100k events —
+# what dracod's /metrics rests on) and the bitmap soundness suite; plus
 # the retired-generation guard at full depth (2000 profile swaps must
 # neither grow the live heap nor lose a check from Stats; under -race it
-# runs a tenth of them).
+# runs a tenth of them) and the fold-vs-hook hammer under -race (two
+# checkers against a Stats()/SetProfile loop, per engine).
 test-engine:
 	$(GO) test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
 	$(GO) test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
+	$(GO) test -race -count=1 -run 'TestFoldMatchesHookRace' ./internal/engine/
 
 # test-wire runs the wire protocol's guards explicitly: the frame-decoder
 # fuzz seed corpus (every seed as a unit test; `go test -fuzz
-# FuzzFrameDecode ./internal/wire` explores further), the codec
-# zero-allocation pins, and the wire-vs-in-process differential suite
-# (100k-event traces, all 15 workloads, batch frames + pipelined singles).
+# FuzzFrameDecode ./internal/wire` explores further; FuzzBatchCodecInPlace
+# holds the in-place batch codec to the per-element reference), the codec
+# zero-allocation pins (CallSeq.AppendTo included), the in-place-vs-
+# reference batch codec tests, and the wire-vs-in-process differential
+# suite (100k-event traces, all 15 workloads, batch frames + pipelined
+# singles).
 test-wire:
 	$(GO) test -count=1 -run 'Fuzz' ./internal/wire/
 	$(GO) test -count=1 -run 'ZeroAllocs|TestCheck|TestBatch' ./internal/wire/
@@ -51,7 +58,8 @@ test-wire:
 # parser fuzz seed corpus (adversarial seq/len/lap encodings plus v2
 # header layouts and MPSC claimed-unpublished states; `go test -fuzz
 # FuzzParseSlot ./internal/shm` explores further), the ring,
-# Batcher-fold and full Shm.Check round-trip 0-allocs/op pins, the
+# Batcher-fold and full Shm.Check and 64-call Shm.CheckBatch round-trip
+# 0-allocs/op pins (in-process server included), the
 # Batcher fold tests (including the MaxInflight concurrent-flusher
 # contract), the shm-vs-in-process
 # differential suite (100k-event traces, all 15 workloads, batch frames +
@@ -102,7 +110,9 @@ bench:
 	$(GO) test -run='^$$' -bench 'BenchmarkConcurrentChecker' -benchmem ./internal/concurrent
 
 # bench-server: the HTTP edge, plus a single shm check from one caller
-# (always holds the reap role) and from eight on one connection (mostly
+# (always holds the reap role), a 64-call shm batch from one caller
+# (BenchmarkShmCheckBatch64: codec + CheckBatch, the crossing amortised)
+# and single checks from eight callers on one connection (mostly
 # followers, promoted as leaders leave).
 bench-server:
 	$(GO) test -run='^$$' -bench 'BenchmarkServerCheck|BenchmarkShmCheck' -benchmem ./internal/server

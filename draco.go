@@ -176,8 +176,8 @@ type EngineDesc = engine.Desc
 // EngineInfo describes one registered mechanism.
 type EngineInfo = engine.Info
 
-// Observer receives one callback per check; see Observation. The default is
-// a no-op and costs nothing on the hot path.
+// Observer receives one callback per check; see Observation. Without one the
+// engines make no call and classify nothing per check.
 type Observer = engine.Observer
 
 // Observation carries one check's outcome to an Observer, by value.

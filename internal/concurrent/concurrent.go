@@ -317,8 +317,46 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 		dst = make([]core.Outcome, len(calls))
 	}
 	dst = dst[:len(calls)]
+	c.checkBatch(calls, batchDst{outs: dst})
+	return dst
+}
+
+// CheckBatchDecisions is CheckBatch for callers that answer with the
+// decision alone: each result is written straight into dst as the four
+// fields of its outcome, with no per-call Outcome scratch in between.
+func (c *Checker) CheckBatchDecisions(calls []Call, dst []core.Decision) []core.Decision {
+	if cap(dst) < len(calls) {
+		dst = make([]core.Decision, len(calls))
+	}
+	dst = dst[:len(calls)]
+	c.checkBatch(calls, batchDst{decs: dst})
+	return dst
+}
+
+// batchDst is where a batch's results go: outs, or decs when it is non-nil.
+// Either is already sized to the batch.
+type batchDst struct {
+	outs []core.Outcome
+	decs []core.Decision
+}
+
+func (d batchDst) set(i int, out *core.Outcome) {
+	if d.decs != nil {
+		d.decs[i] = out.Decision()
+		return
+	}
+	d.outs[i] = *out
+}
+
+// check is the batch paths' one-by-one fallback: a full Check of call i.
+func (c *Checker) check(calls []Call, dst batchDst, i int) {
+	out := c.Check(calls[i].SID, calls[i].Args)
+	dst.set(i, &out)
+}
+
+func (c *Checker) checkBatch(calls []Call, dst batchDst) {
 	if len(calls) == 0 {
-		return dst
+		return
 	}
 	st := c.state.Load()
 	if len(st.shards) == 1 {
@@ -327,7 +365,8 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 		if sh.sealed {
 			// Retired before anything was done: redo on the successor.
 			sh.mu.Unlock()
-			return c.CheckBatch(calls, dst)
+			c.checkBatch(calls, dst)
+			return
 		}
 		for i := range calls {
 			cl := &calls[i]
@@ -336,16 +375,17 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 			// counter keeps Stats exact.
 			switch hit, sealed := st.plane.fastCheck(cl.SID); {
 			case hit != nil:
-				dst[i] = *hit
+				dst.set(i, hit)
 			case sealed:
-				dst[i] = c.Check(cl.SID, cl.Args)
+				c.check(calls, dst, i)
 			default:
-				dst[i] = sh.chk.Check(cl.SID, cl.Args)
+				out := sh.chk.Check(cl.SID, cl.Args)
+				dst.set(i, &out)
 				st.plane.noteLocked(cl.SID)
 			}
 		}
 		sh.mu.Unlock()
-		return dst
+		return
 	}
 	if st.serialBatch {
 		// A stateful programmable policy makes batch order semantic: map
@@ -355,9 +395,9 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 		// read nor write map state — so answering them lock-free preserves
 		// the submission-order semantics of the rest.
 		for i := range calls {
-			dst[i] = c.Check(calls[i].SID, calls[i].Args)
+			c.check(calls, dst, i)
 		}
-		return dst
+		return
 	}
 	// Group call indices by shard with a two-pass counting sort, then drain
 	// each group under one lock. Relative order within a shard is preserved
@@ -381,29 +421,35 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 	ns := len(st.shards)
 	if ns <= smallShards {
 		var counts [smallShards + 1]int32
-		c.drainGrouped(st, calls, dst, sidx, order, counts[:ns+1])
+		c.drainTo(st, calls, dst, sidx, order, counts[:ns+1])
 	} else {
 		var counts [MaxShards + 1]int32
-		c.drainGrouped(st, calls, dst, sidx, order, counts[:ns+1])
+		c.drainTo(st, calls, dst, sidx, order, counts[:ns+1])
 	}
-	return dst
 }
 
-// drainGrouped is CheckBatch's grouped path: plane-resolved calls are
+// drainGrouped is the grouped drain with whole outcomes as results, on a
+// state the caller names: the handle tests use to drive a retired
+// generation through it.
+func (c *Checker) drainGrouped(st *state, calls []Call, dst []core.Outcome, sidx, order, counts []int32) {
+	c.drainTo(st, calls, batchDst{outs: dst}, sidx, order, counts)
+}
+
+// drainTo is checkBatch's grouped path: plane-resolved calls are
 // answered during the grouping pass itself (marked with shard index -1 so
 // the sort skips them), then the residue is stable counting-sorted by
 // shard (len(counts) == shards+1) and drained one lock per touched shard.
 // Calls that find st retired under them — a sealed plane counter or a
 // sealed shard — are redone one by one through Check.
-func (c *Checker) drainGrouped(st *state, calls []Call, dst []core.Outcome, sidx, order, counts []int32) {
+func (c *Checker) drainTo(st *state, calls []Call, dst batchDst, sidx, order, counts []int32) {
 	resolved := 0
 	for i := range calls {
 		cl := &calls[i]
 		if hit, sealed := st.plane.fastCheck(cl.SID); hit != nil || sealed {
 			if hit != nil {
-				dst[i] = *hit
+				dst.set(i, hit)
 			} else {
-				dst[i] = c.Check(cl.SID, cl.Args)
+				c.check(calls, dst, i)
 			}
 			sidx[i] = -1
 			resolved++
@@ -439,14 +485,15 @@ func (c *Checker) drainGrouped(st *state, calls []Call, dst []core.Outcome, sidx
 		if !sealed {
 			for _, i := range order[start:end] {
 				cl := &calls[i]
-				dst[i] = sh.chk.Check(cl.SID, cl.Args)
+				out := sh.chk.Check(cl.SID, cl.Args)
+				dst.set(int(i), &out)
 				st.plane.noteLocked(cl.SID)
 			}
 		}
 		sh.mu.Unlock()
 		if sealed {
 			for _, i := range order[start:end] {
-				dst[i] = c.Check(calls[i].SID, calls[i].Args)
+				c.check(calls, dst, int(i))
 			}
 		}
 		start = end
@@ -534,7 +581,8 @@ func (c *Checker) Shards() int {
 // what the locked path would have charged (constant allows count as SPT
 // hits, constant denies as filter runs that denied), so the totals are
 // path-independent: fast path on or off, the same workload produces the
-// same Stats.
+// same Stats — except Classes, whose purpose is to say which path served
+// (plane hits are ClassFastHit there).
 func (c *Checker) Stats() Stats {
 	// Held throughout, so the generation read below stays the live one.
 	c.mu.Lock()

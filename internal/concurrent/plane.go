@@ -302,17 +302,20 @@ func (pl *plane) maskOf(sid int) uint64 {
 // fold adds h fast-path decisions of this record into s, charging exactly
 // what the locked path would have charged: a constAllow hit is an SPT
 // valid-bit hit; a constDeny hit is a filter run (bitmap-resolved, zero
-// instructions) that denied.
+// instructions) that denied. The one thing that names the path is the
+// class tally: either kind is a fast hit (steady.Class()).
 func (rec *planeRecord) fold(h uint64, s *Stats) {
 	switch rec.kind {
 	case planeConstAllow:
-		s.Checks += h
 		s.SPTHits += h
 	case planeConstDeny:
-		s.Checks += h
 		s.FilterRuns += h
 		s.Denied += h
+	default:
+		return
 	}
+	s.Checks += h
+	s.Classes[core.ClassFastHit] += h
 }
 
 // foldStats adds the live plane's fast-path decisions into s. The caller

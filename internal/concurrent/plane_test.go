@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"draco/internal/core"
 	"draco/internal/profilegen"
 	"draco/internal/seccomp"
 	"draco/internal/workloads"
@@ -80,8 +81,19 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 					}
 					off += n
 				}
-				if fs, ss := fast.Stats(), slow.Stats(); fs != ss {
-					t.Fatalf("%s stats diverge:\nplane  %+v\nlocked %+v", pname, fs, ss)
+				// Classes name the path that served, so they alone may differ:
+				// each plane hit is a fast-hit on one side and an id-fast (constant
+				// allow) or a denied (constant deny) on the other.
+				st, ss := fast.Stats(), slow.Stats()
+				moved := st.Classes[core.ClassFastHit]
+				if moved != fast.FastStats().Hits || ss.Classes[core.ClassFastHit] != 0 ||
+					st.Classes[core.ClassIDFast]+st.Classes[core.ClassDenied]+moved != ss.Classes[core.ClassIDFast]+ss.Classes[core.ClassDenied] {
+					t.Fatalf("%s plane hits misattributed:\nplane  %+v\nlocked %+v", pname, st, ss)
+				}
+				st.Classes[core.ClassFastHit] = 0
+				st.Classes[core.ClassIDFast], st.Classes[core.ClassDenied] = ss.Classes[core.ClassIDFast], ss.Classes[core.ClassDenied]
+				if st != ss {
+					t.Fatalf("%s stats diverge:\nplane  %+v\nlocked %+v", pname, st, ss)
 				}
 				fs := fast.FastStats()
 				if !fs.Enabled {

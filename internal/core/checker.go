@@ -58,6 +58,12 @@ type Stats struct {
 	FilterInsns uint64
 	Inserts     uint64
 	Denied      uint64
+	// Classes tallies the checks by the tier that answered (Outcome.Class);
+	// the entries sum to Checks.
+	Classes [NumLatencyClasses]uint64
+	// CheckCycles sums the modeled check latency in 2 GHz core cycles. Only
+	// latency-annotated engines (draco-hw) fill it; zero elsewhere.
+	CheckCycles uint64
 }
 
 // Add folds o's counters into s.
@@ -69,6 +75,10 @@ func (s *Stats) Add(o Stats) {
 	s.FilterInsns += o.FilterInsns
 	s.Inserts += o.Inserts
 	s.Denied += o.Denied
+	for i, n := range o.Classes {
+		s.Classes[i] += n
+	}
+	s.CheckCycles += o.CheckCycles
 }
 
 // Checker is the software implementation of Draco (paper §V-C): a kernel
@@ -130,6 +140,7 @@ func (c *Checker) Check(sid int, args hashes.Args) Outcome {
 		if !e.ChecksArgs() {
 			// ID-only syscall: the valid bit is the whole check (§V-A).
 			c.Stats.SPTHits++
+			c.Stats.Classes[ClassIDFast]++
 			out.Allowed = true
 			out.Action = seccomp.ActAllow
 			return out
@@ -139,6 +150,7 @@ func (c *Checker) Check(sid int, args hashes.Args) Outcome {
 		out.Pair = pair
 		if found {
 			c.Stats.VATHits++
+			c.Stats.Classes[ClassVATHit]++
 			out.VATHit = true
 			out.Allowed = true
 			out.Action = seccomp.ActAllow
@@ -179,9 +191,11 @@ func (c *Checker) progPath(sid int, args hashes.Args) Outcome {
 	out.Action = seccomp.Combine(r.Action, seccomp.Action(pr.Action))
 	if !out.Action.Allows() {
 		c.Stats.Denied++
+		c.Stats.Classes[ClassDenied]++
 		return out
 	}
 	out.Allowed = true
+	c.Stats.Classes[out.Class()]++
 	return out
 }
 
@@ -213,6 +227,7 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 	}
 	if !out.Action.Allows() {
 		c.Stats.Denied++
+		c.Stats.Classes[ClassDenied]++
 		return out
 	}
 	out.Allowed = true
@@ -222,6 +237,7 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 	if !ok {
 		// Allowed by the filter but unknown to the profile model (e.g. a
 		// LOG default); do not cache.
+		c.Stats.Classes[out.Class()]++
 		return out
 	}
 	e := c.SPT.Lookup(sid)
@@ -256,6 +272,7 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 			c.Stats.Inserts++
 		}
 	}
+	c.Stats.Classes[out.Class()]++
 	return out
 }
 

@@ -9,7 +9,7 @@ import (
 
 // The zero-allocation property of the single-call hot path is part of the
 // Engine contract for the software mechanisms: Args and Decision travel by
-// value, stats are pre-sized counters, and the default NopObserver receives
+// value, stats are pre-sized counters, and an attached Observer receives
 // its Observation on the stack. These guards fail the build the moment a
 // refactor reintroduces a per-check allocation.
 
@@ -57,39 +57,47 @@ func TestDracoSWCheckZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, e, calls)
 }
 
+// TestDracoConcurrentCheckZeroAllocs pins the server's wiring: no observer,
+// so the wrapper holds a nil hook and makes no call through it.
 func TestDracoConcurrentCheckZeroAllocs(t *testing.T) {
 	for _, routing := range []string{"syscall", "args"} {
 		t.Run(routing, func(t *testing.T) {
 			e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Routing: routing})
+			if obs := e.(*dracoConcurrent).obs; obs != nil {
+				t.Fatalf("engine built without an observer holds %T", obs)
+			}
 			assertZeroAllocs(t, e, calls)
 		})
 	}
 }
 
 // TestDracoConcurrentCheckBatchZeroAllocs pins the batch path: the caller's
-// calls reach the checker untranslated and a service-sized batch takes its
-// outcomes on the stack, so a warm 64-call batch into a reused dst allocates
-// nothing.
+// calls reach the checker untranslated and the decisions are written
+// straight into a reused dst — or, with an observer attached, a
+// service-sized batch takes its outcomes on the stack — so a warm 64-call
+// batch allocates nothing either way.
 func TestDracoConcurrentCheckBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed under -race")
 	}
-	e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4})
-	const batch = 64
-	dst := make([]Decision, 0, batch)
-	off := 0
-	perRun := testing.AllocsPerRun(500, func() {
-		dst = e.CheckBatch(calls[off:off+batch], dst)
-		off = (off + batch) % (len(calls) - batch)
-	})
-	if perRun != 0 {
-		t.Fatalf("draco-concurrent CheckBatch(%d) allocates %.2f allocs/op, want 0", batch, perRun)
+	for name, obs := range map[string]Observer{"bare": nil, "observed": &Counters{}} {
+		e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Observer: obs})
+		const batch = 64
+		dst := make([]Decision, 0, batch)
+		off := 0
+		perRun := testing.AllocsPerRun(500, func() {
+			dst = e.CheckBatch(calls[off:off+batch], dst)
+			off = (off + batch) % (len(calls) - batch)
+		})
+		if perRun != 0 {
+			t.Fatalf("%s draco-concurrent CheckBatch(%d) allocates %.2f allocs/op, want 0", name, batch, perRun)
+		}
 	}
 }
 
-// TestZeroAllocsWithCounters pins that swapping in the atomic Counters
-// observer — the one dracod hangs off /metrics — keeps the hot path
-// allocation-free too: observation delivery is by value.
+// TestZeroAllocsWithCounters pins that attaching the atomic Counters
+// observer keeps the hot path allocation-free too: observation delivery is
+// by value.
 func TestZeroAllocsWithCounters(t *testing.T) {
 	var c Counters
 	e, calls := warmEngine(t, "draco-sw", Options{Observer: &c})

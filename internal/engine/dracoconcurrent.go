@@ -41,33 +41,36 @@ func newDracoConcurrent(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dracoConcurrent{chk: chk, obs: opts.observer()}, nil
+	return &dracoConcurrent{chk: chk, obs: opts.Observer}, nil
 }
 
 func (e *dracoConcurrent) Name() string { return "draco-concurrent" }
 
 func (e *dracoConcurrent) Check(sid int, args Args) Decision {
 	out := e.chk.Check(sid, args)
-	dec := decisionFrom(out)
-	class, hit := classify(out)
-	e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: hit, Class: class})
-	return dec
+	if e.obs != nil {
+		observeOutcome(e.obs, sid, &out)
+	}
+	return out.Decision()
 }
 
+// CheckBatch uses the checker's native batching (one lock per shard per
+// batch). Without an observer the decisions are written straight into dst;
+// the hook needs whole outcomes, taken in a stack buffer for service-sized
+// batches.
 func (e *dracoConcurrent) CheckBatch(calls []Call, dst []Decision) []Decision {
+	if e.obs == nil {
+		return e.chk.CheckBatchDecisions(calls, dst)
+	}
 	dst = sizeBatch(dst, len(calls))
 	if len(calls) == 0 {
 		return dst
 	}
-	// The concurrent checker batches natively (one lock per shard per
-	// batch). Service-sized batches take their outcomes in a stack buffer.
 	var outsA [stackBatch]core.Outcome
 	outs := e.chk.CheckBatch(calls, outsA[:0])
-	for i, out := range outs {
-		dec := decisionFrom(out)
-		class, hit := classify(out)
-		e.obs.Observe(Observation{SID: calls[i].SID, Decision: dec, CacheHit: hit, Class: class})
-		dst[i] = dec
+	for i := range outs {
+		observeOutcome(e.obs, calls[i].SID, &outs[i])
+		dst[i] = outs[i].Decision()
 	}
 	return dst
 }

@@ -46,7 +46,7 @@ func newDracoHW(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &dracoHW{shape: opts.Shape, mode: mode, costs: kernelmodel.Linux53Costs(), obs: opts.observer(), gen: 1}
+	e := &dracoHW{shape: opts.Shape, mode: mode, costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
 	if err := e.build(opts.Profile); err != nil {
 		return nil, err
 	}
@@ -107,7 +107,11 @@ func (e *dracoHW) Check(sid int, args Args) Decision {
 		e.stats.VATHits++
 		class = ClassVATHit
 	}
-	e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: !r.OSRan, Class: class, CheckCycles: cycles})
+	e.stats.Classes[class]++
+	e.stats.CheckCycles += cycles
+	if e.obs != nil {
+		e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: !r.OSRan, Class: class, CheckCycles: cycles})
+	}
 	return dec
 }
 

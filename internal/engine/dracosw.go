@@ -35,7 +35,7 @@ func newDracoSW(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dracoSW{chk: chk, shape: opts.Shape, mode: mode, obs: opts.observer(), gen: 1}, nil
+	return &dracoSW{chk: chk, shape: opts.Shape, mode: mode, obs: opts.Observer, gen: 1}, nil
 }
 
 // buildCoreChecker compiles a profile (compilation validates it) and
@@ -57,10 +57,10 @@ func (e *dracoSW) Name() string { return "draco-sw" }
 
 func (e *dracoSW) Check(sid int, args Args) Decision {
 	out := e.chk.Check(sid, args)
-	dec := decisionFrom(out)
-	class, hit := classify(out)
-	e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: hit, Class: class})
-	return dec
+	if e.obs != nil {
+		observeOutcome(e.obs, sid, &out)
+	}
+	return out.Decision()
 }
 
 func (e *dracoSW) CheckBatch(calls []Call, dst []Decision) []Decision {

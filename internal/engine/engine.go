@@ -20,8 +20,9 @@
 //
 // The single-call hot path is allocation-free end to end for the software
 // engines: Args and Decision travel by value, statistics are pre-sized
-// counters, and the Observer hook receives its Observation struct on the
-// stack. Alloc-guard tests (alloc_test.go) pin this property.
+// counters, and the Observer hook (when one is attached) receives its
+// Observation struct on the stack. Alloc-guard tests (alloc_test.go) pin
+// this property.
 package engine
 
 import (
@@ -49,86 +50,27 @@ type Stats = core.Stats
 
 // Decision reports one checked system call. It is a small value type: the
 // hot path constructs and returns it on the stack.
-type Decision struct {
-	// Allowed reports whether the call may proceed.
-	Allowed bool
-	// Cached reports whether the engine's tables served the decision
-	// without running the filter (always false for filter-only).
-	Cached bool
-	// FilterInstructions is the number of BPF instructions executed when
-	// the filter ran (zero on cache hits).
-	FilterInstructions int
-	// Action is the effective seccomp action.
-	Action seccomp.Action
-}
+type Decision = core.Decision
 
-// LatencyClass coarsely classifies where a check's latency came from, so
-// observers can histogram the fast/slow path split without re-deriving it.
-type LatencyClass uint8
+// LatencyClass coarsely classifies where a check's latency came from. The
+// enum lives in core, where the tier that answered is known and tallied
+// (Stats.Classes); the names here are what observers and callers use.
+type LatencyClass = core.LatencyClass
 
+// The latency classes; see core for what each one means.
 const (
-	// ClassIDFast: SPT valid bit alone decided (ID-only syscall hit).
-	ClassIDFast LatencyClass = iota
-	// ClassVATHit: argument set found already validated (hash + probe).
-	ClassVATHit
-	// ClassFilter: the filter ran and the result was not cached (miss
-	// without insert, or filter-only).
-	ClassFilter
-	// ClassInsert: the filter ran and a new VAT entry was recorded.
-	ClassInsert
-	// ClassDenied: the filter ran and rejected the call.
-	ClassDenied
-	// ClassSLBHit: a per-worker software SLB served the decision without
-	// touching the shared tables (see WithSLB).
-	ClassSLBHit
-	// ClassBitmapHit: the whole filter chain resolved through per-syscall
-	// constant-action bitmaps (Linux 5.11 style) — an SPT/VAT miss that
-	// still executed zero BPF instructions. Only produced by engines built
-	// with BPFExec "bitmap" (the default).
-	ClassBitmapHit
-	// ClassProgHit: the programmable policy was consulted and resolved
-	// through its extracted constant-action table — zero program
-	// instructions executed (the programmable analog of ClassBitmapHit).
-	ClassProgHit
-	// ClassProgMiss: the programmable policy actually executed its program
-	// (a stateful/payload-dependent number, or extraction disabled).
-	ClassProgMiss
-	// ClassFastHit: the lock-free decision plane answered — the decision
-	// was compiled to a constant at SetProfile time and served with no
-	// locks, no table probes, and no filter execution (draco-concurrent
-	// under bitmap BPF exec only).
-	ClassFastHit
-
-	// NumLatencyClasses sizes per-class counter arrays.
-	NumLatencyClasses
+	ClassIDFast       = core.ClassIDFast
+	ClassVATHit       = core.ClassVATHit
+	ClassFilter       = core.ClassFilter
+	ClassInsert       = core.ClassInsert
+	ClassDenied       = core.ClassDenied
+	ClassSLBHit       = core.ClassSLBHit
+	ClassBitmapHit    = core.ClassBitmapHit
+	ClassProgHit      = core.ClassProgHit
+	ClassProgMiss     = core.ClassProgMiss
+	ClassFastHit      = core.ClassFastHit
+	NumLatencyClasses = core.NumLatencyClasses
 )
-
-func (c LatencyClass) String() string {
-	switch c {
-	case ClassIDFast:
-		return "id-fast"
-	case ClassVATHit:
-		return "vat-hit"
-	case ClassFilter:
-		return "filter"
-	case ClassInsert:
-		return "insert"
-	case ClassDenied:
-		return "denied"
-	case ClassSLBHit:
-		return "slb-hit"
-	case ClassBitmapHit:
-		return "bitmap-hit"
-	case ClassProgHit:
-		return "prog-hit"
-	case ClassProgMiss:
-		return "prog-miss"
-	case ClassFastHit:
-		return "fast-hit"
-	default:
-		return "unknown"
-	}
-}
 
 // Observation carries one check's outcome to an Observer. It is delivered
 // by value: constructing and passing it costs no heap allocation.
@@ -148,8 +90,9 @@ type Observation struct {
 }
 
 // Observer receives one callback per check. Implementations must be cheap
-// and, for concurrent engines, safe for concurrent use. The default is
-// NopObserver; engines must never require a non-nil observer.
+// and, for concurrent engines, safe for concurrent use. An engine built
+// without one neither classifies nor makes a call per check: the same
+// counts are tallied in Stats where the answering tier already holds a lock.
 type Observer interface {
 	Observe(Observation)
 }
@@ -193,49 +136,4 @@ type Engine interface {
 	// Close releases resources and flushes the observer. The engine must
 	// not be used afterwards.
 	Close() error
-}
-
-// classify derives the latency class and cache-hit flag from a software
-// checker outcome. Shared by every engine that wraps core.Checker.
-func classify(out core.Outcome) (LatencyClass, bool) {
-	switch {
-	case out.FastHit:
-		// The decision plane answered lock-free. A constant allow is the
-		// SPT fast path served even closer to the caller (a cache hit); a
-		// constant deny reports the filter-ran shape the locked path would
-		// and is not a hit.
-		return ClassFastHit, !out.FilterRan
-	case !out.FilterRan && !out.ArgsChecked:
-		return ClassIDFast, true
-	case !out.FilterRan:
-		return ClassVATHit, true
-	case !out.Allowed:
-		return ClassDenied, false
-	case out.ProgRan && !out.ProgConstHit:
-		// The programmable policy executed for real: the dominant cost on
-		// this path, regardless of how the whitelist chain resolved.
-		return ClassProgMiss, false
-	case out.Inserted:
-		return ClassInsert, false
-	case out.ProgConstHit:
-		// The program resolved through constant extraction — zero program
-		// instructions; under bitmap BPF exec the whole check ran nothing.
-		return ClassProgHit, false
-	case out.BitmapHit:
-		// Miss path, but the constant-action bitmap answered without
-		// executing any BPF; not a table hit, so CacheHit stays false.
-		return ClassBitmapHit, false
-	default:
-		return ClassFilter, false
-	}
-}
-
-// decisionFrom converts a software checker outcome to the public Decision.
-func decisionFrom(out core.Outcome) Decision {
-	return Decision{
-		Allowed:            out.Allowed,
-		Cached:             !out.FilterRan,
-		FilterInstructions: out.FilterExecuted,
-		Action:             out.Action,
-	}
 }

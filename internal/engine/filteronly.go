@@ -47,7 +47,7 @@ func newFilterOnly(opts Options) (Engine, error) {
 		prog:    attachProgram(opts.Profile, mode),
 		shape:   opts.Shape,
 		mode:    mode,
-		obs:     opts.observer(),
+		obs:     opts.Observer,
 		gen:     1,
 	}, nil
 }
@@ -83,7 +83,10 @@ func (e *filterOnly) Check(sid int, args Args) Decision {
 	case r.BitmapHit:
 		class = ClassBitmapHit
 	}
-	e.obs.Observe(Observation{SID: sid, Decision: dec, Class: class})
+	e.stats.Classes[class]++
+	if e.obs != nil {
+		e.obs.Observe(Observation{SID: sid, Decision: dec, Class: class})
+	}
 	return dec
 }
 

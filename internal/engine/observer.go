@@ -6,19 +6,15 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"draco/internal/core"
 )
-
-// NopObserver discards observations. It is the default: a zero-size value
-// whose interface call compiles to a direct no-op, keeping the hot path
-// allocation-free and branch-cheap.
-type NopObserver struct{}
-
-// Observe implements Observer.
-func (NopObserver) Observe(Observation) {}
 
 // Counters is an Observer accumulating per-latency-class and aggregate
 // counts with pre-sized atomic counters: safe for concurrent engines, no
-// allocation per observation. The serving layer exposes one on /metrics.
+// allocation per observation. Every engine's Stats carries the same totals
+// without the hook (tests hold the two equal); Counters is for callers that
+// want them per attached observer.
 type Counters struct {
 	checks  atomic.Uint64
 	hits    atomic.Uint64
@@ -105,6 +101,11 @@ func (m MultiObserver) Observe(o Observation) {
 	for _, obs := range m {
 		obs.Observe(o)
 	}
+}
+
+// observeOutcome delivers one software-checker outcome to obs.
+func observeOutcome(obs Observer, sid int, out *core.Outcome) {
+	obs.Observe(Observation{SID: sid, Decision: out.Decision(), CacheHit: !out.FilterRan, Class: out.Class()})
 }
 
 // closeObserver flushes observers that buffer (engines call it from Close).

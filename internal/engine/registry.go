@@ -21,7 +21,7 @@ type Options struct {
 	// Routing selects the shard-routing key for sharded engines:
 	// "" or "syscall" (decision-exact), or "args" (spread hot syscalls).
 	Routing string
-	// Observer receives one callback per check (nil: no observation).
+	// Observer receives one callback per check (nil: none is made).
 	Observer Observer
 	// Shape selects the compiled filter shape (zero value: linear).
 	Shape seccomp.Shape
@@ -46,14 +46,6 @@ type Options struct {
 	// measurement baseline for the fastpath benchmark; decisions and Stats
 	// are identical either way.
 	NoFastPath bool
-}
-
-// observer returns the effective observer, defaulting to the no-op.
-func (o Options) observer() Observer {
-	if o.Observer == nil {
-		return NopObserver{}
-	}
-	return o.Observer
 }
 
 // execMode parses the BPFExec option. The engine layer defaults to the

@@ -239,15 +239,11 @@ func WithSLB(inner Engine, cfg SLBConfig) (Engine, error) {
 	if _, err := slb.New(geom); err != nil {
 		return nil, err
 	}
-	obs := cfg.Observer
-	if obs == nil {
-		obs = NopObserver{}
-	}
 	e := &slbEngine{
 		inner: inner,
 		name:  inner.Name() + "+slb",
 		geom:  geom,
-		obs:   obs,
+		obs:   cfg.Observer,
 	}
 	if fr, ok := inner.(fastResolver); ok {
 		e.fast = fr
@@ -305,7 +301,9 @@ func (e *slbEngine) Check(sid int, args Args) Decision {
 		}
 		e.pool.Put(w)
 		dec := slbHitDecision()
-		e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: true, Class: ClassSLBHit})
+		if e.obs != nil {
+			e.obs.Observe(Observation{SID: sid, Decision: dec, CacheHit: true, Class: ClassSLBHit})
+		}
 		return dec
 	}
 	w.ctr.misses.Add(1)
@@ -358,7 +356,9 @@ func (e *slbEngine) CheckBatch(calls []Call, dst []Decision) []Decision {
 			}
 			dec := slbHitDecision()
 			dst[i] = dec
-			e.obs.Observe(Observation{SID: cl.SID, Decision: dec, CacheHit: true, Class: ClassSLBHit})
+			if e.obs != nil {
+				e.obs.Observe(Observation{SID: cl.SID, Decision: dec, CacheHit: true, Class: ClassSLBHit})
+			}
 			continue
 		}
 		miss = append(miss, int32(i))
@@ -403,6 +403,7 @@ func (e *slbEngine) Stats() Stats {
 	s.Checks += sl.Hits
 	s.SPTHits += sl.HitsIDOnly
 	s.VATHits += sl.HitsArgs
+	s.Classes[ClassSLBHit] += sl.Hits
 	return s
 }
 

@@ -90,12 +90,24 @@ func (t *callTable) register() (uint64, *wireCall, error) {
 	return id, call, nil
 }
 
+// withdraw removes a call from the table on its caller's behalf. False
+// means the receiver (complete, or fail during teardown) claimed it first:
+// its completion signal is coming and must be consumed before the slot is
+// pooled, or the next round trip on it would return at once.
+func (t *callTable) withdraw(id uint64) (mine bool) {
+	t.mu.Lock()
+	_, mine = t.pending[id]
+	delete(t.pending, id)
+	t.mu.Unlock()
+	return mine
+}
+
 // drop deregisters a call whose request never made it out (send failure)
 // and pools its slot.
 func (t *callTable) drop(id uint64, call *wireCall) {
-	t.mu.Lock()
-	delete(t.pending, id)
-	t.mu.Unlock()
+	if !t.withdraw(id) {
+		<-call.done
+	}
 	putWireCall(call)
 }
 
@@ -106,16 +118,9 @@ func (t *callTable) await(ctx context.Context, id uint64, call *wireCall) (*wire
 	case <-call.done:
 		return call, nil
 	case <-ctx.Done():
-		t.mu.Lock()
-		_, mine := t.pending[id]
-		if mine {
-			delete(t.pending, id)
-		}
-		t.mu.Unlock()
-		if !mine {
-			// The receiver claimed the call between ctx firing and the
-			// deregister: its completion signal is coming — consume it so
-			// the slot can be pooled.
+		if !t.withdraw(id) {
+			// Claimed between ctx firing and the deregister: the call
+			// completed after all.
 			<-call.done
 			return call, nil
 		}

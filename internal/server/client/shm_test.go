@@ -530,3 +530,36 @@ func TestZeroAllocsShmCheck(t *testing.T) {
 		t.Fatalf("Shm.Check allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestZeroAllocsShmCheckBatch pins a full 64-call Shm.CheckBatch round trip
+// the same way: request encoded in place into the slot, decoded into the
+// session's call slice, checked, and the response coded in place both ways.
+func TestZeroAllocsShmCheckBatch(t *testing.T) {
+	if shm.RaceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	sc := dialRealServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
+	ctx := context.Background()
+	calls := make([]engine.Call, 64)
+	for i := range calls {
+		calls[i] = engine.Call{SID: testSID(t, []string{"read", "write", "close", "init_module"}[i%4]), Args: engine.Args{3, 0, uint64(i)}}
+	}
+	var dst []engine.Decision
+	var err error
+	for i := 0; i < 100; i++ {
+		if dst, err = sc.CheckBatch(ctx, "t", calls, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		if dst, err = sc.CheckBatch(ctx, "t", calls, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Shm.CheckBatch(64) allocates %.2f allocs/op, want 0", avg)
+	}
+	if len(dst) != len(calls) || !dst[0].Allowed || dst[3].Allowed {
+		t.Fatalf("decisions: %+v", dst[:4])
+	}
+}

@@ -225,38 +225,41 @@ func (m *Metrics) ObserveRequest(endpoint string, d time.Duration) {
 // Latency returns the histogram for an endpoint label (nil if unknown).
 func (m *Metrics) Latency(endpoint string) *Histogram { return m.latencies[endpoint] }
 
-// checkerTotals is the tenant-aggregated checker view the metrics page
-// renders; the server fills it from the live checkers.
+// checkerTotals is the scrape-time fold of every tenant engine's Stats the
+// metrics page renders, kept per registry name (every registered name has
+// an entry); each entry also carries what engines of that name counted
+// before a mechanism switch closed them.
 type checkerTotals struct {
-	Tenants    int
-	Checks     uint64
-	SPTHits    uint64
-	VATHits    uint64
-	FilterRuns uint64
-	Denied     uint64
-	VATBytes   int
+	VATBytes int
+	ByEngine map[string]*engineTotals
 }
 
-// observedTotals carries the engine.Counters observation streams the server
-// hangs off every tenant engine: one aggregate, one per registry name.
-type observedTotals struct {
-	All             *engine.Counters
-	ByEngine        map[string]*engine.Counters
-	TenantsByEngine map[string]int
+// engineTotals is one mechanism's share: live tenants, cumulative Stats.
+type engineTotals struct {
+	Tenants int
+	Stats   engine.Stats
 }
 
 // WriteTo renders the metrics in a flat, plain-text exposition format
 // (counter name, space, value — one per line, prometheus-style labels on
 // the per-endpoint series).
-func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals, obs observedTotals) {
+func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
+	engines := make([]string, 0, len(totals.ByEngine))
+	var all engineTotals
+	for name, et := range totals.ByEngine {
+		engines = append(engines, name)
+		all.Tenants += et.Tenants
+		all.Stats.Add(et.Stats)
+	}
+	sort.Strings(engines)
 	fmt.Fprintf(w, "dracod_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-	fmt.Fprintf(w, "dracod_tenants %d\n", totals.Tenants)
-	fmt.Fprintf(w, "dracod_checks_total %d\n", totals.Checks)
-	fmt.Fprintf(w, "dracod_cache_hits_total %d\n", totals.SPTHits+totals.VATHits)
-	fmt.Fprintf(w, "dracod_spt_hits_total %d\n", totals.SPTHits)
-	fmt.Fprintf(w, "dracod_vat_hits_total %d\n", totals.VATHits)
-	fmt.Fprintf(w, "dracod_filter_runs_total %d\n", totals.FilterRuns)
-	fmt.Fprintf(w, "dracod_denials_total %d\n", totals.Denied)
+	fmt.Fprintf(w, "dracod_tenants %d\n", all.Tenants)
+	fmt.Fprintf(w, "dracod_checks_total %d\n", all.Stats.Checks)
+	fmt.Fprintf(w, "dracod_cache_hits_total %d\n", all.Stats.SPTHits+all.Stats.VATHits)
+	fmt.Fprintf(w, "dracod_spt_hits_total %d\n", all.Stats.SPTHits)
+	fmt.Fprintf(w, "dracod_vat_hits_total %d\n", all.Stats.VATHits)
+	fmt.Fprintf(w, "dracod_filter_runs_total %d\n", all.Stats.FilterRuns)
+	fmt.Fprintf(w, "dracod_denials_total %d\n", all.Stats.Denied)
 	fmt.Fprintf(w, "dracod_vat_bytes %d\n", totals.VATBytes)
 	fmt.Fprintf(w, "dracod_batch_calls_total %d\n", m.BatchCalls.Load())
 	fmt.Fprintf(w, "dracod_profile_swaps_total %d\n", m.ProfileSwaps.Load())
@@ -315,28 +318,22 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals, obs observedTotals)
 		}
 	}
 
-	// Observation-layer series: fed per check by the engine.Observer hook,
-	// independent of (and cross-checkable against) the engine stats above.
-	if obs.All != nil {
-		fmt.Fprintf(w, "dracod_observed_checks_total %d\n", obs.All.Checks())
-		fmt.Fprintf(w, "dracod_observed_cache_hits_total %d\n", obs.All.CacheHits())
-		fmt.Fprintf(w, "dracod_observed_denials_total %d\n", obs.All.Denied())
-		fmt.Fprintf(w, "dracod_observed_check_cycles_total %d\n", obs.All.CheckCycles())
-		for cl := engine.LatencyClass(0); cl < engine.NumLatencyClasses; cl++ {
-			fmt.Fprintf(w, "dracod_check_class_total{class=%q} %d\n", cl.String(), obs.All.ByClass(cl))
-		}
+	// Observation-layer series: what an engine.Observer on every tenant
+	// engine would have counted, read from the same fold as the totals above
+	// (the engine tests hold the hook and the fold equal).
+	fmt.Fprintf(w, "dracod_observed_checks_total %d\n", all.Stats.Checks)
+	fmt.Fprintf(w, "dracod_observed_cache_hits_total %d\n", all.Stats.SPTHits+all.Stats.VATHits)
+	fmt.Fprintf(w, "dracod_observed_denials_total %d\n", all.Stats.Denied)
+	fmt.Fprintf(w, "dracod_observed_check_cycles_total %d\n", all.Stats.CheckCycles)
+	for cl, n := range all.Stats.Classes {
+		fmt.Fprintf(w, "dracod_check_class_total{class=%q} %d\n", engine.LatencyClass(cl).String(), n)
 	}
-	engines := make([]string, 0, len(obs.ByEngine))
-	for name := range obs.ByEngine {
-		engines = append(engines, name)
-	}
-	sort.Strings(engines)
 	for _, name := range engines {
-		c := obs.ByEngine[name]
-		fmt.Fprintf(w, "dracod_engine_tenants{engine=%q} %d\n", name, obs.TenantsByEngine[name])
-		fmt.Fprintf(w, "dracod_engine_checks_total{engine=%q} %d\n", name, c.Checks())
-		fmt.Fprintf(w, "dracod_engine_cache_hits_total{engine=%q} %d\n", name, c.CacheHits())
-		fmt.Fprintf(w, "dracod_engine_denials_total{engine=%q} %d\n", name, c.Denied())
+		et := totals.ByEngine[name]
+		fmt.Fprintf(w, "dracod_engine_tenants{engine=%q} %d\n", name, et.Tenants)
+		fmt.Fprintf(w, "dracod_engine_checks_total{engine=%q} %d\n", name, et.Stats.Checks)
+		fmt.Fprintf(w, "dracod_engine_cache_hits_total{engine=%q} %d\n", name, et.Stats.SPTHits+et.Stats.VATHits)
+		fmt.Fprintf(w, "dracod_engine_denials_total{engine=%q} %d\n", name, et.Stats.Denied)
 	}
 
 	labels := make([]string, len(endpointLabels))

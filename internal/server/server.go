@@ -19,9 +19,10 @@
 // checks; uploading with a different ?engine= rebuilds the tenant on the new
 // mechanism (statistics and generation restart).
 //
-// Every tenant engine feeds the server's engine.Counters observers; /metrics
-// renders the aggregate and per-engine observation streams alongside the
-// HTTP counters.
+// The server counts nothing per check: /metrics folds every tenant engine's
+// Stats at scrape time (plus the totals of engines a mechanism switch
+// closed) and renders the aggregate, per-class and per-engine series from
+// that one fold, alongside the HTTP counters.
 package server
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"draco/internal/engine"
@@ -77,60 +79,51 @@ type Server struct {
 	opts    Options
 	metrics *Metrics
 
-	// obsAll aggregates observations across every tenant engine; obsByEngine
-	// splits the same stream per registry name. Both are pre-built so the
-	// check hot path never touches a map under a lock.
-	obsAll      *engine.Counters
-	obsByEngine map[string]*engine.Counters
-
 	mu      sync.RWMutex
 	tenants map[string]*tenant
+
+	// retired sums, per registry name, the Stats of engines a mechanism
+	// switch closed, so the /metrics totals never go backwards. retireMu
+	// covers the switch (rebinding the tenant and folding the outgoing
+	// engine) and the scrape, which therefore sees each engine exactly once:
+	// live or retired.
+	retireMu sync.Mutex
+	retired  map[string]engine.Stats
 }
 
-// tenant binds a name to its engine. The engine pointer is swapped when a
-// profile upload changes mechanisms, so reads go through engine().
+// binding is a tenant's engine and the registry name it was built under.
+type binding struct {
+	name string
+	eng  engine.Engine
+}
+
+// tenant binds a name to its engine. A profile upload that changes
+// mechanisms swaps the whole binding, so one load yields a matching pair.
 type tenant struct {
 	name string
-
-	mu      sync.RWMutex
-	engName string
-	eng     engine.Engine
+	cur  atomic.Pointer[binding]
 }
 
-func (t *tenant) engine() engine.Engine {
-	t.mu.RLock()
-	e := t.eng
-	t.mu.RUnlock()
-	return e
+func newTenant(name, engName string, e engine.Engine) *tenant {
+	t := &tenant{name: name}
+	t.cur.Store(&binding{name: engName, eng: e})
+	return t
 }
 
-func (t *tenant) engineName() string {
-	t.mu.RLock()
-	n := t.engName
-	t.mu.RUnlock()
-	return n
-}
+func (t *tenant) engine() engine.Engine { return t.cur.Load().eng }
 
 // New creates a server.
 func New(opts Options) *Server {
-	s := &Server{
-		opts:        opts,
-		metrics:     NewMetrics(),
-		obsAll:      &engine.Counters{},
-		obsByEngine: make(map[string]*engine.Counters),
-		tenants:     make(map[string]*tenant),
+	return &Server{
+		opts:    opts,
+		metrics: NewMetrics(),
+		tenants: make(map[string]*tenant),
+		retired: make(map[string]engine.Stats),
 	}
-	for _, name := range engine.Names() {
-		s.obsByEngine[name] = &engine.Counters{}
-	}
-	return s
 }
 
 // Metrics exposes the live counter set (for embedding programs).
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Observed exposes the aggregate engine observation counters.
-func (s *Server) Observed() *engine.Counters { return s.obsAll }
 
 // --- API documents ---------------------------------------------------------
 
@@ -298,15 +291,15 @@ func (s *Server) resolveEngineName(requested string) (string, error) {
 	return name, nil
 }
 
-// newEngine builds one tenant engine, wires the server's observers in, and
-// wraps mechanisms that are not concurrency-safe.
+// newEngine builds one tenant engine and wraps mechanisms that are not
+// concurrency-safe. No observer is attached: the engine's own Stats carry
+// everything /metrics renders.
 func (s *Server) newEngine(name string, p *seccomp.Profile) (engine.Engine, error) {
 	e, err := engine.New(name, engine.Options{
-		Profile:  p,
-		Shards:   s.opts.Shards,
-		Routing:  s.opts.Routing,
-		BPFExec:  s.opts.BPFExec,
-		Observer: engine.MultiObserver{s.obsAll, s.obsByEngine[name]},
+		Profile: p,
+		Shards:  s.opts.Shards,
+		Routing: s.opts.Routing,
+		BPFExec: s.opts.BPFExec,
 	})
 	if err != nil {
 		return nil, err
@@ -340,13 +333,13 @@ func (s *Server) lookupTenant(name, engineName string) (*tenant, error) {
 			if err != nil {
 				return nil, err
 			}
-			t = &tenant{name: name, engName: eng, eng: e}
+			t = newTenant(name, eng, e)
 			s.tenants[name] = t
 		}
 	}
-	if engineName != "" && engineName != t.engineName() {
+	if runs := t.cur.Load().name; engineName != "" && engineName != runs {
 		return nil, fmt.Errorf("tenant %q runs engine %q, not %q (switch engines by re-uploading the profile with ?engine=)",
-			name, t.engineName(), engineName)
+			name, runs, engineName)
 	}
 	return t, nil
 }
@@ -470,39 +463,49 @@ func (s *Server) putProfile(id, requested string, body io.Reader) (ProfileRespon
 			s.mu.Unlock()
 			return ProfileResponse{}, err
 		}
-		t = &tenant{name: id, engName: eng, eng: e}
+		t = newTenant(id, eng, e)
 		s.tenants[id] = t
 		s.mu.Unlock()
 	} else {
 		// Swap outside the registry lock: SetProfile compiles filters per
 		// shard, and in-flight checks must keep flowing meanwhile.
 		s.mu.Unlock()
-		if requested != "" && requested != t.engineName() {
+		if requested != "" && requested != t.cur.Load().name {
 			// Mechanism switch: rebuild the tenant on the new engine. The
 			// old engine keeps serving in-flight checks until the swap.
 			e, err := s.newEngine(requested, p)
 			if err != nil {
 				return ProfileResponse{}, err
 			}
-			t.mu.Lock()
-			old := t.eng
-			t.eng, t.engName = e, requested
-			t.mu.Unlock()
-			old.Close()
+			s.rebind(t, &binding{name: requested, eng: e})
 		} else if err := t.engine().SetProfile(p); err != nil {
 			return ProfileResponse{}, err
 		}
 	}
 	s.metrics.ProfileSwaps.Add(1)
-	e := t.engine()
+	b := t.cur.Load()
 	return ProfileResponse{
 		Tenant:     id,
-		Engine:     t.engineName(),
+		Engine:     b.name,
 		Profile:    p.Name,
-		Generation: e.Describe().Generation,
+		Generation: b.eng.Describe().Generation,
 		Syscalls:   p.NumSyscalls(),
 		Created:    created,
 	}, nil
+}
+
+// rebind moves t to next and folds the binding it displaced into the retired
+// totals, both under retireMu, then closes the old engine. A check still in
+// flight on the old engine when its Stats are read is served but not
+// counted.
+func (s *Server) rebind(t *tenant, next *binding) {
+	s.retireMu.Lock()
+	old := t.cur.Swap(next)
+	total := s.retired[old.name]
+	total.Add(old.eng.Stats())
+	s.retired[old.name] = total
+	s.retireMu.Unlock()
+	old.eng.Close()
 }
 
 func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
@@ -566,23 +569,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		tenants = append(tenants, t)
 	}
 	s.mu.RUnlock()
-	totals := checkerTotals{Tenants: len(tenants)}
-	tenantsByEngine := make(map[string]int)
-	for _, t := range tenants {
-		e := t.engine()
-		st := e.Stats()
-		totals.Checks += st.Checks
-		totals.SPTHits += st.SPTHits
-		totals.VATHits += st.VATHits
-		totals.FilterRuns += st.FilterRuns
-		totals.Denied += st.Denied
-		totals.VATBytes += e.VATBytes()
-		tenantsByEngine[t.engineName()]++
+	totals := checkerTotals{ByEngine: make(map[string]*engineTotals)}
+	for _, name := range engine.Names() {
+		totals.ByEngine[name] = &engineTotals{}
 	}
+	s.retireMu.Lock()
+	for name, st := range s.retired {
+		totals.ByEngine[name].Stats = st
+	}
+	for _, t := range tenants {
+		b := t.cur.Load()
+		et := totals.ByEngine[b.name]
+		et.Tenants++
+		et.Stats.Add(b.eng.Stats())
+		totals.VATBytes += b.eng.VATBytes()
+	}
+	s.retireMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.WriteTo(w, totals, observedTotals{
-		All:             s.obsAll,
-		ByEngine:        s.obsByEngine,
-		TenantsByEngine: tenantsByEngine,
-	})
+	s.metrics.WriteTo(w, totals)
 }

@@ -362,7 +362,7 @@ func TestStatsAndMetrics(t *testing.T) {
 		"dracod_cache_hits_total 9",
 		"dracod_filter_runs_total 1",
 		"dracod_tenants 1",
-		// Observation-layer series fed by the engine.Observer hook.
+		// Observation-layer series, folded from the engines' Stats.
 		"dracod_observed_checks_total 10",
 		"dracod_observed_cache_hits_total 9",
 		// The 9 steady-state checks of an ID-only constant syscall are

@@ -192,10 +192,7 @@ func (c *session) handleBatch(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	c.calls = c.calls[:0]
-	for i := 0; i < seq.Len(); i++ {
-		c.calls = append(c.calls, seq.At(i))
-	}
+	c.calls = seq.AppendTo(c.calls[:0])
 	c.outs = t.engine().CheckBatch(c.calls, c.outs[:0])
 	c.respBuf = wire.AppendBatchResp(c.respBuf[:0], c.outs)
 	// Count before publishing, as in handleCheck.

@@ -54,6 +54,34 @@ func BenchmarkShmCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkShmCheckBatch64 is one caller sending 64 calls per round trip:
+// the crossing is amortised, so what is timed is the batch codec on both
+// sides plus the engine's CheckBatch. ns/op is per 64-call request.
+func BenchmarkShmCheckBatch64(b *testing.B) {
+	_, sc := newShmServer(b,
+		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		client.ShmOptions{})
+	ctx := context.Background()
+	calls := make([]engine.Call, 64)
+	for i := range calls {
+		calls[i] = engine.Call{SID: sidOf(b, []string{"read", "write", "close", "fstat"}[i%4]), Args: engine.Args{3, 0, uint64(i)}}
+	}
+	var dst []engine.Decision
+	var err error
+	for i := 0; i < 2; i++ {
+		if dst, err = sc.CheckBatch(ctx, "t", calls, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = sc.CheckBatch(ctx, "t", calls, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShmCheckParallel is eight callers on one connection: the
 // follower and promotion path.
 func BenchmarkShmCheckParallel(b *testing.B) {

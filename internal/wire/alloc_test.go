@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"draco/internal/engine"
+	"draco/internal/seccomp"
 )
 
 // The wire codec's steady-state check path is part of the Engine-layer
@@ -108,16 +109,20 @@ func TestBatchCodecZeroAllocs(t *testing.T) {
 		ds[i] = engine.Decision{Allowed: true}
 	}
 	encoded := AppendBatchReq(nil, "tenant", calls)
+	reqBuf := make([]byte, 0, len(encoded))
+	decoded := make([]engine.Call, 0, len(calls))
 	respBuf := make([]byte, 0, 8+len(ds)*decisionBytes)
 	dst := make([]engine.Decision, 0, len(ds))
 	perRun := testing.AllocsPerRun(500, func() {
-		_, seq, err := DecodeBatchReq(encoded)
+		reqBuf = AppendBatchReq(reqBuf[:0], "tenant", calls)
+		_, seq, err := DecodeBatchReq(reqBuf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < seq.Len(); i++ {
 			_ = seq.At(i)
 		}
+		decoded = seq.AppendTo(decoded[:0])
 		respBuf = AppendBatchResp(respBuf[:0], ds)
 		var derr error
 		dst, derr = DecodeBatchResp(respBuf, dst[:0])
@@ -131,6 +136,49 @@ func TestBatchCodecZeroAllocs(t *testing.T) {
 }
 
 var benchSinkHeader Header
+
+// BenchmarkBatchCodec64 times the four codec steps of one 64-call batch
+// request: request encode, decode into a call slice, response encode,
+// response decode.
+func BenchmarkBatchCodec64(b *testing.B) {
+	calls := make([]engine.Call, 64)
+	ds := make([]engine.Decision, 64)
+	for i := range calls {
+		calls[i] = engine.Call{SID: i, Args: [6]uint64{uint64(i), 0, 4096}}
+		ds[i] = engine.Decision{Allowed: true, Cached: i%2 == 0, Action: seccomp.ActAllow}
+	}
+	req := AppendBatchReq(nil, "tenant", calls)
+	resp := AppendBatchResp(nil, ds)
+	var decoded []engine.Call
+	var dst []engine.Decision
+	b.Run("req-encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			req = AppendBatchReq(req[:0], "tenant", calls)
+		}
+	})
+	b.Run("req-decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, seq, err := DecodeBatchReq(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			decoded = seq.AppendTo(decoded[:0])
+		}
+	})
+	b.Run("resp-encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			resp = AppendBatchResp(resp[:0], ds)
+		}
+	})
+	b.Run("resp-decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var err error
+			if dst, err = DecodeBatchResp(resp, dst[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 func BenchmarkWireCheckRoundTrip(b *testing.B) {
 	call := engine.Call{SID: 17, Args: [6]uint64{3, 0, 4096}}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -212,6 +213,31 @@ func appendCall(dst []byte, c engine.Call) []byte {
 	return append(dst, b[:]...)
 }
 
+// putCall is appendCall in place: it stores c into b[:callBytes].
+func putCall(b []byte, c *engine.Call) {
+	_ = b[callBytes-1]
+	le.PutUint32(b[0:], uint32(c.SID))
+	for i, a := range c.Args {
+		le.PutUint64(b[4+8*i:], a)
+	}
+}
+
+// getCall is decodeCall in place: it loads b[:callBytes] into c.
+func getCall(c *engine.Call, b []byte) {
+	_ = b[callBytes-1]
+	c.SID = int(int32(le.Uint32(b[0:])))
+	for i := range c.Args {
+		c.Args[i] = le.Uint64(b[4+8*i:])
+	}
+}
+
+// grow returns s extended by n elements (reallocating at most once) and the
+// extension itself, whose contents the caller must overwrite.
+func grow[T any](s []T, n int) (whole, ext []T) {
+	whole = slices.Grow(s, n)[:len(s)+n]
+	return whole, whole[len(s):]
+}
+
 // decodeCall decodes one call from b[:callBytes].
 func decodeCall(b []byte) engine.Call {
 	var c engine.Call
@@ -235,6 +261,29 @@ func appendDecision(dst []byte, d engine.Decision) []byte {
 	le.PutUint32(b[1:], uint32(d.FilterInstructions))
 	le.PutUint32(b[5:], uint32(d.Action))
 	return append(dst, b[:]...)
+}
+
+// putDecision is appendDecision in place: it stores d into b[:decisionBytes].
+func putDecision(b []byte, d *engine.Decision) {
+	_ = b[decisionBytes-1]
+	var flags byte
+	if d.Allowed {
+		flags |= 1
+	}
+	if d.Cached {
+		flags |= 2
+	}
+	b[0] = flags
+	le.PutUint32(b[1:], uint32(d.FilterInstructions))
+	le.PutUint32(b[5:], uint32(d.Action))
+}
+
+// getDecision is decodeDecision in place: it loads b[:decisionBytes] into d.
+func getDecision(d *engine.Decision, b []byte) {
+	_ = b[decisionBytes-1]
+	d.Allowed, d.Cached = b[0]&1 != 0, b[0]&2 != 0
+	d.FilterInstructions = int(le.Uint32(b[1:]))
+	d.Action = seccomp.Action(le.Uint32(b[5:]))
 }
 
 // decodeDecision decodes one decision from b[:decisionBytes].
@@ -278,14 +327,15 @@ func DecodeCheckResp(p []byte) (engine.Decision, error) {
 	return decodeDecision(p), nil
 }
 
-// AppendBatchReq encodes a batch-check request payload.
+// AppendBatchReq encodes a batch-check request payload. dst is sized once
+// for the whole frame and every word is stored in place.
 func AppendBatchReq(dst []byte, tenant string, calls []engine.Call) []byte {
 	dst = appendTenant(dst, tenant)
-	var n [4]byte
-	le.PutUint32(n[:], uint32(len(calls)))
-	dst = append(dst, n[:]...)
-	for _, c := range calls {
-		dst = appendCall(dst, c)
+	dst, b := grow(dst, 4+len(calls)*callBytes)
+	le.PutUint32(b, uint32(len(calls)))
+	b = b[4:]
+	for i := range calls {
+		putCall(b[i*callBytes:], &calls[i])
 	}
 	return dst
 }
@@ -303,6 +353,16 @@ func (s CallSeq) Len() int { return s.n }
 // At decodes call i.
 func (s CallSeq) At(i int) engine.Call {
 	return decodeCall(s.b[i*callBytes:])
+}
+
+// AppendTo decodes the whole sequence onto the end of dst, sized once and
+// decoded in place.
+func (s CallSeq) AppendTo(dst []engine.Call) []engine.Call {
+	dst, ext := grow(dst, s.n)
+	for i := range ext {
+		getCall(&ext[i], s.b[i*callBytes:])
+	}
+	return dst
 }
 
 // DecodeBatchReq decodes a batch-check request. tenant and the sequence
@@ -326,13 +386,14 @@ func DecodeBatchReq(p []byte) (tenant []byte, calls CallSeq, err error) {
 	return tenant, CallSeq{b: body, n: n}, nil
 }
 
-// AppendBatchResp encodes a batch-check response payload.
+// AppendBatchResp encodes a batch-check response payload, in place like
+// AppendBatchReq.
 func AppendBatchResp(dst []byte, ds []engine.Decision) []byte {
-	var n [4]byte
-	le.PutUint32(n[:], uint32(len(ds)))
-	dst = append(dst, n[:]...)
-	for _, d := range ds {
-		dst = appendDecision(dst, d)
+	dst, b := grow(dst, 4+len(ds)*decisionBytes)
+	le.PutUint32(b, uint32(len(ds)))
+	b = b[4:]
+	for i := range ds {
+		putDecision(b[i*decisionBytes:], &ds[i])
 	}
 	return dst
 }
@@ -351,8 +412,9 @@ func DecodeBatchResp(p []byte, dst []engine.Decision) ([]engine.Decision, error)
 	if len(body) != n*decisionBytes {
 		return dst, ErrTruncated
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, decodeDecision(body[i*decisionBytes:]))
+	dst, ext := grow(dst, n)
+	for i := range ext {
+		getDecision(&ext[i], body[i*decisionBytes:])
 	}
 	return dst, nil
 }

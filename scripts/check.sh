@@ -33,8 +33,16 @@ go test -race -timeout 60m ./...
 # allocs/op on the compiled-exec
 # and bitmap fast paths; interp-vs-compiled Decision+Stats identity and
 # bitmap action identity across every registered engine and workload;
-# bitmap soundness against the interpreter on all 512 syscall numbers).
+# bitmap soundness against the interpreter on all 512 syscall numbers),
+# and the fold-vs-hook differential: every registry engine's Stats() -
+# classes, cache hits, denials, cycles - against a Counters observer over
+# 100k events with a mid-trace swap, which is what lets dracod render
+# /metrics from Stats alone.
 go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+# Its concurrent half, explicitly under -race: two checkers against a
+# Stats()/SetProfile loop on every engine; seal, fold and redo must neither
+# lose nor double a class count.
+go test -race -count=1 -run 'TestFoldMatchesHookRace' ./internal/engine/
 # The retired-generation guard at full depth (under -race it runs a tenth
 # of the swaps): 2000 profile swaps with checks in between must neither
 # grow the live heap nor lose a check from Stats.
@@ -42,7 +50,9 @@ go test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent
 
 # Wire-protocol guards, run explicitly: the frame-decoder fuzz seed corpus
 # (each seed as a unit test; use `go test -fuzz FuzzFrameDecode
-# ./internal/wire` to explore beyond it), the codec 0-allocs/op pins, and
+# ./internal/wire` to explore beyond it; FuzzBatchCodecInPlace holds the
+# in-place batch codec to the per-element reference), the codec
+# 0-allocs/op pins and in-place-vs-reference tests, and
 # the wire-vs-in-process differential suite (decisions over the wire are
 # identical to calling the engine directly on 100k-event traces of all 15
 # workloads, through batch frames and through single-check frames
@@ -57,8 +67,8 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # seq/len/lap encodings plus v2 header layouts and MPSC
 # claimed-unpublished slot states (use `go test -fuzz FuzzParseSlot
 # ./internal/shm` to explore beyond it); the 0-allocs/op pins cover ring
-# enqueue/dequeue, the client-side Batcher fold and a full Shm.Check
-# round trip; the Batcher tests include the MaxInflight
+# enqueue/dequeue, the client-side Batcher fold and full Shm.Check and
+# 64-call Shm.CheckBatch round trips; the Batcher tests include the MaxInflight
 # concurrent-flusher contract; the shm
 # differential proves decisions through the rings — batch frames, single
 # checks, and Batcher-folded singles — are identical to calling the
