@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-engine test-wire test-shm test-bpf test-ebpf bench bench-server bench-engine bench-batch bench-filter bench-prog bench-fastpath bench-all bench-all-smoke bench-compare slbsweep loadgen loadgen-shm misssweep progsweep
+.PHONY: check build vet test test-race test-engine test-wire test-shm test-bpf test-ebpf bench bench-server bench-engine bench-batch bench-filter bench-prog bench-fastpath bench-all bench-all-smoke bench-compare loadgen loadgen-shm misssweep progsweep
 
 # check is the CI gate: build, vet, the full test suite under the race
 # detector (which includes the 32-goroutine wire hot-swap hammer), the
@@ -37,7 +37,7 @@ test-race:
 # runs a tenth of them) and the fold-vs-hook hammer under -race (two
 # checkers against a Stats()/SetProfile loop, per engine).
 test-engine:
-	$(GO) test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+	$(GO) test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
 	$(GO) test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
 	$(GO) test -race -count=1 -run 'TestFoldMatchesHookRace' ./internal/engine/
 
@@ -60,8 +60,7 @@ test-wire:
 # FuzzParseSlot ./internal/shm` explores further), the ring,
 # Batcher-fold and full Shm.Check and 64-call Shm.CheckBatch round-trip
 # 0-allocs/op pins (in-process server included), the
-# Batcher fold tests (including the MaxInflight concurrent-flusher
-# contract), the shm-vs-in-process
+# Batcher fold tests, the shm-vs-in-process
 # differential suite (100k-event traces, all 15 workloads, batch frames +
 # single checks + the client-side Batcher fold), and the race hammers:
 # the SPSC producer/consumer pair, the 16-producer MPSC claim hammer, the
@@ -168,12 +167,6 @@ bench-compare:
 # records (and the converter's test fixtures) — lift one onto the common
 # schema with `dracobench -convert results/<file>.json`, and record new
 # trajectory points with `make bench-all` instead.
-
-# slbsweep: software-SLB geometry sweep (sets x ways x indexing, every
-# workload, bare draco-concurrent baseline); legacy record in
-# results/slbsweep_sw.json.
-slbsweep:
-	$(GO) run ./cmd/dracobench -slbsweep
 
 # loadgen: service-edge comparison — single-check traffic from every
 # workload over the HTTP JSON API vs the binary wire protocol at equal

@@ -40,7 +40,7 @@ func smokeDepth(cc commonConfig, conc, conns int) (commonConfig, int, int) {
 	return cc, conc, conns
 }
 
-// runBenchAll runs the six modes and writes the combined run document.
+// runBenchAll runs the five modes and writes the combined run document.
 func runBenchAll(cc commonConfig, smoke bool, jsonOut string, conc, conns int, doorbells string) error {
 	depth := "full"
 	if smoke {
@@ -60,7 +60,6 @@ func runBenchAll(cc commonConfig, smoke bool, jsonOut string, conc, conns int, d
 		{"enginebench", func() (bench.ModeResult, error) {
 			return engineBenchMode(cc, "all", 8, "syscall")
 		}},
-		{"slbsweep", func() (bench.ModeResult, error) { return slbSweepMode(cc, !smoke) }},
 		{"misssweep", func() (bench.ModeResult, error) { return missSweepMode(cc) }},
 		{"progsweep", func() (bench.ModeResult, error) { return progSweepMode(cc) }},
 		{"fastpath", func() (bench.ModeResult, error) { return fastpathMode(cc, 8, "syscall") }},

@@ -48,7 +48,7 @@ func engineBenchConfigs(selector string, shards int, routing string, fullGrid bo
 			continue
 		}
 		cfg := engineBenchConfig{Engine: name}
-		if name == "draco-concurrent" || name == "draco-concurrent+slb" {
+		if name == "draco-concurrent" {
 			cfg.Shards, cfg.Routing = shards, routing
 		}
 		cfgs = append(cfgs, cfg)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"draco/internal/bench"
+	"draco/internal/concurrent"
 	"draco/internal/engine"
 	"draco/internal/profilegen"
 )
@@ -25,10 +26,9 @@ import (
 //	dracobench -fastpath -json out.json
 //	dracobench -fastpath -workloads httpd,redis -shards 8
 
-// fastResolver mirrors the engine-internal fast-path probe: satisfied by
-// draco-concurrent, used here to report what share of the trace the plane
-// answers.
-type fastResolver interface{ FastResolved(sid int) bool }
+// concurrentInner is satisfied by draco-concurrent: its checker's
+// FastResolved reports what share of the trace the plane answers.
+type concurrentInner interface{ Inner() *concurrent.Checker }
 
 // fastpathMode measures plane-on vs plane-off per workload and reports the
 // per-workload speedups plus their geomean — the acceptance gate for the
@@ -98,10 +98,11 @@ func fastpathMode(cc commonConfig, shards int, routing string) (bench.ModeResult
 					bench.LowerIsBetter(w.Name, cell+"/parallel_ns_per_check", "ns/op", len(tr), psamples))
 
 				if !noFast {
-					if fr, ok := e.(fastResolver); ok {
+					if ci, ok := e.(concurrentInner); ok {
+						chk := ci.Inner()
 						resolved := 0
 						for _, ev := range tr {
-							if fr.FastResolved(ev.SID) {
+							if chk.FastResolved(ev.SID) {
 								resolved++
 							}
 						}

@@ -181,13 +181,11 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 			shmConns[name] = sc
 			edges = append(edges, loadgenEdge{name, sc})
 			if name == "shm" {
-				// The fold edges layer client-side aggregation on the
-				// negotiated connection: shm_fold is the strictly serialized
-				// single-flusher Batcher, shm_fold8 allows 8 concurrent
-				// flush frames on the MPSC submission ring.
+				// The fold edge layers client-side aggregation on the
+				// negotiated connection: one flusher per tenant drains
+				// whatever queued behind it into one batch frame.
 				edges = append(edges,
-					loadgenEdge{"shm_fold", client.NewBatcher(sc, client.BatcherOptions{})},
-					loadgenEdge{"shm_fold8", client.NewBatcher(sc, client.BatcherOptions{MaxInflight: 8})})
+					loadgenEdge{"shm_fold", client.NewBatcher(sc, client.BatcherOptions{})})
 			}
 		}
 		if auto, ok := shmConns["shm"]; ok {

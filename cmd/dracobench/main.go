@@ -13,7 +13,6 @@
 // (internal/bench) under -json:
 //
 //	dracobench -engine all -json out.json           # engine registry throughput
-//	dracobench -slbsweep                            # SLB geometry sweep
 //	dracobench -misssweep                           # filter execution tiers
 //	dracobench -progsweep                           # programmable-policy tiers
 //	dracobench -loadgen -concurrency 16 -conns 4    # HTTP vs wire service edge
@@ -131,9 +130,8 @@ func main() {
 
 		// Mode selectors and their mode-specific knobs.
 		engName   = flag.String("engine", "", "engine-bench mode: replay workloads through this registered engine ('all' = every engine)")
-		shards    = flag.Int("shards", 0, "shard count for -engine draco-concurrent[+slb] (0 = default)")
-		routing   = flag.String("routing", "syscall", "shard routing for -engine draco-concurrent[+slb]: syscall or args")
-		slbsweep  = flag.Bool("slbsweep", false, "software-SLB geometry sweep: every selected workload through draco-concurrent+slb across sets x ways x indexing")
+		shards    = flag.Int("shards", 0, "shard count for -engine draco-concurrent (0 = default)")
+		routing   = flag.String("routing", "syscall", "shard routing for -engine draco-concurrent: syscall or args")
 		misssweep = flag.Bool("misssweep", false, "filter-execution sweep: cold-start traces through a bare filter under the interp, compiled, and bitmap tiers")
 		progsweep = flag.Bool("progsweep", false, "programmable-policy sweep: bare filter plain vs constant-extracted and stateful eBPF policies")
 		fastpath  = flag.Bool("fastpath", false, "decision-plane benchmark: draco-concurrent with the lock-free fast path on vs off on constant-dominated traffic")
@@ -230,9 +228,6 @@ func main() {
 	case *loadgen:
 		writeRun(loadgenMode(newCommon(nil), *conc, *conns, *doorbells))
 		return
-	case *slbsweep:
-		writeRun(slbSweepMode(newCommon(nil), !*smoke))
-		return
 	case *misssweep:
 		writeRun(missSweepMode(newCommon(nil)))
 		return
@@ -327,7 +322,6 @@ Paper experiments (default when no mode flag is given):
 
 Benchmark modes (pick one):
   -engine NAME|all   engine registry throughput        -shards, -routing
-  -slbsweep          SLB geometry sweep
   -misssweep         filter execution tiers (interp/compiled/bitmap)
   -progsweep         programmable-policy tiers
   -fastpath          decision plane on vs off          -shards, -routing

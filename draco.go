@@ -194,12 +194,6 @@ type EngineOptions struct {
 	Routing string
 	// Observer receives per-check callbacks (nil: none).
 	Observer Observer
-	// SLBSets/SLBWays are the per-worker software SLB geometry for the
-	// +slb engines (0 selects the defaults: 64 sets × 4 ways).
-	SLBSets, SLBWays int
-	// SLBIndexing selects the SLB set-index function for the +slb
-	// engines: "sid" (default) or "hash" (spread hot syscalls).
-	SLBIndexing string
 	// BPFExec selects the filter execution tier on the miss path:
 	// "bitmap" (compiled + per-syscall constant-action bitmap, default),
 	// "compiled", or "interp".
@@ -207,8 +201,7 @@ type EngineOptions struct {
 }
 
 // EngineNames lists the registered checking mechanisms: filter-only,
-// draco-sw, draco-concurrent, draco-hw, and the software-SLB-wrapped
-// draco-sw+slb and draco-concurrent+slb (see DESIGN.md §8).
+// draco-sw, draco-concurrent, and the hardware model draco-hw.
 func EngineNames() []string { return engine.Names() }
 
 // EngineInfos lists the registered mechanisms with descriptions.
@@ -217,14 +210,11 @@ func EngineInfos() []EngineInfo { return engine.Infos() }
 // NewEngine builds a checking engine by registry name.
 func NewEngine(name string, p *Profile, opts EngineOptions) (Engine, error) {
 	return engine.New(name, engine.Options{
-		Profile:     p,
-		Shards:      opts.Shards,
-		Routing:     opts.Routing,
-		Observer:    opts.Observer,
-		SLBSets:     opts.SLBSets,
-		SLBWays:     opts.SLBWays,
-		SLBIndexing: opts.SLBIndexing,
-		BPFExec:     opts.BPFExec,
+		Profile:  p,
+		Shards:   opts.Shards,
+		Routing:  opts.Routing,
+		Observer: opts.Observer,
+		BPFExec:  opts.BPFExec,
 	})
 }
 

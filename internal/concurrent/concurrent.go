@@ -124,8 +124,8 @@ type state struct {
 	// prog is the generation's attached programmable policy (nil without
 	// one). Its map state is shared by every shard — slots are atomic, so
 	// the shard locks need not cover it — and a profile swap builds a fresh
-	// Attached, which starts a blank map epoch exactly like the SLB's
-	// epoch-bump invalidation.
+	// Attached, which starts a blank map epoch exactly as the swap starts
+	// empty VAT shards.
 	prog *ebpf.Attached
 	// serialBatch forces CheckBatch to process calls in submission order:
 	// set when the program has stateful (must-run) syscall numbers, whose
@@ -599,8 +599,7 @@ func (c *Checker) Stats() Stats {
 }
 
 // FastResolved reports whether the decision plane answers sid without the
-// locked shard path. The SLB layer uses it to bypass cache fills for
-// syscalls the plane already serves in O(1).
+// locked shard path: the plane coverage the benchmarks report.
 func (c *Checker) FastResolved(sid int) bool {
 	return c.state.Load().plane.resolved(sid)
 }

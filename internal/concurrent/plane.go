@@ -280,10 +280,9 @@ func (pl *plane) noteLocked(sid int) {
 	}
 }
 
-// resolved reports whether the plane currently answers sid without the
-// locked path — the SLB wrapper bypasses its cache for such syscalls.
-// constAllow counts even before seeding: the syscall is plane-destined,
-// and caching its single locked warm-up check would waste an SLB line.
+// resolved reports whether the plane answers sid without the locked path.
+// constAllow counts even before seeding: the syscall is plane-destined
+// after its single locked warm-up check.
 func (pl *plane) resolved(sid int) bool {
 	if uint(sid) >= uint(len(pl.records)) {
 		return false

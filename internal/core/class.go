@@ -20,8 +20,8 @@ const (
 	ClassInsert
 	// ClassDenied: the filter ran and rejected the call.
 	ClassDenied
-	// ClassSLBHit: a per-worker software SLB served the decision without
-	// touching the shared tables (see engine.WithSLB).
+	// ClassSLBHit: no engine produces it; the slot keeps the class
+	// numbering and the "slb-hit" name that benchmark reports enumerate.
 	ClassSLBHit
 	// ClassBitmapHit: the whole filter chain resolved through per-syscall
 	// constant-action bitmaps (Linux 5.11 style) — an SPT/VAT miss that

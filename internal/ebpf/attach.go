@@ -16,7 +16,7 @@ type AttachOpts struct {
 // Attached is one tenant's live programmable policy: the lowered program
 // plus its map state. A profile hot-swap attaches the (possibly new)
 // program afresh, which starts a blank map epoch — the same generation
-// semantics the SLB uses for cached decisions. Check is safe for
+// semantics the VAT applies to cached decisions. Check is safe for
 // concurrent use: run state is on the stack and map slots are atomic.
 type Attached struct {
 	src     *Source
@@ -79,8 +79,8 @@ func (a *Attached) Check(ctx *Ctx) CheckResult {
 
 // MustRun reports whether calls with this number must execute the program
 // on every check (stateful or payload-dependent): the checker bypasses the
-// SPT/VAT/SLB caches for them, because a cached allow would freeze a
-// decision that mutable state is supposed to change.
+// decision plane and the SPT/VAT caches for them, because a cached allow
+// would freeze a decision that mutable state is supposed to change.
 func (a *Attached) MustRun(nr int32) bool { return a.cls.MustRun(nr) }
 
 // ArgMask returns the argument-byte mask the decision may depend on for a

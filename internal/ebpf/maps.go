@@ -42,8 +42,8 @@ func ValidateSpecs(specs []MapSpec) error {
 // MapSet is the live per-tenant state for one attached program: one atomic
 // uint64 array per declared map. Slots are lock-free, so a single MapSet is
 // shared by every VAT shard of a concurrent checker; a profile hot-swap
-// builds a fresh MapSet, which is the epoch-invalidation semantic the SLB
-// uses for cached decisions (internal/slb): new generation, blank state.
+// builds a fresh MapSet, the same epoch semantic the VAT applies to cached
+// decisions: new generation, blank state.
 type MapSet struct {
 	specs []MapSpec
 	vals  [][]atomic.Uint64

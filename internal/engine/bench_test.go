@@ -47,36 +47,6 @@ func BenchmarkEngineCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCheckParallelSLB races the software SLB against the bare
-// sharded checker under parallel callers — the contention case the
-// per-worker lookaside exists for: hits touch no shared mutable state, so
-// the wrapped engine sheds the shard locks the bare engine still takes.
-func BenchmarkEngineCheckParallelSLB(b *testing.B) {
-	calls, opts := benchTrace(b)
-	for _, name := range []string{"draco-concurrent", "draco-concurrent+slb"} {
-		b.Run(name, func(b *testing.B) {
-			e, err := New(name, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, cl := range calls {
-				e.Check(cl.SID, cl.Args)
-			}
-			var cursor atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := cursor.Add(1) * 7919
-				for pb.Next() {
-					cl := calls[i%uint64(len(calls))]
-					e.Check(cl.SID, cl.Args)
-					i++
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkEngineCheckParallel is the PR-1 shard sweep rerun through the
 // registry: parallel callers against draco-concurrent across the same
 // routing × shard grid as internal/concurrent's benchmarks.

@@ -94,10 +94,6 @@ func (e *dracoConcurrent) Describe() Desc {
 func (e *dracoConcurrent) Close() error { return closeObserver(e.obs) }
 
 // Inner exposes the wrapped concurrent checker for callers needing the
-// full concurrent surface (the public draco.ConcurrentChecker wrapper).
+// full concurrent surface (dracobench -fastpath reads plane coverage
+// through it).
 func (e *dracoConcurrent) Inner() *concurrent.Checker { return e.chk }
-
-// FastResolved reports whether the checker's decision plane answers sid
-// lock-free; the SLB wrapper consults it to skip cache fills for syscalls
-// the plane already serves in O(1).
-func (e *dracoConcurrent) FastResolved(sid int) bool { return e.chk.FastResolved(sid) }

@@ -29,7 +29,6 @@ func init() {
 type dracoHW struct {
 	os    *core.Checker
 	hw    *hwdraco.Engine
-	shape seccomp.Shape
 	mode  seccomp.ExecMode
 	costs kernelmodel.CostModel
 	obs   Observer
@@ -46,7 +45,7 @@ func newDracoHW(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &dracoHW{shape: opts.Shape, mode: mode, costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
+	e := &dracoHW{mode: mode, costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
 	if err := e.build(opts.Profile); err != nil {
 		return nil, err
 	}
@@ -59,7 +58,7 @@ func (e *dracoHW) build(p *seccomp.Profile) error {
 	if p.Programmable != nil {
 		return fmt.Errorf("engine: draco-hw does not support programmable policies: the SLB/STB hardware fast path caches stateless decisions only (use the software engines)")
 	}
-	os, err := buildCoreChecker(p, e.shape, e.mode)
+	os, err := buildCoreChecker(p, e.mode)
 	if err != nil {
 		return err
 	}

@@ -17,11 +17,10 @@ func init() {
 // dracoSW wraps the sequential software checker. Not safe for concurrent
 // use (one SPT/VAT, no locks); wrap with Synchronized to share.
 type dracoSW struct {
-	chk   *core.Checker
-	shape seccomp.Shape
-	mode  seccomp.ExecMode
-	obs   Observer
-	gen   uint64
+	chk  *core.Checker
+	mode seccomp.ExecMode
+	obs  Observer
+	gen  uint64
 	// prior accumulates stats from generations retired by SetProfile.
 	prior Stats
 }
@@ -31,24 +30,24 @@ func newDracoSW(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	chk, err := buildCoreChecker(opts.Profile, opts.Shape, mode)
+	chk, err := buildCoreChecker(opts.Profile, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &dracoSW{chk: chk, shape: opts.Shape, mode: mode, obs: opts.Observer, gen: 1}, nil
+	return &dracoSW{chk: chk, mode: mode, obs: opts.Observer, gen: 1}, nil
 }
 
-// buildCoreChecker compiles a profile (compilation validates it) and
-// assembles the sequential checker.
-func buildCoreChecker(p *seccomp.Profile, shape seccomp.Shape, mode seccomp.ExecMode) (*core.Checker, error) {
-	f, err := seccomp.NewFilterMode(p, shape, mode)
+// buildCoreChecker compiles a profile (compilation validates it) into a
+// linear filter and assembles the sequential checker.
+func buildCoreChecker(p *seccomp.Profile, mode seccomp.ExecMode) (*core.Checker, error) {
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, mode)
 	if err != nil {
 		return nil, err
 	}
 	chk := core.NewChecker(p, seccomp.Chain{f})
 	// A profile-carried programmable policy attaches fresh here: a rebuild
-	// (construction or SetProfile) starts a blank map-state epoch, the same
-	// generation semantics the SLB applies to cached decisions.
+	// (construction or SetProfile) starts a blank map-state epoch, just as
+	// it starts an empty VAT.
 	chk.Prog = attachProgram(p, mode)
 	return chk, nil
 }
@@ -78,7 +77,7 @@ func (e *dracoSW) Stats() Stats {
 }
 
 func (e *dracoSW) SetProfile(p *seccomp.Profile) error {
-	chk, err := buildCoreChecker(p, e.shape, e.mode)
+	chk, err := buildCoreChecker(p, e.mode)
 	if err != nil {
 		return err
 	}

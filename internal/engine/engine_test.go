@@ -10,7 +10,7 @@ import (
 )
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"draco-concurrent", "draco-concurrent+slb", "draco-hw", "draco-sw", "draco-sw+slb", "filter-only"}
+	want := []string{"draco-concurrent", "draco-hw", "draco-sw", "filter-only"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

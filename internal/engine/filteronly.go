@@ -25,7 +25,6 @@ type filterOnly struct {
 	// no-caching baseline enforces it, so every engine produces the same
 	// decision stream for a programmable profile.
 	prog  *ebpf.Attached
-	shape seccomp.Shape
 	mode  seccomp.ExecMode
 	obs   Observer
 	gen   uint64
@@ -37,7 +36,7 @@ func newFilterOnly(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := seccomp.NewFilterMode(opts.Profile, opts.Shape, mode)
+	f, err := seccomp.NewFilterMode(opts.Profile, seccomp.ShapeLinear, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +44,6 @@ func newFilterOnly(opts Options) (Engine, error) {
 		f:       f,
 		profile: opts.Profile,
 		prog:    attachProgram(opts.Profile, mode),
-		shape:   opts.Shape,
 		mode:    mode,
 		obs:     opts.Observer,
 		gen:     1,
@@ -101,7 +99,7 @@ func (e *filterOnly) CheckBatch(calls []Call, dst []Decision) []Decision {
 func (e *filterOnly) Stats() Stats { return e.stats }
 
 func (e *filterOnly) SetProfile(p *seccomp.Profile) error {
-	f, err := seccomp.NewFilterMode(p, e.shape, e.mode)
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, e.mode)
 	if err != nil {
 		return err
 	}

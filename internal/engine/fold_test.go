@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,10 +136,7 @@ func TestFoldMatchesHookDifferential(t *testing.T) {
 			if c.Denied() == 0 || (c.CacheHits() == 0 && fc.engine != "filter-only") {
 				t.Fatalf("trace exercised no denials or no cache hits: %+v", st)
 			}
-			// The SLB's worker caches live in a sync.Pool the GC may empty, so
-			// two +slb instances need not hit alike; every other engine is
-			// deterministic.
-			if bs := bare.Stats(); !strings.Contains(fc.engine, "+slb") && bs != st {
+			if bs := bare.Stats(); bs != st {
 				t.Fatalf("observer-less twin folds differently:\nbare     %+v\nobserved %+v", bs, st)
 			}
 		})

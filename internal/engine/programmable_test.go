@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -126,19 +125,20 @@ func progTrace(events int) []Call {
 
 // TestProgrammableCrossEngineDifferential replays one stateful trace through
 // every software engine and requires identical decision streams: caching
-// (SPT/VAT, SLB) must never change what a stateful policy decides. A
-// mid-trace SetProfile swaps the program on every engine at the same event,
-// so epoch semantics (fresh map state per generation) must agree too.
+// (SPT/VAT, decision plane) must never change what a stateful policy
+// decides. A mid-trace SetProfile swaps the program on every engine at the
+// same event, so epoch semantics (fresh map state per generation) must
+// agree too.
 func TestProgrammableCrossEngineDifferential(t *testing.T) {
 	const events = 40_000
 	p1 := progTestProfile(t, "prog-p1", openBeforeReadSource(t))
 	p2 := progTestProfile(t, "prog-p2", phaseTighteningSource(t))
 
-	names := []string{"filter-only", "draco-sw", "draco-sw+slb", "draco-concurrent", "draco-concurrent+slb"}
+	names := []string{"filter-only", "draco-sw", "draco-concurrent"}
 	engines := make([]Engine, len(names))
 	for i, n := range names {
 		opts := Options{Profile: p1}
-		if strings.HasPrefix(n, "draco-concurrent") {
+		if n == "draco-concurrent" {
 			opts.Shards = 4
 			opts.Routing = "syscall"
 		}
@@ -274,9 +274,10 @@ func TestProgrammableDracoHWRejected(t *testing.T) {
 // TestProgrammableRaceHammer hammers per-tenant map state from 16 goroutines
 // (mixed single checks and batches) while the main goroutine hot-swaps the
 // programmable profile mid-stream, on the most layered engine
-// (SLB + sharded VAT + program). Run under -race this is the concurrency
-// safety net for the whole programmable stack; afterwards a final swap
-// verifies the epoch contract — a fresh generation starts with blank maps.
+// (decision plane + sharded VAT + program). Run under -race this is the
+// concurrency safety net for the whole programmable stack; afterwards a
+// final swap verifies the epoch contract — a fresh generation starts with
+// blank maps.
 func TestProgrammableRaceHammer(t *testing.T) {
 	const (
 		goroutines = 16
@@ -285,7 +286,7 @@ func TestProgrammableRaceHammer(t *testing.T) {
 	)
 	p1 := progTestProfile(t, "hammer-rate", rateLimitSource(t))
 	p2 := progTestProfile(t, "hammer-phase", phaseTighteningSource(t))
-	e, err := New("draco-concurrent+slb", Options{Profile: p1, Shards: 4})
+	e, err := New("draco-concurrent", Options{Profile: p1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,26 +23,18 @@ type Options struct {
 	Routing string
 	// Observer receives one callback per check (nil: none is made).
 	Observer Observer
-	// Shape selects the compiled filter shape (zero value: linear).
-	Shape seccomp.Shape
 	// BPFExec selects how filters execute on the miss path: "" or "bitmap"
 	// (compiled code plus the per-syscall constant-action bitmap, the
 	// default), "compiled" (direct-threaded code only), or "interp" (the
 	// generic interpreter — the escape hatch and differential baseline).
 	BPFExec string
-	// SLBSets/SLBWays are the per-worker software SLB geometry for +slb
-	// engines (0 selects the slb package defaults: 64 sets × 4 ways).
-	SLBSets, SLBWays int
-	// SLBIndexing selects the SLB set-index function for +slb engines:
-	// "" or "sid" (per-syscall sets), or "hash" (spread hot syscalls).
-	SLBIndexing string
 	// Program optionally attaches a programmable policy (internal/ebpf) on
 	// top of the profile's whitelist, overriding any program the profile
 	// itself carries. Profiles swapped in later via SetProfile use their own
 	// Programmable field.
 	Program *ebpf.Source
-	// NoFastPath disables the lock-free decision plane in draco-concurrent
-	// (and its +slb wrap): every check takes the locked shard path. The
+	// NoFastPath disables the lock-free decision plane in draco-concurrent:
+	// every check takes the locked shard path. The
 	// measurement baseline for the fastpath benchmark; decisions and Stats
 	// are identical either way.
 	NoFastPath bool

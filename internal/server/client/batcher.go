@@ -37,13 +37,6 @@ type BatcherOptions struct {
 	MaxFold int
 	// FoldWindow is the flush backstop for staggered arrivals (0 = 50µs).
 	FoldWindow time.Duration
-	// MaxInflight bounds concurrent flush frames per tenant (0 = 1: one
-	// flusher drains the queue while everyone else waits, the strictly
-	// serialized default). Transports whose submission side is
-	// multi-producer — the shm ring claims slots by CAS — can raise this
-	// so several batch frames are in flight at once: more, smaller
-	// batches, but no flusher convoy at high caller counts.
-	MaxInflight int
 }
 
 // batchCapper is implemented by transports with a hard per-batch size
@@ -57,10 +50,9 @@ type batchCapper interface {
 // anywhere a transport is used. Check is safe for concurrent use; the
 // remaining methods delegate straight to the underlying transport.
 type Batcher struct {
-	tr       Transport
-	maxFold  int
-	window   time.Duration
-	inflight int
+	tr      Transport
+	maxFold int
+	window  time.Duration
 
 	mu    sync.Mutex
 	folds map[string]*fold
@@ -71,19 +63,16 @@ type fold struct {
 	b      *Batcher
 	tenant string
 	max    int
-	// maxInflight bounds concurrent flushers on this fold.
-	maxInflight int
 
 	mu      sync.Mutex
 	waiters []*foldWaiter
-	// inflight counts callers actively draining the queue; new arrivals
-	// enqueue and wait unless a flusher slot is free.
-	inflight int
+	// inflight is set while a caller drains the queue; new arrivals
+	// enqueue and wait for it.
+	inflight bool
 	timer    *time.Timer
 
-	// scratch for the single-inflight case, reused across flushes (the
-	// lone flusher owns it exclusively). Concurrent flushers draw pooled
-	// scratch instead.
+	// scratch is the flusher's working set, reused across flushes (the
+	// lone flusher owns it exclusively).
 	scratch foldScratch
 }
 
@@ -93,8 +82,6 @@ type foldScratch struct {
 	outs  []engine.Decision
 	batch []*foldWaiter
 }
-
-var foldScratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
 
 // foldWaiter is one caller's slot in a fold. Pooled.
 type foldWaiter struct {
@@ -116,16 +103,11 @@ func NewBatcher(tr Transport, opts BatcherOptions) *Batcher {
 	if window <= 0 {
 		window = DefaultFoldWindow
 	}
-	inflight := opts.MaxInflight
-	if inflight <= 0 {
-		inflight = 1
-	}
 	return &Batcher{
-		tr:       tr,
-		maxFold:  maxFold,
-		window:   window,
-		inflight: inflight,
-		folds:    make(map[string]*fold),
+		tr:      tr,
+		maxFold: maxFold,
+		window:  window,
+		folds:   make(map[string]*fold),
 	}
 }
 
@@ -140,7 +122,7 @@ func (b *Batcher) foldFor(tenant string) *fold {
 				max = cap
 			}
 		}
-		f = &fold{b: b, tenant: tenant, max: max, maxInflight: b.inflight}
+		f = &fold{b: b, tenant: tenant, max: max}
 		b.folds[tenant] = f
 	}
 	b.mu.Unlock()
@@ -158,10 +140,10 @@ func (b *Batcher) Check(ctx context.Context, tenant string, sid int, args engine
 
 	f.mu.Lock()
 	f.waiters = append(f.waiters, w)
-	if f.inflight < f.maxInflight {
-		// A flusher slot is free: this caller drains the queue (and
-		// anything that piles up while its flush frames are in flight).
-		f.inflight++
+	if !f.inflight {
+		// Nobody is flushing: this caller drains the queue (and anything
+		// that piles up while its flush frames are in flight).
+		f.inflight = true
 		f.mu.Unlock()
 		f.run()
 	} else {
@@ -191,30 +173,25 @@ func (b *Batcher) Check(ctx context.Context, tenant string, sid int, args engine
 func (f *fold) timerFlush() {
 	f.mu.Lock()
 	f.timer = nil
-	if f.inflight > 0 || len(f.waiters) == 0 {
+	if f.inflight || len(f.waiters) == 0 {
 		f.mu.Unlock()
 		return
 	}
-	f.inflight++
+	f.inflight = true
 	f.mu.Unlock()
 	f.run()
 }
 
 // run drains the fold until it is empty: cut a batch, send it, complete
-// its waiters, repeat. At most maxInflight goroutines run this at a time
-// per fold (the inflight counter); with the default of one, the lone
-// flusher reuses the fold's own scratch, so the steady-state fold
-// allocates nothing.
+// its waiters, repeat. One goroutine runs this at a time per fold (the
+// inflight flag), so it reuses the fold's own scratch and the steady-state
+// fold allocates nothing.
 func (f *fold) run() {
 	s := &f.scratch
-	if f.maxInflight > 1 {
-		s = foldScratchPool.Get().(*foldScratch)
-		defer foldScratchPool.Put(s)
-	}
 	for {
 		f.mu.Lock()
 		if len(f.waiters) == 0 {
-			f.inflight--
+			f.inflight = false
 			f.mu.Unlock()
 			return
 		}

@@ -339,52 +339,3 @@ func (e echoTransport) CheckBatch(ctx context.Context, tenant string, calls []en
 func (e echoTransport) Check(ctx context.Context, tenant string, sid int, args engine.Args) (engine.Decision, error) {
 	return decideFor(engine.Call{SID: sid, Args: args}), nil
 }
-
-// TestBatcherMaxInflight proves MaxInflight > 1 lets several flushers hold
-// transport frames in flight at once: three staggered callers each become
-// a flusher and sit in CheckBatch concurrently, a fourth (all slots taken)
-// queues and is drained after the gate opens, and every caller still gets
-// its own decision back.
-func TestBatcherMaxInflight(t *testing.T) {
-	tr := &fakeTransport{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	b := NewBatcher(tr, BatcherOptions{MaxInflight: 3})
-	ctx := context.Background()
-
-	const callers = 4
-	var wg sync.WaitGroup
-	results := make([]engine.Decision, callers)
-	errs := make([]error, callers)
-	launch := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = b.Check(ctx, "t", i, engine.Args{uint64(i)})
-		}()
-	}
-	// One at a time: each caller must reach the transport (a free flusher
-	// slot) before the next launches, so by the third we have proven three
-	// concurrent in-flight frames.
-	for i := 0; i < 3; i++ {
-		launch(i)
-		select {
-		case <-tr.entered:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("caller %d never reached the transport; in-flight slots not granted", i)
-		}
-	}
-	// All slots taken: the fourth caller can only queue.
-	launch(3)
-	close(tr.gate)
-	wg.Wait()
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if want := decideFor(engine.Call{SID: i, Args: engine.Args{uint64(i)}}); results[i] != want {
-			t.Fatalf("caller %d: got %+v, want %+v", i, results[i], want)
-		}
-	}
-	if got := tr.calls.Load(); got != callers {
-		t.Fatalf("transport served %d calls, want %d", got, callers)
-	}
-}

@@ -2,11 +2,9 @@
 # CI gate: build everything, vet, then run the full test suite under the
 # race detector (includes the 32-goroutine hot-swap hammer test in
 # internal/concurrent, the 16-goroutine decision-plane hammer hot-swapping
-# the lock-free fast path's compiled records, the SLB epoch
-# flash-invalidation test in internal/engine — a writer hot-swapping
-# profiles under 16 readers checking through SLB-wrapped engines — and
-# TestWireHotSwapHammer in internal/server: 32 goroutines on one wire
-# connection pool while profiles hot-swap across engine rebuilds).
+# the lock-free fast path's compiled records, and TestWireHotSwapHammer in
+# internal/server: 32 goroutines on one wire connection pool while
+# profiles hot-swap across engine rebuilds).
 # Mirrors `make check`.
 set -eux
 
@@ -24,21 +22,20 @@ go test -race -timeout 60m ./...
 # The zero-allocation guards skip themselves under -race (the detector
 # perturbs alloc accounting), so run them - plus the differential suites
 # they share packages with - without it. These pin the Engine contract
-# (0 allocs/op on the draco-sw, draco-concurrent, and +slb hot paths,
-# including the SLB hit path, the grouped CheckBatch, and the decision
-# plane's constant-allow/constant-deny fast hits; decision-stream
-# identity across filter-only, draco-sw, draco-concurrent, and the +slb
-# wrappers, plus plane-vs-locked outcome and stats identity over 100k
-# events x 15 workloads x 3 profiles) and the filter-tier contract (0
-# allocs/op on the compiled-exec
-# and bitmap fast paths; interp-vs-compiled Decision+Stats identity and
+# (0 allocs/op on the draco-sw and draco-concurrent hot paths, including
+# the grouped CheckBatch and the decision plane's constant-allow/
+# constant-deny fast hits; decision-stream identity across filter-only,
+# draco-sw and draco-concurrent, plus plane-vs-locked outcome and stats
+# identity over 100k events x 15 workloads x 3 profiles) and the
+# filter-tier contract (0 allocs/op on the compiled-exec and bitmap fast
+# paths; interp-vs-compiled Decision+Stats identity and
 # bitmap action identity across every registered engine and workload;
 # bitmap soundness against the interpreter on all 512 syscall numbers),
 # and the fold-vs-hook differential: every registry engine's Stats() -
 # classes, cache hits, denials, cycles - against a Counters observer over
 # 100k events with a mid-trace swap, which is what lets dracod render
 # /metrics from Stats alone.
-go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/slb/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
 # Its concurrent half, explicitly under -race: two checkers against a
 # Stats()/SetProfile loop on every engine; seal, fold and redo must neither
 # lose nor double a class count.
@@ -68,9 +65,8 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # claimed-unpublished slot states (use `go test -fuzz FuzzParseSlot
 # ./internal/shm` to explore beyond it); the 0-allocs/op pins cover ring
 # enqueue/dequeue, the client-side Batcher fold and full Shm.Check and
-# 64-call Shm.CheckBatch round trips; the Batcher tests include the MaxInflight
-# concurrent-flusher contract; the shm
-# differential proves decisions through the rings — batch frames, single
+# 64-call Shm.CheckBatch round trips; the shm differential proves
+# decisions through the rings — batch frames, single
 # checks, and Batcher-folded singles — are identical to calling the
 # engine directly on 100k-event traces of all 15 workloads; and the race
 # hammers cover the raw SPSC producer/consumer pair, 16 producers
@@ -119,7 +115,7 @@ go test -race -count=1 -run 'TestSPTAccessedConcurrentMark' ./internal/core/
 
 # The programmable race hammer, run explicitly under -race: 16 goroutines
 # hammer per-tenant map state (mixed single checks and batches) through the
-# SLB-wrapped sharded engine while profiles hot-swap mid-stream, then a
+# sharded engine while profiles hot-swap mid-stream, then a
 # final swap asserts the fresh-epoch contract; plus the cross-engine
 # stateful decision differential and the end-to-end dracod policy tests.
 go test -race -count=1 -run 'TestProgrammable' ./internal/engine/ ./internal/server/
