@@ -55,18 +55,19 @@ test-wire:
 	$(GO) test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 
 # test-shm runs the shared-memory transport's guards explicitly: the slot
-# parser fuzz seed corpus (adversarial seq/len/lap encodings plus v2
-# header layouts and MPSC claimed-unpublished states; `go test -fuzz
-# FuzzParseSlot ./internal/shm` explores further), the ring,
+# parser fuzz seed corpus (adversarial seq/len/lap encodings, region
+# headers including the retired encodings, and MPSC claimed-unpublished
+# states; `go test -fuzz FuzzParseSlot ./internal/shm` explores
+# further), the ring,
 # Batcher-fold and full Shm.Check and 64-call Shm.CheckBatch round-trip
 # 0-allocs/op pins (in-process server included), the
 # Batcher fold tests, the shm-vs-in-process
 # differential suite (100k-event traces, all 15 workloads, batch frames +
 # single checks + the client-side Batcher fold), and the race hammers:
 # the SPSC producer/consumer pair, the 16-producer MPSC claim hammer, the
-# futex/eventfd/socket doorbell park-wake stress (spurious wakes
-# included), the 16-goroutine check storm over one ring pair with
-# mid-stream profile hot-swaps and doorbell negotiation, and the client's
+# futex/socket doorbell park-wake stress (spurious wakes included), the
+# 16-goroutine check storm over one ring pair with mid-stream profile
+# hot-swaps, doorbell negotiation, Close racing a handshake, and the client's
 # caller-side reaping tests (context, Close and cancel-then-Close under a
 # parked leader, follower promotion, the cancelled-call storm, the
 # 16-goroutine reap-role hammer), all under -race.
@@ -79,7 +80,7 @@ test-shm:
 	$(GO) test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 	$(GO) test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
-	$(GO) test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmCloseRacesHandshake|TestStalledPeerDoesNotDelayOthers' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/server/client/
 
 # test-bpf runs the BPF differential fuzz seed corpus as unit tests:
@@ -175,14 +176,11 @@ loadgen:
 	$(GO) run ./cmd/dracobench -loadgen
 
 # loadgen-shm: the shm-focused quick loop — two workloads at reduced
-# depth over the full doorbell matrix (futex/eventfd via auto, plus the
-# socket baseline; modes the platform lacks are reported as skipped, not
-# failed), for iterating on the ring/doorbell/Batcher hot path without
-# the full sweep. loadgen itself already includes the shm edges at full
-# depth whenever the platform supports mmap; the committed acceptance
-# numbers come from the full run.
+# depth, for iterating on the ring/doorbell/Batcher hot path without the
+# full sweep. loadgen itself already includes the shm edges at full depth
+# whenever the platform supports mmap.
 loadgen-shm:
-	$(GO) run ./cmd/dracobench -loadgen -workloads httpd,redis -events 20000 -shm-doorbells auto,socket,futex,eventfd
+	$(GO) run ./cmd/dracobench -loadgen -workloads httpd,redis -events 20000
 
 # misssweep: filter-execution (miss-path) sweep — every workload's
 # cold-start trace through a bare filter under the interp, compiled, and

@@ -41,7 +41,7 @@ func smokeDepth(cc commonConfig, conc, conns int) (commonConfig, int, int) {
 }
 
 // runBenchAll runs the five modes and writes the combined run document.
-func runBenchAll(cc commonConfig, smoke bool, jsonOut string, conc, conns int, doorbells string) error {
+func runBenchAll(cc commonConfig, smoke bool, jsonOut string, conc, conns int) error {
 	depth := "full"
 	if smoke {
 		depth = "smoke"
@@ -63,7 +63,7 @@ func runBenchAll(cc commonConfig, smoke bool, jsonOut string, conc, conns int, d
 		{"misssweep", func() (bench.ModeResult, error) { return missSweepMode(cc) }},
 		{"progsweep", func() (bench.ModeResult, error) { return progSweepMode(cc) }},
 		{"fastpath", func() (bench.ModeResult, error) { return fastpathMode(cc, 8, "syscall") }},
-		{"loadgen", func() (bench.ModeResult, error) { return loadgenMode(cc, conc, conns, doorbells) }},
+		{"loadgen", func() (bench.ModeResult, error) { return loadgenMode(cc, conc, conns) }},
 	}
 	for i, step := range steps {
 		fmt.Printf("\n=== [%d/%d] %s (%s depth) ===\n", i+1, len(steps), step.name, depth)

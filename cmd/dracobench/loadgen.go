@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -51,42 +50,8 @@ type loadgenEdge struct {
 	tc   client.Transport
 }
 
-// shmEdgeName maps a doorbell mode to its bench edge name. "auto" is the
-// plain "shm" edge (whatever the platform negotiates — the headline
-// number); forced modes get explicit suffixes.
-func shmEdgeName(mode string) string {
-	switch mode {
-	case "", "auto":
-		return "shm"
-	case "socket":
-		return "shm_sock"
-	case "futex":
-		return "shm_futex"
-	case "eventfd":
-		return "shm_evfd"
-	default:
-		return "shm_" + mode
-	}
-}
-
-// shmModeSupported reports whether a forced doorbell mode can actually be
-// negotiated on this platform (matrix entries skip, not fail).
-func shmModeSupported(mode string) bool {
-	switch mode {
-	case "futex":
-		return shm.PlatformCaps().Has(shm.CapDoorbellFutex)
-	case "eventfd":
-		return shm.PlatformCaps().Has(shm.CapDoorbellEventfd)
-	default:
-		return true
-	}
-}
-
 // loadgenMode drives the comparison and returns the common-schema result.
-// doorbells is the comma-separated shm doorbell matrix ("auto,socket" by
-// default: the negotiated fast path plus the portable baseline to measure
-// it against); modes the platform lacks are skipped with a note.
-func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) (bench.ModeResult, error) {
+func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult, error) {
 	events := cc.eventsOr(20_000)
 	if concurrency <= 0 {
 		concurrency = 32
@@ -142,11 +107,9 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 	}
 
 	// Shm front end: skip (not fail) where mmap is unavailable, so the
-	// mode still runs on exotic platforms. The doorbell matrix opens one
-	// connection per requested mode; modes the platform cannot negotiate
-	// are skipped, also without failing.
+	// mode still runs on exotic platforms.
 	shmState := "on"
-	shmConns := make(map[string]*client.Shm) // edge name -> connection
+	var shmc *client.Shm
 	if shm.Supported() {
 		dir, err := os.MkdirTemp("", "dracobench-shm-*")
 		if err != nil {
@@ -159,41 +122,17 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 		}
 		go ss.Serve()
 		defer ss.Close()
-		var skipped []string
-		for _, mode := range strings.Split(doorbells, ",") {
-			mode = strings.TrimSpace(mode)
-			if mode == "" {
-				continue
-			}
-			name := shmEdgeName(mode)
-			if _, dup := shmConns[name]; dup {
-				continue
-			}
-			if !shmModeSupported(mode) {
-				skipped = append(skipped, mode)
-				continue
-			}
-			sc, err := client.DialShm(dir, client.ShmOptions{Doorbell: mode})
-			if err != nil {
-				return bench.ModeResult{}, fmt.Errorf("loadgen: shm doorbell %q: %w", mode, err)
-			}
-			defer sc.Close()
-			shmConns[name] = sc
-			edges = append(edges, loadgenEdge{name, sc})
-			if name == "shm" {
-				// The fold edge layers client-side aggregation on the
-				// negotiated connection: one flusher per tenant drains
-				// whatever queued behind it into one batch frame.
-				edges = append(edges,
-					loadgenEdge{"shm_fold", client.NewBatcher(sc, client.BatcherOptions{})})
-			}
+		shmc, err = client.DialShm(dir, client.ShmOptions{})
+		if err != nil {
+			return bench.ModeResult{}, fmt.Errorf("loadgen: shm: %w", err)
 		}
-		if auto, ok := shmConns["shm"]; ok {
-			shmState = "on (doorbell " + auto.RingStats().Doorbell.String() + ")"
-		}
-		if len(skipped) > 0 {
-			shmState += ", skipped modes: " + strings.Join(skipped, ",")
-		}
+		defer shmc.Close()
+		// The fold edge layers client-side aggregation on the same
+		// connection: one flusher per tenant drains whatever queued behind
+		// it into one batch frame.
+		edges = append(edges, loadgenEdge{"shm", shmc},
+			loadgenEdge{"shm_fold", client.NewBatcher(shmc, client.BatcherOptions{})})
+		shmState = "on (doorbell " + shmc.RingStats().Doorbell.String() + ")"
 	} else {
 		shmState = "skipped (unsupported platform)"
 	}
@@ -223,9 +162,9 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 	fmt.Printf("%s %9s %9s\n", header, "wire/http", "shm/wire")
 
 	type series struct{ ops, p50, p95, p99 []float64 }
-	var logWireHTTP, logShmWire, logShmSock float64
-	shmWorkloads, sockWorkloads := 0, 0
-	prevStats := make(map[string]client.RingStats)
+	var logWireHTTP, logShmWire float64
+	shmWorkloads := 0
+	var prevStats client.RingStats
 	for _, w := range cc.workloads {
 		tr := w.Generate(events, cc.seed)
 		p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
@@ -303,29 +242,15 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 			mode.Metrics = append(mode.Metrics,
 				bench.Info(w.Name, "shm_vs_wire_speedup", "x", ratioSeries(sers[2], sers[1])))
 		}
-		// The doorbell dividend: the negotiated fast path against the
-		// portable socket doorbell on identical traffic.
-		if sock, ok := medians["shm_sock"]; ok && sock > 0 && medians["shm"] > 0 {
-			r := medians["shm"] / sock
-			logShmSock += math.Log(r)
-			sockWorkloads++
+		// Transport internals of the shm connection: doorbell parks/wakes
+		// this workload cost and the adaptive spin budget it converged to.
+		if shmc != nil {
+			st := shmc.RingStats()
 			mode.Metrics = append(mode.Metrics,
-				bench.Info(w.Name, "shm_vs_shm_sock_speedup", "x", []float64{r}))
-		}
-		// Transport internals per shm edge: doorbell parks/wakes this
-		// workload cost and the adaptive spin budget it converged to.
-		for _, e := range edges {
-			sc, ok := shmConns[e.name]
-			if !ok {
-				continue
-			}
-			st := sc.RingStats()
-			prev := prevStats[e.name]
-			mode.Metrics = append(mode.Metrics,
-				bench.Info(w.Name, e.name+"/reap_parks", "parks", []float64{float64(st.Parks - prev.Parks)}),
-				bench.Info(w.Name, e.name+"/reap_wakes", "wakes", []float64{float64(st.Wakes - prev.Wakes)}),
-				bench.Info(w.Name, e.name+"/spin_budget", "polls", []float64{float64(st.SpinBudget)}))
-			prevStats[e.name] = st
+				bench.Info(w.Name, "shm/reap_parks", "parks", []float64{float64(st.Parks - prevStats.Parks)}),
+				bench.Info(w.Name, "shm/reap_wakes", "wakes", []float64{float64(st.Wakes - prevStats.Wakes)}),
+				bench.Info(w.Name, "shm/spin_budget", "polls", []float64{float64(st.SpinBudget)}))
+			prevStats = st
 		}
 		fmt.Printf("%s %8.1fx %8.1fx\n", row, wireHTTP, shmWire)
 	}
@@ -334,10 +259,6 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int, doorbells string) 
 	if shmWorkloads > 0 {
 		notes += fmt.Sprintf("; geomean shm/wire single-check speedup: %.1fx",
 			math.Exp(logShmWire/float64(shmWorkloads)))
-	}
-	if sockWorkloads > 0 {
-		notes += fmt.Sprintf("; geomean shm/shm_sock (doorbell dividend): %.2fx",
-			math.Exp(logShmSock/float64(sockWorkloads)))
 	}
 	mode.Notes = notes
 	fmt.Printf("%s\n", mode.Notes)

@@ -138,7 +138,6 @@ func main() {
 		loadgen   = flag.Bool("loadgen", false, "service-edge load generator: single-check traffic over HTTP JSON vs the binary wire protocol")
 		conc      = flag.Int("concurrency", 32, "client worker goroutines for -loadgen")
 		conns     = flag.Int("conns", 4, "wire connection-pool size for -loadgen")
-		doorbells = flag.String("shm-doorbells", "auto,socket", "comma-separated shm doorbell matrix for -loadgen (auto, socket, futex, eventfd); unsupported modes skip")
 
 		// Harness verbs.
 		benchAll = flag.Bool("bench-all", false, "run every benchmark mode and write one trajectory file (default BENCH_<date>.json)")
@@ -221,12 +220,12 @@ func main() {
 
 	switch {
 	case *benchAll:
-		if err := runBenchAll(newCommon(nil), *smoke, *jsonOut, *conc, *conns, *doorbells); err != nil {
+		if err := runBenchAll(newCommon(nil), *smoke, *jsonOut, *conc, *conns); err != nil {
 			fail(err)
 		}
 		return
 	case *loadgen:
-		writeRun(loadgenMode(newCommon(nil), *conc, *conns, *doorbells))
+		writeRun(loadgenMode(newCommon(nil), *conc, *conns))
 		return
 	case *misssweep:
 		writeRun(missSweepMode(newCommon(nil)))

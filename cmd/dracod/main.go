@@ -44,7 +44,6 @@ import (
 	"draco/internal/seccomp"
 	"draco/internal/server"
 	"draco/internal/server/client"
-	"draco/internal/shm"
 	"draco/internal/stats"
 	"draco/internal/syscalls"
 	"draco/internal/trace"
@@ -127,8 +126,6 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8477", "HTTP listen address")
 	wireAddr := fs.String("wire", ":8478", "wire-protocol listen address (empty = disabled)")
 	shmDir := fs.String("shm", "", "serve the shared-memory transport from this directory (empty = disabled)")
-	shmDoorbell := fs.String("shm-doorbell", "auto", "doorbell mechanisms offered to shm clients: auto, socket, futex, or eventfd")
-	shmHuge := fs.Bool("shm-hugepages", false, "back shm regions with huge pages for opted-in clients (best effort)")
 	shards := fs.Int("shards", concurrent.DefaultShards, "VAT shards per tenant (power of two)")
 	routing := fs.String("routing", "syscall", "shard routing key: syscall (exact sequential semantics) or args (spread hot syscalls)")
 	engName := fs.String("engine", server.DefaultEngine, "default check engine for new tenants: "+strings.Join(engine.Names(), ", "))
@@ -200,11 +197,7 @@ func runServe(args []string) error {
 		extra += ", wire on " + ln.Addr().String()
 	}
 	if *shmDir != "" {
-		bells, err := shm.ParseDoorbell(*shmDoorbell)
-		if err != nil {
-			return fmt.Errorf("-shm-doorbell: %v", err)
-		}
-		ss, err := hub.NewShmServerOpts(*shmDir, server.ShmServerOptions{Doorbells: bells, HugePages: *shmHuge})
+		ss, err := hub.NewShmServer(*shmDir)
 		if err != nil {
 			return fmt.Errorf("shm: %v", err)
 		}
@@ -290,7 +283,6 @@ func runReplay(args []string) error {
 	srvURL, timeout := ctlFlags(fs)
 	wireAddr := fs.String("wire", "", "replay over the binary wire protocol at this host:port instead of the HTTP JSON API")
 	shmDir := fs.String("shm", "", "replay over the shared-memory transport in this directory")
-	shmDoorbell := fs.String("shm-doorbell", "auto", "doorbell mechanism to advertise over shm: auto, socket, futex, or eventfd")
 	conns := fs.Int("conns", 2, "wire connection-pool size (with -wire)")
 	tenant := fs.String("tenant", "default", "tenant id")
 	traceFile := fs.String("trace", "", "trace file in the toolkit's text format (required)")
@@ -324,7 +316,7 @@ func runReplay(args []string) error {
 		return fmt.Errorf("replay: -wire and -shm are mutually exclusive")
 	case *shmDir != "":
 		path = "shm"
-		sc, err := client.DialShm(*shmDir, client.ShmOptions{Doorbell: *shmDoorbell})
+		sc, err := client.DialShm(*shmDir, client.ShmOptions{})
 		if err != nil {
 			return err
 		}

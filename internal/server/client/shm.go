@@ -6,9 +6,9 @@ package client
 // wire payload codecs as the TCP client, but straight into submission-ring
 // slot memory: a steady-state check is two ring operations and no kernel
 // crossing on either side. The control plane (profile swaps, stats) stays
-// on the socket; the doorbell is whatever the v2 handshake negotiated —
-// a shared futex word, an eventfd pair received over SCM_RIGHTS, or the
-// portable control-socket wake frame.
+// on the socket; the doorbell is whatever the handshake picked for the
+// platform — a shared futex word on Linux, the control-socket wake frame
+// elsewhere.
 //
 // Concurrency: the submission ring is multi-producer (CAS slot claiming),
 // so calling goroutines and Batcher flushers publish concurrently under a
@@ -46,14 +46,6 @@ type ShmOptions struct {
 	SlotSize      int
 	SubmitSlots   int
 	CompleteSlots int
-	// Doorbell restricts what wake mechanisms this client advertises:
-	// "auto" (default — everything the platform supports), "socket",
-	// "futex", or "eventfd". The server picks the best mechanism both
-	// sides support; the region header records the choice.
-	Doorbell string
-	// HugePages advertises that this client can map huge-page-backed
-	// regions (the server decides; best effort on both sides).
-	HugePages bool
 }
 
 // RingStats is a snapshot of one connection's transport internals, for
@@ -61,8 +53,6 @@ type ShmOptions struct {
 type RingStats struct {
 	// Doorbell is the negotiated wake mechanism.
 	Doorbell shm.DoorbellKind
-	// HugePages reports whether the region asked for huge pages.
-	HugePages bool
 	// Parks / Wakes count doorbell parks and wakeups on the completion
 	// ring, by whichever caller held the reap role at the time.
 	Parks, Wakes uint64
@@ -91,7 +81,6 @@ type Shm struct {
 	subDoor  *shm.Doorbell // client rings it (server's submission consumer)
 	compDoor *shm.Doorbell // client sleeps on it (completion consumer)
 	spin     *shm.SpinController
-	efds     []int // eventfd doorbell fds received over SCM_RIGHTS
 
 	// reapMu is the reap role: its holder is the completion ring's single
 	// consumer. Callers only ever TryLock it (see awaitRing); teardown
@@ -118,16 +107,6 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 	if !shm.Supported() {
 		return nil, shm.ErrUnsupported
 	}
-	caps, err := shm.ParseDoorbell(opts.Doorbell)
-	if err != nil {
-		return nil, err
-	}
-	// Doorbell capability only; huge pages are advertised solely on explicit
-	// opt-in ("auto" must not silently change the mapping geometry).
-	caps &^= shm.CapHugePages
-	if opts.HugePages && shm.PlatformCaps().Has(shm.CapHugePages) {
-		caps |= shm.CapHugePages
-	}
 	timeout := opts.DialTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -145,71 +124,45 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 		stop:    make(chan struct{}),
 	}
 	// Handshake runs synchronously before the read loops start: one
-	// TypeRingReq out, one TypeRingResp (or error) back — read raw so any
-	// SCM_RIGHTS eventfds riding on the response are captured (a buffered
-	// wire.Reader would discard the ancillary data).
+	// TypeRingReq out, one TypeRingResp (or error) back, read through the
+	// reader the socket loop then keeps.
 	var req [16]byte
 	binary.LittleEndian.PutUint32(req[0:], uint32(opts.SlotSize))
 	binary.LittleEndian.PutUint32(req[4:], uint32(opts.SubmitSlots))
 	binary.LittleEndian.PutUint32(req[8:], uint32(opts.CompleteSlots))
-	binary.LittleEndian.PutUint32(req[12:], uint32(caps))
+	binary.LittleEndian.PutUint32(req[12:], uint32(shm.PlatformCaps()))
 	id, call, _ := s.tab.register()
 	if err := s.w.Send(wire.TypeRingReq, id, req[:]); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	h, p, fds, err := readFrameWithFDs(nc)
-	closeFDs := func() {
-		for _, fd := range fds {
-			shm.CloseFD(fd)
-		}
-	}
+	r := wire.NewReader(nc)
+	h, p, err := r.Next()
 	if err != nil {
-		closeFDs()
 		nc.Close()
 		return nil, fmt.Errorf("shm: handshake: %w", err)
 	}
 	s.tab.drop(id, call)
 	if h.Type == wire.TypeError {
-		closeFDs()
 		nc.Close()
 		return nil, &ServerError{Msg: string(p)}
 	}
 	if h.Type != wire.TypeRingResp {
-		closeFDs()
 		nc.Close()
 		return nil, fmt.Errorf("shm: handshake answered %v, want %v", h.Type, wire.TypeRingResp)
 	}
 	reg, err := shm.OpenFile(string(p))
 	if err != nil {
-		closeFDs()
 		nc.Close()
 		return nil, fmt.Errorf("shm: mapping %s: %w", p, err)
 	}
 	kind := reg.Layout().Doorbell
-	var subCfg, compCfg shm.DoorbellConfig
-	if kind == shm.DoorbellEventfd {
-		if len(fds) != 2 {
-			closeFDs()
-			reg.Close()
-			nc.Close()
-			return nil, fmt.Errorf("shm: eventfd doorbell negotiated but %d fds received, want 2", len(fds))
-		}
-		subCfg.Eventfd, compCfg.Eventfd = fds[0], fds[1]
-		s.efds = fds
-	} else {
-		closeFDs()
-	}
-	subCfg.SocketRing = func() { s.sendWake() }
 	s.reg = reg
-	s.subDoor, err = shm.NewDoorbell(kind, reg.Submit, subCfg)
+	s.subDoor, err = shm.NewDoorbell(kind, reg.Submit, shm.DoorbellConfig{SocketRing: s.sendWake})
 	if err == nil {
-		s.compDoor, err = shm.NewDoorbell(kind, reg.Complete, compCfg)
+		s.compDoor, err = shm.NewDoorbell(kind, reg.Complete, shm.DoorbellConfig{})
 	}
 	if err != nil {
-		for _, fd := range s.efds {
-			shm.CloseFD(fd)
-		}
 		reg.Close()
 		nc.Close()
 		return nil, err
@@ -225,7 +178,7 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 		},
 	}
 	s.drained = reg.Complete.Empty
-	go s.readSocket(wire.NewReader(nc))
+	go s.readSocket(r)
 	return s, nil
 }
 
@@ -240,7 +193,6 @@ func (s *Shm) Close() error {
 func (s *Shm) RingStats() RingStats {
 	return RingStats{
 		Doorbell:   s.compDoor.Kind(),
-		HugePages:  s.reg.Layout().HugePages,
 		Parks:      s.spin.Parks(),
 		Wakes:      s.spin.Wakes(),
 		SpinBudget: s.spin.Budget(),
@@ -258,9 +210,9 @@ func (s *Shm) sendWake() {
 
 // fail poisons the table (completing every in-flight call with err),
 // closes the socket, and invalidates the rings, unparking whichever caller
-// is reaping so it can leave. The mapping and any doorbell fds are
-// released only once this goroutine holds the reap role and the producer
-// write-lock — unmapping under a live ring loop is a fault — so fail
+// is reaping so it can leave. The mapping is released only once this
+// goroutine holds the reap role and the producer write-lock — unmapping
+// under a live ring loop is a fault — so fail
 // returns after the current leader is out and must not be called with the
 // reap role held. Callers arriving later find closed set. Idempotent.
 func (s *Shm) fail(err error) {
@@ -277,9 +229,6 @@ func (s *Shm) fail(err error) {
 		s.reg.Close()
 		s.submitMu.Unlock()
 		s.reapMu.Unlock()
-		for _, fd := range s.efds {
-			shm.CloseFD(fd)
-		}
 	})
 }
 
@@ -515,40 +464,4 @@ func (s *Shm) Stats(ctx context.Context, tenant string) (server.StatsResponse, e
 	}
 	err = json.Unmarshal(call.raw, &out)
 	return out, err
-}
-
-// readFrameWithFDs reads exactly one wire frame from nc, collecting any
-// SCM_RIGHTS file descriptors that arrive with it. Used only for the
-// handshake response, before the buffered reader takes over the socket.
-func readFrameWithFDs(nc net.Conn) (wire.Header, []byte, []int, error) {
-	var fds []int
-	buf := make([]byte, 0, wire.HeaderSize+256)
-	readMore := func(need int) error {
-		for len(buf) < need {
-			chunk := make([]byte, need-len(buf))
-			n, got, err := recvChunkWithFDs(nc, chunk)
-			fds = append(fds, got...)
-			if n > 0 {
-				buf = append(buf, chunk[:n]...)
-			}
-			if err != nil {
-				return err
-			}
-			if n == 0 && len(got) == 0 {
-				return errors.New("short read")
-			}
-		}
-		return nil
-	}
-	if err := readMore(wire.HeaderSize); err != nil {
-		return wire.Header{}, nil, fds, err
-	}
-	h, err := wire.ParseHeader(buf)
-	if err != nil {
-		return wire.Header{}, nil, fds, err
-	}
-	if err := readMore(wire.HeaderSize + int(h.Len)); err != nil {
-		return h, nil, fds, err
-	}
-	return h, buf[wire.HeaderSize : wire.HeaderSize+int(h.Len)], fds, nil
 }

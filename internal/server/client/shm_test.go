@@ -57,7 +57,7 @@ func dialHandDriven(t testing.TB, kind shm.DoorbellKind) (*Shm, *ringPeer) {
 	}
 	dialc := make(chan dialed, 1)
 	go func() {
-		sc, err := DialShm(dir, ShmOptions{Doorbell: kind.String()})
+		sc, err := DialShm(dir, ShmOptions{})
 		dialc <- dialed{sc, err}
 	}()
 

@@ -312,7 +312,7 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
 		modes[e.kind]++
 	}
 	m.shmMu.Unlock()
-	for _, k := range []shm.DoorbellKind{shm.DoorbellSocket, shm.DoorbellFutex, shm.DoorbellEventfd} {
+	for _, k := range []shm.DoorbellKind{shm.DoorbellSocket, shm.DoorbellFutex} {
 		if n := modes[k]; n > 0 {
 			fmt.Fprintf(w, "dracod_shm_doorbell_conns{mode=%q} %d\n", k, n)
 		}

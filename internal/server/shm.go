@@ -15,12 +15,12 @@ package server
 //   - control plane: profile swaps and stats keep using wire frames over
 //     the socket — their JSON payloads do not fit fixed-size slots, and
 //     they are off the hot path by construction;
-//   - handshake v2: the ring request carries the client's capabilities
-//     word; the server intersects it with its own, picks the best
-//     doorbell (futex > eventfd > socket), and records the choice in the
-//     region header. Eventfd doorbells ride back on the TypeRingResp
-//     frame as SCM_RIGHTS; socket doorbells are TypeWake frames on this
-//     socket; futex doorbells need no socket traffic at all;
+//   - handshake: the 16-byte ring request carries the requested geometry
+//     and the client's capabilities word; the server intersects it with
+//     its own, picks the doorbell (futex where both sides have it, the
+//     socket byte otherwise), and records the choice in the region header.
+//     Socket doorbells are TypeWake frames on this socket; futex doorbells
+//     need no socket traffic at all;
 //   - liveness: when the socket drops, both sides tear the rings down.
 //
 // Frames consumed from the submission ring feed the same session layer as
@@ -55,23 +55,12 @@ import (
 // ShmSocketName is the control-socket filename inside the shm directory.
 const ShmSocketName = "dracod.sock"
 
-// ShmServerOptions tunes the shm front end.
-type ShmServerOptions struct {
-	// Doorbells restricts the doorbell capabilities the server offers
-	// during handshake; zero means everything the platform supports.
-	Doorbells shm.Caps
-	// HugePages asks for huge-page-backed regions (best effort; clients
-	// must also advertise CapHugePages).
-	HugePages bool
-}
-
 // ShmServer serves the shared-memory transport for a Server, one region
 // (ring pair) per connection.
 type ShmServer struct {
-	hub  *SessionHub
-	dir  string
-	ln   net.Listener
-	opts ShmServerOptions
+	hub *SessionHub
+	dir string
+	ln  net.Listener
 
 	ringSeq atomic.Uint64
 
@@ -80,17 +69,11 @@ type ShmServer struct {
 	closed bool
 }
 
-// NewShmServer builds the shm front end over the hub's session layer with
-// default options (every platform doorbell offered, no huge pages).
-func (h *SessionHub) NewShmServer(dir string) (*ShmServer, error) {
-	return h.NewShmServerOpts(dir, ShmServerOptions{})
-}
-
-// NewShmServerOpts builds the shm front end over the hub's session layer,
+// NewShmServer builds the shm front end over the hub's session layer,
 // listening on dir/dracod.sock and placing region files in dir. The
 // directory is created (mode 0700) if missing; a stale socket from a dead
-// server is replaced.
-func (h *SessionHub) NewShmServerOpts(dir string, opts ShmServerOptions) (*ShmServer, error) {
+// server is replaced. Every connection is offered PlatformCaps.
+func (h *SessionHub) NewShmServer(dir string) (*ShmServer, error) {
 	if !shm.Supported() {
 		return nil, shm.ErrUnsupported
 	}
@@ -105,14 +88,10 @@ func (h *SessionHub) NewShmServerOpts(dir string, opts ShmServerOptions) (*ShmSe
 	if err != nil {
 		return nil, err
 	}
-	if opts.Doorbells == 0 {
-		opts.Doorbells = shm.PlatformCaps()
-	}
 	return &ShmServer{
 		hub:   h,
 		dir:   dir,
 		ln:    ln,
-		opts:  opts,
 		conns: make(map[*shmConn]struct{}),
 	}, nil
 }
@@ -187,8 +166,9 @@ type shmConn struct {
 	w    *wire.Writer
 	dead chan struct{} // closed once on teardown
 
-	// Ring state, written under srv.mu by the handshake (teardown may run
-	// from another goroutine while the handshake is in flight).
+	// Ring state, published under srv.mu by the handshake, and only while
+	// dead is still open (teardown may run from another goroutine while
+	// the handshake is in flight).
 	reg      *shm.Region
 	path     string
 	resp     *shmResponder
@@ -197,7 +177,6 @@ type shmConn struct {
 	spin     *shm.SpinController
 	ringID   uint64
 	kind     shm.DoorbellKind
-	efds     []int         // eventfd doorbells owned by this side's copies
 	ringDone chan struct{} // closed when consumeRing exits
 
 	closeOnce sync.Once
@@ -205,8 +184,8 @@ type shmConn struct {
 
 // teardown closes everything exactly once: the socket (stopping the read
 // loop), the rings (unblocking ring spins), and the doorbells (releasing
-// a parked consumer promptly). The mapping, the eventfds, and the region
-// file are released only after the ring consumer has exited and responder
+// a parked consumer promptly). The mapping and the region file are
+// released only after the ring consumer has exited and responder
 // publishes are excluded — unmapping under a live ring loop is a fault.
 func (c *shmConn) teardown() {
 	c.closeOnce.Do(func() {
@@ -216,7 +195,7 @@ func (c *shmConn) teardown() {
 		ss.mu.Lock()
 		delete(ss.conns, c)
 		reg, path, resp, ringDone := c.reg, c.path, c.resp, c.ringDone
-		subDoor, compDoor, spin, ringID, kind, efds := c.subDoor, c.compDoor, c.spin, c.ringID, c.kind, c.efds
+		subDoor, compDoor, spin, ringID, kind := c.subDoor, c.compDoor, c.spin, c.ringID, c.kind
 		ss.mu.Unlock()
 		m := ss.hub.s.metrics
 		if reg != nil {
@@ -229,9 +208,6 @@ func (c *shmConn) teardown() {
 				reg.Close()
 				resp.mu.Unlock()
 				os.Remove(path)
-				for _, fd := range efds {
-					shm.CloseFD(fd)
-				}
 				m.dropShmRing(ringID, spin, kind)
 			}()
 		}
@@ -269,12 +245,10 @@ func (c *shmConn) readSocket() {
 		case wire.TypeWake:
 			// Client produced into an empty submission ring while our
 			// consumer was parked: unpark it. The doorbell coalesces
-			// redundant wakes — exactly what we want.
-			c.srv.mu.Lock()
-			d := c.subDoor
-			c.srv.mu.Unlock()
-			if d != nil {
-				d.Notify()
+			// redundant wakes — exactly what we want. Only this goroutine
+			// writes subDoor, so it reads it without the lock.
+			if c.subDoor != nil {
+				c.subDoor.Notify()
 			}
 		default:
 			ctrl.handleFrame(h.Type, h.ID, p)
@@ -285,9 +259,10 @@ func (c *shmConn) readSocket() {
 	}
 }
 
-// handleRingReq establishes this connection's ring pair: negotiate the
-// doorbell, create the region file, answer with its path (plus eventfds
-// as SCM_RIGHTS when that mechanism won), start the submission consumer.
+// handleRingReq establishes this connection's ring pair: pick the
+// doorbell, create the region file, publish the ring state unless the
+// connection has died meanwhile, start the submission consumer, and answer
+// with the region's path.
 func (c *shmConn) handleRingReq(id uint64, p []byte) error {
 	if c.reg != nil {
 		return errors.New("shm: connection already has a ring pair")
@@ -297,95 +272,57 @@ func (c *shmConn) handleRingReq(id uint64, p []byte) error {
 		return err
 	}
 	ss := c.srv
-	kind := shm.PickDoorbell(clientCaps, ss.opts.Doorbells&shm.PlatformCaps())
-
-	// Eventfd doorbells exist before the region so their fds can ride on
-	// the response frame; creation failure downgrades to the socket byte
-	// rather than failing the handshake.
-	var efds []int
-	if kind == shm.DoorbellEventfd {
-		efdSub, err1 := shm.NewEventfd()
-		efdComp, err2 := shm.NewEventfd()
-		if err1 != nil || err2 != nil {
-			shm.CloseFD(efdSub)
-			shm.CloseFD(efdComp)
-			kind = shm.DoorbellSocket
-		} else {
-			efds = []int{efdSub, efdComp}
-		}
-	}
+	kind := shm.PickDoorbell(clientCaps, shm.PlatformCaps())
 	l.Doorbell = kind
-	if ss.opts.HugePages && clientCaps.Has(shm.CapHugePages) {
-		l.HugePages = true
-	}
 
 	ringID := ss.ringSeq.Add(1)
 	path := filepath.Join(ss.dir, fmt.Sprintf("ring-%d.shm", ringID))
 	reg, err := shm.CreateFile(path, l)
 	if err != nil {
-		for _, fd := range efds {
-			shm.CloseFD(fd)
-		}
 		return err
 	}
-	var subCfg, compCfg shm.DoorbellConfig
-	if kind == shm.DoorbellEventfd {
-		subCfg.Eventfd, compCfg.Eventfd = efds[0], efds[1]
-	}
-	compCfg.SocketRing = func() { c.w.Send(wire.TypeWake, 0, nil) }
-	subDoor, err := shm.NewDoorbell(kind, reg.Submit, subCfg)
+	subDoor, err := shm.NewDoorbell(kind, reg.Submit, shm.DoorbellConfig{})
+	var compDoor *shm.Doorbell
 	if err == nil {
-		c.compDoor, err = shm.NewDoorbell(kind, reg.Complete, compCfg)
+		compDoor, err = shm.NewDoorbell(kind, reg.Complete, shm.DoorbellConfig{
+			SocketRing: func() { c.w.Send(wire.TypeWake, 0, nil) },
+		})
+	}
+	if err == nil {
+		// A teardown that already ran saw no region and released nothing:
+		// publishing now would leak the mapping, the file and the gauge.
+		ss.mu.Lock()
+		select {
+		case <-c.dead:
+			err = errors.New("shm: connection closed during the handshake")
+		default:
+			c.reg, c.path, c.ringID, c.kind = reg, path, ringID, kind
+			c.subDoor, c.compDoor = subDoor, compDoor
+			c.spin = shm.NewSpinController()
+			c.resp = &shmResponder{conn: c, ring: reg.Complete}
+			c.ringDone = make(chan struct{})
+		}
+		ss.mu.Unlock()
 	}
 	if err != nil {
 		reg.Close()
 		os.Remove(path)
-		for _, fd := range efds {
-			shm.CloseFD(fd)
-		}
 		return err
 	}
-
-	ss.mu.Lock()
-	c.reg, c.path, c.ringID, c.kind, c.efds = reg, path, ringID, kind, efds
-	c.subDoor = subDoor
-	c.spin = shm.NewSpinController()
-	c.resp = &shmResponder{conn: c, ring: reg.Complete}
-	c.ringDone = make(chan struct{})
-	ss.mu.Unlock()
 	m := ss.hub.s.metrics
 	m.ShmRings.Add(1)
 	m.addShmRing(ringID, c.spin, kind)
 	go c.consumeRing()
-
-	if kind == shm.DoorbellEventfd {
-		// The fds must travel with the response itself, bypassing the
-		// frame writer — flush it first so frames stay ordered.
-		if err := c.w.Flush(); err != nil {
-			return err
-		}
-		frame := make([]byte, wire.HeaderSize+len(path))
-		wire.PutHeader(frame, wire.Header{Type: wire.TypeRingResp, ID: id, Len: uint32(len(path))})
-		copy(frame[wire.HeaderSize:], path)
-		return sendFrameWithFDs(c.nc, frame, efds)
-	}
 	return c.w.Send(wire.TypeRingResp, id, []byte(path))
 }
 
-// parseRingReq decodes the requested geometry and capabilities. Three
-// payload shapes: empty (defaults, v1), 12 bytes (three uint32 geometry
-// words, each 0 for the default — the v1 request), or 16 bytes (the v2
-// request: geometry plus the client's capabilities word). v1 clients
-// therefore negotiate exactly the PR-8 behavior: socket doorbell, no
-// huge pages.
+// parseRingReq decodes the ring request: exactly 16 bytes, three uint32
+// geometry words (slot size, submission slots, completion slots; each 0
+// for the default) and the client's capabilities word.
 func parseRingReq(p []byte) (shm.Layout, shm.Caps, error) {
 	l := shm.DefaultLayout()
-	caps := shm.CapDoorbellSocket
-	if len(p) == 0 {
-		return l, caps, nil
-	}
-	if len(p) != 12 && len(p) != 16 {
-		return l, caps, errors.New("shm: ring request payload must be 0, 12, or 16 bytes")
+	if len(p) != 16 {
+		return l, 0, errors.New("shm: ring request payload must be 16 bytes")
 	}
 	get := func(off int, def int) int {
 		if v := binary.LittleEndian.Uint32(p[off:]); v != 0 {
@@ -396,9 +333,7 @@ func parseRingReq(p []byte) (shm.Layout, shm.Caps, error) {
 	l.SlotSize = get(0, l.SlotSize)
 	l.SubmitSlots = get(4, l.SubmitSlots)
 	l.CompleteSlots = get(8, l.CompleteSlots)
-	if len(p) == 16 {
-		caps |= shm.Caps(binary.LittleEndian.Uint32(p[12:]))
-	}
+	caps := shm.CapDoorbellSocket | shm.Caps(binary.LittleEndian.Uint32(p[12:]))
 	return l, caps, l.Validate()
 }
 

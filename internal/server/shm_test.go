@@ -34,7 +34,7 @@ import (
 // platforms without mmap support.
 func newShmServer(t testing.TB, opts server.Options, copts client.ShmOptions) (*server.Server, *client.Shm) {
 	t.Helper()
-	srv, ss := newShmServerOnly(t, opts, server.ShmServerOptions{})
+	srv, ss := newShmServerOnly(t, opts)
 	sc, err := client.DialShm(ss.Dir(), copts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,14 +44,14 @@ func newShmServer(t testing.TB, opts server.Options, copts client.ShmOptions) (*
 }
 
 // newShmServerOnly starts the shm front end without dialing it, for tests
-// that speak the handshake themselves or need server-side options.
-func newShmServerOnly(t testing.TB, opts server.Options, ssopts server.ShmServerOptions) (*server.Server, *server.ShmServer) {
+// that speak the handshake themselves.
+func newShmServerOnly(t testing.TB, opts server.Options) (*server.Server, *server.ShmServer) {
 	t.Helper()
 	if !shm.Supported() {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	srv := server.New(opts)
-	ss, err := srv.NewSessionHub(server.SessionOptions{}).NewShmServerOpts(t.TempDir(), ssopts)
+	ss, err := srv.NewSessionHub(server.SessionOptions{}).NewShmServer(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,50 +60,72 @@ func newShmServerOnly(t testing.TB, opts server.Options, ssopts server.ShmServer
 	return srv, ss
 }
 
-// rawShm is a hand-driven shm connection speaking the PR-8 (v1) handshake:
-// socket doorbell, TypeWake frames, completions reaped by hand. Tests that
-// pipeline frames themselves, or deliberately stop reaping, drive the rings
-// through it.
+// rawShm is a hand-driven shm connection advertising the socket doorbell
+// only: TypeWake frames, completions reaped by hand. Tests that pipeline
+// frames themselves, deliberately stop reaping, or leave holes in the
+// submission ring drive the rings through it.
 type rawShm struct {
-	w   *wire.Writer
-	reg *shm.Region
+	nc   net.Conn
+	w    *wire.Writer
+	r    *wire.Reader
+	reg  *shm.Region
+	path string
+	// door, when set, wakes the server's consumer instead of a TypeWake
+	// frame.
+	door *shm.Doorbell
 }
 
-// dialRawShm connects to the shm front end in dir and requests a ring pair
-// of the given geometry (0 = server default) with a v1 ring request — 12
-// bytes, no capabilities word. The connection is torn down with the test;
-// goroutines still using the rings must be stopped (reg.Invalidate) first.
-func dialRawShm(t testing.TB, dir string, submitSlots, completeSlots int) *rawShm {
+// sendRingReq dials the shm front end in dir and sends a ring request
+// with payload p, returning the connection and the answering frame.
+func sendRingReq(t testing.TB, dir string, p []byte) (net.Conn, *wire.Reader, wire.Header, []byte) {
 	t.Helper()
 	nc, err := net.Dial("unix", filepath.Join(dir, server.ShmSocketName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	w := wire.NewWriter(nc)
-	var req [12]byte
-	binary.LittleEndian.PutUint32(req[4:], uint32(submitSlots))
-	binary.LittleEndian.PutUint32(req[8:], uint32(completeSlots))
-	if err := w.Send(wire.TypeRingReq, 1, req[:]); err != nil {
+	if err := wire.NewWriter(nc).Send(wire.TypeRingReq, 1, p); err != nil {
 		t.Fatal(err)
 	}
-	h, p, err := wire.NewReader(nc).Next()
+	r := wire.NewReader(nc)
+	h, resp, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nc, r, h, resp
+}
+
+// ringReq encodes the 16-byte ring request: geometry (0 = server default)
+// and the capabilities word.
+func ringReq(submitSlots, completeSlots int, caps shm.Caps) []byte {
+	var req [16]byte
+	binary.LittleEndian.PutUint32(req[4:], uint32(submitSlots))
+	binary.LittleEndian.PutUint32(req[8:], uint32(completeSlots))
+	binary.LittleEndian.PutUint32(req[12:], uint32(caps))
+	return req[:]
+}
+
+// dialRawShm connects to the shm front end in dir and requests a ring pair
+// of the given geometry (0 = server default), advertising CapDoorbellSocket
+// only. The connection is torn down with the test; goroutines still using
+// the rings must be stopped (reg.Invalidate) first.
+func dialRawShm(t testing.TB, dir string, submitSlots, completeSlots int) *rawShm {
+	t.Helper()
+	nc, r, h, p := sendRingReq(t, dir, ringReq(submitSlots, completeSlots, shm.CapDoorbellSocket))
 	if h.Type != wire.TypeRingResp {
 		t.Fatalf("handshake answered %v (%q)", h.Type, p)
 	}
-	reg, err := shm.OpenFile(string(p))
+	path := string(p)
+	reg, err := shm.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	return &rawShm{w: w, reg: reg}
+	return &rawShm{nc: nc, w: wire.NewWriter(nc), r: r, reg: reg, path: path}
 }
 
-// submit publishes one single-check frame and wakes the server's consumer
-// over the socket if it had parked. It blocks while the submission ring is
+// submit publishes one single-check frame and wakes the server's consumer:
+// through door when set, else over the socket if it had parked. It blocks while the submission ring is
 // full and fails once the ring is closed.
 func (c *rawShm) submit(id uint64, tenant string, call engine.Call) error {
 	pos, buf := c.reg.Submit.Claim()
@@ -112,6 +134,10 @@ func (c *rawShm) submit(id uint64, tenant string, call engine.Call) error {
 	}
 	if err := c.reg.Submit.Publish(pos, uint8(wire.TypeCheckReq), id, wire.AppendCheckReq(buf, tenant, call)); err != nil {
 		return err
+	}
+	if c.door != nil {
+		c.door.Ring()
+		return nil
 	}
 	if c.reg.Submit.ConsumerParked() {
 		return c.w.Send(wire.TypeWake, 0, nil)
@@ -250,12 +276,16 @@ func TestShmProfileSwapAndStats(t *testing.T) {
 	}
 }
 
-// TestShmCustomGeometryAndLimits exercises a non-default ring layout and
-// the batch size guard against the smaller slots.
+// TestShmCustomGeometryAndLimits exercises a non-default ring layout, the
+// batch size guard against the smaller slots, and the ring request's one
+// accepted size.
 func TestShmCustomGeometryAndLimits(t *testing.T) {
-	_, sc := newShmServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		client.ShmOptions{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8})
+	_, ss := newShmServerOnly(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
 	ctx := context.Background()
 
 	max := sc.MaxBatchCalls("t")
@@ -282,6 +312,14 @@ func TestShmCustomGeometryAndLimits(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		if _, err := sc.Check(ctx, "t", read, engine.Args{uint64(i)}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// Ring requests of any size but 16 bytes are answered with an error
+	// frame: 0 and 12 bytes were the retired default and geometry-only
+	// shapes.
+	for _, n := range []int{0, 12} {
+		if _, _, h, p := sendRingReq(t, ss.Dir(), make([]byte, n)); h.Type != wire.TypeError {
+			t.Fatalf("%d-byte ring request answered %v (%q), want an error frame", n, h.Type, p)
 		}
 	}
 }
@@ -330,7 +368,7 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 	const shards = 4
 	genOpts := profilegen.Options{IncludeRuntime: true}
 
-	_, ss := newShmServerOnly(t, server.Options{Shards: shards, Routing: "syscall"}, server.ShmServerOptions{})
+	_, ss := newShmServerOnly(t, server.Options{Shards: shards, Routing: "syscall"})
 	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -520,136 +558,154 @@ func TestShmHotSwapHammer(t *testing.T) {
 	}
 }
 
-// TestShmDoorbellNegotiation runs a check round trip under every doorbell
-// mode this platform supports, and proves the client sees the mechanism
-// it asked for. Modes the platform lacks skip rather than fail.
+// TestShmDoorbellNegotiation proves both doorbells carry checks: the real
+// client gets the platform's pick ("auto"), a peer advertising the socket
+// doorbell only gets it and round-trips over TypeWake frames both ways,
+// and a peer advertising the futex gets it and wakes the server through
+// the shared word.
 func TestShmDoorbellNegotiation(t *testing.T) {
-	cases := []struct {
-		mode string
-		want shm.DoorbellKind
-		need shm.Caps
-	}{
-		{"socket", shm.DoorbellSocket, 0},
-		{"futex", shm.DoorbellFutex, shm.CapDoorbellFutex},
-		{"eventfd", shm.DoorbellEventfd, shm.CapDoorbellEventfd},
-		{"auto", shm.PickDoorbell(shm.PlatformCaps(), shm.PlatformCaps()), 0},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.mode, func(t *testing.T) {
-			if tc.need != 0 && !shm.PlatformCaps().Has(tc.need) {
-				t.Skipf("platform lacks %v doorbell", tc.want)
-			}
-			_, ss := newShmServerOnly(t,
-				server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-				server.ShmServerOptions{})
-			sc, err := client.DialShm(ss.Dir(), client.ShmOptions{Doorbell: tc.mode})
-			if err != nil {
+	_, ss := newShmServerOnly(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	read := sidOf(t, "read")
+
+	t.Run("auto", func(t *testing.T) {
+		sc, err := client.DialShm(ss.Dir(), client.ShmOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		if got, want := sc.RingStats().Doorbell, shm.PickDoorbell(shm.PlatformCaps(), shm.PlatformCaps()); got != want {
+			t.Fatalf("negotiated %v, want %v", got, want)
+		}
+		ctx := context.Background()
+		for i := 0; i < 300; i++ {
+			if _, err := sc.Check(ctx, "t", read, engine.Args{uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
-			defer sc.Close()
-			if got := sc.RingStats().Doorbell; got != tc.want {
-				t.Fatalf("negotiated %v, want %v", got, tc.want)
+			if i%50 == 49 {
+				// Let both sides park so the real doorbell (not just the
+				// spin path) carries some of the wakeups.
+				time.Sleep(2 * time.Millisecond)
 			}
-			ctx := context.Background()
-			read := sidOf(t, "read")
-			for i := 0; i < 300; i++ {
-				if _, err := sc.Check(ctx, "t", read, engine.Args{uint64(i)}); err != nil {
-					t.Fatal(err)
-				}
-				if i%50 == 49 {
-					// Let both sides park so the real doorbell (not just the
-					// spin path) carries some of the wakeups.
-					time.Sleep(2 * time.Millisecond)
-				}
+		}
+	})
+
+	t.Run("socket", func(t *testing.T) {
+		raw := dialRawShm(t, ss.Dir(), 0, 0)
+		if got := raw.reg.Layout().Doorbell; got != shm.DoorbellSocket {
+			t.Fatalf("socket-only peer negotiated %v", got)
+		}
+		for i := uint64(1); i <= 3; i++ {
+			// The server's consumer parks first, so the submit below has
+			// to wake it with a TypeWake frame.
+			waitParked(t, raw.reg.Submit)
+			// Park this side's completion consumer: the answer must come
+			// with a TypeWake frame on the socket.
+			raw.reg.Complete.SetParked(true)
+			if err := raw.submit(i, "t", engine.Call{SID: read, Args: engine.Args{3}}); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
-}
+			raw.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if h, p, err := raw.r.Next(); err != nil || h.Type != wire.TypeWake {
+				t.Fatalf("completion wake: %v frame (%q), err %v", h.Type, p, err)
+			}
+			raw.reg.Complete.SetParked(false)
+			raw.reap(t, func(f *shm.Frame) {
+				if f.ID != i || wire.Type(f.Type) != wire.TypeCheckResp {
+					t.Fatalf("completion %v id=%d, want check response id=%d", wire.Type(f.Type), f.ID, i)
+				}
+			})
+		}
+	})
 
-// TestShmHandshakeV1Downgrade speaks the PR-8 handshake — a 12-byte ring
-// request with no capabilities word — against the v2 server and proves
-// the negotiated region is the v1 layout: socket doorbell, no huge pages,
-// and a working check round trip driven entirely by the old protocol
-// (TypeWake frames both ways, fixed-spin polling).
-func TestShmHandshakeV1Downgrade(t *testing.T) {
-	if !shm.Supported() {
-		t.Skip("shm transport unsupported on this platform")
-	}
-	_, ss := newShmServerOnly(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.ShmServerOptions{})
-	raw := dialRawShm(t, ss.Dir(), 0, 0)
-	if l := raw.reg.Layout(); l.Doorbell != shm.DoorbellSocket || l.HugePages {
-		t.Fatalf("v1 client negotiated %+v, want socket doorbell and no huge pages", l)
-	}
-
-	// One check, v1 style: publish, wake the server over the socket if it
-	// parked, poll the completion ring.
-	if err := raw.submit(7, "t", engine.Call{SID: sidOf(t, "read"), Args: engine.Args{3}}); err != nil {
-		t.Fatal(err)
-	}
-	raw.reap(t, func(f *shm.Frame) {
-		if f.ID != 7 || wire.Type(f.Type) != wire.TypeCheckResp {
-			t.Fatalf("completion %v id=%d", wire.Type(f.Type), f.ID)
+	t.Run("futex", func(t *testing.T) {
+		if !shm.PlatformCaps().Has(shm.CapDoorbellFutex) {
+			t.Skip("platform lacks the futex doorbell")
+		}
+		_, _, h, p := sendRingReq(t, ss.Dir(), ringReq(0, 0, shm.CapDoorbellSocket|shm.CapDoorbellFutex))
+		if h.Type != wire.TypeRingResp {
+			t.Fatalf("handshake answered %v (%q)", h.Type, p)
+		}
+		reg, err := shm.OpenFile(string(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { reg.Close() })
+		if got := reg.Layout().Doorbell; got != shm.DoorbellFutex {
+			t.Fatalf("futex-capable peer negotiated %v", got)
+		}
+		door, err := shm.NewDoorbell(shm.DoorbellFutex, reg.Submit, shm.DoorbellConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := &rawShm{reg: reg, door: door}
+		for i := uint64(1); i <= 3; i++ {
+			// The parked server consumer is woken through the shared word
+			// alone: no frame goes over the socket.
+			waitParked(t, reg.Submit)
+			if err := raw.submit(i, "t", engine.Call{SID: read, Args: engine.Args{3}}); err != nil {
+				t.Fatal(err)
+			}
+			raw.reap(t, func(f *shm.Frame) {
+				if f.ID != i || wire.Type(f.Type) != wire.TypeCheckResp {
+					t.Fatalf("completion %v id=%d, want check response id=%d", wire.Type(f.Type), f.ID, i)
+				}
+			})
 		}
 	})
 }
 
-// TestShmServerDoorbellRestriction proves the server side of the
-// negotiation: a server restricted to the socket doorbell downgrades a
-// futex-capable client.
-func TestShmServerDoorbellRestriction(t *testing.T) {
-	if !shm.Supported() {
-		t.Skip("shm transport unsupported on this platform")
-	}
-	_, ss := newShmServerOnly(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.ShmServerOptions{Doorbells: shm.CapDoorbellSocket})
-	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{Doorbell: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if got := sc.RingStats().Doorbell; got != shm.DoorbellSocket {
-		t.Fatalf("restricted server negotiated %v, want socket", got)
-	}
-	if _, err := sc.Check(context.Background(), "t", sidOf(t, "read"), engine.Args{}); err != nil {
-		t.Fatal(err)
+// waitParked waits for the consumer of r to park on its doorbell.
+func waitParked(t *testing.T, r *shm.Ring) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !r.ConsumerParked() {
+		if time.Now().After(deadline) {
+			t.Fatal("consumer never parked")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestShmHugePages proves the huge-page flag negotiates end to end (both
-// sides opt in) and the transport still round-trips. The mapping itself
-// gracefully falls back when the kernel has no huge pages reserved, so
-// only the negotiated layout is asserted, not the page size.
-func TestShmHugePages(t *testing.T) {
-	if !shm.PlatformCaps().Has(shm.CapHugePages) {
-		t.Skip("platform cannot request huge pages")
+// TestShmCloseRacesHandshake closes the front end while ring requests are
+// in flight. A handshake that loses the race must release its region: no
+// region file stays on disk and no ring stays on the metrics page.
+func TestShmCloseRacesHandshake(t *testing.T) {
+	if !shm.Supported() {
+		t.Skip("shm transport unsupported on this platform")
 	}
-	_, ss := newShmServerOnly(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
-		server.ShmServerOptions{HugePages: true})
-	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{HugePages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if st := sc.RingStats(); !st.HugePages {
-		t.Fatalf("huge pages not negotiated: %+v", st)
-	}
-	if _, err := sc.Check(context.Background(), "t", sidOf(t, "read"), engine.Args{}); err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(server.Options{Shards: 2})
+	hub := srv.NewSessionHub(server.SessionOptions{})
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		dir := t.TempDir()
+		ss, err := hub.NewShmServer(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go ss.Serve()
+		nc, err := net.Dial("unix", filepath.Join(dir, server.ShmSocketName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.NewWriter(nc).Send(wire.TypeRingReq, 1, ringReq(0, 0, shm.PlatformCaps())); err != nil {
+			t.Fatal(err)
+		}
+		ss.Close()
+		nc.Close()
 
-	// A client that does not opt in must not get a huge-page region even
-	// from a huge-page server.
-	sc2, err := client.DialShm(ss.Dir(), client.ShmOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc2.Close()
-	if st := sc2.RingStats(); st.HugePages {
-		t.Fatalf("huge pages forced on a non-advertising client: %+v", st)
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			rings, _ := filepath.Glob(filepath.Join(dir, "ring-*.shm"))
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			live := strings.Contains(rec.Body.String(), "dracod_shm_spin_budget{")
+			if len(rings) == 0 && !live {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: 2s after Close, region files %v, live ring gauge %v", i, rings, live)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

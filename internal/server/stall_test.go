@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 // TestStalledPeerDoesNotDelayOthers pipelines checks on one connection that
 // never takes a response, while a second connection on the same tenant
 // issues sequential checks throughout. The healthy connection must keep
-// completing them while the peer fills up and after it has stalled.
+// completing them while the peer fills up and after it has stalled. A
+// third leg stalls the peer differently: it claims a submission slot and
+// never publishes it, so the server's consumer waits on the hole.
 func TestStalledPeerDoesNotDelayOthers(t *testing.T) {
 	const tenant = "shared"
 	opts := server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}
@@ -92,7 +95,7 @@ func TestStalledPeerDoesNotDelayOthers(t *testing.T) {
 	})
 
 	t.Run("shm", func(t *testing.T) {
-		srv, ss := newShmServerOnly(t, opts, server.ShmServerOptions{})
+		srv, ss := newShmServerOnly(t, opts)
 		// The peer fills its submission ring and never reaps: the server
 		// answers completeSlots frames, takes one more, and its consumer
 		// for this ring blocks publishing that answer.
@@ -114,5 +117,44 @@ func TestStalledPeerDoesNotDelayOthers(t *testing.T) {
 		healthy(t, sc, func(completed int) bool {
 			return srv.Metrics().ShmFrames.Load()-uint64(completed) > completeSlots
 		})
+	})
+
+	t.Run("shm-hole", func(t *testing.T) {
+		srv, ss := newShmServerOnly(t, opts)
+		// The peer claims a slot and never publishes it, then publishes the
+		// next one behind the hole: its frame can never be consumed.
+		peer := dialRawShm(t, ss.Dir(), 0, 0)
+		if pos, buf := peer.reg.Submit.Claim(); buf == nil {
+			t.Fatalf("claim at %d: ring closed", pos)
+		}
+		if err := peer.submit(1, tenant, call); err != nil {
+			t.Fatal(err)
+		}
+
+		sc, err := client.DialShm(ss.Dir(), client.ShmOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		healthy(t, sc, func(int) bool { return true })
+
+		// Closing the peer's socket must release its region although its
+		// consumer is waiting on the hole.
+		m := srv.Metrics()
+		active := m.ShmConnsActive.Load()
+		peer.nc.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			_, statErr := os.Stat(peer.path)
+			gone := os.IsNotExist(statErr)
+			if gone && m.ShmConnsActive.Load() == active-1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("2s after the peer closed: region unlinked %v, active conns %d (was %d)",
+					gone, m.ShmConnsActive.Load(), active)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	})
 }

@@ -116,8 +116,8 @@ func (cl *ConsumeLoop) RunUntil(ctx context.Context, done func() bool) error {
 		// A cancellation from here on bumps the doorbell after Prepare, so
 		// the sleep below cannot miss it (one already delivered makes
 		// AfterFunc ring at once). The ring runs on a goroutine of its own
-		// and touches the doorbell's mapped word or fd, which whoever
-		// takes the ring over next may release: a ring that has started is
+		// and touches the doorbell's mapped word, which whoever takes
+		// the ring over next may unmap: a ring that has started is
 		// waited for, so none outlives this run.
 		var disarm func() bool
 		var rung chan struct{}

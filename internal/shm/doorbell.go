@@ -1,7 +1,7 @@
 package shm
 
-// Doorbell abstraction: how a producer wakes a parked consumer. Three
-// mechanisms, negotiated at handshake via a capabilities word and
+// Doorbell abstraction: how a producer wakes a parked consumer. Two
+// mechanisms, picked by platform at handshake via a capabilities word and
 // recorded in the region header so both sides agree:
 //
 //   - DoorbellFutex (Linux): the consumer FUTEX_WAITs on a 32-bit word in
@@ -9,18 +9,10 @@ package shm
 //     process lands directly. The producer-side fast path is free: an
 //     unparked consumer costs no syscall at all, a parked one costs
 //     exactly one FUTEX_WAKE.
-//   - DoorbellEventfd (Linux): the server creates one eventfd per ring
-//     direction and passes both over the control socket (SCM_RIGHTS);
-//     wake is an 8-byte write, sleep is a poll + drain. Same
-//     producer-side economics as the futex, one fd of kernel state per
-//     direction — kept as the fallback for kernels/sandboxes where the
-//     shared-futex path is unavailable, and as the shape a io_uring-style
-//     registered-eventfd integration would use.
-//   - DoorbellSocket: the PR-8 portable stand-in — a TypeWake frame on
-//     the session's unix control socket, relayed to the consumer through
-//     a channel by the socket reader goroutine. Two kernel crossings and
-//     a goroutine hop per wake, but it works everywhere the transport
-//     compiles.
+//   - DoorbellSocket (everywhere else): a TypeWake frame on the session's
+//     unix control socket, relayed to the consumer through a channel by
+//     the socket reader goroutine. Two kernel crossings and a goroutine
+//     hop per wake, but it works everywhere the transport compiles.
 //
 // A Doorbell value is one ring direction's wakeup endpoint: the side
 // that consumes the ring Sleeps on it, the side that produces Rings it.
@@ -29,12 +21,11 @@ package shm
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
 // DoorbellKind identifies a wakeup mechanism. The numeric values are the
-// wire/header encoding — do not reorder.
+// header encoding — do not reorder.
 type DoorbellKind uint8
 
 const (
@@ -42,48 +33,26 @@ const (
 	DoorbellSocket DoorbellKind = 0
 	// DoorbellFutex is a shared futex word in the ring header (Linux).
 	DoorbellFutex DoorbellKind = 1
-	// DoorbellEventfd is a per-ring eventfd passed over the control
-	// socket (Linux).
-	DoorbellEventfd DoorbellKind = 2
 
-	numDoorbellKinds = 3
+	numDoorbellKinds = 2
 )
 
-// String names the kind as used in flags, metrics labels, and bench edge
-// names.
+// String names the kind as used in metrics labels.
 func (k DoorbellKind) String() string {
 	switch k {
 	case DoorbellSocket:
 		return "socket"
 	case DoorbellFutex:
 		return "futex"
-	case DoorbellEventfd:
-		return "eventfd"
 	default:
 		return fmt.Sprintf("doorbell(%d)", uint8(k))
 	}
 }
 
-// ParseDoorbell maps a flag string ("auto", "socket", "futex",
-// "eventfd") to the capability set it allows a client to advertise.
-func ParseDoorbell(s string) (Caps, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return PlatformCaps(), nil
-	case "socket":
-		return CapDoorbellSocket, nil
-	case "futex":
-		return CapDoorbellSocket | CapDoorbellFutex, nil
-	case "eventfd":
-		return CapDoorbellSocket | CapDoorbellEventfd, nil
-	default:
-		return 0, fmt.Errorf("shm: unknown doorbell %q (want auto, socket, futex, or eventfd)", s)
-	}
-}
-
-// Caps is the capabilities word exchanged in the v2 ring handshake: the
+// Caps is the capabilities word exchanged in the ring handshake: the
 // client advertises what it can do, the server intersects with its own
-// set and picks the best mechanism both sides support.
+// set and picks the best mechanism both sides support. Unknown bits are
+// dropped by the intersection.
 type Caps uint32
 
 const (
@@ -91,44 +60,35 @@ const (
 	CapDoorbellSocket Caps = 1 << 0
 	// CapDoorbellFutex: FUTEX_WAIT/WAKE on the shared ring-header word.
 	CapDoorbellFutex Caps = 1 << 1
-	// CapDoorbellEventfd: eventfd wakeups with SCM_RIGHTS fd passing.
+	// CapDoorbellEventfd is reserved: no build advertises it and no
+	// server picks it.
 	CapDoorbellEventfd Caps = 1 << 2
-	// CapHugePages: the peer can map huge-page-backed regions.
-	CapHugePages Caps = 1 << 3
 )
 
 // Has reports whether every bit of want is set.
 func (c Caps) Has(want Caps) bool { return c&want == want }
 
 // PlatformCaps returns the capability set this build supports: the
-// socket doorbell everywhere, futex and eventfd where the kernel
-// provides them.
+// socket doorbell everywhere, the futex where the kernel provides it.
 func PlatformCaps() Caps { return CapDoorbellSocket | platformCaps }
 
 // PickDoorbell selects the best doorbell both capability sets support:
-// futex beats eventfd (no fd passing, no per-ring kernel object) beats
-// socket.
+// futex when both have it, the socket byte otherwise.
 func PickDoorbell(client, server Caps) DoorbellKind {
-	both := client & server
-	switch {
-	case both.Has(CapDoorbellFutex):
+	if (client & server).Has(CapDoorbellFutex) {
 		return DoorbellFutex
-	case both.Has(CapDoorbellEventfd):
-		return DoorbellEventfd
-	default:
-		return DoorbellSocket
 	}
+	return DoorbellSocket
 }
 
-// doorbellWaitMax bounds every kernel-blocking sleep (futex, eventfd;
-// the in-process socket relay needs no bound). The park
-// protocol never relies on the timeout for correctness — the producer
-// always rings after publishing to a parked consumer, and teardown
-// rings via Close — so the timeout is only insurance against a peer
-// that died without ringing, turning a lost-wakeup bug into a latency
-// blip instead of a hang. Keep it long: every expiry wakes an OS
-// thread just to re-park, so short timeouts make idle connections tax
-// busy ones on small hosts.
+// doorbellWaitMax bounds the futex sleep (the in-process socket relay
+// needs no bound). The park protocol never relies on the timeout for
+// correctness — the producer always rings after publishing to a parked
+// consumer, and teardown rings via Close — so the timeout is only
+// insurance against a peer that died without ringing, turning a
+// lost-wakeup bug into a latency blip instead of a hang. Keep it long:
+// every expiry wakes an OS thread just to re-park, so short timeouts make
+// idle connections tax busy ones on small hosts.
 const doorbellWaitMax = time.Second
 
 // Doorbell is one ring direction's wakeup mechanism. The consumer of the
@@ -144,9 +104,6 @@ type Doorbell struct {
 	sockRing func() // sends the TypeWake frame to the peer
 	notify   chan struct{}
 
-	// Eventfd kind.
-	efd int
-
 	stop chan struct{}
 }
 
@@ -154,38 +111,27 @@ type Doorbell struct {
 type DoorbellConfig struct {
 	// SocketRing sends a wake frame to the peer (DoorbellSocket producers).
 	SocketRing func()
-	// Eventfd is the ring's eventfd (DoorbellEventfd, both sides).
-	Eventfd int
 }
 
 // NewDoorbell builds the doorbell for ring r using kind k. It fails when
 // the platform lacks the mechanism (use PlatformCaps to avoid that).
 func NewDoorbell(k DoorbellKind, r *Ring, cfg DoorbellConfig) (*Doorbell, error) {
-	d := &Doorbell{
-		kind:     k,
-		ring:     r,
-		sockRing: cfg.SocketRing,
-		efd:      cfg.Eventfd,
-		notify:   make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-	}
 	switch k {
 	case DoorbellSocket:
 	case DoorbellFutex:
 		if !platformCaps.Has(CapDoorbellFutex) {
 			return nil, fmt.Errorf("%w: futex doorbell", ErrUnsupported)
 		}
-	case DoorbellEventfd:
-		if !platformCaps.Has(CapDoorbellEventfd) {
-			return nil, fmt.Errorf("%w: eventfd doorbell", ErrUnsupported)
-		}
-		if cfg.Eventfd <= 0 {
-			return nil, fmt.Errorf("shm: eventfd doorbell needs a valid fd")
-		}
 	default:
 		return nil, fmt.Errorf("%w: doorbell kind %d", ErrBadVersion, k)
 	}
-	return d, nil
+	return &Doorbell{
+		kind:     k,
+		ring:     r,
+		sockRing: cfg.SocketRing,
+		notify:   make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+	}, nil
 }
 
 // Kind returns the doorbell's mechanism.
@@ -195,18 +141,18 @@ func (d *Doorbell) Kind() DoorbellKind { return d.kind }
 // ConsumerParked — the whole point of the protocol is that the unparked
 // fast path costs nothing.
 func (d *Doorbell) Ring() {
-	switch d.kind {
-	case DoorbellFutex:
-		w := d.ring.futexWord()
-		w.Add(1)
-		futexWake(w)
-	case DoorbellEventfd:
-		eventfdWake(d.efd)
-	default:
-		if d.sockRing != nil {
-			d.sockRing()
-		}
+	if d.kind == DoorbellFutex {
+		d.futexRing()
+	} else if d.sockRing != nil {
+		d.sockRing()
 	}
+}
+
+// futexRing bumps the shared word and wakes its waiters.
+func (d *Doorbell) futexRing() {
+	w := d.ring.futexWord()
+	w.Add(1)
+	futexWake(w)
 }
 
 // Prepare snapshots the doorbell state the consumer must capture before
@@ -223,32 +169,29 @@ func (d *Doorbell) Prepare() uint32 {
 // is called, or the bounded wait elapses — whichever comes first.
 // Spurious returns are fine: the caller's park loop re-checks the ring.
 func (d *Doorbell) Sleep(token uint32, stopc <-chan struct{}) {
-	switch d.kind {
-	case DoorbellFutex:
+	if d.kind == DoorbellFutex {
 		// A wake between Prepare and here bumped the word: FUTEX_WAIT
 		// returns EAGAIN immediately, closing the lost-wakeup window.
 		futexWait(d.ring.futexWord(), token, doorbellWaitMax)
-	case DoorbellEventfd:
-		eventfdSleep(d.efd, doorbellWaitMax)
-	default:
-		// No timeout here: the socket relay lives in-process, and
-		// teardown closes stop/stopc, so the wake cannot be lost the way
-		// a dead peer's futex or eventfd wake can.
-		select {
-		case <-d.notify:
-		case <-d.stop:
-		case <-stopc:
-		}
+		return
+	}
+	// No timeout here: the socket relay lives in-process, and teardown
+	// closes stop/stopc, so the wake cannot be lost the way a dead peer's
+	// futex wake can.
+	select {
+	case <-d.notify:
+	case <-d.stop:
+	case <-stopc:
 	}
 }
 
 // Notify injects a local wake: the socket reader relays a received
 // TypeWake frame here, and tests use it for spurious-wake injection. For
-// futex/eventfd kinds it is equivalent to Ring (the kernel object is the
+// the futex kind it is equivalent to Ring (the kernel object is the
 // relay).
 func (d *Doorbell) Notify() {
-	if d.kind != DoorbellSocket {
-		d.Ring()
+	if d.kind == DoorbellFutex {
+		d.futexRing()
 		return
 	}
 	select {
@@ -257,9 +200,7 @@ func (d *Doorbell) Notify() {
 	}
 }
 
-// Close releases any sleeper and marks the doorbell dead. It does not
-// close an eventfd — the session owns the fd and closes it after the
-// consumer loop has exited.
+// Close releases any sleeper and marks the doorbell dead.
 func (d *Doorbell) Close() {
 	select {
 	case <-d.stop:
@@ -267,12 +208,7 @@ func (d *Doorbell) Close() {
 	default:
 	}
 	close(d.stop)
-	switch d.kind {
-	case DoorbellFutex:
-		w := d.ring.futexWord()
-		w.Add(1)
-		futexWake(w)
-	case DoorbellEventfd:
-		eventfdWake(d.efd)
+	if d.kind == DoorbellFutex {
+		d.futexRing()
 	}
 }

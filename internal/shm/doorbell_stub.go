@@ -2,9 +2,9 @@
 
 package shm
 
-// Non-Linux builds have only the portable socket doorbell: the futex and
-// eventfd entry points exist so doorbell.go compiles everywhere, but
-// NewDoorbell refuses the kinds before any of these can run.
+// Non-Linux builds have only the portable socket doorbell: the futex
+// entry points exist so doorbell.go compiles everywhere, but NewDoorbell
+// refuses the kind before either can run.
 
 import (
 	"sync/atomic"
@@ -15,14 +15,3 @@ const platformCaps Caps = 0
 
 func futexWake(w *atomic.Uint32)                                    {}
 func futexWait(w *atomic.Uint32, val uint32, timeout time.Duration) {}
-
-func newEventfd() (int, error) { return -1, ErrUnsupported }
-
-// NewEventfd is unsupported off Linux.
-func NewEventfd() (int, error) { return -1, ErrUnsupported }
-
-// CloseFD is a no-op off Linux (no doorbell fds exist to close).
-func CloseFD(fd int) {}
-
-func eventfdWake(fd int)                         {}
-func eventfdSleep(fd int, timeout time.Duration) {}

@@ -9,35 +9,33 @@ import (
 )
 
 func TestDoorbellParseAndPick(t *testing.T) {
-	if c, err := ParseDoorbell("auto"); err != nil || c != PlatformCaps() {
-		t.Fatalf("auto -> %v, %v", c, err)
+	if runtime.GOOS == "linux" && PlatformCaps() != CapDoorbellSocket|CapDoorbellFutex {
+		t.Fatalf("linux platform caps %#x, want socket|futex", PlatformCaps())
 	}
-	if c, err := ParseDoorbell("socket"); err != nil || c != CapDoorbellSocket {
-		t.Fatalf("socket -> %v, %v", c, err)
-	}
-	if _, err := ParseDoorbell("smoke-signal"); err == nil {
-		t.Fatal("bad doorbell name parsed")
-	}
-	all := CapDoorbellSocket | CapDoorbellFutex | CapDoorbellEventfd
+	all := CapDoorbellSocket | CapDoorbellFutex
 	cases := []struct {
 		client, server Caps
 		want           DoorbellKind
 	}{
 		{all, all, DoorbellFutex},
-		{all, CapDoorbellSocket | CapDoorbellEventfd, DoorbellEventfd},
 		{CapDoorbellSocket, all, DoorbellSocket},
 		{all, CapDoorbellSocket, DoorbellSocket},
 		{0, 0, DoorbellSocket}, // socket is the unconditional floor
+		// Reserved bit 2 and unknown bits never select anything.
+		{all | 1<<2 | 1<<30, CapDoorbellSocket | 1<<2 | 1<<30, DoorbellSocket},
 	}
 	for i, c := range cases {
 		if got := PickDoorbell(c.client, c.server); got != c.want {
 			t.Fatalf("case %d: picked %v, want %v", i, got, c.want)
 		}
 	}
-	for k, want := range map[DoorbellKind]string{DoorbellSocket: "socket", DoorbellFutex: "futex", DoorbellEventfd: "eventfd"} {
+	for k, want := range map[DoorbellKind]string{DoorbellSocket: "socket", DoorbellFutex: "futex", 2: "doorbell(2)"} {
 		if k.String() != want {
 			t.Fatalf("%d stringifies as %q", k, k.String())
 		}
+	}
+	if _, err := NewDoorbell(2, nil, DoorbellConfig{}); err == nil {
+		t.Fatal("doorbell kind 2 built")
 	}
 }
 
@@ -139,16 +137,7 @@ func testDoorbellStress(t *testing.T, kind DoorbellKind) {
 	reg := newTestRegion(t, l)
 	r := reg.Submit
 
-	var cfg DoorbellConfig
-	if kind == DoorbellEventfd {
-		fd, err := newEventfd()
-		if err != nil {
-			t.Skipf("no eventfd: %v", err)
-		}
-		cfg.Eventfd = fd
-		t.Cleanup(func() { CloseFD(fd) }) // after the loop has exited
-	}
-	d, err := NewDoorbell(kind, r, cfg)
+	d, err := NewDoorbell(kind, r, DoorbellConfig{})
 	if err != nil {
 		t.Skipf("no %v doorbell on this platform: %v", kind, err)
 	}
@@ -227,13 +216,6 @@ func TestFutexDoorbellStress(t *testing.T) {
 		t.Skip("no futex on this platform")
 	}
 	testDoorbellStress(t, DoorbellFutex)
-}
-
-func TestEventfdDoorbellStress(t *testing.T) {
-	if !PlatformCaps().Has(CapDoorbellEventfd) {
-		t.Skip("no eventfd on this platform")
-	}
-	testDoorbellStress(t, DoorbellEventfd)
 }
 
 func TestSocketDoorbellStress(t *testing.T) {

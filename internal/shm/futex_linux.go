@@ -2,11 +2,9 @@
 
 package shm
 
-// Linux futex and eventfd doorbells. Both use raw syscalls: the futex
-// word lives in the shared mapping (so it must be a process-shared futex
-// — no FUTEX_PRIVATE_FLAG), and the eventfd wait uses ppoll directly so
-// the fd never enters the runtime netpoller (the fd is shared with a
-// peer process and blocks for at most doorbellWaitMax).
+// Linux futex doorbell, by raw syscall: the futex word lives in the
+// shared mapping, so it must be a process-shared futex — no
+// FUTEX_PRIVATE_FLAG.
 
 import (
 	"sync/atomic"
@@ -15,9 +13,8 @@ import (
 	"unsafe"
 )
 
-// platformCaps: this build has futex and eventfd doorbells and can ask
-// for huge-page mappings.
-const platformCaps = CapDoorbellFutex | CapDoorbellEventfd | CapHugePages
+// platformCaps: this build has the futex doorbell.
+const platformCaps = CapDoorbellFutex
 
 // Futex operations — deliberately without FUTEX_PRIVATE_FLAG: the word
 // is in a file-backed MAP_SHARED mapping and the waiter may be another
@@ -43,63 +40,4 @@ func futexWait(w *atomic.Uint32, val uint32, timeout time.Duration) {
 	ts := syscall.NsecToTimespec(timeout.Nanoseconds())
 	syscall.Syscall6(syscall.SYS_FUTEX, uintptr(unsafe.Pointer(w)),
 		sysFutexWait, uintptr(val), uintptr(unsafe.Pointer(&ts)), 0, 0)
-}
-
-// CloseFD closes a doorbell file descriptor (an eventfd created here or
-// received over SCM_RIGHTS). Exported so the transport ends can release
-// fds without importing syscall behind their own build tags.
-func CloseFD(fd int) {
-	if fd > 0 {
-		syscall.Close(fd)
-	}
-}
-
-// NewEventfd creates a nonblocking close-on-exec eventfd doorbell fd for
-// the serving side; callers pass it to the peer over SCM_RIGHTS.
-func NewEventfd() (int, error) { return newEventfd() }
-
-// newEventfd creates a nonblocking close-on-exec eventfd.
-func newEventfd() (int, error) {
-	const efdCloexec, efdNonblock = 0x80000, 0x800 // EFD_CLOEXEC, EFD_NONBLOCK
-	fd, _, errno := syscall.Syscall(syscall.SYS_EVENTFD2, 0, efdCloexec|efdNonblock, 0)
-	if errno != 0 {
-		return -1, errno
-	}
-	return int(fd), nil
-}
-
-// eventfdWake adds 1 to the eventfd counter, waking any poller. EAGAIN
-// (counter saturated) means the peer is already signalled — success.
-func eventfdWake(fd int) {
-	var one [8]byte
-	one[0] = 1
-	for {
-		_, err := syscall.Write(fd, one[:])
-		if err != syscall.EINTR {
-			return
-		}
-	}
-}
-
-// pollFd mirrors struct pollfd for the raw ppoll syscall.
-type pollFd struct {
-	fd      int32
-	events  int16
-	revents int16
-}
-
-// eventfdSleep blocks until the eventfd is readable or the timeout
-// elapses, then drains the counter so the next sleep blocks again.
-func eventfdSleep(fd int, timeout time.Duration) {
-	const pollIn = 0x1
-	pfd := pollFd{fd: int32(fd), events: pollIn}
-	ts := syscall.NsecToTimespec(timeout.Nanoseconds())
-	syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1,
-		uintptr(unsafe.Pointer(&ts)), 0, 0, 0)
-	var buf [8]byte
-	for {
-		if _, err := syscall.Read(fd, buf[:]); err != syscall.EINTR {
-			return
-		}
-	}
 }

@@ -108,24 +108,26 @@ func seedHeader(l Layout) []byte {
 }
 
 // FuzzParseLayout feeds arbitrary region headers to the opener-side
-// validator. Invariants: no panics; whatever parses cleanly must
-// validate, re-encode to an identical header through NewRegion, and obey
-// the version rule (flags ⇒ v2, no flags ⇒ v1).
+// validator. Invariants: no panics; whatever parses cleanly is version 2,
+// validates, and re-encodes through NewRegion to the identical layout.
 func FuzzParseLayout(f *testing.F) {
 	base := Layout{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8}
-	f.Add(seedHeader(base)) // v1: no flags
-	for _, k := range []DoorbellKind{DoorbellFutex, DoorbellEventfd} {
-		l := base
-		l.Doorbell = k
-		f.Add(seedHeader(l)) // v2: doorbell capability bits
-	}
-	huge := base
-	huge.HugePages = true
-	f.Add(seedHeader(huge)) // v2: huge-pages bit
-	both := base
-	both.Doorbell = DoorbellFutex
-	both.HugePages = true
-	f.Add(seedHeader(both))
+	f.Add(seedHeader(base)) // socket doorbell
+	futex := base
+	futex.Doorbell = DoorbellFutex
+	f.Add(seedHeader(futex))
+
+	// Retired encodings, which must fail closed: a version-1 header,
+	// doorbell kind 2, the old huge-pages flag bit.
+	v1 := seedHeader(base)
+	le.PutUint16(v1[hdrVersionOff:], 1)
+	f.Add(v1)
+	kind2 := seedHeader(base)
+	le.PutUint32(kind2[hdrFlagsOff:], 2)
+	f.Add(kind2)
+	hugeBit := seedHeader(futex)
+	le.PutUint32(hugeBit[hdrFlagsOff:], uint32(DoorbellFutex)|1<<2)
+	f.Add(hugeBit)
 
 	// Adversarial seeds: bad magic, future version, unknown flag bits,
 	// reserved doorbell kind, truncation.
@@ -135,10 +137,10 @@ func FuzzParseLayout(f *testing.F) {
 	futureVer := seedHeader(base)
 	le.PutUint16(futureVer[hdrVersionOff:], Version+1)
 	f.Add(futureVer)
-	unknownFlags := seedHeader(both)
-	le.PutUint32(unknownFlags[hdrFlagsOff:], hdrFlagsKnown+1<<30)
+	unknownFlags := seedHeader(futex)
+	le.PutUint32(unknownFlags[hdrFlagsOff:], uint32(DoorbellFutex)|1<<30)
 	f.Add(unknownFlags)
-	badKind := seedHeader(both)
+	badKind := seedHeader(futex)
 	le.PutUint32(badKind[hdrFlagsOff:], hdrFlagDoorbellMask) // kind 3: reserved
 	f.Add(badKind)
 	f.Add(seedHeader(base)[:regionHdrSize-5])
@@ -149,29 +151,23 @@ func FuzzParseLayout(f *testing.F) {
 		if err != nil {
 			return // any clean rejection is acceptable
 		}
+		if got := le.Uint16(hdr[hdrVersionOff:]); got != Version {
+			t.Fatalf("version %d header parsed", got)
+		}
 		if verr := l.Validate(); verr != nil {
 			t.Fatalf("parsed layout fails validation: %+v: %v", l, verr)
 		}
 		if l.FileSize() > 1<<22 {
 			return // valid but huge geometry: skip the alloc-heavy round trip
 		}
-		// Semantic round trip: re-encoding through NewRegion and re-parsing
-		// must yield the identical layout. (Byte identity is not required:
-		// a v2 header with zero flags parses fine but re-encodes as v1.)
-		re := seedHeader(l)
-		l2, err := ParseLayout(re)
+		// Round trip: re-encoding through NewRegion and re-parsing must
+		// yield the identical layout.
+		l2, err := ParseLayout(seedHeader(l))
 		if err != nil {
 			t.Fatalf("re-encoded header rejected: %v", err)
 		}
 		if l2 != l {
 			t.Fatalf("layout round trip %+v -> %+v", l, l2)
-		}
-		wantVer := Version
-		if l.flags() == 0 {
-			wantVer = VersionV1
-		}
-		if got := le.Uint16(re[hdrVersionOff:]); got != wantVer {
-			t.Fatalf("re-encoded version %d, want %d for flags %#x", got, wantVer, l.flags())
 		}
 	})
 }

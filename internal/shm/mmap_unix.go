@@ -11,24 +11,14 @@ import (
 // Supported reports whether this platform can map region files.
 func Supported() bool { return true }
 
-// mapSize is the byte length to map (and size the file to) for layout l:
-// the logical size, rounded up to the huge-page unit when the layout
-// asks for huge pages (both MAP_HUGETLB and hugetlbfs require whole-page
-// lengths; on a regular file the padding is a sparse tail).
-func mapSize(l Layout) int {
-	size := l.FileSize()
-	if l.HugePages {
-		size = (size + hugePageSize - 1) &^ (hugePageSize - 1)
-	}
-	return size
+// mapRegion maps size bytes of fd read-write and shared.
+func mapRegion(fd, size int) ([]byte, error) {
+	return syscall.Mmap(fd, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 }
 
 // CreateFile creates (truncating any stale file) and maps a region file:
 // the serving side of a session. The file is created 0600 — the ring is a
-// private channel between two cooperating processes. When l.HugePages is
-// set the mapping is huge-page-backed on a best-effort basis: MAP_HUGETLB
-// first, and when the kernel refuses (regular files almost always do), a
-// normal mapping with MADV_HUGEPAGE so THP can still coalesce it.
+// private channel between two cooperating processes.
 func CreateFile(path string, l Layout) (*Region, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -38,11 +28,10 @@ func CreateFile(path string, l Layout) (*Region, error) {
 		return nil, err
 	}
 	defer f.Close()
-	size := mapSize(l)
-	if err := f.Truncate(int64(size)); err != nil {
+	if err := f.Truncate(int64(l.FileSize())); err != nil {
 		return nil, fmt.Errorf("shm: sizing %s: %w", path, err)
 	}
-	b, err := mapRegion(int(f.Fd()), size, l.HugePages)
+	b, err := mapRegion(int(f.Fd()), l.FileSize())
 	if err != nil {
 		return nil, fmt.Errorf("shm: mapping %s: %w", path, err)
 	}
@@ -56,9 +45,7 @@ func CreateFile(path string, l Layout) (*Region, error) {
 }
 
 // OpenFile maps an existing region file created by the peer, validating
-// its header before trusting the geometry. A header that carries the
-// huge-pages flag makes the opener apply the same best-effort huge
-// mapping to its side.
+// its header before trusting the geometry.
 func OpenFile(path string) (*Region, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,13 +73,7 @@ func OpenFile(path string) (*Region, error) {
 		return nil, err
 	}
 	defer wf.Close()
-	size := mapSize(l)
-	if int64(size) > st.Size() {
-		// The creator could not pad the file (shouldn't happen — it
-		// truncates to the padded size); fall back to the logical size.
-		size = l.FileSize()
-	}
-	b, err := mapRegion(int(wf.Fd()), size, l.HugePages)
+	b, err := mapRegion(int(wf.Fd()), l.FileSize())
 	if err != nil {
 		return nil, fmt.Errorf("shm: mapping %s: %w", path, err)
 	}

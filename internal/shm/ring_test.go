@@ -54,35 +54,26 @@ func TestLayoutValidate(t *testing.T) {
 	}
 }
 
-// TestLayoutV2RoundTrip proves the header flags word round-trips every
-// doorbell kind and the huge-pages bit through NewRegion/ParseLayout,
-// and that a flags-free layout is written as a version-1 header (the
-// downgrade path for capability-less peers).
+// TestLayoutV2RoundTrip proves the header flags word round-trips both
+// doorbell kinds through NewRegion/ParseLayout, always under Version.
 func TestLayoutV2RoundTrip(t *testing.T) {
 	base := Layout{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8}
-	for _, k := range []DoorbellKind{DoorbellSocket, DoorbellFutex, DoorbellEventfd} {
-		for _, huge := range []bool{false, true} {
-			l := base
-			l.Doorbell = k
-			l.HugePages = huge
-			b := NewBuffer(l)
-			if _, err := NewRegion(b, l, true); err != nil {
-				t.Fatal(err)
-			}
-			wantVer := Version
-			if l.flags() == 0 {
-				wantVer = VersionV1
-			}
-			if got := le.Uint16(b[hdrVersionOff:]); got != wantVer {
-				t.Fatalf("%v/huge=%v: header version %d, want %d", k, huge, got, wantVer)
-			}
-			got, err := ParseLayout(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != l {
-				t.Fatalf("round trip %+v -> %+v", l, got)
-			}
+	for _, k := range []DoorbellKind{DoorbellSocket, DoorbellFutex} {
+		l := base
+		l.Doorbell = k
+		b := NewBuffer(l)
+		if _, err := NewRegion(b, l, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := le.Uint16(b[hdrVersionOff:]); got != Version {
+			t.Fatalf("%v: header version %d, want %d", k, got, Version)
+		}
+		got, err := ParseLayout(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != l {
+			t.Fatalf("round trip %+v -> %+v", l, got)
 		}
 	}
 	// Unknown flag bits must be rejected, not silently dropped.
@@ -470,47 +461,9 @@ func TestRegionFileRoundTrip(t *testing.T) {
 	cli.Complete.Release()
 }
 
-// TestRegionFileHugePages proves a huge-page layout maps on both sides
-// (with graceful fallback where the kernel refuses MAP_HUGETLB — which
-// is the expected path on regular files) and round-trips a frame.
-func TestRegionFileHugePages(t *testing.T) {
-	if !Supported() {
-		t.Skip("no mmap support on this platform")
-	}
-	path := filepath.Join(t.TempDir(), "huge.shm")
-	l := Layout{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8, HugePages: true}
-	srv, err := CreateFile(path, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if !cli.Layout().HugePages {
-		t.Fatal("huge-pages flag lost in the header")
-	}
-	mustPublish(t, cli.Submit, 1, 9, []byte("hp"))
-	var f Frame
-	for {
-		ok, err := srv.Submit.Consume(&f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-	}
-	if f.ID != 9 || string(f.Payload) != "hp" {
-		t.Fatalf("decoded %d/%q", f.ID, f.Payload)
-	}
-	srv.Submit.Release()
-}
-
 // TestOpenFileRejectsGarbage ensures header validation runs before any
-// geometry is trusted.
+// geometry is trusted, and that the retired encodings — a version-1
+// header, doorbell kind 2, the old huge-pages flag bit — fail closed.
 func TestOpenFileRejectsGarbage(t *testing.T) {
 	if !Supported() {
 		t.Skip("no mmap support on this platform")
@@ -535,6 +488,21 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenFile(short); err == nil {
 		t.Fatal("short region opened")
+	}
+	for name, patch := range map[string]func(b []byte){
+		"v1":      func(b []byte) { le.PutUint16(b[hdrVersionOff:], 1) },
+		"kind2":   func(b []byte) { le.PutUint32(b[hdrFlagsOff:], 2) },
+		"hugebit": func(b []byte) { le.PutUint32(b[hdrFlagsOff:], 1<<2) },
+	} {
+		img := append([]byte(nil), buf...)
+		patch(img)
+		path := filepath.Join(dir, name+".shm")
+		if err := os.WriteFile(path, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFile(path); err == nil {
+			t.Fatalf("%s region opened", name)
+		}
 	}
 }
 

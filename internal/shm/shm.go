@@ -40,11 +40,10 @@
 // Idle peers cost nothing: a consumer busy-polls under an adaptive budget
 // (SpinController), then sets the ring header's parked flag and blocks on
 // a doorbell the producer rings only when the flag is up. The doorbell
-// itself is negotiated at handshake (see Caps and DoorbellKind): a shared
-// futex word in the ring header on Linux — an unparked peer costs the
-// producer nothing, a parked one exactly one FUTEX_WAKE —, an eventfd
-// passed over the control socket, or the portable fallback of a byte on
-// the session's unix socket (see internal/server and
+// is picked by platform at handshake (see Caps and DoorbellKind): a
+// shared futex word in the ring header on Linux — an unparked peer costs
+// the producer nothing, a parked one exactly one FUTEX_WAKE —, elsewhere
+// a byte on the session's unix socket (see internal/server and
 // internal/server/client for the two ends).
 package shm
 
@@ -60,13 +59,9 @@ import (
 const (
 	// Magic marks byte 0 of a region file.
 	Magic uint32 = 0xD7AC0517
-	// Version is the newest region-layout version this package speaks.
-	// Version 2 adds the header flags word (doorbell kind, huge pages);
-	// a v2 region whose flags are all zero is written as version 1, so
-	// capability-less peers interoperate unchanged.
+	// Version is the one region-layout version this package writes and
+	// accepts: geometry plus a flags word naming the doorbell kind.
 	Version uint16 = 2
-	// VersionV1 is the PR-8 layout: no flags word, socket doorbell only.
-	VersionV1 uint16 = 1
 
 	// regionHdrSize is the file-global header: magic, version, geometry.
 	regionHdrSize = 64
@@ -106,16 +101,12 @@ const (
 	hdrSlotSizeOff  = 8
 	hdrSubSlotsOff  = 12
 	hdrCompSlotsOff = 16
-	hdrFlagsOff     = 20 // v2 capabilities word; reads as zero in v1 files
+	hdrFlagsOff     = 20 // flags word: the doorbell kind
 )
 
-// Header flags-word encoding: low bits carry the negotiated doorbell
-// kind, the rest are independent feature bits.
-const (
-	hdrFlagDoorbellMask uint32 = 0x3
-	hdrFlagHugePages    uint32 = 1 << 2
-	hdrFlagsKnown              = hdrFlagDoorbellMask | hdrFlagHugePages
-)
+// Header flags-word encoding: the low bits carry the negotiated doorbell
+// kind; every other bit is reserved and must be zero.
+const hdrFlagDoorbellMask uint32 = 0x3
 
 // Ring-header field offsets (relative to the ring header).
 const (
@@ -140,8 +131,8 @@ var (
 
 var le = binary.LittleEndian
 
-// Layout describes a region's geometry plus the v2 feature bits the
-// creator negotiated (doorbell kind, huge pages).
+// Layout describes a region's geometry plus the doorbell kind the creator
+// negotiated.
 type Layout struct {
 	// SlotSize is the per-slot byte size (power of two, header included).
 	SlotSize int
@@ -154,10 +145,6 @@ type Layout struct {
 	// The creator writes it into the header flags word; openers read it
 	// back rather than re-negotiate.
 	Doorbell DoorbellKind
-	// HugePages records that the creator asked for a huge-page backing
-	// (best effort — the mapping silently falls back when the kernel
-	// refuses). Openers use it to apply the same madvise on their mapping.
-	HugePages bool
 }
 
 // DefaultLayout returns the default region geometry.
@@ -179,15 +166,6 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("%w: doorbell kind %d", ErrBadGeometry, l.Doorbell)
 	}
 	return nil
-}
-
-// flags encodes the layout's feature bits as the header flags word.
-func (l Layout) flags() uint32 {
-	f := uint32(l.Doorbell) & hdrFlagDoorbellMask
-	if l.HugePages {
-		f |= hdrFlagHugePages
-	}
-	return f
 }
 
 // PayloadCap is the per-frame payload capacity under this layout.
@@ -250,19 +228,12 @@ func NewRegion(b []byte, l Layout, init bool) (*Region, error) {
 			b[i] = 0
 		}
 		le.PutUint32(b[hdrMagicOff:], Magic)
-		// A region with no v2 features is written as version 1 so that
-		// capability-less peers (and the downgrade path) see exactly the
-		// PR-8 layout.
-		v := VersionV1
-		if l.flags() != 0 {
-			v = Version
-		}
-		le.PutUint16(b[hdrVersionOff:], v)
+		le.PutUint16(b[hdrVersionOff:], Version)
 		le.PutUint16(b[hdrVersionOff+2:], 0)
 		le.PutUint32(b[hdrSlotSizeOff:], uint32(l.SlotSize))
 		le.PutUint32(b[hdrSubSlotsOff:], uint32(l.SubmitSlots))
 		le.PutUint32(b[hdrCompSlotsOff:], uint32(l.CompleteSlots))
-		le.PutUint32(b[hdrFlagsOff:], l.flags())
+		le.PutUint32(b[hdrFlagsOff:], uint32(l.Doorbell))
 	} else {
 		got, err := ParseLayout(b)
 		if err != nil {
@@ -290,9 +261,9 @@ func NewBuffer(l Layout) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), l.FileSize())
 }
 
-// ParseLayout reads and validates a region header. Both layout versions
-// are accepted: version 1 has no flags word (socket doorbell, no huge
-// pages), version 2 carries the negotiated capabilities.
+// ParseLayout reads and validates a region header: magic, Version, a
+// flags word with no reserved bit set, and geometry and doorbell kind
+// that pass Validate.
 func ParseLayout(b []byte) (Layout, error) {
 	if len(b) < regionHdrSize {
 		return Layout{}, errShortMapping
@@ -300,22 +271,18 @@ func ParseLayout(b []byte) (Layout, error) {
 	if le.Uint32(b[hdrMagicOff:]) != Magic {
 		return Layout{}, ErrBadMagic
 	}
-	ver := le.Uint16(b[hdrVersionOff:])
-	if ver != VersionV1 && ver != Version {
+	if le.Uint16(b[hdrVersionOff:]) != Version {
 		return Layout{}, ErrBadVersion
+	}
+	f := le.Uint32(b[hdrFlagsOff:])
+	if f&^hdrFlagDoorbellMask != 0 {
+		return Layout{}, fmt.Errorf("%w: unknown flags %#x", ErrBadVersion, f&^hdrFlagDoorbellMask)
 	}
 	l := Layout{
 		SlotSize:      int(le.Uint32(b[hdrSlotSizeOff:])),
 		SubmitSlots:   int(le.Uint32(b[hdrSubSlotsOff:])),
 		CompleteSlots: int(le.Uint32(b[hdrCompSlotsOff:])),
-	}
-	if ver >= Version {
-		f := le.Uint32(b[hdrFlagsOff:])
-		if f&^hdrFlagsKnown != 0 {
-			return Layout{}, fmt.Errorf("%w: unknown flags %#x", ErrBadVersion, f&^hdrFlagsKnown)
-		}
-		l.Doorbell = DoorbellKind(f & hdrFlagDoorbellMask)
-		l.HugePages = f&hdrFlagHugePages != 0
+		Doorbell:      DoorbellKind(f),
 	}
 	if err := l.Validate(); err != nil {
 		return Layout{}, err

@@ -58,36 +58,18 @@ go test -count=1 -run 'Fuzz' ./internal/wire/
 go test -count=1 -run 'ZeroAllocs|TestCheck|TestBatch' ./internal/wire/
 go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 
-# Shared-memory transport guards, run explicitly; every piece skips (not
-# fails) on platforms without mmap support or the negotiated doorbell
-# primitive. The slot-parser fuzz seed corpus covers adversarial
-# seq/len/lap encodings plus v2 header layouts and MPSC
-# claimed-unpublished slot states (use `go test -fuzz FuzzParseSlot
-# ./internal/shm` to explore beyond it); the 0-allocs/op pins cover ring
-# enqueue/dequeue, the client-side Batcher fold and full Shm.Check and
-# 64-call Shm.CheckBatch round trips; the shm differential proves
-# decisions through the rings — batch frames, single
-# checks, and Batcher-folded singles — are identical to calling the
-# engine directly on 100k-event traces of all 15 workloads; and the race
-# hammers cover the raw SPSC producer/consumer pair, 16 producers
-# CAS-claiming slots on one MPSC ring, the futex/eventfd/socket doorbell
-# park-wake stress (spurious wakes included), and 16 goroutines storming
-# one ring pair while profiles hot-swap mid-stream, plus the doorbell
-# negotiation matrix, the v1-handshake downgrade path, the isolation
-# test (a wire or shm peer that stops taking responses stalls only
-# itself), and the client's caller-side reaping tests against a
-# hand-driven server end: a deadline, a Close and a cancel-then-Close
-# while the leader is parked on the doorbell, promotion of a follower when
-# the leader leaves, a storm of cancelled calls on 4-slot rings, and 16
-# goroutines of mixed single/batch/cancelled calls passing the reap role
-# around.
+# Shared-memory transport guards. Each skips where mmap or the futex is
+# missing. The fuzz seeds include the retired header encodings, which
+# must fail closed (`go test -fuzz FuzzParseSlot ./internal/shm` explores
+# further). The stall test's shm legs cover a peer that stops reaping and
+# one that leaves a claimed slot unpublished.
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestBatcher' ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 go test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
-go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmHandshakeV1Downgrade|TestStalledPeerDoesNotDelayOthers' ./internal/server/
+go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmCloseRacesHandshake|TestStalledPeerDoesNotDelayOthers' ./internal/server/
 go test -race -count=1 -run 'TestShm' ./internal/server/client/
 
 # BPF differential fuzz seed corpus, run explicitly (each seed as a unit
