@@ -28,14 +28,15 @@ test-race:
 # test-engine runs the Engine- and filter-tier-contract guards without the
 # race detector: the 0-allocs/op assertions (perturbed by -race; engine hot
 # paths plus the compiled-exec and bitmap filter fast paths), the
-# registry-level decision-stream differential tests, the interp-vs-compiled
-# and bitmap exec-mode differentials, the fold-vs-hook differential (every
-# registry engine's Stats() against a Counters observer over 100k events —
-# what dracod's /metrics rests on) and the bitmap soundness suite; plus
-# the retired-generation guard at full depth (2000 profile swaps must
-# neither grow the live heap nor lose a check from Stats; under -race it
-# runs a tenth of them) and the fold-vs-hook hammer under -race (two
-# checkers against a Stats()/SetProfile loop, per engine).
+# registry-level decision-stream differential tests, the exec-tier
+# differential on the concurrent checker (interp, compiled and bitmap
+# Config.Mode), the fold-vs-hook differential (every registry engine's
+# Stats() against a Counters observer over 100k events — what dracod's
+# /metrics rests on) and the bitmap soundness suite; plus the
+# retired-generation guard at full depth (2000 profile swaps must neither
+# grow the live heap nor lose a check from Stats; under -race it runs a
+# tenth of them) and the fold-vs-hook hammer under -race (two checkers
+# against a Stats()/SetProfile loop, per concurrency-safe engine).
 test-engine:
 	$(GO) test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
 	$(GO) test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/

@@ -3,9 +3,10 @@
 //
 // Serving:
 //
-//	dracod serve -addr :8477 -engine draco-concurrent -shards 8 -default-profile docker
+//	dracod serve -addr :8477 -shards 8 -default-profile docker
 //
-// The service listens on up to three fronts over one tenant set: the HTTP
+// Every tenant is checked by Draco's sharded concurrent checker
+// (draco-concurrent) with the bitmap filter tier. The service listens on up to three fronts over one tenant set: the HTTP
 // JSON API (-addr), the length-prefixed binary wire protocol (-wire, see
 // internal/wire) with pipelined connections, and shared-memory
 // submission/completion rings for co-located clients (-shm <dir>, see
@@ -17,10 +18,9 @@
 //	dracod replay  -server ... -tenant web -trace trace.txt -batch-size 64
 //	dracod replay  -wire 127.0.0.1:8478 -tenant web -trace trace.txt
 //	dracod replay  -shm /run/dracod -tenant web -trace trace.txt
-//	dracod profile -server ... -tenant web -file profile.json -engine draco-sw
+//	dracod profile -server ... -tenant web -file profile.json
 //	dracod stats   -server ... -tenant web
 //	dracod tenants -server ...
-//	dracod engines
 //	dracod metrics -server ...
 package main
 
@@ -63,7 +63,7 @@ func main() {
 		err = runServe(args)
 	case "check":
 		err = runCheck(args)
-	case "replay", "batch": // batch is the pre-wire name; kept as an alias
+	case "replay":
 		err = runReplay(args)
 	case "profile":
 		err = runProfile(args)
@@ -71,8 +71,6 @@ func main() {
 		err = runStats(args)
 	case "tenants":
 		err = runTenants(args)
-	case "engines":
-		err = runEngines(args)
 	case "metrics":
 		err = runMetrics(args)
 	case "-h", "-help", "--help", "help":
@@ -94,11 +92,10 @@ commands:
   check    check one system call against a running dracod
   replay   replay a trace file and report throughput + latency percentiles
            (-wire host:port drives the binary protocol, -shm dir the
-           shared-memory rings; alias: batch)
+           shared-memory rings)
   profile  upload a Docker-format JSON profile (hot swap)
   stats    print a tenant's checker statistics
   tenants  list provisioned tenants
-  engines  list the registered check engines
   metrics  print the service metrics page
 
 run 'dracod <command> -h' for the command's flags`)
@@ -128,28 +125,18 @@ func runServe(args []string) error {
 	shmDir := fs.String("shm", "", "serve the shared-memory transport from this directory (empty = disabled)")
 	shards := fs.Int("shards", concurrent.DefaultShards, "VAT shards per tenant (power of two)")
 	routing := fs.String("routing", "syscall", "shard routing key: syscall (exact sequential semantics) or args (spread hot syscalls)")
-	engName := fs.String("engine", server.DefaultEngine, "default check engine for new tenants: "+strings.Join(engine.Names(), ", "))
-	bpfexec := fs.String("bpfexec", "bitmap", "filter execution tier on the miss path: bitmap (compiled + per-syscall constant-action bitmap), compiled, or interp")
 	preset := fs.String("default-profile", "docker", "auto-provision tenants with this preset (docker, docker-masked, gvisor, firecracker, none)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	fs.Parse(args)
 
-	switch *routing {
-	case "syscall", "args":
-	default:
-		return fmt.Errorf("unknown -routing %q (syscall or args)", *routing)
-	}
-	if _, ok := engine.Lookup(*engName); !ok {
-		return fmt.Errorf("unknown -engine %q (have %s)", *engName, strings.Join(engine.Names(), ", "))
-	}
-	if _, err := seccomp.ParseExecMode(*bpfexec); err != nil {
-		return fmt.Errorf("-bpfexec: %v", err)
+	if _, err := concurrent.ParseRouting(*routing); err != nil {
+		return fmt.Errorf("-routing: %v", err)
 	}
 	def, err := presetProfile(*preset)
 	if err != nil {
 		return err
 	}
-	srv := server.New(server.Options{Shards: *shards, Routing: *routing, DefaultEngine: *engName, DefaultProfile: def, BPFExec: *bpfexec})
+	srv := server.New(server.Options{Shards: *shards, Routing: *routing, DefaultProfile: def})
 	handler := srv.Handler()
 	if *pprofOn {
 		// Mount the profiler next to the API instead of importing
@@ -209,7 +196,7 @@ func runServe(args []string) error {
 		}()
 		extra += ", shm in " + *shmDir
 	}
-	log.Printf("listening on %s (engine=%s shards=%d routing=%s bpfexec=%s default-profile=%s%s)", *addr, *engName, *shards, *routing, *bpfexec, defProfile, extra)
+	log.Printf("listening on %s (engine=%s shards=%d routing=%s default-profile=%s%s)", *addr, server.DefaultEngine, *shards, *routing, defProfile, extra)
 	return hs.ListenAndServe()
 }
 
@@ -396,13 +383,7 @@ func runProfile(args []string) error {
 	tenant := fs.String("tenant", "default", "tenant id")
 	file := fs.String("file", "", "Docker-format JSON profile file (or -preset)")
 	preset := fs.String("preset", "", "upload a built-in preset instead of a file (docker, docker-masked, gvisor, firecracker)")
-	engName := fs.String("engine", "", "check engine for this tenant ("+strings.Join(engine.Names(), ", ")+"; empty keeps the server default)")
 	fs.Parse(args)
-	if *engName != "" {
-		if _, ok := engine.Lookup(*engName); !ok {
-			return fmt.Errorf("unknown -engine %q (have %s)", *engName, strings.Join(engine.Names(), ", "))
-		}
-	}
 
 	var body *os.File
 	switch {
@@ -442,24 +423,11 @@ func runProfile(args []string) error {
 
 	c, ctx, cancel := dial(*srvURL, *timeout)
 	defer cancel()
-	res, err := c.PutProfileEngine(ctx, *tenant, *engName, body)
+	res, err := c.PutProfile(ctx, *tenant, body)
 	if err != nil {
 		return err
 	}
 	return printJSON(res)
-}
-
-func runEngines(args []string) error {
-	fs := flag.NewFlagSet("engines", flag.ExitOnError)
-	fs.Parse(args)
-	for _, info := range engine.Infos() {
-		safety := "wrapped with a mutex when shared"
-		if info.Concurrent {
-			safety = "concurrency-safe"
-		}
-		fmt.Printf("%-17s %s (%s)\n", info.Name, info.Description, safety)
-	}
-	return nil
 }
 
 func runStats(args []string) error {

@@ -194,10 +194,6 @@ type EngineOptions struct {
 	Routing string
 	// Observer receives per-check callbacks (nil: none).
 	Observer Observer
-	// BPFExec selects the filter execution tier on the miss path:
-	// "bitmap" (compiled + per-syscall constant-action bitmap, default),
-	// "compiled", or "interp".
-	BPFExec string
 }
 
 // EngineNames lists the registered checking mechanisms: filter-only,
@@ -214,7 +210,6 @@ func NewEngine(name string, p *Profile, opts EngineOptions) (Engine, error) {
 		Shards:   opts.Shards,
 		Routing:  opts.Routing,
 		Observer: opts.Observer,
-		BPFExec:  opts.BPFExec,
 	})
 }
 

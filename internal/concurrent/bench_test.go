@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"draco/internal/profilegen"
+	"draco/internal/seccomp"
 	"draco/internal/workloads"
 )
 
@@ -20,7 +21,7 @@ func BenchmarkConcurrentCheckerParallel(b *testing.B) {
 	for _, routing := range []Routing{RouteBySyscall, RouteByArgs} {
 		for _, shards := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("routing=%s/shards=%d", routing, shards), func(b *testing.B) {
-				c, err := NewCheckerRouted(p, shards, routing)
+				c, err := NewCheckerConfig(p, Config{Shards: shards, Routing: routing, Mode: seccomp.ExecCompiled})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -72,6 +72,19 @@ const (
 	RouteByArgs
 )
 
+// ParseRouting maps a routing name to its key: "" or "syscall" is
+// RouteBySyscall, "args" is RouteByArgs.
+func ParseRouting(name string) (Routing, error) {
+	switch name {
+	case "", "syscall":
+		return RouteBySyscall, nil
+	case "args":
+		return RouteByArgs, nil
+	default:
+		return 0, fmt.Errorf("unknown routing %q (syscall or args)", name)
+	}
+}
+
 func (r Routing) String() string {
 	switch r {
 	case RouteBySyscall:
@@ -217,32 +230,13 @@ type Checker struct {
 	noFast bool
 }
 
-// NewChecker builds a sharded checker for a profile with the default
-// RouteBySyscall routing. shards must be a positive power of two up to
-// MaxShards (0 selects DefaultShards); a power of two keeps shard selection
-// a mask-and-index like the VAT itself.
-func NewChecker(p *seccomp.Profile, shards int) (*Checker, error) {
-	return NewCheckerRouted(p, shards, RouteBySyscall)
-}
-
-// NewCheckerRouted builds a sharded checker with an explicit routing key
-// and the default compiled filter execution.
-func NewCheckerRouted(p *seccomp.Profile, shards int, routing Routing) (*Checker, error) {
-	return NewCheckerExec(p, shards, routing, seccomp.ExecCompiled)
-}
-
-// NewCheckerExec builds a sharded checker with explicit routing and filter
-// execution mode; the mode survives SetProfile/Reset rebuilds.
-func NewCheckerExec(p *seccomp.Profile, shards int, routing Routing, mode seccomp.ExecMode) (*Checker, error) {
-	return NewCheckerConfig(p, Config{Shards: shards, Routing: routing, Mode: mode})
-}
-
-// Config bundles the optional knobs of a sharded checker. The zero value
-// selects the defaults of NewChecker: DefaultShards, RouteBySyscall,
-// compiled filter execution, decision plane enabled.
+// Config bundles the knobs of a sharded checker. The zero value selects
+// DefaultShards, RouteBySyscall, compiled filter execution and the decision
+// plane enabled; the serving layer runs Mode seccomp.ExecBitmap.
 type Config struct {
 	// Shards is the VAT shard fan-out (0 selects DefaultShards; must be a
-	// power of two up to MaxShards).
+	// power of two up to MaxShards, which keeps shard selection a
+	// mask-and-index like the VAT itself).
 	Shards int
 	// Routing selects the shard-routing key.
 	Routing Routing
@@ -553,11 +547,6 @@ func (c *Checker) swap(p *seccomp.Profile) error {
 // Routing returns the checker's shard-routing mode.
 func (c *Checker) Routing() Routing {
 	return c.state.Load().routing
-}
-
-// ExecMode returns the filter execution mode the checker was built with.
-func (c *Checker) ExecMode() seccomp.ExecMode {
-	return c.state.Load().mode
 }
 
 // Profile returns the currently active profile.

@@ -22,7 +22,7 @@ func sequentialChecker(t testing.TB, p *seccomp.Profile) *core.Checker {
 
 func mustChecker(t testing.TB, p *seccomp.Profile, shards int) *Checker {
 	t.Helper()
-	c, err := NewChecker(p, shards)
+	c, err := NewCheckerConfig(p, Config{Shards: shards, Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDifferentialRouteByArgs(t *testing.T) {
 			tr := w.Generate(events, 0xD12AC0)
 			p := profilegen.Complete(w.Name, tr, genOpts)
 			seq := sequentialChecker(t, p)
-			con, err := NewCheckerRouted(p, 16, RouteByArgs)
+			con, err := NewCheckerConfig(p, Config{Shards: 16, Routing: RouteByArgs, Mode: seccomp.ExecCompiled})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,11 +268,11 @@ func TestSetProfileRejectsInvalid(t *testing.T) {
 func TestNewCheckerShardValidation(t *testing.T) {
 	p := seccomp.DockerDefault()
 	for _, bad := range []int{-1, 3, 5, 1000, MaxShards * 2} {
-		if _, err := NewChecker(p, bad); err == nil {
-			t.Fatalf("NewChecker accepted shard count %d", bad)
+		if _, err := NewCheckerConfig(p, Config{Shards: bad}); err == nil {
+			t.Fatalf("NewCheckerConfig accepted shard count %d", bad)
 		}
 	}
-	c, err := NewChecker(p, 0)
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestHammerWithHotSwap(t *testing.T) {
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
 	// RouteByArgs maximizes cross-shard churn for the race detector.
-	c, err := NewCheckerRouted(full, 4, RouteByArgs)
+	c, err := NewCheckerConfig(full, Config{Shards: 4, Routing: RouteByArgs, Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ const (
 	ClassSLBHit
 	// ClassBitmapHit: the whole filter chain resolved through per-syscall
 	// constant-action bitmaps (Linux 5.11 style) — an SPT/VAT miss that
-	// still executed zero BPF instructions. Only produced by engines built
-	// with BPFExec "bitmap" (the default).
+	// still executed zero BPF instructions. Only produced by checkers whose
+	// filters run seccomp.ExecBitmap (every registry engine and dracod).
 	ClassBitmapHit
 	// ClassProgHit: the programmable policy was consulted and resolved
 	// through its extracted constant-action table — zero program

@@ -1,15 +1,17 @@
 package ebpf
 
 // AttachOpts configures how a programmable policy executes once attached
-// to a tenant. The flags mirror the seccomp ExecMode tiers so dracod's
-// -bpfexec selector governs both filter kinds uniformly.
+// to a tenant. The flags mirror the seccomp ExecMode tiers, so a checker's
+// Mode governs both filter kinds uniformly; the zero value is the bitmap
+// tier every registry engine and dracod run.
 type AttachOpts struct {
 	// Interp selects the generic interpreter instead of the direct-threaded
 	// compiled tier (the differential baseline and escape hatch).
 	Interp bool
 	// NoExtract disables constant-action extraction, so even constant-tier
-	// numbers execute the program (parity with BPFExec modes below
-	// "bitmap", which run real BPF instead of consulting the bitmap).
+	// numbers execute the program (parity with the exec modes below
+	// seccomp.ExecBitmap, which run real BPF instead of consulting the
+	// bitmap).
 	NoExtract bool
 }
 

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"draco/internal/concurrent"
 	"draco/internal/core"
 	"draco/internal/seccomp"
@@ -24,18 +26,14 @@ type dracoConcurrent struct {
 }
 
 func newDracoConcurrent(opts Options) (Engine, error) {
-	routing, err := opts.routing()
+	routing, err := concurrent.ParseRouting(opts.Routing)
 	if err != nil {
-		return nil, err
-	}
-	mode, err := opts.execMode()
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %v", err)
 	}
 	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{
 		Shards:     opts.Shards,
 		Routing:    routing,
-		Mode:       mode,
+		Mode:       seccomp.ExecBitmap,
 		NoFastPath: opts.NoFastPath,
 	})
 	if err != nil {

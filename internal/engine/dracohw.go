@@ -29,7 +29,6 @@ func init() {
 type dracoHW struct {
 	os    *core.Checker
 	hw    *hwdraco.Engine
-	mode  seccomp.ExecMode
 	costs kernelmodel.CostModel
 	obs   Observer
 	gen   uint64
@@ -41,11 +40,7 @@ type dracoHW struct {
 }
 
 func newDracoHW(opts Options) (Engine, error) {
-	mode, err := opts.execMode()
-	if err != nil {
-		return nil, err
-	}
-	e := &dracoHW{mode: mode, costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
+	e := &dracoHW{costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
 	if err := e.build(opts.Profile); err != nil {
 		return nil, err
 	}
@@ -58,7 +53,7 @@ func (e *dracoHW) build(p *seccomp.Profile) error {
 	if p.Programmable != nil {
 		return fmt.Errorf("engine: draco-hw does not support programmable policies: the SLB/STB hardware fast path caches stateless decisions only (use the software engines)")
 	}
-	os, err := buildCoreChecker(p, e.mode)
+	os, err := buildCoreChecker(p)
 	if err != nil {
 		return err
 	}

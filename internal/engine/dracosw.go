@@ -15,32 +15,27 @@ func init() {
 }
 
 // dracoSW wraps the sequential software checker. Not safe for concurrent
-// use (one SPT/VAT, no locks); wrap with Synchronized to share.
+// use (one SPT/VAT, no locks).
 type dracoSW struct {
-	chk  *core.Checker
-	mode seccomp.ExecMode
-	obs  Observer
-	gen  uint64
+	chk *core.Checker
+	obs Observer
+	gen uint64
 	// prior accumulates stats from generations retired by SetProfile.
 	prior Stats
 }
 
 func newDracoSW(opts Options) (Engine, error) {
-	mode, err := opts.execMode()
+	chk, err := buildCoreChecker(opts.Profile)
 	if err != nil {
 		return nil, err
 	}
-	chk, err := buildCoreChecker(opts.Profile, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &dracoSW{chk: chk, mode: mode, obs: opts.Observer, gen: 1}, nil
+	return &dracoSW{chk: chk, obs: opts.Observer, gen: 1}, nil
 }
 
 // buildCoreChecker compiles a profile (compilation validates it) into a
-// linear filter and assembles the sequential checker.
-func buildCoreChecker(p *seccomp.Profile, mode seccomp.ExecMode) (*core.Checker, error) {
-	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, mode)
+// linear bitmap-tier filter and assembles the sequential checker.
+func buildCoreChecker(p *seccomp.Profile) (*core.Checker, error) {
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +43,7 @@ func buildCoreChecker(p *seccomp.Profile, mode seccomp.ExecMode) (*core.Checker,
 	// A profile-carried programmable policy attaches fresh here: a rebuild
 	// (construction or SetProfile) starts a blank map-state epoch, just as
 	// it starts an empty VAT.
-	chk.Prog = attachProgram(p, mode)
+	chk.Prog = attachProgram(p)
 	return chk, nil
 }
 
@@ -77,7 +72,7 @@ func (e *dracoSW) Stats() Stats {
 }
 
 func (e *dracoSW) SetProfile(p *seccomp.Profile) error {
-	chk, err := buildCoreChecker(p, e.mode)
+	chk, err := buildCoreChecker(p)
 	if err != nil {
 		return err
 	}

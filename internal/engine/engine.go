@@ -13,10 +13,11 @@
 //	Stats() / Describe()        // aggregate counters and identity
 //	Close()                     // release resources, flush observers
 //
-// plus a name-keyed registry (see registry.go) so that the public API,
-// dracod's HTTP surface, the simulator, and the benchmarks all select
-// mechanisms by name instead of hand-wiring each one: adding a mechanism is
-// one Register call, not an N-site edit.
+// plus a name-keyed registry (see registry.go) so that the public API, the
+// simulator, the benchmarks and the tests all select mechanisms by name
+// instead of hand-wiring each one: adding a mechanism is one Register call,
+// not an N-site edit. The dracod service does not select: its tenants hold
+// the concurrent checker directly.
 //
 // The single-call hot path is allocation-free end to end for the software
 // engines: Args and Decision travel by value, statistics are pre-sized
@@ -115,8 +116,7 @@ type Desc struct {
 
 // Engine is the unified checking contract. Check and CheckBatch are the hot
 // paths; whether they are safe for concurrent use is a per-mechanism
-// property reported by the registry (Info.Concurrent) — wrap non-concurrent
-// engines with Synchronized for shared use.
+// property reported by the registry (Info.Concurrent).
 type Engine interface {
 	// Name returns the registry name the engine was built under.
 	Name() string

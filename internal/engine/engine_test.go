@@ -123,35 +123,6 @@ func TestEngineContract(t *testing.T) {
 	}
 }
 
-func TestSynchronizedWrapsOnlyWhenNeeded(t *testing.T) {
-	p := seccomp.DockerDefault()
-	con, err := New("draco-concurrent", Options{Profile: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Synchronized(con) != con {
-		t.Fatal("concurrent engine was wrapped")
-	}
-	sw, err := New("draco-sw", Options{Profile: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := Synchronized(sw)
-	if wrapped == sw {
-		t.Fatal("sequential engine was not wrapped")
-	}
-	if Synchronized(wrapped) != wrapped {
-		t.Fatal("double wrap")
-	}
-	if wrapped.Name() != "draco-sw" {
-		t.Fatalf("wrapped name = %q", wrapped.Name())
-	}
-	read := syscalls.MustByName("read").Num
-	if d := wrapped.Check(read, Args{}); !d.Allowed {
-		t.Fatalf("wrapped check: %+v", d)
-	}
-}
-
 func TestTraceDumpObserver(t *testing.T) {
 	var buf bytes.Buffer
 	td := NewTraceDump(&buf)

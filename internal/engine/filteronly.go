@@ -15,9 +15,9 @@ func init() {
 }
 
 // filterOnly wraps a compiled Seccomp filter without Draco caching: every
-// check runs the BPF program (or resolves through the per-syscall bitmap
-// under the default BPFExec). Not safe for concurrent use (the stats
-// counters are unguarded); wrap with Synchronized to share.
+// check runs the BPF program or resolves through the per-syscall
+// constant-action bitmap. Not safe for concurrent use (the stats counters
+// are unguarded).
 type filterOnly struct {
 	f       *seccomp.Filter
 	profile *seccomp.Profile
@@ -25,26 +25,20 @@ type filterOnly struct {
 	// no-caching baseline enforces it, so every engine produces the same
 	// decision stream for a programmable profile.
 	prog  *ebpf.Attached
-	mode  seccomp.ExecMode
 	obs   Observer
 	gen   uint64
 	stats Stats
 }
 
 func newFilterOnly(opts Options) (Engine, error) {
-	mode, err := opts.execMode()
-	if err != nil {
-		return nil, err
-	}
-	f, err := seccomp.NewFilterMode(opts.Profile, seccomp.ShapeLinear, mode)
+	f, err := seccomp.NewFilterMode(opts.Profile, seccomp.ShapeLinear, seccomp.ExecBitmap)
 	if err != nil {
 		return nil, err
 	}
 	return &filterOnly{
 		f:       f,
 		profile: opts.Profile,
-		prog:    attachProgram(opts.Profile, mode),
-		mode:    mode,
+		prog:    attachProgram(opts.Profile),
 		obs:     opts.Observer,
 		gen:     1,
 	}, nil
@@ -99,13 +93,13 @@ func (e *filterOnly) CheckBatch(calls []Call, dst []Decision) []Decision {
 func (e *filterOnly) Stats() Stats { return e.stats }
 
 func (e *filterOnly) SetProfile(p *seccomp.Profile) error {
-	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, e.mode)
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
 	if err != nil {
 		return err
 	}
 	e.f = f
 	e.profile = p
-	e.prog = attachProgram(p, e.mode)
+	e.prog = attachProgram(p)
 	e.gen++
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"draco/internal/concurrent"
 	"draco/internal/ebpf"
 	"draco/internal/seccomp"
 	"draco/internal/syscalls"
@@ -183,9 +184,9 @@ func TestProgrammableCrossEngineDifferential(t *testing.T) {
 // map-independent programmable paths bitmap-resolve: under the default
 // bitmap exec tier, syscalls the classifier proves constant execute zero
 // instructions (whitelist bitmap + extracted program constant), while
-// must-run numbers execute the program every time. Under -bpfexec=compiled
-// the same constant paths run instructions, showing extraction (not
-// accident) produces the zeros.
+// must-run numbers execute the program every time. A concurrent checker
+// built for the compiled tier runs instructions on the same constant paths,
+// showing extraction (not accident) produces the zeros.
 func TestProgrammableBitmapResolution(t *testing.T) {
 	p := progTestProfile(t, "prog-bitmap", rateLimitSource(t))
 
@@ -217,12 +218,12 @@ func TestProgrammableBitmapResolution(t *testing.T) {
 
 	// Same profile, compiled tier: no constant extraction, so the formerly
 	// free constant path now executes program instructions.
-	ec, err := New("draco-sw", Options{Profile: p, BPFExec: "compiled"})
+	ec, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := ec.Check(read, Args{3, 4096}); dec.FilterInstructions == 0 {
-		t.Fatalf("compiled tier const path executed nothing: %+v", dec)
+	if out := ec.Check(read, Args{3, 4096}); out.FilterExecuted == 0 {
+		t.Fatalf("compiled tier const path executed nothing: %+v", out)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"draco/internal/concurrent"
 	"draco/internal/ebpf"
 	"draco/internal/seccomp"
 )
@@ -23,11 +22,6 @@ type Options struct {
 	Routing string
 	// Observer receives one callback per check (nil: none is made).
 	Observer Observer
-	// BPFExec selects how filters execute on the miss path: "" or "bitmap"
-	// (compiled code plus the per-syscall constant-action bitmap, the
-	// default), "compiled" (direct-threaded code only), or "interp" (the
-	// generic interpreter — the escape hatch and differential baseline).
-	BPFExec string
 	// Program optionally attaches a programmable policy (internal/ebpf) on
 	// top of the profile's whitelist, overriding any program the profile
 	// itself carries. Profiles swapped in later via SetProfile use their own
@@ -40,32 +34,6 @@ type Options struct {
 	NoFastPath bool
 }
 
-// execMode parses the BPFExec option. The engine layer defaults to the
-// bitmap tier (seccomp.NewFilter itself defaults to plain compiled, which
-// is Executed-count-identical to the interpreter).
-func (o Options) execMode() (seccomp.ExecMode, error) {
-	if o.BPFExec == "" {
-		return seccomp.ExecBitmap, nil
-	}
-	m, err := seccomp.ParseExecMode(o.BPFExec)
-	if err != nil {
-		return 0, fmt.Errorf("engine: %v", err)
-	}
-	return m, nil
-}
-
-// routing parses the Routing option.
-func (o Options) routing() (concurrent.Routing, error) {
-	switch o.Routing {
-	case "", "syscall":
-		return concurrent.RouteBySyscall, nil
-	case "args":
-		return concurrent.RouteByArgs, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown routing %q (syscall or args)", o.Routing)
-	}
-}
-
 // Constructor builds one engine instance.
 type Constructor func(opts Options) (Engine, error)
 
@@ -76,7 +44,7 @@ type Info struct {
 	// Description is a one-line summary for listings.
 	Description string
 	// Concurrent reports whether instances are safe for concurrent use as
-	// built; wrap others with Synchronized before sharing.
+	// built; the others serve one caller at a time.
 	Concurrent bool
 	// New constructs an instance.
 	New Constructor
@@ -153,17 +121,12 @@ func New(name string, opts Options) (Engine, error) {
 	return info.New(opts)
 }
 
-// attachProgram builds the live programmable policy for a profile under the
-// selected BPF execution mode — the programmable tiers track the -bpfexec
-// tiers: "interp" runs the program interpreter, "compiled" the
-// direct-threaded tier, and "bitmap" adds constant-action extraction. Nil
-// when the profile has no program.
-func attachProgram(p *seccomp.Profile, mode seccomp.ExecMode) *ebpf.Attached {
+// attachProgram builds the live programmable policy for a profile in the
+// tier every registry engine runs: compiled, with constant-action
+// extraction. Nil when the profile has no program.
+func attachProgram(p *seccomp.Profile) *ebpf.Attached {
 	if p.Programmable == nil {
 		return nil
 	}
-	return p.Programmable.Attach(ebpf.AttachOpts{
-		Interp:    mode == seccomp.ExecInterp,
-		NoExtract: mode != seccomp.ExecBitmap,
-	})
+	return p.Programmable.Attach(ebpf.AttachOpts{})
 }

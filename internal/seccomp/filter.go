@@ -36,19 +36,6 @@ func (m ExecMode) String() string {
 	return fmt.Sprintf("execmode(%d)", uint8(m))
 }
 
-// ParseExecMode parses a -bpfexec flag value; empty selects the default.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "compiled":
-		return ExecCompiled, nil
-	case "interp":
-		return ExecInterp, nil
-	case "bitmap":
-		return ExecBitmap, nil
-	}
-	return 0, fmt.Errorf("seccomp: unknown exec mode %q (want interp, compiled, or bitmap)", s)
-}
-
 // Filter is an attached, compiled seccomp filter: the unit the kernel runs
 // on every system call of a filtered process. A Filter is immutable after
 // construction and safe for concurrent use.

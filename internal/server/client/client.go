@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 
 	"draco/internal/server"
@@ -83,23 +82,10 @@ func (c *Client) CheckBatch(ctx context.Context, req server.BatchRequest) ([]ser
 }
 
 // PutProfile uploads a Docker-format JSON profile document for a tenant,
-// hot-swapping it if the tenant exists. The tenant keeps (or defaults) its
-// check engine; use PutProfileEngine to select one.
+// hot-swapping it if the tenant exists.
 func (c *Client) PutProfile(ctx context.Context, tenant string, profileJSON io.Reader) (server.ProfileResponse, error) {
-	return c.PutProfileEngine(ctx, tenant, "", profileJSON)
-}
-
-// PutProfileEngine uploads a profile and selects the tenant's check engine
-// by registry name (e.g. "draco-sw", "filter-only"). An empty engine keeps
-// the server's default; a name differing from an existing tenant's engine
-// rebuilds the tenant on the new mechanism.
-func (c *Client) PutProfileEngine(ctx context.Context, tenant, engine string, profileJSON io.Reader) (server.ProfileResponse, error) {
-	path := "/v1/tenants/" + tenant + "/profile"
-	if engine != "" {
-		path += "?engine=" + url.QueryEscape(engine)
-	}
 	var out server.ProfileResponse
-	err := c.do(ctx, http.MethodPut, path, profileJSON, &out)
+	err := c.do(ctx, http.MethodPut, "/v1/tenants/"+tenant+"/profile", profileJSON, &out)
 	return out, err
 }
 

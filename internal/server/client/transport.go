@@ -10,6 +10,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -27,8 +28,8 @@ type Transport interface {
 	// CheckBatch validates calls in one request, reusing dst when it has
 	// capacity.
 	CheckBatch(ctx context.Context, tenant string, calls []engine.Call, dst []engine.Decision) ([]engine.Decision, error)
-	// PutProfile hot-swaps the tenant's policy ("" engineName keeps the
-	// current engine).
+	// PutProfile uploads or hot-swaps the tenant's policy. engineName must
+	// be "" or server.DefaultEngine, the one engine dracod serves.
 	PutProfile(ctx context.Context, tenant, engineName string, profileJSON []byte) (server.ProfileResponse, error)
 	// Stats fetches the tenant's checker statistics.
 	Stats(ctx context.Context, tenant string) (server.StatsResponse, error)
@@ -75,10 +76,11 @@ func (t *HTTPTransport) CheckBatch(ctx context.Context, tenant string, calls []e
 	return dst, nil
 }
 
-// PutProfile uploads a profile via the REST endpoint.
+// PutProfile uploads a profile via the REST endpoint, which names no
+// engine: any engineName other than the served one is refused here.
 func (t *HTTPTransport) PutProfile(ctx context.Context, tenant, engineName string, profileJSON []byte) (server.ProfileResponse, error) {
-	if engineName != "" {
-		return t.C.PutProfileEngine(ctx, tenant, engineName, bytes.NewReader(profileJSON))
+	if engineName != "" && engineName != server.DefaultEngine {
+		return server.ProfileResponse{}, fmt.Errorf("unknown engine %q (dracod serves only %s)", engineName, server.DefaultEngine)
 	}
 	return t.C.PutProfile(ctx, tenant, bytes.NewReader(profileJSON))
 }

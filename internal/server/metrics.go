@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"draco/internal/engine"
+	"draco/internal/core"
 	"draco/internal/shm"
 	"draco/internal/stats"
 )
@@ -225,41 +225,29 @@ func (m *Metrics) ObserveRequest(endpoint string, d time.Duration) {
 // Latency returns the histogram for an endpoint label (nil if unknown).
 func (m *Metrics) Latency(endpoint string) *Histogram { return m.latencies[endpoint] }
 
-// checkerTotals is the scrape-time fold of every tenant engine's Stats the
-// metrics page renders, kept per registry name (every registered name has
-// an entry); each entry also carries what engines of that name counted
-// before a mechanism switch closed them.
+// checkerTotals is the scrape-time fold of every tenant checker's Stats the
+// metrics page renders.
 type checkerTotals struct {
+	Tenants  int
+	Stats    core.Stats
 	VATBytes int
-	ByEngine map[string]*engineTotals
-}
-
-// engineTotals is one mechanism's share: live tenants, cumulative Stats.
-type engineTotals struct {
-	Tenants int
-	Stats   engine.Stats
 }
 
 // WriteTo renders the metrics in a flat, plain-text exposition format
 // (counter name, space, value — one per line, prometheus-style labels on
 // the per-endpoint series).
 func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
-	engines := make([]string, 0, len(totals.ByEngine))
-	var all engineTotals
-	for name, et := range totals.ByEngine {
-		engines = append(engines, name)
-		all.Tenants += et.Tenants
-		all.Stats.Add(et.Stats)
-	}
-	sort.Strings(engines)
 	fmt.Fprintf(w, "dracod_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-	fmt.Fprintf(w, "dracod_tenants %d\n", all.Tenants)
-	fmt.Fprintf(w, "dracod_checks_total %d\n", all.Stats.Checks)
-	fmt.Fprintf(w, "dracod_cache_hits_total %d\n", all.Stats.SPTHits+all.Stats.VATHits)
-	fmt.Fprintf(w, "dracod_spt_hits_total %d\n", all.Stats.SPTHits)
-	fmt.Fprintf(w, "dracod_vat_hits_total %d\n", all.Stats.VATHits)
-	fmt.Fprintf(w, "dracod_filter_runs_total %d\n", all.Stats.FilterRuns)
-	fmt.Fprintf(w, "dracod_denials_total %d\n", all.Stats.Denied)
+	fmt.Fprintf(w, "dracod_tenants %d\n", totals.Tenants)
+	fmt.Fprintf(w, "dracod_checks_total %d\n", totals.Stats.Checks)
+	fmt.Fprintf(w, "dracod_cache_hits_total %d\n", totals.Stats.SPTHits+totals.Stats.VATHits)
+	fmt.Fprintf(w, "dracod_spt_hits_total %d\n", totals.Stats.SPTHits)
+	fmt.Fprintf(w, "dracod_vat_hits_total %d\n", totals.Stats.VATHits)
+	fmt.Fprintf(w, "dracod_filter_runs_total %d\n", totals.Stats.FilterRuns)
+	fmt.Fprintf(w, "dracod_denials_total %d\n", totals.Stats.Denied)
+	for cl, n := range totals.Stats.Classes {
+		fmt.Fprintf(w, "dracod_check_class_total{class=%q} %d\n", core.LatencyClass(cl).String(), n)
+	}
 	fmt.Fprintf(w, "dracod_vat_bytes %d\n", totals.VATBytes)
 	fmt.Fprintf(w, "dracod_batch_calls_total %d\n", m.BatchCalls.Load())
 	fmt.Fprintf(w, "dracod_profile_swaps_total %d\n", m.ProfileSwaps.Load())
@@ -316,24 +304,6 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
 		if n := modes[k]; n > 0 {
 			fmt.Fprintf(w, "dracod_shm_doorbell_conns{mode=%q} %d\n", k, n)
 		}
-	}
-
-	// Observation-layer series: what an engine.Observer on every tenant
-	// engine would have counted, read from the same fold as the totals above
-	// (the engine tests hold the hook and the fold equal).
-	fmt.Fprintf(w, "dracod_observed_checks_total %d\n", all.Stats.Checks)
-	fmt.Fprintf(w, "dracod_observed_cache_hits_total %d\n", all.Stats.SPTHits+all.Stats.VATHits)
-	fmt.Fprintf(w, "dracod_observed_denials_total %d\n", all.Stats.Denied)
-	fmt.Fprintf(w, "dracod_observed_check_cycles_total %d\n", all.Stats.CheckCycles)
-	for cl, n := range all.Stats.Classes {
-		fmt.Fprintf(w, "dracod_check_class_total{class=%q} %d\n", engine.LatencyClass(cl).String(), n)
-	}
-	for _, name := range engines {
-		et := totals.ByEngine[name]
-		fmt.Fprintf(w, "dracod_engine_tenants{engine=%q} %d\n", name, et.Tenants)
-		fmt.Fprintf(w, "dracod_engine_checks_total{engine=%q} %d\n", name, et.Stats.Checks)
-		fmt.Fprintf(w, "dracod_engine_cache_hits_total{engine=%q} %d\n", name, et.Stats.SPTHits+et.Stats.VATHits)
-		fmt.Fprintf(w, "dracod_engine_denials_total{engine=%q} %d\n", name, et.Stats.Denied)
 	}
 
 	labels := make([]string, len(endpointLabels))

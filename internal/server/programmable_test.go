@@ -183,19 +183,6 @@ func TestProgrammableBatchOrderE2E(t *testing.T) {
 	}
 }
 
-// TestProgrammableHWUploadRejected: uploading a programmable profile to a
-// draco-hw tenant must fail with a clear error, not degrade silently.
-func TestProgrammableHWUploadRejected(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
-	_, err := c.PutProfileEngine(context.Background(), "hw", "draco-hw", bytes.NewReader(examplePolicy(t, "rate-limit.json")))
-	if err == nil {
-		t.Fatal("draco-hw tenant accepted a programmable profile")
-	}
-	if !strings.Contains(err.Error(), "programmable") {
-		t.Fatalf("rejection does not name the cause: %v", err)
-	}
-}
-
 // TestProgrammableJSONRoundTrip: a parsed example profile re-serializes
 // with its program and maps intact, and the re-parsed copy verifies again.
 func TestProgrammableJSONRoundTrip(t *testing.T) {

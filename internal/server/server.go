@@ -1,5 +1,5 @@
 // Package server implements dracod's HTTP serving layer: a stdlib-only JSON
-// API that exposes the registered Draco check engines as a long-running,
+// API that exposes Draco's concurrent checker as a long-running,
 // multi-tenant syscall-check service.
 //
 // Endpoints:
@@ -10,19 +10,15 @@
 //	GET  /v1/tenants/{id}/stats        per-tenant checker statistics
 //	GET  /metrics                      plain-text service counters and latency quantiles
 //
-// Each tenant owns one engine.Engine selected by registry name, so the HTTP
-// surface can A/B mechanisms apples-to-apples: pass ?engine=<name> on a
-// profile upload (or on the check that auto-provisions a tenant) to pick one
-// of engine.Names(); the default is draco-concurrent. Engines whose registry
-// entry is not concurrency-safe are wrapped with engine.Synchronized.
-// Profile uploads hot-swap the tenant's profile without dropping in-flight
-// checks; uploading with a different ?engine= rebuilds the tenant on the new
-// mechanism (statistics and generation restart).
+// Each tenant owns one concurrent.Checker (the draco-concurrent mechanism,
+// bitmap filter tier): one sharded SPT plus VAT per tenant, consulted before
+// the filter. Profile uploads hot-swap the tenant's profile without dropping
+// in-flight checks. The other registry engines are comparison points for the
+// library, dracobench and the tests; an upload naming one is rejected.
 //
-// The server counts nothing per check: /metrics folds every tenant engine's
-// Stats at scrape time (plus the totals of engines a mechanism switch
-// closed) and renders the aggregate, per-class and per-engine series from
-// that one fold, alongside the HTTP counters.
+// The server counts nothing per check: /metrics folds every tenant
+// checker's Stats at scrape time and renders the aggregate and per-class
+// series from that one fold, alongside the HTTP counters.
 package server
 
 import (
@@ -33,12 +29,11 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"draco/internal/engine"
+	"draco/internal/concurrent"
+	"draco/internal/core"
 	"draco/internal/seccomp"
 	"draco/internal/syscalls"
 )
@@ -50,28 +45,22 @@ const MaxBatch = 4096
 // maxBodyBytes bounds request bodies (profiles included).
 const maxBodyBytes = 8 << 20
 
-// DefaultEngine is the engine used for tenants that never named one.
+// DefaultEngine is the registry name of the one mechanism dracod serves. A
+// profile upload may name it (or nothing); any other name is rejected.
 const DefaultEngine = "draco-concurrent"
 
 // Options configures a Server.
 type Options struct {
-	// Shards is the per-tenant VAT shard fan-out for sharded engines
-	// (0 = the engine's default).
+	// Shards is the per-tenant VAT shard fan-out (0 =
+	// concurrent.DefaultShards).
 	Shards int
-	// Routing selects the shard-routing key for sharded engines:
-	// "" or "syscall" (decision-exact), or "args" (spread hot syscalls).
+	// Routing selects the shard-routing key: "" or "syscall"
+	// (decision-exact), or "args" (spread hot syscalls).
 	Routing string
-	// DefaultEngine names the registry engine for tenants that do not pass
-	// ?engine= ("" = DefaultEngine).
-	DefaultEngine string
 	// DefaultProfile, when non-nil, auto-provisions unknown tenants named
 	// in check requests with this profile. When nil, tenants must upload a
 	// profile before checking.
 	DefaultProfile *seccomp.Profile
-	// BPFExec selects the filter execution tier for every tenant engine:
-	// "" or "bitmap" (compiled + constant-action bitmap, the default),
-	// "compiled", or "interp" (the escape hatch).
-	BPFExec string
 }
 
 // Server is the dracod service state.
@@ -81,36 +70,13 @@ type Server struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-
-	// retired sums, per registry name, the Stats of engines a mechanism
-	// switch closed, so the /metrics totals never go backwards. retireMu
-	// covers the switch (rebinding the tenant and folding the outgoing
-	// engine) and the scrape, which therefore sees each engine exactly once:
-	// live or retired.
-	retireMu sync.Mutex
-	retired  map[string]engine.Stats
 }
 
-// binding is a tenant's engine and the registry name it was built under.
-type binding struct {
-	name string
-	eng  engine.Engine
-}
-
-// tenant binds a name to its engine. A profile upload that changes
-// mechanisms swaps the whole binding, so one load yields a matching pair.
+// tenant binds a name to its checker.
 type tenant struct {
 	name string
-	cur  atomic.Pointer[binding]
+	chk  *concurrent.Checker
 }
-
-func newTenant(name, engName string, e engine.Engine) *tenant {
-	t := &tenant{name: name}
-	t.cur.Store(&binding{name: engName, eng: e})
-	return t
-}
-
-func (t *tenant) engine() engine.Engine { return t.cur.Load().eng }
 
 // New creates a server.
 func New(opts Options) *Server {
@@ -118,7 +84,6 @@ func New(opts Options) *Server {
 		opts:    opts,
 		metrics: NewMetrics(),
 		tenants: make(map[string]*tenant),
-		retired: make(map[string]engine.Stats),
 	}
 }
 
@@ -275,78 +240,53 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// resolveEngineName applies the default chain and validates against the
-// registry.
-func (s *Server) resolveEngineName(requested string) (string, error) {
-	name := requested
-	if name == "" {
-		name = s.opts.DefaultEngine
+// newTenant builds a tenant's checker for p.
+func (s *Server) newTenant(name string, p *seccomp.Profile) (*tenant, error) {
+	routing, err := concurrent.ParseRouting(s.opts.Routing)
+	if err != nil {
+		return nil, err
 	}
-	if name == "" {
-		name = DefaultEngine
-	}
-	if _, ok := engine.Lookup(name); !ok {
-		return "", fmt.Errorf("unknown engine %q (have %s)", name, strings.Join(engine.Names(), ", "))
-	}
-	return name, nil
-}
-
-// newEngine builds one tenant engine and wraps mechanisms that are not
-// concurrency-safe. No observer is attached: the engine's own Stats carry
-// everything /metrics renders.
-func (s *Server) newEngine(name string, p *seccomp.Profile) (engine.Engine, error) {
-	e, err := engine.New(name, engine.Options{
-		Profile: p,
+	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{
 		Shards:  s.opts.Shards,
-		Routing: s.opts.Routing,
-		BPFExec: s.opts.BPFExec,
+		Routing: routing,
+		Mode:    seccomp.ExecBitmap,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return engine.Synchronized(e), nil
+	return &tenant{name: name, chk: chk}, nil
 }
 
 // lookupTenant resolves a tenant for checking, auto-provisioning it with
-// the default profile when one is configured. engineName, when non-empty,
-// selects the engine for auto-provisioning and must match an existing
-// tenant's engine.
-func (s *Server) lookupTenant(name, engineName string) (*tenant, error) {
+// the default profile when one is configured.
+func (s *Server) lookupTenant(name string) (*tenant, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing tenant")
 	}
 	s.mu.RLock()
 	t := s.tenants[name]
 	s.mu.RUnlock()
-	if t == nil {
-		if s.opts.DefaultProfile == nil {
-			return nil, fmt.Errorf("unknown tenant %q (upload a profile first)", name)
-		}
-		eng, err := s.resolveEngineName(engineName)
-		if err != nil {
+	if t != nil {
+		return t, nil
+	}
+	if s.opts.DefaultProfile == nil {
+		return nil, fmt.Errorf("unknown tenant %q (upload a profile first)", name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t = s.tenants[name]; t == nil {
+		var err error
+		if t, err = s.newTenant(name, s.opts.DefaultProfile); err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if t = s.tenants[name]; t == nil {
-			e, err := s.newEngine(eng, s.opts.DefaultProfile)
-			if err != nil {
-				return nil, err
-			}
-			t = newTenant(name, eng, e)
-			s.tenants[name] = t
-		}
-	}
-	if runs := t.cur.Load().name; engineName != "" && engineName != runs {
-		return nil, fmt.Errorf("tenant %q runs engine %q, not %q (switch engines by re-uploading the profile with ?engine=)",
-			name, runs, engineName)
+		s.tenants[name] = t
 	}
 	return t, nil
 }
 
-// resolveCall turns a (syscall name, num, args) triple into an engine call.
-func resolveCall(name string, num *int, args []uint64) (engine.Call, error) {
-	var cl engine.Call
+// resolveCall turns a (syscall name, num, args) triple into a checker call.
+func resolveCall(name string, num *int, args []uint64) (concurrent.Call, error) {
+	var cl concurrent.Call
 	switch {
 	case name != "":
 		in, ok := syscalls.ByName(name)
@@ -372,7 +312,7 @@ func resolveCall(name string, num *int, args []uint64) (engine.Call, error) {
 	return cl, nil
 }
 
-func resultFrom(d engine.Decision) CheckResult {
+func resultFrom(d core.Decision) CheckResult {
 	return CheckResult{
 		Allowed:            d.Allowed,
 		Cached:             d.Cached,
@@ -387,7 +327,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
-	t, err := s.lookupTenant(req.Tenant, r.URL.Query().Get("engine"))
+	t, err := s.lookupTenant(req.Tenant)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -397,7 +337,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resultFrom(t.engine().Check(cl.SID, cl.Args)))
+	out := t.chk.Check(cl.SID, cl.Args)
+	s.writeJSON(w, http.StatusOK, resultFrom(out.Decision()))
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
@@ -410,12 +351,12 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Calls), MaxBatch)
 		return
 	}
-	t, err := s.lookupTenant(req.Tenant, r.URL.Query().Get("engine"))
+	t, err := s.lookupTenant(req.Tenant)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	calls := make([]engine.Call, len(req.Calls))
+	calls := make([]concurrent.Call, len(req.Calls))
 	for i, bc := range req.Calls {
 		cl, err := resolveCall(bc.Syscall, bc.Num, bc.Args)
 		if err != nil {
@@ -424,7 +365,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		calls[i] = cl
 	}
-	outs := t.engine().CheckBatch(calls, nil)
+	outs := t.chk.CheckBatchDecisions(calls, nil)
 	s.metrics.BatchCalls.Add(uint64(len(calls)))
 	resp := BatchResponse{Results: make([]CheckResult, len(outs))}
 	for i, d := range outs {
@@ -434,15 +375,14 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // putProfile uploads (or hot-swaps) a tenant's profile. It is the shared
-// core of the HTTP handler and the wire front end's profile frames.
-func (s *Server) putProfile(id, requested string, body io.Reader) (ProfileResponse, error) {
+// core of the HTTP handler and the wire and shm profile frames, which may
+// name an engine: only "" and DefaultEngine are accepted.
+func (s *Server) putProfile(id, engineName string, body io.Reader) (ProfileResponse, error) {
 	if id == "" {
 		return ProfileResponse{}, fmt.Errorf("missing tenant id")
 	}
-	if requested != "" {
-		if _, ok := engine.Lookup(requested); !ok {
-			return ProfileResponse{}, fmt.Errorf("unknown engine %q (have %s)", requested, strings.Join(engine.Names(), ", "))
-		}
+	if engineName != "" && engineName != DefaultEngine {
+		return ProfileResponse{}, fmt.Errorf("unknown engine %q (dracod serves only %s)", engineName, DefaultEngine)
 	}
 	p, err := seccomp.ReadJSON(body, id)
 	if err != nil {
@@ -453,59 +393,31 @@ func (s *Server) putProfile(id, requested string, body io.Reader) (ProfileRespon
 	t := s.tenants[id]
 	created := t == nil
 	if created {
-		eng, err := s.resolveEngineName(requested)
-		if err != nil {
-			s.mu.Unlock()
-			return ProfileResponse{}, err
+		if t, err = s.newTenant(id, p); err == nil {
+			s.tenants[id] = t
 		}
-		e, err := s.newEngine(eng, p)
-		if err != nil {
-			s.mu.Unlock()
-			return ProfileResponse{}, err
-		}
-		t = newTenant(id, eng, e)
-		s.tenants[id] = t
-		s.mu.Unlock()
-	} else {
-		// Swap outside the registry lock: SetProfile compiles filters per
-		// shard, and in-flight checks must keep flowing meanwhile.
-		s.mu.Unlock()
-		if requested != "" && requested != t.cur.Load().name {
-			// Mechanism switch: rebuild the tenant on the new engine. The
-			// old engine keeps serving in-flight checks until the swap.
-			e, err := s.newEngine(requested, p)
-			if err != nil {
-				return ProfileResponse{}, err
-			}
-			s.rebind(t, &binding{name: requested, eng: e})
-		} else if err := t.engine().SetProfile(p); err != nil {
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return ProfileResponse{}, err
+	}
+	// An existing tenant swaps outside the registry lock: SetProfile
+	// compiles filters per shard, and in-flight checks must keep flowing
+	// meanwhile.
+	if !created {
+		if err := t.chk.SetProfile(p); err != nil {
 			return ProfileResponse{}, err
 		}
 	}
 	s.metrics.ProfileSwaps.Add(1)
-	b := t.cur.Load()
 	return ProfileResponse{
 		Tenant:     id,
-		Engine:     b.name,
+		Engine:     DefaultEngine,
 		Profile:    p.Name,
-		Generation: b.eng.Describe().Generation,
+		Generation: t.chk.Generation(),
 		Syscalls:   p.NumSyscalls(),
 		Created:    created,
 	}, nil
-}
-
-// rebind moves t to next and folds the binding it displaced into the retired
-// totals, both under retireMu, then closes the old engine. A check still in
-// flight on the old engine when its Stats are read is served but not
-// counted.
-func (s *Server) rebind(t *tenant, next *binding) {
-	s.retireMu.Lock()
-	old := t.cur.Swap(next)
-	total := s.retired[old.name]
-	total.Add(old.eng.Stats())
-	s.retired[old.name] = total
-	s.retireMu.Unlock()
-	old.eng.Close()
 }
 
 func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
@@ -518,16 +430,14 @@ func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) statsFor(t *tenant) StatsResponse {
-	e := t.engine()
-	st := e.Stats()
-	d := e.Describe()
+	st := t.chk.Stats()
 	return StatsResponse{
 		Tenant:      t.name,
-		Engine:      d.Engine,
-		Profile:     d.Profile,
-		Generation:  d.Generation,
-		Shards:      d.Shards,
-		Routing:     d.Routing,
+		Engine:      DefaultEngine,
+		Profile:     t.chk.Profile().Name,
+		Generation:  t.chk.Generation(),
+		Shards:      t.chk.Shards(),
+		Routing:     t.chk.Routing().String(),
 		Checks:      st.Checks,
 		SPTHits:     st.SPTHits,
 		VATHits:     st.VATHits,
@@ -535,7 +445,7 @@ func (s *Server) statsFor(t *tenant) StatsResponse {
 		FilterInsns: st.FilterInsns,
 		Inserts:     st.Inserts,
 		Denied:      st.Denied,
-		VATBytes:    e.VATBytes(),
+		VATBytes:    t.chk.VATBytes(),
 	}
 }
 
@@ -569,22 +479,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		tenants = append(tenants, t)
 	}
 	s.mu.RUnlock()
-	totals := checkerTotals{ByEngine: make(map[string]*engineTotals)}
-	for _, name := range engine.Names() {
-		totals.ByEngine[name] = &engineTotals{}
-	}
-	s.retireMu.Lock()
-	for name, st := range s.retired {
-		totals.ByEngine[name].Stats = st
-	}
+	totals := checkerTotals{Tenants: len(tenants)}
 	for _, t := range tenants {
-		b := t.cur.Load()
-		et := totals.ByEngine[b.name]
-		et.Tenants++
-		et.Stats.Add(b.eng.Stats())
-		totals.VATBytes += b.eng.VATBytes()
+		totals.Stats.Add(t.chk.Stats())
+		totals.VATBytes += t.chk.VATBytes()
 	}
-	s.retireMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.metrics.WriteTo(w, totals)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,108 +182,41 @@ func TestProfileUploadAndHotSwap(t *testing.T) {
 	}
 }
 
-// TestEngineSelection drives the ?engine= surface: per-tenant engine choice
-// on profile upload and on auto-provision, conflict detection, and mechanism
-// switching by re-upload.
-func TestEngineSelection(t *testing.T) {
-	ts, c := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+// TestOtherEnginesRejected: dracod serves one engine. A profile upload may
+// name it or nothing; naming any other registry engine, or an unknown one,
+// is a 400 that provisions no tenant.
+func TestOtherEnginesRejected(t *testing.T) {
+	ts, c := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
-
-	// Upload with an explicit engine: the tenant runs draco-sw (a
-	// sequential engine the server wraps for sharing).
-	pr, err := c.PutProfileEngine(ctx, "sw", "draco-sw", bytes.NewReader(profileJSON(t, seccomp.DockerDefault())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Created || pr.Engine != "draco-sw" {
-		t.Fatalf("upload with engine: %+v", pr)
-	}
-	res, err := c.Check(ctx, server.CheckRequest{Tenant: "sw", Syscall: "read"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Allowed || res.Cached {
-		t.Fatalf("first draco-sw check: %+v", res)
-	}
-	res, err = c.Check(ctx, server.CheckRequest{Tenant: "sw", Syscall: "read"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cached {
-		t.Fatalf("second draco-sw check not cached: %+v", res)
-	}
-	st, err := c.Stats(ctx, "sw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Engine != "draco-sw" || st.Checks != 2 {
-		t.Fatalf("draco-sw stats: %+v", st)
-	}
-
-	// filter-only never caches.
-	if _, err := c.PutProfileEngine(ctx, "fo", "filter-only", bytes.NewReader(profileJSON(t, seccomp.DockerDefault()))); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		res, err = c.Check(ctx, server.CheckRequest{Tenant: "fo", Syscall: "read"})
+	put := func(tenant, query string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/tenants/"+tenant+"/profile"+query,
+			bytes.NewReader(profileJSON(t, seccomp.DockerDefault())))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Allowed || res.Cached {
-			t.Fatalf("filter-only check %d: %+v", i, res)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, q := range []string{"?engine=draco-sw", "?engine=warp-drive"} {
+		if code := put("other", q); code != http.StatusBadRequest {
+			t.Fatalf("PUT %s: HTTP %d, want 400", q, code)
 		}
 	}
-
-	// Auto-provision with ?engine= on the check URL itself.
-	resp, err := http.Post(ts.URL+"/v1/check?engine=draco-sw", "application/json",
-		strings.NewReader(`{"tenant":"auto","syscall":"read"}`))
-	if err != nil {
-		t.Fatal(err)
+	if names, err := c.Tenants(ctx); err != nil || len(names) != 0 {
+		t.Fatalf("rejected uploads provisioned tenants: %v, %v", names, err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("auto-provision with engine: HTTP %d", resp.StatusCode)
-	}
-	if st, err = c.Stats(ctx, "auto"); err != nil || st.Engine != "draco-sw" {
-		t.Fatalf("auto-provisioned engine: %+v err=%v", st, err)
-	}
-
-	// A conflicting ?engine= on an existing tenant is rejected.
-	resp, err = http.Post(ts.URL+"/v1/check?engine=draco-concurrent", "application/json",
-		strings.NewReader(`{"tenant":"auto","syscall":"read"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("conflicting engine accepted on check")
-	}
-
-	// Unknown engines are rejected everywhere.
-	if _, err := c.PutProfileEngine(ctx, "x", "warp-drive", bytes.NewReader(profileJSON(t, seccomp.DockerDefault()))); err == nil {
-		t.Fatal("unknown engine accepted on upload")
-	}
-	resp, err = http.Post(ts.URL+"/v1/check?engine=warp-drive", "application/json",
-		strings.NewReader(`{"tenant":"fresh","syscall":"read"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("unknown engine accepted on check")
-	}
-
-	// Re-uploading with a different engine rebuilds the tenant on the new
-	// mechanism: stats and generation restart.
-	pr, err = c.PutProfileEngine(ctx, "sw", "draco-concurrent", bytes.NewReader(profileJSON(t, seccomp.DockerDefault())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Created || pr.Engine != "draco-concurrent" || pr.Generation != 1 {
-		t.Fatalf("engine switch: %+v", pr)
-	}
-	if st, err = c.Stats(ctx, "sw"); err != nil || st.Engine != "draco-concurrent" || st.Checks != 0 {
-		t.Fatalf("stats after engine switch: %+v err=%v", st, err)
+	for tenant, q := range map[string]string{"plain": "", "named": "?engine=" + server.DefaultEngine} {
+		if code := put(tenant, q); code != http.StatusOK {
+			t.Fatalf("PUT %q: HTTP %d, want 200", q, code)
+		}
+		if st, err := c.Stats(ctx, tenant); err != nil || st.Engine != server.DefaultEngine {
+			t.Fatalf("tenant %s: %+v, %v", tenant, st, err)
+		}
 	}
 }
 
@@ -362,24 +296,33 @@ func TestStatsAndMetrics(t *testing.T) {
 		"dracod_cache_hits_total 9",
 		"dracod_filter_runs_total 1",
 		"dracod_tenants 1",
-		// Observation-layer series, folded from the engines' Stats.
-		"dracod_observed_checks_total 10",
-		"dracod_observed_cache_hits_total 9",
 		// The 9 steady-state checks of an ID-only constant syscall are
-		// served by the concurrent engine's lock-free decision plane.
+		// served by the checker's lock-free decision plane.
 		`dracod_check_class_total{class="fast-hit"} 9`,
 		// The first check resolved through the constant-action bitmap
 		// (the locked warm-up that seeds the plane).
 		`dracod_check_class_total{class="bitmap-hit"} 1`,
-		`dracod_engine_tenants{engine="draco-concurrent"} 1`,
-		`dracod_engine_checks_total{engine="draco-concurrent"} 10`,
-		`dracod_engine_checks_total{engine="draco-sw"} 0`,
 		`dracod_http_requests_total{endpoint="check"} 10`,
 		`dracod_http_latency_ns{endpoint="check",quantile="0.99"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page missing %q:\n%s", want, text)
 		}
+	}
+	// Every check lands in exactly one class.
+	var classes uint64
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "dracod_check_class_total{"); ok {
+			_, v, _ := strings.Cut(rest, " ")
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			classes += n
+		}
+	}
+	if classes != st.Checks {
+		t.Errorf("dracod_check_class_total sums to %d, dracod_checks_total is %d", classes, st.Checks)
 	}
 }
 

@@ -6,9 +6,9 @@ package server
 //
 // A single-check frame runs to completion on the connection's own dispatch
 // goroutine: decode, resolve the tenant through the session-local cache,
-// Engine.Check, hand the decision to the responder. Nothing is queued and no
-// state is shared between connections, which gives two guarantees by
-// construction:
+// check on the tenant's checker, hand the decision to the responder.
+// Nothing is queued and no state is shared between connections, which
+// gives two guarantees by construction:
 //
 //   - ordering: responses on a connection are produced in the order its
 //     frames were consumed, so a profile or stats frame sees every check
@@ -40,7 +40,8 @@ import (
 	"log"
 	"time"
 
-	"draco/internal/engine"
+	"draco/internal/concurrent"
+	"draco/internal/core"
 	"draco/internal/wire"
 )
 
@@ -64,7 +65,7 @@ func (s *Server) NewSessionHub(SessionOptions) *SessionHub {
 // buffered responses to the peer. Only the session's dispatch goroutine
 // calls it.
 type responder interface {
-	sendCheck(id uint64, d engine.Decision)
+	sendCheck(id uint64, d core.Decision)
 	send(t wire.Type, id uint64, payload []byte)
 	flush()
 }
@@ -85,8 +86,8 @@ type session struct {
 	unflushed bool
 
 	// Batch-frame scratch, reused across frames.
-	calls   []engine.Call
-	outs    []engine.Decision
+	calls   []concurrent.Call
+	outs    []core.Decision
 	respBuf []byte
 }
 
@@ -135,7 +136,7 @@ func (c *session) resolve(name []byte) (*tenant, error) {
 	if t == nil {
 		// Slow path: auto-provision (when configured) exactly like HTTP.
 		var err error
-		t, err = s.lookupTenant(string(name), "")
+		t, err = s.lookupTenant(string(name))
 		if err != nil {
 			return nil, err
 		}
@@ -167,15 +168,13 @@ func (c *session) handleCheck(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	// The engine is fetched per check, so profile uploads that rebuild the
-	// tenant on a new mechanism take effect check-to-check.
-	d := t.engine().Check(call.SID, call.Args)
+	out := t.chk.Check(call.SID, call.Args)
 	// Count before publishing: a shm client spinning on the completion
 	// ring can observe the response — and read the metrics — the moment
 	// the frame lands, so counters must already cover it.
 	m := c.hub.s.metrics
 	m.WireChecks.Add(1)
-	c.resp.sendCheck(id, d)
+	c.resp.sendCheck(id, out.Decision())
 	c.unflushed = true
 	m.WireCheckLatency.Observe(time.Since(start))
 }
@@ -193,7 +192,7 @@ func (c *session) handleBatch(id uint64, p []byte) {
 		return
 	}
 	c.calls = seq.AppendTo(c.calls[:0])
-	c.outs = t.engine().CheckBatch(c.calls, c.outs[:0])
+	c.outs = t.chk.CheckBatchDecisions(c.calls, c.outs[:0])
 	c.respBuf = wire.AppendBatchResp(c.respBuf[:0], c.outs)
 	// Count before publishing, as in handleCheck.
 	m := c.hub.s.metrics

@@ -47,7 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"draco/internal/engine"
+	"draco/internal/core"
 	"draco/internal/shm"
 	"draco/internal/wire"
 )
@@ -400,7 +400,7 @@ func (r *shmResponder) publish(t wire.Type, id uint64, fill func([]byte) []byte)
 	}
 }
 
-func (r *shmResponder) sendCheck(id uint64, d engine.Decision) {
+func (r *shmResponder) sendCheck(id uint64, d core.Decision) {
 	r.publish(wire.TypeCheckResp, id, func(buf []byte) []byte {
 		return wire.AppendCheckResp(buf, d)
 	})

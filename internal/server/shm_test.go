@@ -242,11 +242,11 @@ func TestShmProfileSwapAndStats(t *testing.T) {
 		t.Fatalf("want *client.ServerError, got %T: %v", err, err)
 	}
 
-	resp, err := sc.PutProfile(ctx, "web", "draco-sw", profileJSON(t, seccomp.DockerDefault()))
+	resp, err := sc.PutProfile(ctx, "web", "", profileJSON(t, seccomp.DockerDefault()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Tenant != "web" || resp.Engine != "draco-sw" || !resp.Created {
+	if resp.Tenant != "web" || resp.Engine != server.DefaultEngine || !resp.Created || resp.Generation != 1 {
 		t.Fatalf("profile response: %+v", resp)
 	}
 
@@ -260,19 +260,29 @@ func TestShmProfileSwapAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tenant != "web" || st.Engine != "draco-sw" || st.Checks != 3 {
+	if st.Tenant != "web" || st.Engine != server.DefaultEngine || st.Checks != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	resp, err = sc.PutProfile(ctx, "web", "draco-concurrent", profileJSON(t, seccomp.GVisorDefault()))
+	resp, err = sc.PutProfile(ctx, "web", server.DefaultEngine, profileJSON(t, seccomp.GVisorDefault()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Engine != "draco-concurrent" || resp.Created {
+	if resp.Engine != server.DefaultEngine || resp.Created || resp.Generation != 2 {
 		t.Fatalf("swap response: %+v", resp)
 	}
 	if _, err := sc.Check(ctx, "web", read, engine.Args{}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Naming any other engine gets an error frame and provisions nothing.
+	if _, err := sc.PutProfile(ctx, "sw", "draco-sw", profileJSON(t, seccomp.DockerDefault())); err == nil {
+		t.Fatal("profile frame naming draco-sw accepted")
+	} else if _, ok := err.(*client.ServerError); !ok {
+		t.Fatalf("want *client.ServerError, got %T: %v", err, err)
+	}
+	if _, err := sc.Stats(ctx, "sw"); err == nil {
+		t.Fatal("rejected upload provisioned its tenant")
 	}
 }
 
@@ -496,7 +506,7 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 // goroutines hammer one shm connection — checks through the Batcher fold
 // and direct batches, all funneling into the single submission ring —
 // while a writer hot-swaps the tenant's profile over the control socket
-// (alternating engines, so whole-engine rebuilds race with ring traffic).
+// (alternating two profiles, so generation swaps race with ring traffic).
 // Every request must complete without a transport- or request-level
 // error.
 func TestShmHotSwapHammer(t *testing.T) {
@@ -542,10 +552,9 @@ func TestShmHotSwapHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		engines := []string{"draco-sw", "draco-concurrent"}
 		bodies := [][]byte{docker, gvisor}
 		for i := 0; i < 40; i++ {
-			if _, err := sc.PutProfile(ctx, "hammer", engines[i%2], bodies[i%2]); err != nil {
+			if _, err := sc.PutProfile(ctx, "hammer", "", bodies[i%2]); err != nil {
 				errCh <- err
 				return
 			}

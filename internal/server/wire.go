@@ -21,7 +21,7 @@ import (
 	"net"
 	"sync"
 
-	"draco/internal/engine"
+	"draco/internal/core"
 	"draco/internal/wire"
 )
 
@@ -103,9 +103,9 @@ func (ws *WireServer) Close() error {
 // wireResponder answers through a wire.Writer.
 type wireResponder struct{ w *wire.Writer }
 
-func (r wireResponder) sendCheck(id uint64, d engine.Decision) { r.w.SendCheckResp(id, d) }
-func (r wireResponder) send(t wire.Type, id uint64, p []byte)  { r.w.Send(t, id, p) }
-func (r wireResponder) flush()                                 { r.w.Flush() }
+func (r wireResponder) sendCheck(id uint64, d core.Decision)  { r.w.SendCheckResp(id, d) }
+func (r wireResponder) send(t wire.Type, id uint64, p []byte) { r.w.Send(t, id, p) }
+func (r wireResponder) flush()                                { r.w.Flush() }
 
 // serveConn runs one connection's read loop.
 func (ws *WireServer) serveConn(nc net.Conn) {

@@ -158,11 +158,11 @@ func TestWireProfileSwapAndStats(t *testing.T) {
 		t.Fatalf("want *client.ServerError, got %T: %v", err, err)
 	}
 
-	resp, err := wc.PutProfile(ctx, "web", "draco-sw", profileJSON(t, seccomp.DockerDefault()))
+	resp, err := wc.PutProfile(ctx, "web", "", profileJSON(t, seccomp.DockerDefault()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Tenant != "web" || resp.Engine != "draco-sw" || !resp.Created {
+	if resp.Tenant != "web" || resp.Engine != server.DefaultEngine || !resp.Created || resp.Generation != 1 {
 		t.Fatalf("profile response: %+v", resp)
 	}
 
@@ -176,21 +176,31 @@ func TestWireProfileSwapAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tenant != "web" || st.Engine != "draco-sw" || st.Checks != 3 {
+	if st.Tenant != "web" || st.Engine != server.DefaultEngine || st.Checks != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	// Hot swap to a different mechanism; the tenant survives with the new
-	// engine and a fresh generation.
-	resp, err = wc.PutProfile(ctx, "web", "draco-concurrent", profileJSON(t, seccomp.GVisorDefault()))
+	// Hot swap naming the served engine; the tenant survives with a new
+	// generation.
+	resp, err = wc.PutProfile(ctx, "web", server.DefaultEngine, profileJSON(t, seccomp.GVisorDefault()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Engine != "draco-concurrent" || resp.Created {
+	if resp.Engine != server.DefaultEngine || resp.Created || resp.Generation != 2 {
 		t.Fatalf("swap response: %+v", resp)
 	}
 	if _, err := wc.Check(ctx, "web", read, engine.Args{}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Naming any other engine gets an error frame and provisions nothing.
+	if _, err := wc.PutProfile(ctx, "sw", "draco-sw", profileJSON(t, seccomp.DockerDefault())); err == nil {
+		t.Fatal("profile frame naming draco-sw accepted")
+	} else if _, ok := err.(*client.ServerError); !ok {
+		t.Fatalf("want *client.ServerError, got %T: %v", err, err)
+	}
+	if _, err := wc.Stats(ctx, "sw"); err == nil {
+		t.Fatal("rejected upload provisioned its tenant")
 	}
 }
 
@@ -348,7 +358,7 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 
 // TestWireHotSwapHammer is the -race workout: 32 goroutines hammer one
 // wire connection pool with checks and batches while a writer hot-swaps
-// the tenant's profile (alternating engines, so whole-engine rebuilds race
+// the tenant's profile (alternating two profiles, so generation swaps race
 // with in-flight checks). Every request must complete without a
 // transport- or request-level error.
 func TestWireHotSwapHammer(t *testing.T) {
@@ -393,10 +403,9 @@ func TestWireHotSwapHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		engines := []string{"draco-sw", "draco-concurrent"}
 		bodies := [][]byte{docker, gvisor}
 		for i := 0; i < 40; i++ {
-			if _, err := wc.PutProfile(ctx, "hammer", engines[i%2], bodies[i%2]); err != nil {
+			if _, err := wc.PutProfile(ctx, "hammer", "", bodies[i%2]); err != nil {
 				errCh <- err
 				return
 			}
