@@ -4,26 +4,25 @@ package main
 // with every front end — the HTTP JSON API, the binary wire protocol, and
 // the shared-memory rings — and drives single-check traffic from every
 // workload trace through each at equal client concurrency, reporting
-// throughput and p50/p95/p99 request latency. One driver loop serves all
-// of them: each edge is just a client.Transport. This is the measurement
-// behind the transport story: with the in-process check path already
-// allocation-free, the remaining hot-path cost is request framing and
-// kernel crossings — the wire protocol removes most of the former, the
-// rings remove the latter, and the client-side Batcher (the shm_fold
-// edge) amortizes what is left per call.
+// throughput. One driver loop serves all of them: each edge is just a
+// client.Transport. This is the measurement behind the transport story:
+// with the in-process check path already allocation-free, the remaining
+// hot-path cost is request framing and kernel crossings — the wire
+// protocol removes most of the former, the rings remove the latter, and
+// the client-side Batcher (the shm_fold edge) amortizes what is left per
+// call.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"math"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
-	"draco/internal/bench"
 	"draco/internal/engine"
 	"draco/internal/profilegen"
 	"draco/internal/seccomp"
@@ -32,16 +31,30 @@ import (
 	"draco/internal/shm"
 	"draco/internal/stats"
 	"draco/internal/trace"
+	"draco/internal/workloads"
 )
 
-// loadgenPathResult is one (workload, transport) drive repetition.
-type loadgenPathResult struct {
+// loadgenConfig is what -loadgen takes from the command line.
+type loadgenConfig struct {
+	workloads   []*workloads.Workload
+	events      int
+	reps        int
+	seed        int64
+	concurrency int
+	conns       int
+}
+
+// loadgenRep is one drive of a workload's trace over one edge.
+type loadgenRep struct {
 	Ops       int
-	Elapsed   time.Duration
 	OpsPerSec float64
-	P50NS     int64
-	P95NS     int64
-	P99NS     int64
+}
+
+// loadgenResult is every rep of one workload over one edge.
+type loadgenResult struct {
+	Workload string
+	Edge     string
+	Reps     []loadgenRep
 }
 
 // loadgenEdge is one way of reaching the server under test.
@@ -50,22 +63,26 @@ type loadgenEdge struct {
 	tc   client.Transport
 }
 
-// loadgenMode drives the comparison and returns the common-schema result.
-func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult, error) {
-	events := cc.eventsOr(20_000)
+// loadgenMode drives every workload over every edge, prints the
+// per-workload table of median ops/s to out, and returns each rep.
+func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
+	events := cfg.events
+	if events <= 0 {
+		events = 20_000
+	}
+	reps := cfg.reps
+	if reps <= 0 {
+		reps = 2
+	}
+	concurrency := cfg.concurrency
 	if concurrency <= 0 {
 		concurrency = 32
 	}
+	wireConns := cfg.conns
 	if wireConns <= 0 {
 		wireConns = 4
 	}
 	const shards = 8
-	runner := cc.runner(2)
-	if cc.warmup < 0 {
-		// warmTenant already warms the serving tables; a full untimed
-		// drive per transport would only stretch the run.
-		runner.Warmup = 0
-	}
 
 	srv := server.New(server.Options{Shards: shards, Routing: "syscall"})
 	// One session hub behind both binary front ends: frame dispatch is
@@ -75,7 +92,7 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult,
 	// HTTP front end on a loopback listener.
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return bench.ModeResult{}, err
+		return nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(httpLn)
@@ -84,7 +101,7 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult,
 	// Wire front end next to it.
 	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return bench.ModeResult{}, err
+		return nil, err
 	}
 	ws := hub.NewWireServer()
 	go ws.Serve(wireLn)
@@ -97,7 +114,7 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult,
 	hc := client.New("http://"+httpLn.Addr().String(), &http.Client{Transport: transport})
 	wc, err := client.DialWire(wireLn.Addr().String(), client.WireOptions{Conns: wireConns})
 	if err != nil {
-		return bench.ModeResult{}, err
+		return nil, err
 	}
 	defer wc.Close()
 
@@ -108,23 +125,22 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult,
 
 	// Shm front end: skip (not fail) where mmap is unavailable, so the
 	// mode still runs on exotic platforms.
-	shmState := "on"
-	var shmc *client.Shm
+	var shmState string
 	if shm.Supported() {
 		dir, err := os.MkdirTemp("", "dracobench-shm-*")
 		if err != nil {
-			return bench.ModeResult{}, err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		ss, err := hub.NewShmServer(dir)
 		if err != nil {
-			return bench.ModeResult{}, err
+			return nil, err
 		}
 		go ss.Serve()
 		defer ss.Close()
-		shmc, err = client.DialShm(dir, client.ShmOptions{})
+		shmc, err := client.DialShm(dir, client.ShmOptions{})
 		if err != nil {
-			return bench.ModeResult{}, fmt.Errorf("loadgen: shm: %w", err)
+			return nil, fmt.Errorf("loadgen: shm: %w", err)
 		}
 		defer shmc.Close()
 		// The fold edge layers client-side aggregation on the same
@@ -138,140 +154,75 @@ func loadgenMode(cc commonConfig, concurrency, wireConns int) (bench.ModeResult,
 	}
 
 	ctx := context.Background()
-	mode := bench.ModeResult{
-		Mode: "loadgen",
-		Config: bench.Config{
-			Events: events, Reps: runner.Reps, Warmup: runner.Warmup,
-			Seed: cc.seed, Workloads: cc.workloadNames(),
-			Extra: map[string]string{
-				"concurrency": fmt.Sprint(concurrency),
-				"wire_conns":  fmt.Sprint(wireConns),
-				"engine":      server.DefaultEngine,
-				"shards":      fmt.Sprint(shards),
-				"shm":         shmState,
-			},
-		},
-	}
-
-	fmt.Printf("loadgen: %d events/workload, %d client workers, %d wire conns, shm %s\n",
+	fmt.Fprintf(out, "loadgen: %d events/workload, %d client workers, %d wire conns, shm %s\n",
 		events, concurrency, wireConns, shmState)
 	header := fmt.Sprintf("%-16s", "workload")
 	for _, e := range edges {
 		header += fmt.Sprintf(" %12s", e.name+" ops/s")
 	}
-	fmt.Printf("%s %9s %9s\n", header, "wire/http", "shm/wire")
+	fmt.Fprintf(out, "%s %9s %9s\n", header, "wire/http", "shm/wire")
 
-	type series struct{ ops, p50, p95, p99 []float64 }
-	var logWireHTTP, logShmWire float64
-	shmWorkloads := 0
-	var prevStats client.RingStats
-	for _, w := range cc.workloads {
-		tr := w.Generate(events, cc.seed)
+	var results []loadgenResult
+	var wireHTTPs, shmWires []float64
+	for _, w := range cfg.workloads {
+		tr := w.Generate(events, cfg.seed)
 		p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-		var buf []byte
-		{
-			var b jsonBuffer
-			if err := seccomp.WriteJSON(&b, p); err != nil {
-				return bench.ModeResult{}, err
-			}
-			buf = b
+		var buf bytes.Buffer
+		if err := seccomp.WriteJSON(&buf, p); err != nil {
+			return nil, err
 		}
-		if _, err := wc.PutProfile(ctx, w.Name, "", buf); err != nil {
-			return bench.ModeResult{}, fmt.Errorf("loadgen: profile %s: %w", w.Name, err)
+		if _, err := wc.PutProfile(ctx, w.Name, "", buf.Bytes()); err != nil {
+			return nil, fmt.Errorf("loadgen: profile %s: %w", w.Name, err)
 		}
 		// Warm the tenant's VAT once via batch frames so every transport
 		// measures steady-state edge cost, not first-touch filter runs.
 		if err := warmTenant(ctx, wc, w.Name, tr); err != nil {
-			return bench.ModeResult{}, err
+			return nil, err
 		}
 
-		sers := make([]series, len(edges))
-		err := runner.Repeat(func(recorded bool) error {
-			for i, e := range edges {
-				res, err := driveEdge(ctx, e.tc, w.Name, tr, concurrency)
-				if err != nil {
-					return fmt.Errorf("loadgen: %s over %s: %w", w.Name, e.name, err)
-				}
-				if recorded {
-					s := &sers[i]
-					s.ops = append(s.ops, res.OpsPerSec)
-					s.p50 = append(s.p50, float64(res.P50NS))
-					s.p95 = append(s.p95, float64(res.P95NS))
-					s.p99 = append(s.p99, float64(res.P99NS))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return bench.ModeResult{}, err
+		rows := make([]loadgenResult, len(edges))
+		for i, e := range edges {
+			rows[i] = loadgenResult{Workload: w.Name, Edge: e.name}
 		}
+		for r := 0; r < reps; r++ {
+			for i, e := range edges {
+				rep, err := driveEdge(ctx, e.tc, w.Name, tr, concurrency)
+				if err != nil {
+					return nil, fmt.Errorf("loadgen: %s over %s: %w", w.Name, e.name, err)
+				}
+				rows[i].Reps = append(rows[i].Reps, rep)
+			}
+		}
+		results = append(results, rows...)
 
 		medians := make(map[string]float64, len(edges))
 		row := fmt.Sprintf("%-16s", w.Name)
-		for i, e := range edges {
-			s := sers[i]
-			ops := bench.HigherIsBetter(w.Name, e.name+"/ops_per_sec", "ops/s", events, s.ops)
-			mode.Metrics = append(mode.Metrics, ops,
-				bench.LowerIsBetter(w.Name, e.name+"/p50_ns", "ns", events, s.p50),
-				bench.LowerIsBetter(w.Name, e.name+"/p95_ns", "ns", events, s.p95),
-				bench.LowerIsBetter(w.Name, e.name+"/p99_ns", "ns", events, s.p99))
-			medians[e.name] = ops.Summary.Median
-			row += fmt.Sprintf(" %12.0f", ops.Summary.Median)
-		}
-		ratioSeries := func(num, den series) []float64 {
-			out := make([]float64, 0, len(num.ops))
-			for i := range num.ops {
-				if i < len(den.ops) && den.ops[i] > 0 {
-					out = append(out, num.ops[i]/den.ops[i])
-				}
+		for _, res := range rows {
+			ops := make([]float64, len(res.Reps))
+			for i, rep := range res.Reps {
+				ops[i] = rep.OpsPerSec
 			}
-			return out
+			medians[res.Edge] = stats.Median(ops)
+			row += fmt.Sprintf(" %12.0f", medians[res.Edge])
 		}
 		wireHTTP := 0.0
 		if medians["http"] > 0 {
 			wireHTTP = medians["wire"] / medians["http"]
-			logWireHTTP += math.Log(wireHTTP)
-			mode.Metrics = append(mode.Metrics,
-				bench.Info(w.Name, "wire_vs_http_speedup", "x", ratioSeries(sers[1], sers[0])))
+			wireHTTPs = append(wireHTTPs, wireHTTP)
 		}
 		shmWire := 0.0
 		if m, ok := medians["shm"]; ok && medians["wire"] > 0 {
 			shmWire = m / medians["wire"]
-			logShmWire += math.Log(shmWire)
-			shmWorkloads++
-			mode.Metrics = append(mode.Metrics,
-				bench.Info(w.Name, "shm_vs_wire_speedup", "x", ratioSeries(sers[2], sers[1])))
+			shmWires = append(shmWires, shmWire)
 		}
-		// Transport internals of the shm connection: doorbell parks/wakes
-		// this workload cost and the adaptive spin budget it converged to.
-		if shmc != nil {
-			st := shmc.RingStats()
-			mode.Metrics = append(mode.Metrics,
-				bench.Info(w.Name, "shm/reap_parks", "parks", []float64{float64(st.Parks - prevStats.Parks)}),
-				bench.Info(w.Name, "shm/reap_wakes", "wakes", []float64{float64(st.Wakes - prevStats.Wakes)}),
-				bench.Info(w.Name, "shm/spin_budget", "polls", []float64{float64(st.SpinBudget)}))
-			prevStats = st
-		}
-		fmt.Printf("%s %8.1fx %8.1fx\n", row, wireHTTP, shmWire)
+		fmt.Fprintf(out, "%s %8.1fx %8.1fx\n", row, wireHTTP, shmWire)
 	}
-	notes := fmt.Sprintf("geomean wire/http single-check speedup: %.1fx",
-		math.Exp(logWireHTTP/float64(len(cc.workloads))))
-	if shmWorkloads > 0 {
-		notes += fmt.Sprintf("; geomean shm/wire single-check speedup: %.1fx",
-			math.Exp(logShmWire/float64(shmWorkloads)))
+	notes := fmt.Sprintf("geomean wire/http single-check speedup: %.1fx", stats.Geomean(wireHTTPs))
+	if len(shmWires) > 0 {
+		notes += fmt.Sprintf("; geomean shm/wire single-check speedup: %.1fx", stats.Geomean(shmWires))
 	}
-	mode.Notes = notes
-	fmt.Printf("%s\n", mode.Notes)
-	return mode, nil
-}
-
-// jsonBuffer is a minimal io.Writer over a byte slice (avoids importing
-// bytes just for profile serialization).
-type jsonBuffer []byte
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+	fmt.Fprintln(out, notes)
+	return results, nil
 }
 
 // warmTenant replays the trace once through wire batch frames.
@@ -297,12 +248,11 @@ func warmTenant(ctx context.Context, wc *client.Wire, tenant string, tr trace.Tr
 	return nil
 }
 
-// drive fans the trace out over `concurrency` workers, each issuing its
-// slice as sequential single-check requests through checkOne, and folds
-// the per-request latencies into one distribution.
-func drive(tr trace.Trace, concurrency int, checkOne func(ev trace.Event) error) (loadgenPathResult, error) {
+// driveEdge fans the trace out over `concurrency` workers, each issuing
+// its slice as sequential single-check requests through tc.
+func driveEdge(ctx context.Context, tc client.Transport, tenant string, tr trace.Trace, concurrency int) (loadgenRep, error) {
 	var wg sync.WaitGroup
-	workerLats := make([][]time.Duration, concurrency)
+	done := make([]int, concurrency)
 	errs := make([]error, concurrency)
 	per := (len(tr) + concurrency - 1) / concurrency
 	start := time.Now()
@@ -318,52 +268,27 @@ func drive(tr trace.Trace, concurrency int, checkOne func(ev trace.Event) error)
 		wg.Add(1)
 		go func(g int, slice trace.Trace) {
 			defer wg.Done()
-			lats := make([]time.Duration, 0, len(slice))
 			for _, ev := range slice {
-				reqStart := time.Now()
-				if err := checkOne(ev); err != nil {
+				d, err := tc.Check(ctx, tenant, ev.SID, ev.Args)
+				if err == nil && !d.Allowed {
+					err = fmt.Errorf("sid %d denied under the trace's own profile", ev.SID)
+				}
+				if err != nil {
 					errs[g] = err
 					return
 				}
-				lats = append(lats, time.Since(reqStart))
+				done[g]++
 			}
-			workerLats[g] = lats
 		}(g, tr[lo:hi])
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	for _, err := range errs {
+	ops := 0
+	for g, err := range errs {
 		if err != nil {
-			return loadgenPathResult{}, err
+			return loadgenRep{}, err
 		}
+		ops += done[g]
 	}
-	var all []time.Duration
-	for _, lats := range workerLats {
-		all = append(all, lats...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return loadgenPathResult{
-		Ops:       len(all),
-		Elapsed:   elapsed,
-		OpsPerSec: float64(len(all)) / elapsed.Seconds(),
-		P50NS:     int64(stats.QuantileSorted(all, 0.50)),
-		P95NS:     int64(stats.QuantileSorted(all, 0.95)),
-		P99NS:     int64(stats.QuantileSorted(all, 0.99)),
-	}, nil
-}
-
-// driveEdge runs the common driver loop over any transport — the
-// per-transport drive functions this replaces differed only in the type
-// of the client they called.
-func driveEdge(ctx context.Context, tc client.Transport, tenant string, tr trace.Trace, concurrency int) (loadgenPathResult, error) {
-	return drive(tr, concurrency, func(ev trace.Event) error {
-		d, err := tc.Check(ctx, tenant, ev.SID, ev.Args)
-		if err != nil {
-			return err
-		}
-		if !d.Allowed {
-			return fmt.Errorf("sid %d denied under the trace's own profile", ev.SID)
-		}
-		return nil
-	})
+	return loadgenRep{Ops: ops, OpsPerSec: float64(ops) / elapsed.Seconds()}, nil
 }

@@ -13,7 +13,7 @@ import (
 // BenchmarkConcurrentCheckerParallel measures parallel check throughput
 // across VAT shard fan-outs. The trace is replayed warm (tables populated
 // first), so the hot path is SPT/VAT hits under shard locks — the serving
-// steady state. results/concurrent_baseline.json records a reference run.
+// steady state. `make bench` runs it.
 func BenchmarkConcurrentCheckerParallel(b *testing.B) {
 	w := workloads.All()[0]
 	tr := w.Generate(50_000, 42)

@@ -244,8 +244,9 @@ type Config struct {
 	// records exist only under seccomp.ExecBitmap.
 	Mode seccomp.ExecMode
 	// NoFastPath disables the lock-free decision plane, forcing every
-	// check through the locked shard path: the baseline the fastpath
-	// benchmark measures against. Decisions are identical either way.
+	// check through the locked shard path: the reference the plane
+	// differential test compares against. Decisions are identical either
+	// way.
 	NoFastPath bool
 }
 

@@ -24,8 +24,7 @@ func benchTrace(b *testing.B) ([]Call, Options) {
 
 // BenchmarkEngineCheck measures warm single-call throughput of every
 // registered engine through the registry — the apples-to-apples comparison
-// the Engine interface exists for. results/engine_baseline.json records a
-// run via `dracobench -engine all`.
+// the Engine interface exists for. `make bench-engine` runs it.
 func BenchmarkEngineCheck(b *testing.B) {
 	calls, opts := benchTrace(b)
 	for _, name := range Names() {

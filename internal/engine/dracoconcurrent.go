@@ -31,10 +31,9 @@ func newDracoConcurrent(opts Options) (Engine, error) {
 		return nil, fmt.Errorf("engine: %v", err)
 	}
 	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{
-		Shards:     opts.Shards,
-		Routing:    routing,
-		Mode:       seccomp.ExecBitmap,
-		NoFastPath: opts.NoFastPath,
+		Shards:  opts.Shards,
+		Routing: routing,
+		Mode:    seccomp.ExecBitmap,
 	})
 	if err != nil {
 		return nil, err
@@ -90,8 +89,3 @@ func (e *dracoConcurrent) Describe() Desc {
 }
 
 func (e *dracoConcurrent) Close() error { return closeObserver(e.obs) }
-
-// Inner exposes the wrapped concurrent checker for callers needing the
-// full concurrent surface (dracobench -fastpath reads plane coverage
-// through it).
-func (e *dracoConcurrent) Inner() *concurrent.Checker { return e.chk }

@@ -27,11 +27,6 @@ type Options struct {
 	// itself carries. Profiles swapped in later via SetProfile use their own
 	// Programmable field.
 	Program *ebpf.Source
-	// NoFastPath disables the lock-free decision plane in draco-concurrent:
-	// every check takes the locked shard path. The
-	// measurement baseline for the fastpath benchmark; decisions and Stats
-	// are identical either way.
-	NoFastPath bool
 }
 
 // Constructor builds one engine instance.

@@ -388,7 +388,7 @@ func rate(t *testing.T, checks int, f func()) float64 {
 }
 
 // BenchmarkServerCheck measures HTTP round-trip throughput of the single
-// and batch endpoints; results/concurrent_baseline.json records a run.
+// and batch endpoints; `make bench-server` runs it.
 func BenchmarkServerCheck(b *testing.B) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 9)

@@ -166,22 +166,3 @@ func TestMedianAndQuantile(t *testing.T) {
 		t.Errorf("Quantile mutated its input: %v", xs)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{10, 12, 11, 13, 1000})
-	if s.N != 5 {
-		t.Errorf("N = %d, want 5", s.N)
-	}
-	if s.Median != 12 || s.P50 != 12 {
-		t.Errorf("Median/P50 = %v/%v, want 12 (median must absorb the outlier)", s.Median, s.P50)
-	}
-	if s.Min != 10 || s.Max != 1000 {
-		t.Errorf("Min/Max = %v/%v, want 10/1000", s.Min, s.Max)
-	}
-	if s.Outliers != 1 {
-		t.Errorf("Outliers = %d, want 1 (the 1000 sample)", s.Outliers)
-	}
-	if z := Summarize(nil); z != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v, want zero", z)
-	}
-}

@@ -1,8 +1,7 @@
 // Package stats provides the small numeric and rendering helpers the
 // experiment and benchmark harnesses use: means, geometric means,
-// quantiles (both exact-over-samples and bucket-resolved), robust
-// summaries, and fixed-width text tables that mirror the paper's
-// figures as rows/series.
+// quantiles (both exact-over-samples and bucket-resolved), and
+// fixed-width text tables that mirror the paper's figures as rows/series.
 //
 // This package is the single home for quantile math. The loadgen and
 // dracod-replay latency percentiles and the server's fixed-bucket
@@ -115,53 +114,6 @@ func BucketQuantileIndex(counts []uint64, q float64) int {
 		}
 	}
 	return len(counts) - 1
-}
-
-// Summary is the robust per-metric digest the benchmark schema records:
-// nearest-rank median/p50/p95/p99 plus mean and range over the samples.
-// Outliers counts samples outside the Tukey fences (1.5×IQR beyond the
-// quartiles) — they stay in the summary (the median absorbs them) but
-// the count makes noisy runs visible in the JSON.
-type Summary struct {
-	N        int     `json:"n"`
-	Mean     float64 `json:"mean"`
-	Median   float64 `json:"median"`
-	P50      float64 `json:"p50"`
-	P95      float64 `json:"p95"`
-	P99      float64 `json:"p99"`
-	Min      float64 `json:"min"`
-	Max      float64 `json:"max"`
-	Outliers int     `json:"outliers,omitempty"`
-}
-
-// Summarize computes a Summary over xs (zero Summary for empty input).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	med := QuantileSorted(s, 0.5)
-	q1, q3 := QuantileSorted(s, 0.25), QuantileSorted(s, 0.75)
-	iqr := q3 - q1
-	lo, hi := q1-1.5*iqr, q3+1.5*iqr
-	outliers := 0
-	for _, x := range s {
-		if x < lo || x > hi {
-			outliers++
-		}
-	}
-	return Summary{
-		N:        len(s),
-		Mean:     Mean(s),
-		Median:   med,
-		P50:      med,
-		P95:      QuantileSorted(s, 0.95),
-		P99:      QuantileSorted(s, 0.99),
-		Min:      s[0],
-		Max:      s[len(s)-1],
-		Outliers: outliers,
-	}
 }
 
 // Table is a labeled grid of cells rendered in fixed-width text.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate; mirrors `make check`.
+# CI gate, and the one list of its steps; `make check` runs this script.
 set -eux
 
 go build ./...
@@ -42,9 +42,3 @@ go test -count=1 -run 'Fuzz' ./internal/ebpf/
 go test -race -count=1 -run 'TestFastPathHotSwapHammer' ./internal/concurrent/
 go test -race -count=1 -run 'TestSPTAccessedConcurrentMark' ./internal/core/
 go test -race -count=1 -run 'TestProgrammable' ./internal/engine/ ./internal/server/
-
-# Benchmark-harness round trip: every mode at smoke depth, then a
-# self-compare, which must find nothing.
-go run ./cmd/dracobench -bench-all -smoke -json /tmp/bench_smoke.$$.json
-go run ./cmd/dracobench -compare /tmp/bench_smoke.$$.json /tmp/bench_smoke.$$.json
-rm -f /tmp/bench_smoke.$$.json
