@@ -30,13 +30,13 @@ test-race:
 bench:
 	$(GO) test -run='^$$' -bench 'BenchmarkConcurrentChecker' -benchmem ./internal/concurrent
 
-# bench-server: the HTTP edge, plus a single shm check from one caller
-# (always holds the reap role), a 64-call shm batch from one caller
-# (BenchmarkShmCheckBatch64: codec + CheckBatch, the crossing amortised)
-# and single checks from eight callers on one connection (mostly
-# followers, promoted as leaders leave).
+# bench-server runs only the shm edge's BenchmarkShmCheck* round trips: a
+# single check from one caller (always holds the reap role), a 64-call
+# batch from one caller (BenchmarkShmCheckBatch64: codec + CheckBatch, the
+# crossing amortised) and single checks from eight callers on one
+# connection (mostly followers, promoted as leaders leave).
 bench-server:
-	$(GO) test -run='^$$' -bench 'BenchmarkServerCheck|BenchmarkShmCheck' -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench 'BenchmarkShmCheck' -benchmem ./internal/server
 
 # bench-engine runs the registry-level sweep: every engine serially plus the
 # shard grid through draco-concurrent.
@@ -59,8 +59,8 @@ bench-prog:
 	$(GO) test -run='^$$' -bench 'BenchmarkProgExec' -benchmem ./internal/ebpf
 
 # loadgen: service-edge comparison — single-check traffic from every
-# workload over the HTTP JSON API, the binary wire protocol and the shm
-# rings at equal client concurrency.
+# workload over the edges that carry checks (wire, shm, and shm_fold, the
+# client Batcher on shm) at equal client concurrency.
 loadgen:
 	$(GO) run ./cmd/dracobench -loadgen
 

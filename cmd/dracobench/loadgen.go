@@ -1,16 +1,15 @@
 package main
 
 // Loadgen mode: the service-edge benchmark. Starts an in-process dracod
-// with every front end — the HTTP JSON API, the binary wire protocol, and
-// the shared-memory rings — and drives single-check traffic from every
+// with both edges that carry checks — the binary wire protocol and the
+// shared-memory rings — and drives single-check traffic from every
 // workload trace through each at equal client concurrency, reporting
 // throughput. One driver loop serves all of them: each edge is just a
 // client.Transport. This is the measurement behind the transport story:
 // with the in-process check path already allocation-free, the remaining
-// hot-path cost is request framing and kernel crossings — the wire
-// protocol removes most of the former, the rings remove the latter, and
-// the client-side Batcher (the shm_fold edge) amortizes what is left per
-// call.
+// hot-path cost is request framing and kernel crossings — the rings remove
+// the latter, and the client-side Batcher (the shm_fold edge) amortizes
+// what is left per call.
 
 import (
 	"bytes"
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -89,16 +87,7 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 	// shared, the edges differ only in framing.
 	hub := srv.NewSessionHub(server.SessionOptions{})
 
-	// HTTP front end on a loopback listener.
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(httpLn)
-	defer hs.Close()
-
-	// Wire front end next to it.
+	// Wire front end on a loopback listener.
 	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -107,25 +96,17 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 	go ws.Serve(wireLn)
 	defer ws.Close()
 
-	// The HTTP client pool must not cap connection reuse below the worker
-	// count, or throughput measures idle-connection churn.
-	transport := &http.Transport{MaxIdleConns: concurrency * 2, MaxIdleConnsPerHost: concurrency * 2}
-	defer transport.CloseIdleConnections()
-	hc := client.New("http://"+httpLn.Addr().String(), &http.Client{Transport: transport})
 	wc, err := client.DialWire(wireLn.Addr().String(), client.WireOptions{Conns: wireConns})
 	if err != nil {
 		return nil, err
 	}
 	defer wc.Close()
 
-	edges := []loadgenEdge{
-		{"http", &client.HTTPTransport{C: hc}},
-		{"wire", wc},
-	}
+	edges := []loadgenEdge{{"wire", wc}}
 
 	// Shm front end: skip (not fail) where mmap is unavailable, so the
 	// mode still runs on exotic platforms.
-	var shmState string
+	shmState := "skipped (unsupported platform)"
 	if shm.Supported() {
 		dir, err := os.MkdirTemp("", "dracobench-shm-*")
 		if err != nil {
@@ -149,8 +130,6 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 		edges = append(edges, loadgenEdge{"shm", shmc},
 			loadgenEdge{"shm_fold", client.NewBatcher(shmc, client.BatcherOptions{})})
 		shmState = "on (doorbell " + shmc.RingStats().Doorbell.String() + ")"
-	} else {
-		shmState = "skipped (unsupported platform)"
 	}
 
 	ctx := context.Background()
@@ -160,10 +139,10 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 	for _, e := range edges {
 		header += fmt.Sprintf(" %12s", e.name+" ops/s")
 	}
-	fmt.Fprintf(out, "%s %9s %9s\n", header, "wire/http", "shm/wire")
+	fmt.Fprintf(out, "%s %9s\n", header, "shm/wire")
 
 	var results []loadgenResult
-	var wireHTTPs, shmWires []float64
+	var shmWires []float64
 	for _, w := range cfg.workloads {
 		tr := w.Generate(events, cfg.seed)
 		p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
@@ -205,23 +184,16 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 			medians[res.Edge] = stats.Median(ops)
 			row += fmt.Sprintf(" %12.0f", medians[res.Edge])
 		}
-		wireHTTP := 0.0
-		if medians["http"] > 0 {
-			wireHTTP = medians["wire"] / medians["http"]
-			wireHTTPs = append(wireHTTPs, wireHTTP)
-		}
 		shmWire := 0.0
 		if m, ok := medians["shm"]; ok && medians["wire"] > 0 {
 			shmWire = m / medians["wire"]
 			shmWires = append(shmWires, shmWire)
 		}
-		fmt.Fprintf(out, "%s %8.1fx %8.1fx\n", row, wireHTTP, shmWire)
+		fmt.Fprintf(out, "%s %8.1fx\n", row, shmWire)
 	}
-	notes := fmt.Sprintf("geomean wire/http single-check speedup: %.1fx", stats.Geomean(wireHTTPs))
 	if len(shmWires) > 0 {
-		notes += fmt.Sprintf("; geomean shm/wire single-check speedup: %.1fx", stats.Geomean(shmWires))
+		fmt.Fprintf(out, "geomean shm/wire single-check speedup: %.1fx\n", stats.Geomean(shmWires))
 	}
-	fmt.Fprintln(out, notes)
 	return results, nil
 }
 

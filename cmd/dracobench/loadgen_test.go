@@ -24,7 +24,7 @@ func TestLoadgenEveryEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"http", "wire"}
+	want := []string{"wire"}
 	if shm.Supported() {
 		want = append(want, "shm", "shm_fold")
 	}

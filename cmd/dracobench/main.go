@@ -10,7 +10,7 @@
 //
 // Load generator:
 //
-//	dracobench -loadgen -concurrency 16 -conns 4    # HTTP vs wire vs shm edge
+//	dracobench -loadgen -concurrency 16 -conns 4    # wire vs shm edge
 //
 // The repository's benchmark is `bash benchmark/run.sh` (BENCHMARK.json);
 // the per-layer Go microbenchmarks are the `make bench*` targets.
@@ -65,7 +65,7 @@ func main() {
 		reps   = flag.Int("reps", 0, "repetitions: seeds averaged per experiment, drives per -loadgen cell (median reported); 0 = default")
 
 		// Load generator and its knobs.
-		loadgen = flag.Bool("loadgen", false, "service-edge load generator: single-check traffic over HTTP JSON, the binary wire protocol and shm")
+		loadgen = flag.Bool("loadgen", false, "service-edge load generator: single-check traffic over the binary wire protocol and shm")
 		workls  = flag.String("workloads", "", "with -loadgen: comma-separated workload names, or 'all' (default: all)")
 		conc    = flag.Int("concurrency", 32, "with -loadgen: client worker goroutines")
 		conns   = flag.Int("conns", 4, "with -loadgen: wire connection-pool size")

@@ -6,29 +6,32 @@
 //	dracod serve -addr :8477 -shards 8 -default-profile docker
 //
 // Every tenant is checked by Draco's sharded concurrent checker
-// (draco-concurrent) with the bitmap filter tier. The service listens on up to three fronts over one tenant set: the HTTP
-// JSON API (-addr), the length-prefixed binary wire protocol (-wire, see
-// internal/wire) with pipelined connections, and shared-memory
-// submission/completion rings for co-located clients (-shm <dir>, see
-// internal/shm). Wire and shm share one session layer.
+// (draco-concurrent) with the bitmap filter tier. The service listens on
+// up to three fronts over one tenant set. Checks travel over the
+// length-prefixed binary wire protocol (-wire, see internal/wire) with
+// pipelined connections, and over shared-memory submission/completion
+// rings for co-located clients (-shm <dir>, see internal/shm); both share
+// one session layer. The HTTP JSON API (-addr) is the control plane:
+// profiles, stats, tenants, metrics and, with -pprof, profiling.
 //
-// Control subcommands (thin client over the JSON API):
+// Client subcommands:
 //
-//	dracod check   -server http://127.0.0.1:8477 -tenant web -syscall read -args 3,0,4096
-//	dracod replay  -server ... -tenant web -trace trace.txt -batch-size 64
-//	dracod replay  -wire 127.0.0.1:8478 -tenant web -trace trace.txt
+//	dracod check   -wire 127.0.0.1:8478 -tenant web -syscall read -args 3,0,4096
+//	dracod replay  -wire 127.0.0.1:8478 -tenant web -trace trace.txt -batch-size 64
 //	dracod replay  -shm /run/dracod -tenant web -trace trace.txt
-//	dracod profile -server ... -tenant web -file profile.json
+//	dracod profile -server http://127.0.0.1:8477 -tenant web -file profile.json
 //	dracod stats   -server ... -tenant web
 //	dracod tenants -server ...
 //	dracod metrics -server ...
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -47,6 +50,7 @@ import (
 	"draco/internal/stats"
 	"draco/internal/syscalls"
 	"draco/internal/trace"
+	"draco/internal/wire"
 )
 
 func main() {
@@ -88,11 +92,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: dracod <command> [flags]
 
 commands:
-  serve    run the syscall-check service (HTTP JSON API + wire protocol + shm rings)
-  check    check one system call against a running dracod
+  serve    run the syscall-check service (wire protocol + shm rings for
+           checks, HTTP JSON API for control)
+  check    check one system call over the wire protocol
   replay   replay a trace file and report throughput + latency percentiles
-           (-wire host:port drives the binary protocol, -shm dir the
-           shared-memory rings)
+           (over the wire protocol, or -shm dir the shared-memory rings)
   profile  upload a Docker-format JSON profile (hot swap)
   stats    print a tenant's checker statistics
   tenants  list provisioned tenants
@@ -200,7 +204,11 @@ func runServe(args []string) error {
 	return hs.ListenAndServe()
 }
 
-// ctlFlags adds the flags every client subcommand shares.
+// defaultWireAddr is where check and replay reach serve's default -wire
+// listener.
+const defaultWireAddr = "127.0.0.1:8478"
+
+// ctlFlags adds the flags every control-plane subcommand shares.
 func ctlFlags(fs *flag.FlagSet) (srvURL *string, timeout *time.Duration) {
 	srvURL = fs.String("server", "http://127.0.0.1:8477", "dracod base URL")
 	timeout = fs.Duration("timeout", 30*time.Second, "request timeout")
@@ -236,7 +244,8 @@ func printJSON(v any) error {
 
 func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	srvURL, timeout := ctlFlags(fs)
+	wireAddr := fs.String("wire", defaultWireAddr, "dracod wire-protocol address (host:port)")
+	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
 	tenant := fs.String("tenant", "default", "tenant id")
 	name := fs.String("syscall", "", "syscall name (e.g. openat)")
 	num := fs.Int("num", -1, "syscall number (alternative to -syscall)")
@@ -247,39 +256,56 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
+	var callArgs engine.Args
+	if len(vals) > len(callArgs) {
+		return fmt.Errorf("check: %d args exceed the x86-64 maximum of %d", len(vals), len(callArgs))
+	}
+	copy(callArgs[:], vals)
+	sid := *num
 	if *name != "" {
-		if _, ok := syscalls.ByName(*name); !ok {
+		in, ok := syscalls.ByName(*name)
+		if !ok {
 			return fmt.Errorf("check: unknown syscall %q", *name)
 		}
+		if sid >= 0 && sid != in.Num {
+			return fmt.Errorf("check: syscall %q is %d, not %d", *name, in.Num, sid)
+		}
+		sid = in.Num
+	} else if sid < 0 {
+		return fmt.Errorf("check: -syscall or -num is required")
 	}
-	req := server.CheckRequest{Tenant: *tenant, Syscall: *name, Args: vals}
-	if *num >= 0 {
-		req.Num = num
-	}
-	c, ctx, cancel := dial(*srvURL, *timeout)
-	defer cancel()
-	res, err := c.Check(ctx, req)
+
+	wc, err := client.DialWire(*wireAddr, client.WireOptions{Conns: 1, DialTimeout: *timeout})
 	if err != nil {
 		return err
 	}
-	return printJSON(res)
+	defer wc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	d, err := wc.Check(ctx, *tenant, sid, callArgs)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("allowed=%t cached=%t filterInstructions=%d action=%s\n",
+		d.Allowed, d.Cached, d.FilterInstructions, d.Action)
+	return nil
 }
 
 func runReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	srvURL, timeout := ctlFlags(fs)
-	wireAddr := fs.String("wire", "", "replay over the binary wire protocol at this host:port instead of the HTTP JSON API")
+	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
+	wireAddr := fs.String("wire", "", "replay over the binary wire protocol at this host:port (default "+defaultWireAddr+" unless -shm)")
 	shmDir := fs.String("shm", "", "replay over the shared-memory transport in this directory")
-	conns := fs.Int("conns", 2, "wire connection-pool size (with -wire)")
+	conns := fs.Int("conns", 2, "wire connection-pool size")
 	tenant := fs.String("tenant", "default", "tenant id")
 	traceFile := fs.String("trace", "", "trace file in the toolkit's text format (required)")
-	batchSize := fs.Int("batch-size", 64, "calls per request (1 = single-check frames/requests)")
+	batchSize := fs.Int("batch-size", 64, "calls per request (1 = single-check frames)")
 	fs.Parse(args)
 	if *traceFile == "" {
 		return fmt.Errorf("replay: -trace is required")
 	}
-	if *batchSize < 1 || *batchSize > server.MaxBatch {
-		return fmt.Errorf("replay: -batch-size %d out of range [1,%d]", *batchSize, server.MaxBatch)
+	if *batchSize < 1 || *batchSize > wire.MaxBatch {
+		return fmt.Errorf("replay: -batch-size %d out of range [1,%d]", *batchSize, wire.MaxBatch)
 	}
 	f, err := os.Open(*traceFile)
 	if err != nil {
@@ -294,10 +320,10 @@ func runReplay(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	// The Transport interface abstracts the wire: one implementation per
+	// The Transport interface abstracts the edge: one implementation per
 	// way of reaching the server, one replay loop over all of them.
 	var tc client.Transport
-	path := "http"
+	path := "wire"
 	switch {
 	case *shmDir != "" && *wireAddr != "":
 		return fmt.Errorf("replay: -wire and -shm are mutually exclusive")
@@ -312,15 +338,16 @@ func runReplay(args []string) error {
 			return fmt.Errorf("replay: -batch-size %d exceeds the shm slot capacity of %d calls", *batchSize, max)
 		}
 		tc = sc
-	case *wireAddr != "":
-		path = "wire"
-		wc, err := client.DialWire(*wireAddr, client.WireOptions{Conns: *conns})
+	default:
+		addr := *wireAddr
+		if addr == "" {
+			addr = defaultWireAddr
+		}
+		wc, err := client.DialWire(addr, client.WireOptions{Conns: *conns})
 		if err != nil {
 			return err
 		}
 		tc = wc
-	default:
-		tc = &client.HTTPTransport{C: client.New(*srvURL, nil)}
 	}
 	defer tc.Close()
 	checkBatch := func(calls []engine.Call, dst []engine.Decision) ([]engine.Decision, error) {
@@ -385,7 +412,7 @@ func runProfile(args []string) error {
 	preset := fs.String("preset", "", "upload a built-in preset instead of a file (docker, docker-masked, gvisor, firecracker)")
 	fs.Parse(args)
 
-	var body *os.File
+	var body io.Reader
 	switch {
 	case *file != "" && *preset != "":
 		return fmt.Errorf("profile: -file and -preset are mutually exclusive")
@@ -404,19 +431,11 @@ func runProfile(args []string) error {
 		if p == nil {
 			return fmt.Errorf("profile: preset %q names no profile", *preset)
 		}
-		tmp, err := os.CreateTemp("", "dracod-profile-*.json")
-		if err != nil {
+		var buf bytes.Buffer
+		if err := seccomp.WriteJSON(&buf, p); err != nil {
 			return err
 		}
-		defer os.Remove(tmp.Name())
-		defer tmp.Close()
-		if err := seccomp.WriteJSON(tmp, p); err != nil {
-			return err
-		}
-		if _, err := tmp.Seek(0, 0); err != nil {
-			return err
-		}
-		body = tmp
+		body = &buf
 	default:
 		return fmt.Errorf("profile: -file or -preset is required")
 	}

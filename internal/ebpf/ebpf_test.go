@@ -245,12 +245,12 @@ func TestVerifyRejects(t *testing.T) {
 	big = append(big, Instruction{Op: OpRet, Sub: RetImm, Imm: uint64(RetAllow)})
 
 	overlap := Program{
-		{Op: OpMovImm, Dst: 1, Imm: 1},             // 0
-		{Op: OpMovImm, Dst: 2, Imm: 1},             // 1
-		{Op: OpMovImm, Dst: 3, Imm: 1},             // 2
-		{Op: OpLoop, Dst: 1, Imm: 2, Off: -4},      // 3: region [0,3]
-		{Op: OpMovImm, Dst: 4, Imm: 1},             // 4
-		{Op: OpLoop, Dst: 2, Imm: 2, Off: -4},      // 5: region [2,5] — overlaps
+		{Op: OpMovImm, Dst: 1, Imm: 1},        // 0
+		{Op: OpMovImm, Dst: 2, Imm: 1},        // 1
+		{Op: OpMovImm, Dst: 3, Imm: 1},        // 2
+		{Op: OpLoop, Dst: 1, Imm: 2, Off: -4}, // 3: region [0,3]
+		{Op: OpMovImm, Dst: 4, Imm: 1},        // 4
+		{Op: OpLoop, Dst: 2, Imm: 2, Off: -4}, // 5: region [2,5] — overlaps
 		{Op: OpRet, Sub: RetImm, Imm: uint64(RetAllow)},
 	}
 
@@ -413,8 +413,8 @@ func TestCanonAction(t *testing.T) {
 	}{
 		{uint64(RetAllow), RetAllow},
 		{uint64(RetErrno(5)), RetErrno(5)},
-		{uint64(RetKillThread) | 7, 7}, // kill-thread with data
-		{0x12345678, RetKillProcess},   // unknown class → most restrictive
+		{uint64(RetKillThread) | 7, 7},  // kill-thread with data
+		{0x12345678, RetKillProcess},    // unknown class → most restrictive
 		{0xdeadbeef_7fff0000, RetAllow}, // high bits truncate like the kernel
 	}
 	for _, tc := range cases {

@@ -9,6 +9,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,26 @@ func (c *wireCall) respErr(want wire.Type) error {
 		return fmt.Errorf("wire: server answered %v, want %v", c.typ, want)
 	}
 	return nil
+}
+
+// controlRoundTrip sends one control frame (profile or stats) of type req,
+// encoded by enc into a pooled buffer, through send, and decodes the JSON
+// document of the resp frame answering it into out. The wire and shm
+// clients share it; only their send differs.
+func controlRoundTrip(ctx context.Context, send func(context.Context, wire.Type, []byte) (*wireCall, error),
+	req, resp wire.Type, enc func([]byte) []byte, out any) error {
+	buf := wire.GetBuffer()
+	buf.B = enc(buf.B[:0])
+	call, err := send(ctx, req, buf.B)
+	wire.PutBuffer(buf)
+	if err != nil {
+		return err
+	}
+	defer putWireCall(call)
+	if err := call.respErr(resp); err != nil {
+		return err
+	}
+	return json.Unmarshal(call.raw, out)
 }
 
 // callTable tracks one connection's in-flight requests by id.

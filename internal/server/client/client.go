@@ -1,15 +1,17 @@
-// Package client is the thin HTTP client for dracod's JSON API, used by
-// the dracod binary's ctl subcommands and by programs embedding a remote
-// checker.
+// Package client reaches a running dracod. Checks travel over the binary
+// edges, Wire (TCP) and Shm (shared-memory rings), optionally aggregated by
+// a Batcher; all three implement Transport. Client is the thin HTTP client
+// for the control plane (profiles, stats, tenants, metrics) that the dracod
+// binary's ctl subcommands use.
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"draco/internal/server"
@@ -30,6 +32,8 @@ func New(base string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
+// do sends one request and decodes a 200 answer into out: as JSON, or as
+// raw text when out is a *string.
 func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
@@ -50,49 +54,27 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 		}
 		return fmt.Errorf("dracod: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	if text, ok := out.(*string); ok {
+		b, err := io.ReadAll(resp.Body)
+		*text = string(b)
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(in); err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, path, &buf, out)
-}
-
-// Check validates one system call.
-func (c *Client) Check(ctx context.Context, req server.CheckRequest) (server.CheckResult, error) {
-	var out server.CheckResult
-	err := c.postJSON(ctx, "/v1/check", req, &out)
-	return out, err
-}
-
-// CheckBatch validates a batch of calls in one round trip.
-func (c *Client) CheckBatch(ctx context.Context, req server.BatchRequest) ([]server.CheckResult, error) {
-	var out server.BatchResponse
-	if err := c.postJSON(ctx, "/v1/check-batch", req, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
-}
-
 // PutProfile uploads a Docker-format JSON profile document for a tenant,
-// hot-swapping it if the tenant exists.
+// hot-swapping it if the tenant exists. The tenant name is path-escaped, so
+// any name legal over wire and shm reaches the same tenant here.
 func (c *Client) PutProfile(ctx context.Context, tenant string, profileJSON io.Reader) (server.ProfileResponse, error) {
 	var out server.ProfileResponse
-	err := c.do(ctx, http.MethodPut, "/v1/tenants/"+tenant+"/profile", profileJSON, &out)
+	err := c.do(ctx, http.MethodPut, "/v1/tenants/"+url.PathEscape(tenant)+"/profile", profileJSON, &out)
 	return out, err
 }
 
 // Stats fetches a tenant's checker statistics.
 func (c *Client) Stats(ctx context.Context, tenant string) (server.StatsResponse, error) {
 	var out server.StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/tenants/"+tenant+"/stats", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/tenants/"+url.PathEscape(tenant)+"/stats", nil, &out)
 	return out, err
 }
 
@@ -107,21 +89,7 @@ func (c *Client) Tenants(ctx context.Context) ([]string, error) {
 
 // Metrics fetches the plain-text metrics page.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("dracod: GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	return string(b), nil
+	var text string
+	err := c.do(ctx, http.MethodGet, "/metrics", nil, &text)
+	return text, err
 }

@@ -22,7 +22,6 @@ package client
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -433,35 +432,15 @@ func (s *Shm) PutProfile(ctx context.Context, tenant, engineName string, profile
 	if len(tenant) > wire.MaxTenant {
 		return out, fmt.Errorf("shm: tenant name exceeds %d bytes", wire.MaxTenant)
 	}
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendProfileReq(buf.B[:0], tenant, engineName, profileJSON)
-	call, err := s.roundTripSocket(ctx, wire.TypeProfileReq, buf.B)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return out, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeProfileResp); err != nil {
-		return out, err
-	}
-	err = json.Unmarshal(call.raw, &out)
+	err := controlRoundTrip(ctx, s.roundTripSocket, wire.TypeProfileReq, wire.TypeProfileResp,
+		func(b []byte) []byte { return wire.AppendProfileReq(b, tenant, engineName, profileJSON) }, &out)
 	return out, err
 }
 
 // Stats fetches a tenant's checker statistics over the control socket.
 func (s *Shm) Stats(ctx context.Context, tenant string) (server.StatsResponse, error) {
 	var out server.StatsResponse
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendStatsReq(buf.B[:0], tenant)
-	call, err := s.roundTripSocket(ctx, wire.TypeStatsReq, buf.B)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return out, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeStatsResp); err != nil {
-		return out, err
-	}
-	err = json.Unmarshal(call.raw, &out)
+	err := controlRoundTrip(ctx, s.roundTripSocket, wire.TypeStatsReq, wire.TypeStatsResp,
+		func(b []byte) []byte { return wire.AppendStatsReq(b, tenant) }, &out)
 	return out, err
 }

@@ -10,7 +10,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -142,45 +141,23 @@ func (w *Wire) CheckBatch(ctx context.Context, tenant string, calls []engine.Cal
 }
 
 // PutProfile uploads a Docker-format JSON profile over the wire,
-// hot-swapping the tenant's policy. engineName selects the check engine
-// ("" keeps the server default / the tenant's current engine).
+// hot-swapping the tenant's policy. engineName must be "" or
+// server.DefaultEngine.
 func (w *Wire) PutProfile(ctx context.Context, tenant, engineName string, profileJSON []byte) (server.ProfileResponse, error) {
 	var out server.ProfileResponse
 	if len(tenant) > wire.MaxTenant {
 		return out, fmt.Errorf("wire: tenant name exceeds %d bytes", wire.MaxTenant)
 	}
-	c := w.pick()
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendProfileReq(buf.B[:0], tenant, engineName, profileJSON)
-	call, err := c.roundTrip(ctx, wire.TypeProfileReq, buf.B)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return out, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeProfileResp); err != nil {
-		return out, err
-	}
-	err = json.Unmarshal(call.raw, &out)
+	err := controlRoundTrip(ctx, w.pick().roundTrip, wire.TypeProfileReq, wire.TypeProfileResp,
+		func(b []byte) []byte { return wire.AppendProfileReq(b, tenant, engineName, profileJSON) }, &out)
 	return out, err
 }
 
 // Stats fetches a tenant's checker statistics over the wire.
 func (w *Wire) Stats(ctx context.Context, tenant string) (server.StatsResponse, error) {
 	var out server.StatsResponse
-	c := w.pick()
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendStatsReq(buf.B[:0], tenant)
-	call, err := c.roundTrip(ctx, wire.TypeStatsReq, buf.B)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return out, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeStatsResp); err != nil {
-		return out, err
-	}
-	err = json.Unmarshal(call.raw, &out)
+	err := controlRoundTrip(ctx, w.pick().roundTrip, wire.TypeStatsReq, wire.TypeStatsResp,
+		func(b []byte) []byte { return wire.AppendStatsReq(b, tenant) }, &out)
 	return out, err
 }
 

@@ -95,8 +95,6 @@ type Metrics struct {
 	start     time.Time
 	requests  map[string]*atomic.Uint64
 	latencies map[string]*Histogram
-	// BatchCalls counts individual calls submitted through /v1/check-batch.
-	BatchCalls atomic.Uint64
 	// ProfileSwaps counts successful profile uploads.
 	ProfileSwaps atomic.Uint64
 	// HTTPErrors counts requests answered with a 4xx/5xx status.
@@ -197,8 +195,9 @@ func (m *Metrics) shmParkTotal() uint64 {
 	return total
 }
 
-// endpoint labels; one histogram each.
-var endpointLabels = []string{"check", "check-batch", "profile", "stats", "metrics"}
+// endpointLabels are the HTTP endpoints, one counter and histogram each, in
+// the order the metrics page renders them.
+var endpointLabels = []string{"metrics", "profile", "stats", "tenants"}
 
 // NewMetrics creates the counter set.
 func NewMetrics() *Metrics {
@@ -221,9 +220,6 @@ func (m *Metrics) ObserveRequest(endpoint string, d time.Duration) {
 		m.latencies[endpoint].Observe(d)
 	}
 }
-
-// Latency returns the histogram for an endpoint label (nil if unknown).
-func (m *Metrics) Latency(endpoint string) *Histogram { return m.latencies[endpoint] }
 
 // checkerTotals is the scrape-time fold of every tenant checker's Stats the
 // metrics page renders.
@@ -249,7 +245,6 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
 		fmt.Fprintf(w, "dracod_check_class_total{class=%q} %d\n", core.LatencyClass(cl).String(), n)
 	}
 	fmt.Fprintf(w, "dracod_vat_bytes %d\n", totals.VATBytes)
-	fmt.Fprintf(w, "dracod_batch_calls_total %d\n", m.BatchCalls.Load())
 	fmt.Fprintf(w, "dracod_profile_swaps_total %d\n", m.ProfileSwaps.Load())
 	fmt.Fprintf(w, "dracod_http_errors_total %d\n", m.HTTPErrors.Load())
 	fmt.Fprintf(w, "dracod_http_encode_errors_total %d\n", m.EncodeErrors.Load())
@@ -306,10 +301,7 @@ func (m *Metrics) WriteTo(w io.Writer, totals checkerTotals) {
 		}
 	}
 
-	labels := make([]string, len(endpointLabels))
-	copy(labels, endpointLabels)
-	sort.Strings(labels)
-	for _, e := range labels {
+	for _, e := range endpointLabels {
 		h := m.latencies[e]
 		fmt.Fprintf(w, "dracod_http_requests_total{endpoint=%q} %d\n", e, m.requests[e].Load())
 		if h.Count() == 0 {

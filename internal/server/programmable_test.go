@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"draco/internal/engine"
 	"draco/internal/seccomp"
 	"draco/internal/server"
 	"draco/internal/server/client"
@@ -25,9 +26,12 @@ func examplePolicy(t testing.TB, file string) []byte {
 	return raw
 }
 
-func checkSyscall(t *testing.T, c *client.Client, tenant, name string, args ...uint64) server.CheckResult {
+// checkSyscall checks one named call over the wire.
+func checkSyscall(t *testing.T, wc *client.Wire, tenant, name string, args ...uint64) engine.Decision {
 	t.Helper()
-	res, err := c.Check(context.Background(), server.CheckRequest{Tenant: tenant, Syscall: name, Args: args})
+	var a engine.Args
+	copy(a[:], args)
+	res, err := wc.Check(context.Background(), tenant, sidOf(t, name), a)
 	if err != nil {
 		t.Fatalf("check %s: %v", name, err)
 	}
@@ -39,7 +43,7 @@ func checkSyscall(t *testing.T, c *client.Client, tenant, name string, args ...u
 // denied, which no stateless whitelist can express. A profile re-upload
 // starts a fresh map epoch, restoring the budget.
 func TestProgrammableRateLimitE2E(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
 	raw := examplePolicy(t, "rate-limit.json")
 	if _, err := c.PutProfile(ctx, "rl", bytes.NewReader(raw)); err != nil {
@@ -47,19 +51,19 @@ func TestProgrammableRateLimitE2E(t *testing.T) {
 	}
 
 	for i := 1; i <= 4; i++ {
-		if res := checkSyscall(t, c, "rl", "open", 0, 0); !res.Allowed {
+		if res := checkSyscall(t, wc, "rl", "open", 0, 0); !res.Allowed {
 			t.Fatalf("open %d denied under budget: %+v", i, res)
 		}
 	}
-	res := checkSyscall(t, c, "rl", "open", 0, 0)
-	if res.Allowed || res.Action != "errno(1)" {
+	res := checkSyscall(t, wc, "rl", "open", 0, 0)
+	if res.Allowed || res.Action != seccomp.Errno(1) {
 		t.Fatalf("5th identical open: %+v (want errno(1) denial)", res)
 	}
 	// openat shares the budget, so it is denied too; reads are untouched.
-	if res := checkSyscall(t, c, "rl", "openat", 0xffffff9c, 0, 0); res.Allowed {
+	if res := checkSyscall(t, wc, "rl", "openat", 0xffffff9c, 0, 0); res.Allowed {
 		t.Fatalf("openat allowed past the shared budget: %+v", res)
 	}
-	if res := checkSyscall(t, c, "rl", "read", 3, 0, 4096); !res.Allowed {
+	if res := checkSyscall(t, wc, "rl", "read", 3, 0, 4096); !res.Allowed {
 		t.Fatalf("read denied by an open rate limit: %+v", res)
 	}
 
@@ -71,7 +75,7 @@ func TestProgrammableRateLimitE2E(t *testing.T) {
 	if pr.Created || pr.Generation != 2 {
 		t.Fatalf("re-upload: %+v", pr)
 	}
-	if res := checkSyscall(t, c, "rl", "open", 0, 0); !res.Allowed {
+	if res := checkSyscall(t, wc, "rl", "open", 0, 0); !res.Allowed {
 		t.Fatalf("open denied right after a fresh epoch: %+v", res)
 	}
 }
@@ -80,18 +84,18 @@ func TestProgrammableRateLimitE2E(t *testing.T) {
 // from denied to allowed once an open has been observed — a relational,
 // order-dependent decision.
 func TestProgrammableOpenBeforeReadE2E(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	if _, err := c.PutProfile(context.Background(), "seq", bytes.NewReader(examplePolicy(t, "open-before-read.json"))); err != nil {
 		t.Fatal(err)
 	}
-	res := checkSyscall(t, c, "seq", "read", 3, 0, 4096)
-	if res.Allowed || res.Action != "errno(9)" {
+	res := checkSyscall(t, wc, "seq", "read", 3, 0, 4096)
+	if res.Allowed || res.Action != seccomp.Errno(9) {
 		t.Fatalf("read before any open: %+v (want errno(9))", res)
 	}
-	if res := checkSyscall(t, c, "seq", "open", 0, 0); !res.Allowed {
+	if res := checkSyscall(t, wc, "seq", "open", 0, 0); !res.Allowed {
 		t.Fatalf("open denied: %+v", res)
 	}
-	if res := checkSyscall(t, c, "seq", "read", 3, 0, 4096); !res.Allowed {
+	if res := checkSyscall(t, wc, "seq", "read", 3, 0, 4096); !res.Allowed {
 		t.Fatalf("identical read after open still denied: %+v", res)
 	}
 }
@@ -100,26 +104,26 @@ func TestProgrammableOpenBeforeReadE2E(t *testing.T) {
 // and denied after the tenant marks itself serving via prctl — the
 // whitelist never changes, the program narrows it over time.
 func TestProgrammablePhaseTighteningE2E(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	if _, err := c.PutProfile(context.Background(), "svc", bytes.NewReader(examplePolicy(t, "phase-tightening.json"))); err != nil {
 		t.Fatal(err)
 	}
-	if res := checkSyscall(t, c, "svc", "execve", 0, 0, 0); !res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "execve", 0, 0, 0); !res.Allowed {
 		t.Fatalf("init-phase execve denied: %+v", res)
 	}
-	if res := checkSyscall(t, c, "svc", "socket", 2, 1, 0); !res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "socket", 2, 1, 0); !res.Allowed {
 		t.Fatalf("init-phase socket denied: %+v", res)
 	}
-	if res := checkSyscall(t, c, "svc", "prctl", 1); !res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "prctl", 1); !res.Allowed {
 		t.Fatalf("prctl denied: %+v", res)
 	}
-	if res := checkSyscall(t, c, "svc", "execve", 0, 0, 0); res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "execve", 0, 0, 0); res.Allowed {
 		t.Fatalf("serve-phase execve allowed: %+v", res)
 	}
-	if res := checkSyscall(t, c, "svc", "socket", 2, 1, 0); res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "socket", 2, 1, 0); res.Allowed {
 		t.Fatalf("serve-phase socket allowed: %+v", res)
 	}
-	if res := checkSyscall(t, c, "svc", "read", 3, 0, 4096); !res.Allowed {
+	if res := checkSyscall(t, wc, "svc", "read", 3, 0, 4096); !res.Allowed {
 		t.Fatalf("ungated read denied: %+v", res)
 	}
 }
@@ -130,19 +134,19 @@ func TestProgrammablePhaseTighteningE2E(t *testing.T) {
 // instructions on every check, while the stateful open path executes the
 // program each time. /metrics exposes both as prog-hit / prog-miss classes.
 func TestProgrammableBitmapResolutionE2E(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
 	if _, err := c.PutProfile(ctx, "bm", bytes.NewReader(examplePolicy(t, "rate-limit.json"))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		for _, name := range []string{"read", "close", "write"} {
-			if res := checkSyscall(t, c, "bm", name, 3, 0, 4096); !res.Allowed || res.FilterInstructions != 0 {
+			if res := checkSyscall(t, wc, "bm", name, 3, 0, 4096); !res.Allowed || res.FilterInstructions != 0 {
 				t.Fatalf("const path %s round %d: %+v (want allowed, 0 instructions)", name, i, res)
 			}
 		}
 	}
-	if res := checkSyscall(t, c, "bm", "open", 0, 0); !res.Allowed || res.FilterInstructions == 0 {
+	if res := checkSyscall(t, wc, "bm", "open", 0, 0); !res.Allowed || res.FilterInstructions == 0 {
 		t.Fatalf("must-run open: %+v (want executed instructions)", res)
 	}
 	text, err := c.Metrics(ctx)
@@ -160,16 +164,16 @@ func TestProgrammableBitmapResolutionE2E(t *testing.T) {
 // semantic — the server must evaluate a batch in submission order, so a
 // batch of five opens has exactly the last one denied.
 func TestProgrammableBatchOrderE2E(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
 	if _, err := c.PutProfile(ctx, "batch", bytes.NewReader(examplePolicy(t, "rate-limit.json"))); err != nil {
 		t.Fatal(err)
 	}
-	req := server.BatchRequest{Tenant: "batch"}
+	var calls []engine.Call
 	for i := 0; i < 5; i++ {
-		req.Calls = append(req.Calls, server.BatchCall{Syscall: "open", Args: []uint64{0, 0}})
+		calls = append(calls, engine.Call{SID: sidOf(t, "open")})
 	}
-	results, err := c.CheckBatch(ctx, req)
+	results, err := wc.CheckBatch(ctx, "batch", calls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
-// Package server implements dracod's HTTP serving layer: a stdlib-only JSON
-// API that exposes Draco's concurrent checker as a long-running,
-// multi-tenant syscall-check service.
+// Package server implements dracod: a multi-tenant syscall-check service
+// over Draco's concurrent checker.
 //
-// Endpoints:
+// Checks travel only over the binary edges, the TCP wire protocol and the
+// shared-memory rings, through the one session layer (session.go). HTTP is
+// the control plane, a stdlib-only JSON API:
 //
-//	POST /v1/check                     check one system call
-//	POST /v1/check-batch               check a batch (amortized, AnyCall-style)
 //	PUT  /v1/tenants/{id}/profile      upload a Docker-format JSON profile (hot swap)
 //	GET  /v1/tenants/{id}/stats        per-tenant checker statistics
+//	GET  /v1/tenants                   list provisioned tenants
 //	GET  /metrics                      plain-text service counters and latency quantiles
 //
 // Each tenant owns one concurrent.Checker (the draco-concurrent mechanism,
@@ -22,7 +22,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,16 +32,10 @@ import (
 	"time"
 
 	"draco/internal/concurrent"
-	"draco/internal/core"
 	"draco/internal/seccomp"
-	"draco/internal/syscalls"
 )
 
-// MaxBatch bounds the number of calls accepted in one /v1/check-batch
-// request; it keeps a single request from monopolizing shard locks.
-const MaxBatch = 4096
-
-// maxBodyBytes bounds request bodies (profiles included).
+// maxBodyBytes bounds HTTP request bodies, which only profile uploads carry.
 const maxBodyBytes = 8 << 20
 
 // DefaultEngine is the registry name of the one mechanism dracod serves. A
@@ -58,8 +51,8 @@ type Options struct {
 	// (decision-exact), or "args" (spread hot syscalls).
 	Routing string
 	// DefaultProfile, when non-nil, auto-provisions unknown tenants named
-	// in check requests with this profile. When nil, tenants must upload a
-	// profile before checking.
+	// in wire or shm check frames with this profile. When nil, tenants must
+	// upload a profile before checking.
 	DefaultProfile *seccomp.Profile
 }
 
@@ -91,45 +84,6 @@ func New(opts Options) *Server {
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // --- API documents ---------------------------------------------------------
-
-// CheckRequest asks for one system call decision. The syscall is named
-// either by Syscall (x86-64 name) or by Num; Args carries up to six
-// argument values (missing ones are zero).
-type CheckRequest struct {
-	Tenant  string   `json:"tenant"`
-	Syscall string   `json:"syscall,omitempty"`
-	Num     *int     `json:"num,omitempty"`
-	Args    []uint64 `json:"args,omitempty"`
-}
-
-// CheckResult is one decision.
-type CheckResult struct {
-	Allowed bool `json:"allowed"`
-	Cached  bool `json:"cached"`
-	// FilterInstructions is the number of BPF instructions executed when
-	// the filter ran (zero on cache hits).
-	FilterInstructions int `json:"filterInstructions"`
-	// Action is the seccomp action string (e.g. "allow", "errno(1)").
-	Action string `json:"action"`
-}
-
-// BatchCall is one call inside a batch request.
-type BatchCall struct {
-	Syscall string   `json:"syscall,omitempty"`
-	Num     *int     `json:"num,omitempty"`
-	Args    []uint64 `json:"args,omitempty"`
-}
-
-// BatchRequest checks many calls in one round trip.
-type BatchRequest struct {
-	Tenant string      `json:"tenant"`
-	Calls  []BatchCall `json:"calls"`
-}
-
-// BatchResponse carries per-call results in request order.
-type BatchResponse struct {
-	Results []CheckResult `json:"results"`
-}
 
 // StatsResponse reports one tenant's checker state.
 type StatsResponse struct {
@@ -168,14 +122,12 @@ type ErrorResponse struct {
 
 // --- handler ---------------------------------------------------------------
 
-// Handler returns the service's HTTP handler.
+// Handler returns the control plane's HTTP handler. It serves no checks.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/check", s.timed("check", s.handleCheck))
-	mux.HandleFunc("POST /v1/check-batch", s.timed("check-batch", s.handleCheckBatch))
 	mux.HandleFunc("PUT /v1/tenants/{id}/profile", s.timed("profile", s.handlePutProfile))
 	mux.HandleFunc("GET /v1/tenants/{id}/stats", s.timed("stats", s.handleStats))
-	mux.HandleFunc("GET /v1/tenants", s.timed("stats", s.handleListTenants))
+	mux.HandleFunc("GET /v1/tenants", s.timed("tenants", s.handleListTenants))
 	mux.HandleFunc("GET /metrics", s.timed("metrics", s.handleMetrics))
 	return mux
 }
@@ -189,49 +141,35 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// jsonCodec is a pooled buffer with its encoder pre-bound, so the JSON
-// path reuses both across requests: encode into the buffer, write it in
-// one call, instead of allocating encoder state per request and streaming
-// straight to the socket (where an encode error would already have emitted
-// a 200 header).
-type jsonCodec struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonBufPool = sync.Pool{New: func() any {
-	c := new(jsonCodec)
-	c.enc = json.NewEncoder(&c.buf)
-	return c
-}}
-
-// maxPooledJSONBuf caps what returns to the pool so one oversized response
-// (a huge tenant listing) does not pin memory.
-const maxPooledJSONBuf = 1 << 16
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	c := jsonBufPool.Get().(*jsonCodec)
-	buf := &c.buf
-	buf.Reset()
-	if err := c.enc.Encode(v); err != nil {
-		// An unencodable response document is a programming error; surface
-		// it instead of silently truncating the body.
+// encodeJSON marshals a response document. An unencodable document is a
+// programming error: it is counted and logged, and the caller answers with
+// an error instead of a silently truncated body. The HTTP handlers and the
+// session's control frames share it.
+func (s *Server) encodeJSON(v any) ([]byte, bool) {
+	b, err := json.Marshal(v)
+	if err != nil {
 		s.metrics.EncodeErrors.Add(1)
 		log.Printf("dracod: encoding %T response: %v", v, err)
+		return nil, false
+	}
+	return b, true
+}
+
+// writeJSON answers with v. Encoding finishes before the status line is
+// written, so an encode failure is still a 500.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, ok := s.encodeJSON(v)
+	if !ok {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		jsonBufPool.Put(c)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		// The peer went away mid-response; count it so operators can tell
 		// socket write failures apart from handler errors.
 		s.metrics.WriteErrors.Add(1)
 		log.Printf("dracod: writing %T response: %v", v, err)
-	}
-	if buf.Cap() <= maxPooledJSONBuf {
-		jsonBufPool.Put(c)
 	}
 }
 
@@ -257,24 +195,21 @@ func (s *Server) newTenant(name string, p *seccomp.Profile) (*tenant, error) {
 	return &tenant{name: name, chk: chk}, nil
 }
 
-// lookupTenant resolves a tenant for checking, auto-provisioning it with
-// the default profile when one is configured.
-func (s *Server) lookupTenant(name string) (*tenant, error) {
-	if name == "" {
+// provisionTenant resolves a check's tenant that the registry did not
+// hold: it auto-provisions the tenant with the default profile when one is
+// configured (or returns the one a racing check provisioned first), and
+// fails otherwise.
+func (s *Server) provisionTenant(name string) (*tenant, error) {
+	switch {
+	case name == "":
 		return nil, fmt.Errorf("missing tenant")
-	}
-	s.mu.RLock()
-	t := s.tenants[name]
-	s.mu.RUnlock()
-	if t != nil {
-		return t, nil
-	}
-	if s.opts.DefaultProfile == nil {
+	case s.opts.DefaultProfile == nil:
 		return nil, fmt.Errorf("unknown tenant %q (upload a profile first)", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t = s.tenants[name]; t == nil {
+	t := s.tenants[name]
+	if t == nil {
 		var err error
 		if t, err = s.newTenant(name, s.opts.DefaultProfile); err != nil {
 			return nil, err
@@ -282,96 +217,6 @@ func (s *Server) lookupTenant(name string) (*tenant, error) {
 		s.tenants[name] = t
 	}
 	return t, nil
-}
-
-// resolveCall turns a (syscall name, num, args) triple into a checker call.
-func resolveCall(name string, num *int, args []uint64) (concurrent.Call, error) {
-	var cl concurrent.Call
-	switch {
-	case name != "":
-		in, ok := syscalls.ByName(name)
-		if !ok {
-			return cl, fmt.Errorf("unknown syscall %q", name)
-		}
-		if num != nil && *num != in.Num {
-			return cl, fmt.Errorf("syscall %q is %d, not %d", name, in.Num, *num)
-		}
-		cl.SID = in.Num
-	case num != nil:
-		if *num < 0 || *num > syscalls.MaxNum() {
-			return cl, fmt.Errorf("syscall number %d out of range [0,%d]", *num, syscalls.MaxNum())
-		}
-		cl.SID = *num
-	default:
-		return cl, fmt.Errorf("missing syscall name or number")
-	}
-	if len(args) > syscalls.MaxArgs {
-		return cl, fmt.Errorf("%d args exceed the x86-64 maximum of %d", len(args), syscalls.MaxArgs)
-	}
-	copy(cl.Args[:], args)
-	return cl, nil
-}
-
-func resultFrom(d core.Decision) CheckResult {
-	return CheckResult{
-		Allowed:            d.Allowed,
-		Cached:             d.Cached,
-		FilterInstructions: d.FilterInstructions,
-		Action:             d.Action.String(),
-	}
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	t, err := s.lookupTenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	cl, err := resolveCall(req.Syscall, req.Num, req.Args)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := t.chk.Check(cl.SID, cl.Args)
-	s.writeJSON(w, http.StatusOK, resultFrom(out.Decision()))
-}
-
-func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	if len(req.Calls) > MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Calls), MaxBatch)
-		return
-	}
-	t, err := s.lookupTenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	calls := make([]concurrent.Call, len(req.Calls))
-	for i, bc := range req.Calls {
-		cl, err := resolveCall(bc.Syscall, bc.Num, bc.Args)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "call %d: %v", i, err)
-			return
-		}
-		calls[i] = cl
-	}
-	outs := t.chk.CheckBatchDecisions(calls, nil)
-	s.metrics.BatchCalls.Add(uint64(len(calls)))
-	resp := BatchResponse{Results: make([]CheckResult, len(outs))}
-	for i, d := range outs {
-		resp.Results[i] = resultFrom(d)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // putProfile uploads (or hot-swaps) a tenant's profile. It is the shared
@@ -429,7 +274,15 @@ func (s *Server) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) statsFor(t *tenant) StatsResponse {
+// stats reports a provisioned tenant's checker state. It is the shared core
+// of the HTTP handler and the wire and shm stats frames.
+func (s *Server) stats(name string) (StatsResponse, error) {
+	s.mu.RLock()
+	t := s.tenants[name]
+	s.mu.RUnlock()
+	if t == nil {
+		return StatsResponse{}, fmt.Errorf("unknown tenant %q", name)
+	}
 	st := t.chk.Stats()
 	return StatsResponse{
 		Tenant:      t.name,
@@ -446,19 +299,16 @@ func (s *Server) statsFor(t *tenant) StatsResponse {
 		Inserts:     st.Inserts,
 		Denied:      st.Denied,
 		VATBytes:    t.chk.VATBytes(),
-	}
+	}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
-	if t == nil {
-		s.writeError(w, http.StatusNotFound, "unknown tenant %q", id)
+	resp, err := s.stats(r.PathValue("id"))
+	if err != nil {
+		s.writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.statsFor(t))
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {

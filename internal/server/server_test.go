@@ -5,24 +5,34 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"draco/internal/profilegen"
+	"draco/internal/engine"
 	"draco/internal/seccomp"
 	"draco/internal/server"
 	"draco/internal/server/client"
 	"draco/internal/syscalls"
-	"draco/internal/workloads"
 )
 
-func newTestServer(t testing.TB, opts server.Options) (*httptest.Server, *client.Client) {
+// newTestServer serves one Server over both of its planes: the HTTP
+// control API and a wire listener that carries the checks. Everything is
+// torn down with the test.
+func newTestServer(t testing.TB, opts server.Options) (*httptest.Server, *client.Client, *client.Wire) {
 	t.Helper()
-	ts := httptest.NewServer(server.New(opts).Handler())
+	srv, wc := newWireServer(t, opts, client.WireOptions{})
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, client.New(ts.URL, ts.Client())
+	return ts, client.New(ts.URL, ts.Client()), wc
+}
+
+// metricsPage renders srv's /metrics page through its HTTP handler.
+func metricsPage(srv *server.Server) string {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return rec.Body.String()
 }
 
 func profileJSON(t testing.TB, p *seccomp.Profile) []byte {
@@ -34,85 +44,26 @@ func profileJSON(t testing.TB, p *seccomp.Profile) []byte {
 	return buf.Bytes()
 }
 
-func TestCheckEndpoint(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
-	ctx := context.Background()
-
-	// First check: a miss (not cached) resolved by the filter chain — under
-	// the default bitmap exec tier an ID-only syscall like read resolves
-	// through the constant-action bitmap, so zero BPF instructions execute
-	// even on the miss. Second: served from the cache.
-	res, err := c.Check(ctx, server.CheckRequest{Tenant: "t1", Syscall: "read", Args: []uint64{3, 0, 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Allowed || res.Cached || res.FilterInstructions != 0 {
-		t.Fatalf("first check: %+v", res)
-	}
-	res, err = c.Check(ctx, server.CheckRequest{Tenant: "t1", Syscall: "read", Args: []uint64{3, 0, 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Allowed || !res.Cached || res.FilterInstructions != 0 {
-		t.Fatalf("second check: %+v", res)
-	}
-
-	// Docker's default denies unshare-style syscalls not in the whitelist.
-	res, err = c.Check(ctx, server.CheckRequest{Tenant: "t1", Syscall: "init_module"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Allowed {
-		t.Fatalf("init_module allowed under docker-default: %+v", res)
-	}
-
-	// By number works too.
-	read := syscalls.MustByName("read").Num
-	res, err = c.Check(ctx, server.CheckRequest{Tenant: "t1", Num: &read, Args: []uint64{3, 0, 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Allowed {
-		t.Fatalf("check by number: %+v", res)
-	}
-}
-
-func TestCheckRequestValidation(t *testing.T) {
-	ts, c := newTestServer(t, server.Options{DefaultProfile: seccomp.DockerDefault()})
-	ctx := context.Background()
-
-	cases := []server.CheckRequest{
-		{Tenant: "t", Syscall: "no_such_syscall"},
-		{Tenant: "t"},                // neither name nor number
-		{Tenant: "t", Num: intp(-1)}, // negative number
-		{Tenant: "t", Num: intp(syscalls.MaxNum() + 100)},       // out-of-range number
-		{Tenant: "t", Syscall: "read", Num: intp(999)},          // name/number mismatch
-		{Tenant: "t", Syscall: "read", Args: make([]uint64, 7)}, // too many args
-		{Syscall: "read"}, // missing tenant
-	}
-	for i, req := range cases {
-		if _, err := c.Check(ctx, req); err == nil {
-			t.Errorf("case %d (%+v): expected error", i, req)
+// TestCheckRoutesGone: HTTP is the control plane only. The check routes
+// are not served, so a check cannot take a second path with its own
+// validation.
+func TestCheckRoutesGone(t *testing.T) {
+	h := server.New(server.Options{DefaultProfile: seccomp.DockerDefault()}).Handler()
+	for _, op := range []string{"check", "check-batch"} {
+		path := "/v1/" + op
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path,
+			strings.NewReader(`{"tenant":"t","syscall":"read"}`)))
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: HTTP %d, want 404 or 405", path, rec.Code)
 		}
 	}
-
-	// Malformed JSON body → 400.
-	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: HTTP %d", resp.StatusCode)
-	}
 }
 
-func intp(v int) *int { return &v }
-
 func TestUnknownTenantWithoutDefault(t *testing.T) {
-	_, c := newTestServer(t, server.Options{}) // no default profile
+	_, c, wc := newTestServer(t, server.Options{}) // no default profile
 	ctx := context.Background()
-	if _, err := c.Check(ctx, server.CheckRequest{Tenant: "ghost", Syscall: "read"}); err == nil {
+	if _, err := wc.Check(ctx, "ghost", sidOf(t, "read"), engine.Args{}); err == nil {
 		t.Fatal("check on unknown tenant succeeded without a default profile")
 	}
 	if _, err := c.Stats(ctx, "ghost"); err == nil {
@@ -121,7 +72,7 @@ func TestUnknownTenantWithoutDefault(t *testing.T) {
 }
 
 func TestProfileUploadAndHotSwap(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
 
 	readOnly := &seccomp.Profile{
@@ -137,7 +88,7 @@ func TestProfileUploadAndHotSwap(t *testing.T) {
 		t.Fatalf("first upload: %+v", pr)
 	}
 
-	res, err := c.Check(ctx, server.CheckRequest{Tenant: "svc", Syscall: "write"})
+	res, err := wc.Check(ctx, "svc", sidOf(t, "write"), engine.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +112,7 @@ func TestProfileUploadAndHotSwap(t *testing.T) {
 	if pr.Created || pr.Generation != 2 {
 		t.Fatalf("second upload: %+v", pr)
 	}
-	res, err = c.Check(ctx, server.CheckRequest{Tenant: "svc", Syscall: "write"})
+	res, err = wc.Check(ctx, "svc", sidOf(t, "write"), engine.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +133,49 @@ func TestProfileUploadAndHotSwap(t *testing.T) {
 	}
 }
 
+// TestTenantNamesEscaped: the HTTP client path-escapes tenant names, so a
+// name legal over wire and shm reaches the same tenant over HTTP, and an
+// escaped-looking name is a tenant of its own rather than an alias of
+// another.
+func TestTenantNamesEscaped(t *testing.T) {
+	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	ctx := context.Background()
+	pj := profileJSON(t, seccomp.DockerDefault())
+	names := []string{"a/b", "x?y", "p q", "a%2Fb"}
+	for _, name := range names {
+		pr, err := c.PutProfile(ctx, name, bytes.NewReader(pj))
+		if err != nil {
+			t.Fatalf("PUT %q: %v", name, err)
+		}
+		if pr.Tenant != name || !pr.Created || pr.Generation != 1 {
+			t.Fatalf("PUT %q answered %+v", name, pr)
+		}
+		st, err := c.Stats(ctx, name)
+		if err != nil {
+			t.Fatalf("stats %q: %v", name, err)
+		}
+		if st.Tenant != name {
+			t.Fatalf("stats %q answered tenant %q", name, st.Tenant)
+		}
+		// The wire edge sees the tenant HTTP provisioned.
+		if ws, err := wc.Stats(ctx, name); err != nil || ws.Generation != st.Generation {
+			t.Fatalf("wire stats %q: %+v, %v", name, ws, err)
+		}
+	}
+	// The PUT for "a%2Fb" created its own tenant: "a/b" was not swapped.
+	if st, err := c.Stats(ctx, "a/b"); err != nil || st.Generation != 1 {
+		t.Fatalf(`"a/b" after the PUT for "a%%2Fb": %+v, %v`, st, err)
+	}
+	if got, err := c.Tenants(ctx); err != nil || !slices.Equal(got, []string{"a%2Fb", "a/b", "p q", "x?y"}) {
+		t.Fatalf("tenants %q, %v", got, err)
+	}
+}
+
 // TestOtherEnginesRejected: dracod serves one engine. A profile upload may
 // name it or nothing; naming any other registry engine, or an unknown one,
 // is a 400 that provisions no tenant.
 func TestOtherEnginesRejected(t *testing.T) {
-	ts, c := newTestServer(t, server.Options{Shards: 4})
+	ts, c, _ := newTestServer(t, server.Options{Shards: 4})
 	ctx := context.Background()
 	put := func(tenant, query string) int {
 		t.Helper()
@@ -220,51 +209,12 @@ func TestOtherEnginesRejected(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
-	ctx := context.Background()
-
-	calls := []server.BatchCall{
-		{Syscall: "read", Args: []uint64{3, 0, 4096}},
-		{Syscall: "write", Args: []uint64{1, 0, 17}},
-		{Syscall: "init_module"},
-		{Syscall: "read", Args: []uint64{3, 0, 4096}},
-	}
-	results, err := c.CheckBatch(ctx, server.BatchRequest{Tenant: "b", Calls: calls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(calls) {
-		t.Fatalf("%d results for %d calls", len(results), len(calls))
-	}
-	if !results[0].Allowed || !results[1].Allowed || results[2].Allowed || !results[3].Allowed {
-		t.Fatalf("decisions: %+v", results)
-	}
-	// The duplicate read inside one batch is served from the cache.
-	if !results[3].Cached {
-		t.Fatalf("duplicate call in batch not cached: %+v", results[3])
-	}
-
-	// Oversized batches are rejected.
-	big := server.BatchRequest{Tenant: "b", Calls: make([]server.BatchCall, server.MaxBatch+1)}
-	for i := range big.Calls {
-		big.Calls[i] = server.BatchCall{Syscall: "read"}
-	}
-	if _, err := c.CheckBatch(ctx, big); err == nil {
-		t.Fatal("oversized batch accepted")
-	}
-	// A bad call inside a batch fails the whole request.
-	if _, err := c.CheckBatch(ctx, server.BatchRequest{Tenant: "b", Calls: []server.BatchCall{{Syscall: "bogus"}}}); err == nil {
-		t.Fatal("bad call in batch accepted")
-	}
-}
-
 func TestStatsAndMetrics(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	_, c, wc := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		if _, err := c.Check(ctx, server.CheckRequest{Tenant: "m", Syscall: "read", Args: []uint64{3}}); err != nil {
+		if _, err := wc.Check(ctx, "m", sidOf(t, "read"), engine.Args{3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,12 +229,15 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Fatalf("stats metadata: %+v", st)
 	}
 
-	names, err := c.Tenants(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "m" {
-		t.Fatalf("tenants: %v", names)
+	// Two listings, each counted under its own endpoint label.
+	for i := 0; i < 2; i++ {
+		names, err := c.Tenants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 1 || names[0] != "m" {
+			t.Fatalf("tenants: %v", names)
+		}
 	}
 
 	text, err := c.Metrics(ctx)
@@ -302,8 +255,10 @@ func TestStatsAndMetrics(t *testing.T) {
 		// The first check resolved through the constant-action bitmap
 		// (the locked warm-up that seeds the plane).
 		`dracod_check_class_total{class="bitmap-hit"} 1`,
-		`dracod_http_requests_total{endpoint="check"} 10`,
-		`dracod_http_latency_ns{endpoint="check",quantile="0.99"}`,
+		"dracod_wire_checks_total 10",
+		`dracod_http_requests_total{endpoint="stats"} 1`,
+		`dracod_http_requests_total{endpoint="tenants"} 2`,
+		`dracod_http_latency_ns{endpoint="stats",quantile="0.99"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page missing %q:\n%s", want, text)
@@ -324,106 +279,4 @@ func TestStatsAndMetrics(t *testing.T) {
 	if classes != st.Checks {
 		t.Errorf("dracod_check_class_total sums to %d, dracod_checks_total is %d", classes, st.Checks)
 	}
-}
-
-// TestBatchThroughputAdvantage is the acceptance check that batch checking
-// at size 64 sustains at least 2x the single-call endpoint's throughput,
-// measured over the same HTTP transport.
-func TestBatchThroughputAdvantage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput comparison skipped in -short")
-	}
-	w := workloads.All()[0]
-	tr := w.Generate(20_000, 9)
-	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	ts, c := newTestServer(t, server.Options{Shards: 4, DefaultProfile: p})
-	_ = ts
-	ctx := context.Background()
-
-	single := func(n int) {
-		for i := 0; i < n; i++ {
-			ev := tr[i%len(tr)]
-			if _, err := c.Check(ctx, server.CheckRequest{Tenant: "s", Num: &ev.SID, Args: ev.Args[:]}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	batched := func(n int) {
-		const size = 64
-		for off := 0; off < n; off += size {
-			calls := make([]server.BatchCall, size)
-			for j := range calls {
-				ev := tr[(off+j)%len(tr)]
-				calls[j] = server.BatchCall{Num: intp(ev.SID), Args: ev.Args[:]}
-			}
-			if _, err := c.CheckBatch(ctx, server.BatchRequest{Tenant: "b", Calls: calls}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Warm both tenants and the HTTP connections.
-	single(256)
-	batched(256)
-
-	const checks = 4096
-	singlePerSec := rate(t, checks, func() { single(checks) })
-	batchPerSec := rate(t, checks, func() { batched(checks) })
-	t.Logf("single: %.0f checks/sec, batch64: %.0f checks/sec (%.1fx)",
-		singlePerSec, batchPerSec, batchPerSec/singlePerSec)
-	if batchPerSec < 2*singlePerSec {
-		t.Fatalf("batch throughput %.0f/s < 2x single %.0f/s", batchPerSec, singlePerSec)
-	}
-}
-
-func rate(t *testing.T, checks int, f func()) float64 {
-	t.Helper()
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f()
-		}
-	})
-	perOp := res.T.Seconds() / float64(res.N)
-	return float64(checks) / perOp
-}
-
-// BenchmarkServerCheck measures HTTP round-trip throughput of the single
-// and batch endpoints; `make bench-server` runs it.
-func BenchmarkServerCheck(b *testing.B) {
-	w := workloads.All()[0]
-	tr := w.Generate(20_000, 9)
-	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-
-	bench := func(b *testing.B, batchSize int) {
-		ts := httptest.NewServer(server.New(server.Options{Shards: 4, DefaultProfile: p}).Handler())
-		defer ts.Close()
-		c := client.New(ts.URL, ts.Client())
-		ctx := context.Background()
-		var cursor atomic.Uint64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			off := int(cursor.Add(1)) * 7919
-			for pb.Next() {
-				if batchSize <= 1 {
-					ev := tr[off%len(tr)]
-					if _, err := c.Check(ctx, server.CheckRequest{Tenant: "t", Num: &ev.SID, Args: ev.Args[:]}); err != nil {
-						b.Fatal(err)
-					}
-					off++
-					continue
-				}
-				calls := make([]server.BatchCall, batchSize)
-				for j := range calls {
-					ev := tr[(off+j)%len(tr)]
-					calls[j] = server.BatchCall{Num: intp(ev.SID), Args: ev.Args[:]}
-				}
-				if _, err := c.CheckBatch(ctx, server.BatchRequest{Tenant: "t", Calls: calls}); err != nil {
-					b.Fatal(err)
-				}
-				off += batchSize
-			}
-		})
-	}
-	b.Run("single", func(b *testing.B) { bench(b, 1) })
-	b.Run("batch64", func(b *testing.B) { bench(b, 64) })
 }

@@ -34,10 +34,8 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"time"
 
 	"draco/internal/concurrent"
@@ -134,9 +132,10 @@ func (c *session) resolve(name []byte) (*tenant, error) {
 	t := s.tenants[string(name)] // no-copy map lookup
 	s.mu.RUnlock()
 	if t == nil {
-		// Slow path: auto-provision (when configured) exactly like HTTP.
+		// Slow path: auto-provision the tenant when a default profile is
+		// configured.
 		var err error
-		t, err = s.lookupTenant(string(name))
+		t, err = s.provisionTenant(string(name))
 		if err != nil {
 			return nil, err
 		}
@@ -221,23 +220,18 @@ func (c *session) handleStats(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	s := c.hub.s
-	s.mu.RLock()
-	t := s.tenants[string(name)]
-	s.mu.RUnlock()
-	if t == nil {
-		c.sendError(id, fmt.Errorf("unknown tenant %q", name))
+	resp, err := c.hub.s.stats(string(name))
+	if err != nil {
+		c.sendError(id, err)
 		return
 	}
-	c.sendJSON(wire.TypeStatsResp, id, s.statsFor(t))
+	c.sendJSON(wire.TypeStatsResp, id, resp)
 }
 
 // sendJSON frames a control-plane response as a JSON payload.
 func (c *session) sendJSON(t wire.Type, id uint64, v any) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		c.hub.s.metrics.EncodeErrors.Add(1)
-		log.Printf("dracod: encoding %T response: %v", v, err)
+	payload, ok := c.hub.s.encodeJSON(v)
+	if !ok {
 		c.sendError(id, errors.New("response encoding failed"))
 		return
 	}

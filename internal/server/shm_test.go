@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -342,12 +341,7 @@ func TestShmMetricsPage(t *testing.T) {
 	if _, err := sc.Check(context.Background(), "t", sidOf(t, "read"), engine.Args{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	text, err := client.New(ts.URL, ts.Client()).Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsPage(srv)
 	for _, series := range []string{
 		"dracod_shm_conns_active 1",
 		"dracod_shm_conns_total 1",
@@ -705,9 +699,7 @@ func TestShmCloseRacesHandshake(t *testing.T) {
 		deadline := time.Now().Add(2 * time.Second)
 		for {
 			rings, _ := filepath.Glob(filepath.Join(dir, "ring-*.shm"))
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			live := strings.Contains(rec.Body.String(), "dracod_shm_spin_budget{")
+			live := strings.Contains(metricsPage(srv), "dracod_shm_spin_budget{")
 			if len(rings) == 0 && !live {
 				break
 			}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"io"
 	"net"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -128,12 +127,7 @@ func TestWireCheckAndBatch(t *testing.T) {
 	}
 
 	// The wire series render on the /metrics page.
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	text, err := client.New(ts.URL, ts.Client()).Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsPage(srv)
 	for _, series := range []string{
 		"dracod_wire_checks_total 3",
 		"dracod_wire_check_flushes_total 3",

@@ -1,6 +1,6 @@
 // Package wire implements dracod's length-prefixed binary protocol: the
-// zero-allocation fast path that replaces per-request HTTP framing and
-// encoding/json on the service edge.
+// zero-allocation check path for remote clients. (HTTP carries only
+// dracod's control plane.)
 //
 // Framing is a fixed 16-byte little-endian header followed by a payload:
 //
@@ -18,7 +18,8 @@
 // caller-provided buffers, so the steady-state check path performs zero
 // heap allocations per frame (pinned by alloc-guard tests). Control-plane
 // payloads (profile swap and stats responses) carry JSON documents inside
-// binary frames: they are off the hot path and reuse the HTTP API types.
+// binary frames: they are off the hot path and reuse the HTTP control-plane
+// types.
 package wire
 
 import (
@@ -44,7 +45,8 @@ const (
 	HeaderSize = 16
 	// MaxPayload bounds a frame payload (matches the HTTP body bound).
 	MaxPayload = 8 << 20
-	// MaxBatch bounds the calls in one batch frame (matches server.MaxBatch).
+	// MaxBatch bounds the calls in one batch frame, so a single request
+	// cannot monopolize shard locks.
 	MaxBatch = 4096
 	// MaxTenant bounds a tenant-name length (encoded as one byte).
 	MaxTenant = 255

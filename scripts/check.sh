@@ -4,6 +4,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Every Go file is gofmt-clean, benchmark/ included.
+test -z "$(gofmt -l .)"
 # The contract benchmark is a nested module built against this one.
 (cd benchmark && go vet ./... && go test ./...)
 # The experiments suite needs well over 30m under -race on slow runners.
