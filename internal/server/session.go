@@ -75,9 +75,12 @@ type session struct {
 	resp responder
 
 	// Tenant cache: single-tenant connections (the common case) resolve
-	// the tenant without a map lookup or allocation.
+	// the tenant without a map lookup or allocation. nameBuf is the
+	// miss path's session-owned copy of the name, swapped into lastName
+	// once it resolves.
 	lastName []byte
 	lastTen  *tenant
+	nameBuf  []byte
 
 	// unflushed reports single-check responses handed to the responder
 	// since the last drain.
@@ -122,25 +125,29 @@ func (c *session) sendError(id uint64, err error) {
 }
 
 // resolve maps a tenant name (aliasing the frame payload) to its tenant,
-// through the session-local cache on repeats.
+// through the session-local cache on repeats. On shm the name is a slot
+// the client can rewrite at any moment, so each path reads it once: the
+// hit path in one compare, the miss path in one copy that alone is then
+// looked up and cached.
 func (c *session) resolve(name []byte) (*tenant, error) {
 	if c.lastTen != nil && bytes.Equal(name, c.lastName) {
 		return c.lastTen, nil
 	}
+	c.nameBuf = append(c.nameBuf[:0], name...)
 	s := c.hub.s
 	s.mu.RLock()
-	t := s.tenants[string(name)] // no-copy map lookup
+	t := s.tenants[string(c.nameBuf)] // no-copy map lookup
 	s.mu.RUnlock()
 	if t == nil {
 		// Slow path: auto-provision the tenant when a default profile is
 		// configured.
 		var err error
-		t, err = s.provisionTenant(string(name))
+		t, err = s.provisionTenant(string(c.nameBuf))
 		if err != nil {
 			return nil, err
 		}
 	}
-	c.lastName = append(c.lastName[:0], name...)
+	c.lastName, c.nameBuf = c.nameBuf, c.lastName
 	c.lastTen = t
 	return t, nil
 }

@@ -25,7 +25,9 @@ const (
 // Backoff escalates from tight spins through yields to sleeps. The zero
 // value is ready to use with the default ladder; set the fields to tune a
 // site (Yield < 0 means "yield forever, never sleep" — the consumer poll
-// loop's policy, where parking, not sleeping, is the terminal state).
+// loop's policy, where parking, not sleeping, is the terminal state; its
+// Spin is SpinController.Tight on a multi-P host and -1, no tight
+// stage, on a single-P one).
 type Backoff struct {
 	// Spin is how many Wait calls busy-spin before yielding.
 	Spin int

@@ -67,11 +67,17 @@ func (cl *ConsumeLoop) RunUntil(ctx context.Context, done func() bool) error {
 			return false
 		}
 	}
-	// Poll ladder: no tight spinning, yield every empty poll — the
-	// producer is usually another goroutine (or, on a small host, shares
-	// the core with us), so giving up the slice IS the fast path. Parking
-	// is the terminal state; the ladder never reaches sleep.
+	// Poll ladder: on a multi-P host a tight-spin stage first (the
+	// producer runs on another P, and its frame usually lands within a
+	// cache miss, sooner than a Gosched round trip), then a yield on
+	// every empty poll. With one P the producer shares our core, so
+	// giving up the slice IS the fast path and the ladder yields from the
+	// first poll. Parking is the terminal state; the ladder never reaches
+	// sleep.
 	poll := Backoff{Spin: -1, Yield: -1}
+	if n := cl.Spin.Tight(); n > 0 {
+		poll.Spin = n
+	}
 	empties := 0
 	f := &cl.frame
 	for {

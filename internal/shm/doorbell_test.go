@@ -89,6 +89,24 @@ func TestSpinControllerAdapts(t *testing.T) {
 	nilC.Woke(0, false)
 }
 
+// TestSpinControllerTightStage pins the poll ladder's shape: no tight
+// stage with one P, where a spin only delays the producer sharing the
+// core, and the TightPolls stage with two.
+func TestSpinControllerTightStage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := NewSpinController().Tight(); got != 0 {
+		t.Fatalf("GOMAXPROCS(1): tight stage %d, want 0", got)
+	}
+	runtime.GOMAXPROCS(2)
+	if got := NewSpinController().Tight(); got != 64 {
+		t.Fatalf("GOMAXPROCS(2): tight stage %d, want 64", got)
+	}
+	var nilC *SpinController
+	if nilC.Tight() != 0 {
+		t.Fatal("nil controller has a tight stage")
+	}
+}
+
 func TestBackoffLadder(t *testing.T) {
 	// The ladder must terminate each stage and Reset must restart it; the
 	// stages themselves are timing, so this is a does-not-hang check plus

@@ -108,7 +108,7 @@ func seedHeader(l Layout) []byte {
 }
 
 // FuzzParseLayout feeds arbitrary region headers to the opener-side
-// validator. Invariants: no panics; whatever parses cleanly is version 2,
+// validator. Invariants: no panics; whatever parses cleanly is version 3,
 // validates, and re-encodes through NewRegion to the identical layout.
 func FuzzParseLayout(f *testing.F) {
 	base := Layout{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8}
@@ -117,11 +117,14 @@ func FuzzParseLayout(f *testing.F) {
 	futex.Doorbell = DoorbellFutex
 	f.Add(seedHeader(futex))
 
-	// Retired encodings, which must fail closed: a version-1 header,
-	// doorbell kind 2, the old huge-pages flag bit.
+	// Retired encodings, which must fail closed: version-1 and version-2
+	// headers, doorbell kind 2, the old huge-pages flag bit.
 	v1 := seedHeader(base)
 	le.PutUint16(v1[hdrVersionOff:], 1)
 	f.Add(v1)
+	v2 := seedHeader(futex)
+	le.PutUint16(v2[hdrVersionOff:], 2)
+	f.Add(v2)
 	kind2 := seedHeader(base)
 	le.PutUint32(kind2[hdrFlagsOff:], 2)
 	f.Add(kind2)

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func newTestRegion(t testing.TB, l Layout) *Region {
@@ -86,6 +88,37 @@ func TestLayoutV2RoundTrip(t *testing.T) {
 	le.PutUint32(b[hdrFlagsOff:], le.Uint32(b[hdrFlagsOff:])|1<<31)
 	if _, err := ParseLayout(b); err == nil {
 		t.Fatal("unknown flag bits parsed cleanly")
+	}
+}
+
+// TestLayoutV3CacheLines pins the version-3 ring header on both rings of
+// a region: head, tail and the park word each on a 64-byte line of its
+// own, the futex word on the park word's line, and slot 0 64-byte
+// aligned. A header carrying the previous version fails closed.
+func TestLayoutV3CacheLines(t *testing.T) {
+	l := Layout{SlotSize: 256, SubmitSlots: 4, CompleteSlots: 8}
+	b := NewBuffer(l)
+	reg, err := NewRegion(b, l, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uintptr(unsafe.Pointer(&b[0]))
+	line := func(p unsafe.Pointer) uintptr { return (uintptr(p) - base) / 64 }
+	for name, r := range map[string]*Ring{"submit": reg.Submit, "complete": reg.Complete} {
+		head, tail, park := line(unsafe.Pointer(r.head)), line(unsafe.Pointer(r.tail)), line(unsafe.Pointer(r.parked))
+		if head == tail || head == park || tail == park {
+			t.Fatalf("%s: head, tail and park word share a line: %d/%d/%d", name, head, tail, park)
+		}
+		if f := line(unsafe.Pointer(r.futexW)); f != park {
+			t.Fatalf("%s: futex word on line %d, park word on line %d", name, f, park)
+		}
+		if off := uintptr(unsafe.Pointer(&r.slots[0])) - base; off%64 != 0 {
+			t.Fatalf("%s: slot 0 at offset %d, not 64-byte aligned", name, off)
+		}
+	}
+	le.PutUint16(b[hdrVersionOff:], 2)
+	if _, err := ParseLayout(b); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version-2 header: err %v, want ErrBadVersion", err)
 	}
 }
 
@@ -462,8 +495,9 @@ func TestRegionFileRoundTrip(t *testing.T) {
 }
 
 // TestOpenFileRejectsGarbage ensures header validation runs before any
-// geometry is trusted, and that the retired encodings — a version-1
-// header, doorbell kind 2, the old huge-pages flag bit — fail closed.
+// geometry is trusted, and that the retired encodings — version-1 and
+// version-2 headers, doorbell kind 2, the old huge-pages flag bit — fail
+// closed.
 func TestOpenFileRejectsGarbage(t *testing.T) {
 	if !Supported() {
 		t.Skip("no mmap support on this platform")
@@ -491,6 +525,7 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	}
 	for name, patch := range map[string]func(b []byte){
 		"v1":      func(b []byte) { le.PutUint16(b[hdrVersionOff:], 1) },
+		"v2":      func(b []byte) { le.PutUint16(b[hdrVersionOff:], 2) },
 		"kind2":   func(b []byte) { le.PutUint32(b[hdrFlagsOff:], 2) },
 		"hugebit": func(b []byte) { le.PutUint32(b[hdrFlagsOff:], 1<<2) },
 	} {

@@ -37,14 +37,23 @@
 // at all; it publishes progress by store-releasing the ring-header head
 // cursor, which is what producers check for space.
 //
+// Each ring header spans three cache lines, one per writer pattern: the
+// consumer's head cursor, the producers' tail cursor, and the park word
+// (the consumer's parked flag beside the futex doorbell word). The
+// consumer dirties head on every Release, producers dirty tail on every
+// Claim, and the park word changes only when the consumer parks or is
+// rung. A producer therefore reads a line nobody is writing when it asks
+// ConsumerParked after each Publish, and reads head only when its cached
+// copy says the ring is full.
+//
 // Idle peers cost nothing: a consumer busy-polls under an adaptive budget
-// (SpinController), then sets the ring header's parked flag and blocks on
-// a doorbell the producer rings only when the flag is up. The doorbell
-// is picked by platform at handshake (see Caps and DoorbellKind): a
-// shared futex word in the ring header on Linux — an unparked peer costs
-// the producer nothing, a parked one exactly one FUTEX_WAKE —, elsewhere
-// a byte on the session's unix socket (see internal/server and
-// internal/server/client for the two ends).
+// (SpinController), then sets the parked flag and blocks on a doorbell
+// the producer rings only when the flag is up. The doorbell is picked by
+// platform at handshake (see Caps and DoorbellKind): the futex word on
+// the park line on Linux — an unparked peer costs the producer nothing,
+// a parked one exactly one FUTEX_WAKE —, elsewhere a byte on the
+// session's unix socket (see internal/server and internal/server/client
+// for the two ends).
 package shm
 
 import (
@@ -60,14 +69,15 @@ const (
 	// Magic marks byte 0 of a region file.
 	Magic uint32 = 0xD7AC0517
 	// Version is the one region-layout version this package writes and
-	// accepts: geometry plus a flags word naming the doorbell kind.
-	Version uint16 = 2
+	// accepts: geometry plus a flags word naming the doorbell kind, and a
+	// three-line ring header.
+	Version uint16 = 3
 
 	// regionHdrSize is the file-global header: magic, version, geometry.
 	regionHdrSize = 64
-	// ringHdrSize is each ring's cursor block: one cache line for the
-	// consumer's head + parked flag, one for the producer's tail.
-	ringHdrSize = 128
+	// ringHdrSize is each ring's header: one cache line for the
+	// consumer's head, one for the producers' tail, one for the park word.
+	ringHdrSize = 192
 
 	// SlotHdrSize is the per-slot frame header (seq, id, len, type).
 	SlotHdrSize = 24
@@ -110,10 +120,10 @@ const hdrFlagDoorbellMask uint32 = 0x3
 
 // Ring-header field offsets (relative to the ring header).
 const (
-	ringHeadOff   = 0  // consumer cursor (atomic uint64)
-	ringParkedOff = 8  // consumer parked flag (atomic uint32)
-	ringFutexOff  = 12 // futex doorbell word (atomic uint32), consumer line
-	ringTailOff   = 64 // producer cursor (atomic uint64), own cache line
+	ringHeadOff   = 0   // consumer cursor (atomic uint64), own cache line
+	ringTailOff   = 64  // producer cursor (atomic uint64), own cache line
+	ringParkedOff = 128 // consumer parked flag (atomic uint32), park line
+	ringFutexOff  = 132 // futex doorbell word (atomic uint32), park line
 )
 
 // Errors.

@@ -22,6 +22,12 @@ package shm
 // default instead: spinning only pays when the producer can run
 // concurrently with the spinner — with one P every extra empty poll is
 // a timeslice stolen from the producer, and measured throughput drops.
+//
+// The same single-P rule fixes the poll ladder's shape at construction
+// (Tight): on a multi-P host the first TightPolls empty polls busy-spin,
+// since the producer runs on another P and its frame usually lands
+// within a cache miss; only then does the consumer start yielding. With
+// one P there is no tight stage: the ladder yields from the first poll.
 
 import (
 	"runtime"
@@ -36,6 +42,10 @@ const (
 	// DefaultSpinBudget is the starting budget — the fixed constant the
 	// controller replaces.
 	DefaultSpinBudget = 256
+	// TightPolls is the poll ladder's tight-spin stage on a multi-P host:
+	// empty polls that busy-spin before the consumer starts yielding.
+	// They count against the spin budget like every other poll.
+	TightPolls = 64
 
 	// promptWake is the park-duration threshold that classifies a park as
 	// premature: woken faster than this, the consumer would likely have
@@ -54,16 +64,30 @@ type SpinController struct {
 	// or DefaultSpinBudget on a single-P host where spinning cannot
 	// overlap the producer).
 	max int64
+	// tight is the poll ladder's tight-spin stage, fixed at
+	// construction: TightPolls, or 0 on a single-P host.
+	tight int
 }
 
 // NewSpinController returns a controller starting at DefaultSpinBudget.
 func NewSpinController() *SpinController {
-	c := &SpinController{max: MaxSpinBudget}
+	c := &SpinController{max: MaxSpinBudget, tight: TightPolls}
 	if runtime.GOMAXPROCS(0) == 1 {
 		c.max = DefaultSpinBudget
+		c.tight = 0
 	}
 	c.budget.Store(DefaultSpinBudget)
 	return c
+}
+
+// Tight returns how many empty polls busy-spin before the consumer
+// yields: TightPolls on a multi-P host, 0 on a single-P host or for a nil
+// controller.
+func (c *SpinController) Tight() int {
+	if c == nil {
+		return 0
+	}
+	return c.tight
 }
 
 // Budget returns the current spin budget in empty polls.

@@ -29,14 +29,16 @@ go test -count=1 -run 'ZeroAllocs|TestCheck|TestBatch' ./internal/wire/
 go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 
 # Shared-memory transport: each test skips where mmap or the futex is missing.
+# The -cpu 1,2 race lines run both consumer poll ladders: yield-only with
+# one P, tight-spin-then-yield with two.
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestBatcher' ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
-go test -race -count=1 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
-go test -race -count=1 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
+go test -race -count=1 -cpu 1,2 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
+go test -race -count=1 -cpu 1,2 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
 go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmCloseRacesHandshake|TestStalledPeerDoesNotDelayOthers' ./internal/server/
-go test -race -count=1 -run 'TestShm' ./internal/server/client/
+go test -race -count=1 -cpu 1,2 -run 'TestShm' ./internal/server/client/
 
 go test -count=1 -run 'Fuzz' ./internal/bpf/
 go test -count=1 -run 'Fuzz' ./internal/ebpf/
