@@ -128,19 +128,15 @@ func runServe(args []string) error {
 	wireAddr := fs.String("wire", ":8478", "wire-protocol listen address (empty = disabled)")
 	shmDir := fs.String("shm", "", "serve the shared-memory transport from this directory (empty = disabled)")
 	shards := fs.Int("shards", concurrent.DefaultShards, "VAT shards per tenant (power of two)")
-	routing := fs.String("routing", "syscall", "shard routing key: syscall (exact sequential semantics) or args (spread hot syscalls)")
 	preset := fs.String("default-profile", "docker", "auto-provision tenants with this preset (docker, docker-masked, gvisor, firecracker, none)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	fs.Parse(args)
 
-	if _, err := concurrent.ParseRouting(*routing); err != nil {
-		return fmt.Errorf("-routing: %v", err)
-	}
 	def, err := presetProfile(*preset)
 	if err != nil {
 		return err
 	}
-	srv := server.New(server.Options{Shards: *shards, Routing: *routing, DefaultProfile: def})
+	srv := server.New(server.Options{Shards: *shards, DefaultProfile: def})
 	handler := srv.Handler()
 	if *pprofOn {
 		// Mount the profiler next to the API instead of importing
@@ -200,7 +196,7 @@ func runServe(args []string) error {
 		}()
 		extra += ", shm in " + *shmDir
 	}
-	log.Printf("listening on %s (engine=%s shards=%d routing=%s default-profile=%s%s)", *addr, server.DefaultEngine, *shards, *routing, defProfile, extra)
+	log.Printf("listening on %s (engine=%s shards=%d default-profile=%s%s)", *addr, server.DefaultEngine, *shards, defProfile, extra)
 	return hs.ListenAndServe()
 }
 

@@ -189,8 +189,7 @@ type EngineOptions struct {
 	// Shards is the VAT shard fan-out for sharded engines (power of two;
 	// 0 selects the default).
 	Shards int
-	// Routing is the shard-routing key: "syscall" (decision-exact,
-	// default) or "args" (spread hot syscalls; see DESIGN.md).
+	// Routing is the shard-routing key: "" or "syscall", the only key.
 	Routing string
 	// Observer receives per-check callbacks (nil: none).
 	Observer Observer

@@ -11,26 +11,23 @@
 //     counters are folded into a running total and the state is dropped.
 //     An in-flight check either finishes against the state it started with
 //     before the seal, or finds it sealed and starts over on the new one.
-//   - An N-way sharded VAT. A check routes to a shard by a CRC-64/ECMA
-//     routing key, and each shard is an independent core.Checker (own SPT,
-//     own VAT sections, own compiled filter chain) guarded by one mutex.
+//   - An N-way sharded VAT. A syscall routes to a shard by CRC-64/ECMA of
+//     its ID (hashed once per syscall, when the state is built: a check
+//     reads the shard from the syscall's plane record), so its whole cuckoo
+//     table lives in one shard, guarded by that shard's mutex, and the
+//     sharded checker reproduces the sequential checker's decisions bit for
+//     bit — including the evictions that 2-ary cuckoo tables at 0.5 load
+//     actually perform. Each shard is an independent core.Checker (own SPT,
+//     own VAT sections, shared compiled filter).
+//   - A lock-free hit path (plane.go). Constant decisions come straight
+//     from the generation's decision plane. An argument-checked call probes
+//     its syscall's VAT table with no lock: the plane record points at the
+//     table, and the table's seqlock (internal/cuckoo) validates the probe.
+//     Only a miss, or a probe a writer disturbed, takes the shard lock and
+//     runs core.Checker, which fills the table.
 //
-// Two routing keys are offered. The default, RouteBySyscall, hashes the
-// syscall ID alone (once per syscall, when the state is built: a check
-// reads the shard from the syscall's plane record), so a syscall's whole
-// cuckoo table lives in exactly one shard and the sharded checker
-// reproduces the sequential checker's decisions bit for bit — including
-// the cache evictions that 2-ary cuckoo tables at 0.5 load actually
-// perform. RouteByArgs additionally mixes in
-// the argument-set hash (computed under the syscall's SPT Argument Bitmask,
-// the same masked-byte hash family the VAT probes with), spreading a hot
-// syscall's argument sets across shards for maximum parallelism; allow/deny
-// decisions are still always identical to the sequential checker (cached
-// entries were validated by the same deterministic filter), but splitting a
-// syscall's table into per-shard sections changes cuckoo eviction timing,
-// so a decision can be served cached where the sequential checker would
-// re-run the filter. The differential tests in this package prove both
-// properties on full workload traces.
+// The differential tests in this package prove, on full workload traces,
+// that every path answers what the sequential checker answers.
 package concurrent
 
 import (
@@ -54,7 +51,9 @@ const DefaultShards = 8
 // so sparse that memory overhead dominates any contention win.
 const MaxShards = 1024
 
-// Routing selects the shard-routing key.
+// Routing names the shard-routing key. RouteBySyscall is the only one: a
+// syscall's VAT table must live whole in one shard, because its plane
+// record points at that table.
 type Routing int
 
 const (
@@ -62,38 +61,24 @@ const (
 	// VAT table lives wholly in one shard, which preserves the sequential
 	// checker's allow/deny/cached decisions exactly.
 	RouteBySyscall Routing = iota
-	// RouteByArgs routes by CRC-64 of the syscall ID plus the masked
-	// argument-set hash: a hot syscall's argument sets spread across
-	// shards. Decision-exact but cuckoo-eviction-timing-inexact: allow/
-	// deny/action always match the sequential checker, while the cached
-	// flag may differ around evictions because a syscall's table is split
-	// into per-shard sections (see DESIGN.md §7; pinned at the registry
-	// level by engine.TestDifferentialArgsRoutingDecisionExact).
-	RouteByArgs
 )
 
 // ParseRouting maps a routing name to its key: "" or "syscall" is
-// RouteBySyscall, "args" is RouteByArgs.
+// RouteBySyscall.
 func ParseRouting(name string) (Routing, error) {
 	switch name {
 	case "", "syscall":
 		return RouteBySyscall, nil
-	case "args":
-		return RouteByArgs, nil
 	default:
-		return 0, fmt.Errorf("unknown routing %q (syscall or args)", name)
+		return 0, fmt.Errorf("unknown routing %q (syscall is the only key)", name)
 	}
 }
 
 func (r Routing) String() string {
-	switch r {
-	case RouteBySyscall:
+	if r == RouteBySyscall {
 		return "syscall"
-	case RouteByArgs:
-		return "args"
-	default:
-		return fmt.Sprintf("Routing(%d)", int(r))
 	}
+	return fmt.Sprintf("Routing(%d)", int(r))
 }
 
 // Call names one system call invocation in a batch.
@@ -121,17 +106,16 @@ type shard struct {
 }
 
 // state is one immutable profile generation. All fields except the shards'
-// interior are read-only after construction, so check paths may use them
-// without synchronization.
+// interior and the plane records' atomics are read-only after construction,
+// so check paths may use them without synchronization.
 type state struct {
 	profile *seccomp.Profile
 	gen     uint64
-	routing Routing
 	mode    seccomp.ExecMode
-	// plane is the generation's compiled decision plane (plane.go): one
-	// flat per-syscall record fusing the routing bitmask, the precomputed
-	// argument count, and — under ExecBitmap — the provably constant
-	// decisions, served lock-free before any shard is touched.
+	// plane is the generation's decision plane (plane.go): one flat
+	// per-syscall record holding the syscall's shard, its VAT table once
+	// the locked path has created it, and — under ExecBitmap — the provably
+	// constant decisions, all served before any shard lock is taken.
 	plane  *plane
 	shards []*shard
 	// prog is the generation's attached programmable policy (nil without
@@ -146,11 +130,11 @@ type state struct {
 	serialBatch bool
 }
 
-func newState(p *seccomp.Profile, nShards int, routing Routing, mode seccomp.ExecMode, gen uint64, noFast bool) (*state, error) {
+func newState(p *seccomp.Profile, nShards int, mode seccomp.ExecMode, gen uint64, noFast bool) (*state, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	st := &state{profile: p, gen: gen, routing: routing, mode: mode, shards: make([]*shard, nShards)}
+	st := &state{profile: p, gen: gen, mode: mode, shards: make([]*shard, nShards)}
 	// Filters are immutable and safe for concurrent use, so one compiled
 	// filter (with its pre-decoded op stream and, under ExecBitmap, its
 	// constant-action bitmap) is shared by every shard's chain: compiling —
@@ -169,8 +153,8 @@ func newState(p *seccomp.Profile, nShards int, routing Routing, mode seccomp.Exe
 	}
 	// Compile the decision plane from the same attach-time proofs the
 	// filter and program carry: f.Bitmap() is nil below ExecBitmap, which
-	// builds the plane in pass-through (routing masks only) form.
-	st.plane = buildPlane(p, f.Bitmap(), st.prog, noFast, nShards, routing)
+	// builds the plane without constant records.
+	st.plane = buildPlane(p, f.Bitmap(), st.prog, noFast, nShards)
 	for i := range st.shards {
 		chk := core.NewChecker(p, seccomp.Chain{f})
 		chk.Prog = st.prog
@@ -179,33 +163,17 @@ func newState(p *seccomp.Profile, nShards int, routing Routing, mode seccomp.Exe
 	return st, nil
 }
 
-// mask returns the argument bitmask governing a syscall's routing.
-func (st *state) mask(sid int) uint64 {
-	return st.plane.maskOf(sid)
-}
-
-// shardIndex routes a call to its shard. Under RouteBySyscall the shard is
-// the one the plane record stored at build (sidShard for numbers beyond the
-// plane); under RouteByArgs it is CRC-64 over the syscall ID and the H1
-// hash of the argument bytes selected by the syscall's bitmask, hashed per
-// call. ID-only syscalls always route by ID alone.
-func (st *state) shardIndex(sid int, args *hashes.Args) int {
+// shardIndex routes a call to its shard: the one the plane record stored at
+// build, or sidShard for numbers beyond the plane.
+func (st *state) shardIndex(sid int) int {
 	n := len(st.shards)
 	if n == 1 {
 		return 0
 	}
-	if st.routing == RouteBySyscall {
-		if uint(sid) < uint(len(st.plane.records)) {
-			return int(st.plane.records[sid].shard)
-		}
-		return sidShard(sid, n)
+	if uint(sid) < uint(len(st.plane.records)) {
+		return int(st.plane.records[sid].shard)
 	}
-	var key [16]byte
-	binary.LittleEndian.PutUint64(key[:8], uint64(sid))
-	if m := st.mask(sid); m != 0 {
-		binary.LittleEndian.PutUint64(key[8:], hashes.ArgSet(*args, m).H1)
-	}
-	return int(hashes.Sum64(key[:]) % uint64(n))
+	return sidShard(sid, n)
 }
 
 // sidShard is RouteBySyscall's routing function: CRC-64/ECMA of the syscall
@@ -214,6 +182,22 @@ func sidShard(sid, nShards int) int {
 	var key [8]byte
 	binary.LittleEndian.PutUint64(key[:], uint64(sid))
 	return int(hashes.Sum64(key[:]) % uint64(nShards))
+}
+
+// checkLocked runs one call through its shard's sequential checker under
+// the shard lock. ok is false when the shard was sealed: st was retired
+// under the call, which must be redone on the checker's current state.
+func (st *state) checkLocked(sid int, args *hashes.Args) (out core.Outcome, ok bool) {
+	sh := st.shards[st.shardIndex(sid)]
+	sh.mu.Lock()
+	if sh.sealed {
+		sh.mu.Unlock()
+		return out, false
+	}
+	out = sh.chk.Check(sid, *args)
+	st.plane.noteLocked(sid, &out, sh.chk)
+	sh.mu.Unlock()
+	return out, true
 }
 
 // Checker is a concurrency-safe Draco checker: any number of goroutines may
@@ -225,28 +209,28 @@ type Checker struct {
 	// folded is the statistics of every superseded generation, so Stats
 	// stays cumulative across hot swaps without keeping the generations.
 	folded Stats
-	// noFast disables the decision plane across every generation this
+	// noFast disables the lock-free paths across every generation this
 	// checker builds: the measurement baseline for the fast path.
 	noFast bool
 }
 
 // Config bundles the knobs of a sharded checker. The zero value selects
-// DefaultShards, RouteBySyscall, compiled filter execution and the decision
-// plane enabled; the serving layer runs Mode seccomp.ExecBitmap.
+// DefaultShards, RouteBySyscall, compiled filter execution and the
+// lock-free paths enabled; the serving layer runs Mode seccomp.ExecBitmap.
 type Config struct {
 	// Shards is the VAT shard fan-out (0 selects DefaultShards; must be a
 	// power of two up to MaxShards, which keeps shard selection a
 	// mask-and-index like the VAT itself).
 	Shards int
-	// Routing selects the shard-routing key.
+	// Routing names the shard-routing key; RouteBySyscall is the only one.
 	Routing Routing
 	// Mode is the filter execution mode; the decision plane's constant
 	// records exist only under seccomp.ExecBitmap.
 	Mode seccomp.ExecMode
-	// NoFastPath disables the lock-free decision plane, forcing every
-	// check through the locked shard path: the reference the plane
-	// differential test compares against. Decisions are identical either
-	// way.
+	// NoFastPath disables the lock-free paths — the decision plane's
+	// constants and the lock-free VAT probe — forcing every check through
+	// the locked shard path: the reference the plane differential test
+	// compares against. Decisions are identical either way.
 	NoFastPath bool
 }
 
@@ -260,10 +244,10 @@ func NewCheckerConfig(p *seccomp.Profile, cfg Config) (*Checker, error) {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("concurrent: shard count %d not a power of two in [1,%d]", shards, MaxShards)
 	}
-	if cfg.Routing != RouteBySyscall && cfg.Routing != RouteByArgs {
+	if cfg.Routing != RouteBySyscall {
 		return nil, fmt.Errorf("concurrent: unknown routing %d", int(cfg.Routing))
 	}
-	st, err := newState(p, shards, cfg.Routing, cfg.Mode, 1, cfg.NoFastPath)
+	st, err := newState(p, shards, cfg.Mode, 1, cfg.NoFastPath)
 	if err != nil {
 		return nil, err
 	}
@@ -274,14 +258,17 @@ func NewCheckerConfig(p *seccomp.Profile, cfg Config) (*Checker, error) {
 
 // Check validates one system call. Safe for concurrent use.
 //
-// The fast path consults the generation's decision plane first: a check
-// whose outcome was proven constant at SetProfile time is answered with
-// one atomic state load and no locks, table probes, or filter execution.
-// Everything else takes the locked shard path, which afterwards seeds the
-// plane (noteLocked) so constant-allow syscalls hand over once their
-// first check has warmed the tables. A check that loses the race with a
-// profile swap — its generation was retired before it could be counted
-// there — is redone on the successor, which the swap published first.
+// The decision plane answers first: a check whose outcome was proven
+// constant at SetProfile time costs one atomic state load and no locks,
+// table probes, or filter execution. An argument-checked call then probes
+// its syscall's VAT table without the lock, and a validated hit is the
+// locked path's VAT hit outcome, byte for byte. Everything else takes the
+// locked shard path, which afterwards seeds the plane (noteLocked):
+// constant-allow syscalls hand over once their first check has warmed the
+// tables, and a syscall's new VAT table is published to lock-free probes.
+// A check that loses the race with a profile swap — its generation was
+// retired before it could be counted there — is redone on the successor,
+// which the swap published first.
 func (c *Checker) Check(sid int, args hashes.Args) core.Outcome {
 	st := c.state.Load()
 	hit, sealed := st.plane.fastCheck(sid)
@@ -289,19 +276,64 @@ func (c *Checker) Check(sid int, args hashes.Args) core.Outcome {
 		return *hit
 	}
 	if !sealed {
-		sh := st.shards[st.shardIndex(sid, &args)]
-		sh.mu.Lock()
-		if !sh.sealed {
-			out := sh.chk.Check(sid, args)
-			sh.mu.Unlock()
-			st.plane.noteLocked(sid)
-			return out
+		way, pair, sealed := st.plane.probe(sid, &args)
+		if way != 0 {
+			return vatHit(way, pair)
 		}
-		sh.mu.Unlock()
+		if !sealed {
+			if out, ok := st.checkLocked(sid, &args); ok {
+				return out
+			}
+		}
 	}
 	// st was retired under this call, so its successor is published.
 	return c.Check(sid, args)
 }
+
+// CheckDecision is Check for callers that answer with the decision alone.
+// A constant record answers with its decision, and a lock-free VAT probe
+// computes H2 only when H1's slot misses, since a hit needs no hash value.
+// The decisions are Check's, call for call.
+func (c *Checker) CheckDecision(sid int, args *hashes.Args) core.Decision {
+	st := c.state.Load()
+	hit, sealed := st.plane.fastCheck(sid)
+	if hit != nil {
+		return hit.Decision()
+	}
+	if !sealed {
+		found, sealed := st.plane.contains(sid, args)
+		if found {
+			return vatHitDecision
+		}
+		if !sealed {
+			if out, ok := st.checkLocked(sid, args); ok {
+				return out.Decision()
+			}
+		}
+	}
+	return c.CheckDecision(sid, args)
+}
+
+// vatHit is the outcome core.Checker reports for a VAT hit found under way
+// (1 or 2) of pair: the lock-free probe's answer is the same bytes.
+func vatHit(way int, pair hashes.Pair) core.Outcome {
+	out := core.Outcome{
+		Allowed:     true,
+		Action:      seccomp.ActAllow,
+		SPTHit:      true,
+		ArgsChecked: true,
+		VATHit:      true,
+		Hash:        pair.H1,
+		Pair:        pair,
+	}
+	if way == 2 {
+		out.Hash = pair.H2
+	}
+	return out
+}
+
+// vatHitDecision is a VAT hit's decision: allowed, served by the tables.
+var vatHitDecision = core.Decision{Allowed: true, Cached: true, Action: seccomp.ActAllow}
 
 // CheckBatch validates a batch of calls, amortizing state loads and shard
 // locking: each shard involved is locked once per batch, not once per call
@@ -318,7 +350,8 @@ func (c *Checker) CheckBatch(calls []Call, dst []core.Outcome) []core.Outcome {
 
 // CheckBatchDecisions is CheckBatch for callers that answer with the
 // decision alone: each result is written straight into dst as the four
-// fields of its outcome, with no per-call Outcome scratch in between.
+// fields of its outcome, with no per-call Outcome scratch in between, and
+// lock-free VAT probes compute H2 only when H1's slot misses.
 func (c *Checker) CheckBatchDecisions(calls []Call, dst []core.Decision) []core.Decision {
 	if cap(dst) < len(calls) {
 		dst = make([]core.Decision, len(calls))
@@ -343,10 +376,32 @@ func (d batchDst) set(i int, out *core.Outcome) {
 	d.outs[i] = *out
 }
 
+// probe answers call i from its syscall's VAT table without the shard
+// lock, the way Check (whole outcomes) or CheckDecision (decisions) does.
+// served reports a validated hit written to dst; sealed, that st was
+// retired before the hit could be counted in it.
+func (d batchDst) probe(st *state, cl *Call, i int) (served, sealed bool) {
+	if d.decs != nil {
+		served, sealed = st.plane.contains(cl.SID, &cl.Args)
+		if served {
+			d.decs[i] = vatHitDecision
+		}
+		return served, sealed
+	}
+	way, pair, sealed := st.plane.probe(cl.SID, &cl.Args)
+	if way != 0 {
+		d.outs[i] = vatHit(way, pair)
+	}
+	return way != 0, sealed
+}
+
 // check is the batch paths' one-by-one fallback: a full Check of call i.
 func (c *Checker) check(calls []Call, dst batchDst, i int) {
-	out := c.Check(calls[i].SID, calls[i].Args)
-	dst.set(i, &out)
+	if dst.decs != nil {
+		dst.decs[i] = c.CheckDecision(calls[i].SID, &calls[i].Args)
+		return
+	}
+	dst.outs[i] = c.Check(calls[i].SID, calls[i].Args)
 }
 
 func (c *Checker) checkBatch(calls []Call, dst batchDst) {
@@ -376,7 +431,7 @@ func (c *Checker) checkBatch(calls []Call, dst batchDst) {
 			default:
 				out := sh.chk.Check(cl.SID, cl.Args)
 				dst.set(i, &out)
-				st.plane.noteLocked(cl.SID)
+				st.plane.noteLocked(cl.SID, &out, sh.chk)
 			}
 		}
 		sh.mu.Unlock()
@@ -397,10 +452,9 @@ func (c *Checker) checkBatch(calls []Call, dst batchDst) {
 	// Group call indices by shard with a two-pass counting sort, then drain
 	// each group under one lock. Relative order within a shard is preserved
 	// (the sort is stable), and calls on different shards touch disjoint
-	// (syscall, argument-set) keys, so the outcomes match a sequential
-	// left-to-right execution of the batch. Service-sized batches group
-	// entirely in stack buffers: no per-shard slices, no per-batch heap
-	// allocation.
+	// syscalls' tables, so the outcomes match a sequential left-to-right
+	// execution of the batch. Service-sized batches group entirely in stack
+	// buffers: no per-shard slices, no per-batch heap allocation.
 	n := len(calls)
 	var sidxA, orderA [batchStack]int32
 	var sidx, order []int32
@@ -430,27 +484,44 @@ func (c *Checker) drainGrouped(st *state, calls []Call, dst []core.Outcome, sidx
 	c.drainTo(st, calls, batchDst{outs: dst}, sidx, order, counts)
 }
 
-// drainTo is checkBatch's grouped path: plane-resolved calls are
-// answered during the grouping pass itself (marked with shard index -1 so
-// the sort skips them), then the residue is stable counting-sorted by
-// shard (len(counts) == shards+1) and drained one lock per touched shard.
-// Calls that find st retired under them — a sealed plane counter or a
-// sealed shard — are redone one by one through Check.
+// drainTo is checkBatch's grouped path. The grouping pass answers what it
+// can without a lock — plane constants, and validated lock-free VAT hits —
+// marking those calls with shard index -1 so the sort skips them. Once a
+// call of a syscall falls through to the drain, every later call of that
+// syscall in the batch falls through too (the fell bitset): the drain's
+// inserts, and the evictions they cause, then reach later calls in
+// submission order, as in a sequential run. The residue is stable
+// counting-sorted by shard (len(counts) == shards+1) and drained one lock
+// per touched shard. Calls that find st retired under them — a sealed
+// plane counter or a sealed shard — are redone one by one on the
+// successor.
 func (c *Checker) drainTo(st *state, calls []Call, dst batchDst, sidx, order, counts []int32) {
+	var fell [fellWords]uint64
 	resolved := 0
 	for i := range calls {
 		cl := &calls[i]
-		if hit, sealed := st.plane.fastCheck(cl.SID); hit != nil || sealed {
-			if hit != nil {
-				dst.set(i, hit)
-			} else {
-				c.check(calls, dst, i)
-			}
+		w, bit := uint(cl.SID)/64, uint64(1)<<(uint(cl.SID)%64)
+		tracked := w < fellWords
+		hit, sealed := st.plane.fastCheck(cl.SID)
+		served := hit != nil
+		switch {
+		case served:
+			dst.set(i, hit)
+		case !sealed && tracked && fell[w]&bit == 0:
+			served, sealed = dst.probe(st, cl, i)
+		}
+		if sealed {
+			c.check(calls, dst, i)
+		}
+		if served || sealed {
 			sidx[i] = -1
 			resolved++
 			continue
 		}
-		si := st.shardIndex(cl.SID, &cl.Args)
+		if tracked {
+			fell[w] |= bit
+		}
+		si := st.shardIndex(cl.SID)
 		sidx[i] = int32(si)
 		counts[si+1]++
 	}
@@ -482,7 +553,7 @@ func (c *Checker) drainTo(st *state, calls []Call, dst batchDst, sidx, order, co
 				cl := &calls[i]
 				out := sh.chk.Check(cl.SID, cl.Args)
 				dst.set(int(i), &out)
-				st.plane.noteLocked(cl.SID)
+				st.plane.noteLocked(cl.SID, &out, sh.chk)
 			}
 		}
 		sh.mu.Unlock()
@@ -494,6 +565,11 @@ func (c *Checker) drainTo(st *state, calls []Call, dst batchDst, sidx, order, co
 		start = end
 	}
 }
+
+// fellWords sizes drainTo's fell bitset: one bit per syscall number below
+// the bitmap's range. A VAT table beyond it (a rule for a higher number) is
+// never probed lock-free from a batch; its calls take the drain.
+const fellWords = seccomp.BitmapMaxNr / 64
 
 // batchStack is the largest batch the grouping pass handles without heap
 // allocation: index buffers for up to batchStack calls live on the stack.
@@ -507,7 +583,7 @@ const smallShards = 64
 // compiled filters) is built off to the side and atomically published, and
 // the superseded generation is sealed and dropped. Checks that started
 // against the old generation either complete and are counted there before
-// it is sealed, or are redone on the new one. Shard count and routing are
+// it is sealed, or are redone on the new one. The shard count is
 // preserved.
 func (c *Checker) SetProfile(p *seccomp.Profile) error {
 	return c.swap(p)
@@ -528,7 +604,7 @@ func (c *Checker) swap(p *seccomp.Profile) error {
 	if p == nil {
 		p = old.profile
 	}
-	st, err := newState(p, len(old.shards), old.routing, old.mode, old.gen+1, c.noFast)
+	st, err := newState(p, len(old.shards), old.mode, old.gen+1, c.noFast)
 	if err != nil {
 		return err
 	}
@@ -545,9 +621,9 @@ func (c *Checker) swap(p *seccomp.Profile) error {
 	return nil
 }
 
-// Routing returns the checker's shard-routing mode.
+// Routing returns the checker's shard-routing key, RouteBySyscall.
 func (c *Checker) Routing() Routing {
-	return c.state.Load().routing
+	return RouteBySyscall
 }
 
 // Profile returns the currently active profile.
@@ -567,12 +643,13 @@ func (c *Checker) Shards() int {
 }
 
 // Stats sums checker statistics across all shards and all profile
-// generations since construction. Decision-plane hits are folded in as
-// what the locked path would have charged (constant allows count as SPT
-// hits, constant denies as filter runs that denied), so the totals are
-// path-independent: fast path on or off, the same workload produces the
-// same Stats — except Classes, whose purpose is to say which path served
-// (plane hits are ClassFastHit there).
+// generations since construction. Lock-free hits are folded in as what the
+// locked path would have charged (constant allows count as SPT hits,
+// constant denies as filter runs that denied, VAT hits as VAT hits), so
+// the totals are path-independent: fast path on or off, the same workload
+// produces the same Stats — except the classes of plane constants, which
+// are ClassFastHit to say which path served. A lock-free VAT hit is a
+// ClassVATHit either way.
 func (c *Checker) Stats() Stats {
 	// Held throughout, so the generation read below stays the live one.
 	c.mu.Lock()
@@ -588,8 +665,8 @@ func (c *Checker) Stats() Stats {
 	return total
 }
 
-// FastResolved reports whether the decision plane answers sid without the
-// locked shard path: the plane coverage the benchmarks report.
+// FastResolved reports whether the decision plane answers sid with a
+// constant: the plane coverage the benchmarks report.
 func (c *Checker) FastResolved(sid int) bool {
 	return c.state.Load().plane.resolved(sid)
 }

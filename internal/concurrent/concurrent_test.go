@@ -80,47 +80,6 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialRouteByArgs exercises the argument-spreading routing key:
-// allow/deny decisions must still match the sequential checker event for
-// event on every workload (cached entries were validated by the same
-// deterministic filter, so splitting a syscall's table across shards can
-// never flip a decision — only cache-hit timing around cuckoo evictions).
-func TestDifferentialRouteByArgs(t *testing.T) {
-	const events = 100_000
-	genOpts := profilegen.Options{IncludeRuntime: true}
-	for _, w := range workloads.All() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			tr := w.Generate(events, 0xD12AC0)
-			p := profilegen.Complete(w.Name, tr, genOpts)
-			seq := sequentialChecker(t, p)
-			con, err := NewCheckerConfig(p, Config{Shards: 16, Routing: RouteByArgs, Mode: seccomp.ExecCompiled})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cacheDivergence int
-			for i, ev := range tr {
-				want := seq.Check(ev.SID, ev.Args)
-				got := con.Check(ev.SID, ev.Args)
-				if got.Allowed != want.Allowed {
-					t.Fatalf("event %d (sid=%d): sequential allowed=%v, sharded allowed=%v",
-						i, ev.SID, want.Allowed, got.Allowed)
-				}
-				if got.FilterRan != want.FilterRan {
-					cacheDivergence++
-				}
-			}
-			// Cache behaviour should agree on the overwhelming majority of
-			// events even in spreading mode; divergence is bounded by
-			// eviction churn, not systematic.
-			if cacheDivergence > events/100 {
-				t.Fatalf("cache decisions diverged on %d/%d events", cacheDivergence, events)
-			}
-		})
-	}
-}
-
 // TestDifferentialShardCounts repeats the differential comparison across
 // shard fan-outs on one workload, including the degenerate 1-shard case.
 func TestDifferentialShardCounts(t *testing.T) {

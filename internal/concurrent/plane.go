@@ -1,39 +1,45 @@
 package concurrent
 
-// The decision plane is the lock-free fast path of the sharded checker:
-// at SetProfile time the profile, the filter's constant-action bitmap, and
-// the programmable policy's classification are compiled into one immutable
-// flat table — a dense per-syscall record fusing the routing bitmask, the
-// precomputed argument count, and (where provable) the entire decision.
-// Check paths consult the plane before touching any shard: syscalls whose
-// outcome is a compile-time constant are answered with zero locks, zero
-// map or table probes, and zero filter execution. Only argument-checked
-// syscalls and must-run stateful programs fall through to the locked
-// shard path.
+// The decision plane is the lock-free hit path of the sharded checker: at
+// SetProfile time the profile, the filter's constant-action bitmap, and the
+// programmable policy's classification are compiled into one flat table —
+// a dense per-syscall record holding the syscall's shard and, where
+// provable, the entire decision. Check paths consult the plane before
+// touching any shard: syscalls whose outcome is a compile-time constant are
+// answered with zero locks, zero map or table probes, and zero filter
+// execution. An argument-checked syscall's record also points at its VAT
+// table, once the locked path has created it, and checks probe that table
+// with no lock under the table's seqlock (internal/cuckoo). Only misses,
+// disturbed probes and must-run stateful programs take the shard lock.
 //
-// Soundness leans entirely on analyses that already exist: a record is
-// constant only when seccomp.ComputeBitmap proved the whole filter chain
-// argument-independent for that number AND the programmable classifier
-// proved the program constant (or there is no program). The plane adds no
-// new abstract interpretation — it fuses proofs computed at attach time
-// into a single cache-friendly lookup.
+// Soundness of the constants leans entirely on analyses that already
+// exist: a record is constant only when seccomp.ComputeBitmap proved the
+// whole filter chain argument-independent for that number AND the
+// programmable classifier proved the program constant (or there is no
+// program). The plane adds no new abstract interpretation — it fuses proofs
+// computed at attach time into a single cache-friendly lookup. A lock-free
+// VAT hit is sound because every set in a table was allowed by this
+// generation's filter, and a seqlock-validated probe read it whole.
 //
 // Publication follows the package's epoch discipline: the plane is a field
-// of the immutable per-generation state behind the checker's atomic
-// pointer. A hot swap builds the new plane off to the side and publishes
-// it with the state in one atomic store. Records are immutable after
-// construction except for two atomics — a hit counter (folded into Stats)
-// and the constAllow "seeded" latch described below — so readers never need
-// fences beyond the state load itself. A superseded plane is sealed: each
-// counter is folded into the checker's running total and marked, and a late
-// reader whose count lands on a marked counter retries on the new plane, so
-// the old generation can be dropped without losing a check.
+// of the per-generation state behind the checker's atomic pointer. A hot
+// swap builds the new plane off to the side and publishes it with the state
+// in one atomic store. Records are immutable after construction except for
+// three atomics — a hit counter (folded into Stats), the constAllow
+// "seeded" latch described below, and the table pointer, stored once under
+// the shard lock and never replaced within a generation. A superseded plane
+// is sealed: each counter is folded into the checker's running total and
+// marked, and a late reader whose count lands on a marked counter retries
+// on the new plane, so the old generation can be dropped without losing a
+// check.
 
 import (
 	"sync/atomic"
 
 	"draco/internal/core"
+	"draco/internal/cuckoo"
 	"draco/internal/ebpf"
+	"draco/internal/hashes"
 	"draco/internal/seccomp"
 )
 
@@ -55,25 +61,26 @@ const (
 	planeConstDeny
 )
 
-// planeRecord is one syscall's compiled decision-plane entry: bitmask and
-// argument count for routing, plus the precomputed outcome when the
+// planeRecord is one syscall's compiled decision-plane entry: its shard,
+// its VAT table once there is one, and the precomputed outcome when the
 // decision is constant.
 type planeRecord struct {
 	kind uint8
-	// nargs is CountArgs(mask), precomputed at plane build.
-	nargs uint8
-	// shard is the syscall's shard under RouteBySyscall: a pure function of
-	// the number, so it is hashed once at plane build instead of per check.
+	// shard is the syscall's shard: a pure function of the number, so it is
+	// hashed once at plane build instead of per check.
 	shard uint16
-	// mask is the rule's SPT Argument Bitmask (zero for ID-only and
-	// unknown syscalls), read by shard routing instead of a masks slice.
-	mask uint64
 	// steady is the outcome a fast hit returns, byte-identical to what the
 	// locked path would report in steady state, with FastHit set.
 	steady core.Outcome
-	// hits counts fast-path decisions; folded into Stats by kind. sealBit
-	// is set once the generation is retired and the count folded.
+	// hits counts lock-free decisions — constants, or VAT hits for a
+	// fallthrough record — folded into Stats by kind. sealBit is set once
+	// the generation is retired and the count folded.
 	hits atomic.Uint64
+	// table is the syscall's VAT table in its shard's checker. The locked
+	// path stores it, under the shard lock, when the table exists; until
+	// then (and always under NoFastPath) it is nil and nothing is probed
+	// lock-free.
+	table atomic.Pointer[cuckoo.Table]
 	// seeded latches after the first locked check of a constAllow syscall.
 	// The first check must take the locked path: it runs the filter once
 	// (ticking FilterRuns and reporting FilterRan/BitmapHit exactly like
@@ -92,19 +99,21 @@ const sealBit = 1 << 63
 // build except the per-record atomics.
 type plane struct {
 	records []planeRecord
-	// enabled is false when the plane was built in pass-through mode
-	// (non-bitmap execution, or fast path disabled): records then carry
-	// only routing masks and every check falls through.
+	// enabled is false when the plane was built without constants
+	// (non-bitmap execution, or fast path disabled): every record is then
+	// fallthrough.
 	enabled bool
+	// probing publishes VAT tables to lock-free probes; false under
+	// NoFastPath.
+	probing bool
 }
 
 // buildPlane compiles the profile into the decision plane. bm is the
 // shared filter's constant-action bitmap (nil below ExecBitmap), prog the
 // generation's attached program (nil without one). When noFast is set the
-// plane still carries the routing masks but marks every record
-// fallthrough — the measurement baseline for the fast path itself. Under
-// RouteBySyscall every record also gets its shard among nShards.
-func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool, nShards int, routing Routing) *plane {
+// plane still carries the shards but marks every record fallthrough and
+// publishes no table — the measurement baseline for the lock-free paths.
+func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool, nShards int) *plane {
 	maxNum := 0
 	for _, r := range p.Rules {
 		if r.Syscall.Num > maxNum {
@@ -119,17 +128,10 @@ func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noF
 		// range, so the plane spans the bitmap, not just the rule list.
 		n = seccomp.BitmapMaxNr
 	}
-	pl := &plane{records: make([]planeRecord, n), enabled: useBM}
-	if routing == RouteBySyscall && nShards > 1 {
+	pl := &plane{records: make([]planeRecord, n), enabled: useBM, probing: !noFast}
+	if nShards > 1 {
 		for sid := range pl.records {
 			pl.records[sid].shard = uint16(sidShard(sid, nShards))
-		}
-	}
-	for _, r := range p.Rules {
-		if r.ChecksArgs() {
-			rec := &pl.records[r.Syscall.Num]
-			rec.mask = core.BitmaskFor(r)
-			rec.nargs = uint8(core.CountArgs(rec.mask))
 		}
 	}
 	if !useBM {
@@ -242,11 +244,11 @@ func compileRecord(rec *planeRecord, sid int, p *seccomp.Profile, bm *seccomp.Bi
 }
 
 // fastCheck resolves one call from the plane: a non-nil outcome is the
-// decision (the record's steady outcome, in place). Otherwise the call takes
-// the locked shard path — unless sealed, which says the generation was
-// retired before the hit could be counted in it and the call must be redone
-// on the checker's current state. Lock-free: one bounds check, one kind
-// switch, one atomic add on the hit path.
+// decision (the record's steady outcome, in place). Otherwise the call goes
+// on to the VAT probe and the locked shard path — unless sealed, which says
+// the generation was retired before the hit could be counted in it and the
+// call must be redone on the checker's current state. Lock-free: one bounds
+// check, one kind switch, one atomic add on the hit path.
 func (pl *plane) fastCheck(sid int) (hit *core.Outcome, sealed bool) {
 	if uint(sid) >= uint(len(pl.records)) {
 		return nil, false
@@ -267,16 +269,63 @@ func (pl *plane) fastCheck(sid int) (hit *core.Outcome, sealed bool) {
 	return nil, false
 }
 
-// noteLocked records that a locked check of sid completed, seeding its
-// constAllow record: the locked check ran the filter and installed the
-// SPT entry, so the steady outcome is live from now on.
-func (pl *plane) noteLocked(sid int) {
+// probe answers an argument-checked call from sid's VAT table with no
+// lock: way is 1 or 2 for a validated hit, counted on the record, and pair
+// is the probe's hash pair. Otherwise way is 0 and the call takes the
+// locked path — unless sealed, which says the hit could not be counted in
+// this retired generation and the call must be redone.
+func (pl *plane) probe(sid int, args *hashes.Args) (way int, pair hashes.Pair, sealed bool) {
+	if uint(sid) >= uint(len(pl.records)) {
+		return 0, pair, false
+	}
+	rec := &pl.records[sid]
+	t := rec.table.Load()
+	if t == nil {
+		return 0, pair, false
+	}
+	if way, pair = t.SharedLookup(args); way == 0 {
+		return 0, pair, false
+	}
+	if rec.hits.Add(1)&sealBit != 0 {
+		return 0, pair, true
+	}
+	return way, pair, false
+}
+
+// contains is probe for callers that need no hash value: H2 is computed
+// only when H1's slot misses.
+func (pl *plane) contains(sid int, args *hashes.Args) (found, sealed bool) {
+	if uint(sid) >= uint(len(pl.records)) {
+		return false, false
+	}
+	rec := &pl.records[sid]
+	t := rec.table.Load()
+	if t == nil || !t.SharedContains(args) {
+		return false, false
+	}
+	if rec.hits.Add(1)&sealBit != 0 {
+		return false, true
+	}
+	return true, false
+}
+
+// noteLocked records that a locked check of sid completed with out on chk,
+// under chk's shard lock. It seeds a constAllow record — the locked check
+// ran the filter and installed the SPT entry, so the steady outcome is live
+// from now on — and publishes a syscall's VAT table to lock-free probes the
+// first time an argument-checked outcome shows the table exists.
+func (pl *plane) noteLocked(sid int, out *core.Outcome, chk *core.Checker) {
 	if uint(sid) >= uint(len(pl.records)) {
 		return
 	}
 	rec := &pl.records[sid]
-	if rec.kind == planeConstAllow && !rec.seeded.Load() {
-		rec.seeded.Store(true)
+	switch {
+	case rec.kind == planeConstAllow:
+		if !rec.seeded.Load() {
+			rec.seeded.Store(true)
+		}
+	case out.ArgsChecked && pl.probing && rec.table.Load() == nil:
+		rec.table.Store(chk.VAT.Table(sid))
 	}
 }
 
@@ -290,34 +339,30 @@ func (pl *plane) resolved(sid int) bool {
 	return pl.records[sid].kind != planeFallthrough
 }
 
-// mask returns the routing bitmask for sid (zero for ID-only/unknown).
-func (pl *plane) maskOf(sid int) uint64 {
-	if uint(sid) >= uint(len(pl.records)) {
-		return 0
-	}
-	return pl.records[sid].mask
-}
-
-// fold adds h fast-path decisions of this record into s, charging exactly
+// fold adds h lock-free decisions of this record into s, charging exactly
 // what the locked path would have charged: a constAllow hit is an SPT
 // valid-bit hit; a constDeny hit is a filter run (bitmap-resolved, zero
-// instructions) that denied. The one thing that names the path is the
-// class tally: either kind is a fast hit (steady.Class()).
+// instructions) that denied; a fallthrough record's hits are VAT hits. The
+// one thing that names the path is the class tally of the constants: either
+// kind is a fast hit (steady.Class()). A VAT hit is a ClassVATHit on either
+// path.
 func (rec *planeRecord) fold(h uint64, s *Stats) {
 	switch rec.kind {
 	case planeConstAllow:
 		s.SPTHits += h
+		s.Classes[core.ClassFastHit] += h
 	case planeConstDeny:
 		s.FilterRuns += h
 		s.Denied += h
+		s.Classes[core.ClassFastHit] += h
 	default:
-		return
+		s.VATHits += h
+		s.Classes[core.ClassVATHit] += h
 	}
 	s.Checks += h
-	s.Classes[core.ClassFastHit] += h
 }
 
-// foldStats adds the live plane's fast-path decisions into s. The caller
+// foldStats adds the live plane's lock-free decisions into s. The caller
 // holds the checker's swap lock, so the plane cannot be sealed meanwhile.
 func (pl *plane) foldStats(s *Stats) {
 	for i := range pl.records {
@@ -328,19 +373,19 @@ func (pl *plane) foldStats(s *Stats) {
 
 // seal retires the plane: every counter is folded into s and marked in one
 // exchange, so a hit is either in the folded count or sees the mark and is
-// redone elsewhere — never both, never neither.
+// redone elsewhere — never both, never neither. Every record is sealed,
+// since any fallthrough record may have a table.
 func (pl *plane) seal(s *Stats) {
 	for i := range pl.records {
 		rec := &pl.records[i]
-		if rec.kind != planeFallthrough {
-			rec.fold(rec.hits.Swap(sealBit), s)
-		}
+		rec.fold(rec.hits.Swap(sealBit), s)
 	}
 }
 
 // FastStats summarizes the plane's behaviour for one generation.
 type FastStats struct {
-	// Hits is the number of checks answered without locks.
+	// Hits is the number of checks the constant records answered. Lock-free
+	// VAT hits are not among them: Stats counts those as VAT hits.
 	Hits uint64
 	// AllowRecords/DenyRecords count compiled constant records.
 	AllowRecords, DenyRecords int
@@ -354,13 +399,15 @@ func (pl *plane) fastStats() FastStats {
 	fs := FastStats{Enabled: pl.enabled}
 	for i := range pl.records {
 		rec := &pl.records[i]
+		if rec.kind == planeFallthrough {
+			continue
+		}
 		if h := rec.hits.Load(); h&sealBit == 0 {
 			fs.Hits += h
 		}
-		switch rec.kind {
-		case planeConstAllow:
+		if rec.kind == planeConstAllow {
 			fs.AllowRecords++
-		case planeConstDeny:
+		} else {
 			fs.DenyRecords++
 		}
 	}

@@ -22,8 +22,7 @@ func TestHammerWithHotSwap(t *testing.T) {
 	full := profilegen.Complete(w.Name, tr, genOpts)
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
-	// RouteByArgs maximizes cross-shard churn for the race detector.
-	c, err := NewCheckerConfig(full, Config{Shards: 4, Routing: RouteByArgs, Mode: seccomp.ExecCompiled})
+	c, err := NewCheckerConfig(full, Config{Shards: 4, Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +36,7 @@ func TestHammerWithHotSwap(t *testing.T) {
 		checkers   sync.WaitGroup
 		issued     atomic.Uint64
 		disallowed atomic.Uint64
+		swaps      atomic.Uint64
 	)
 	for g := 0; g < goroutines; g++ {
 		checkers.Add(1)
@@ -53,7 +53,9 @@ func TestHammerWithHotSwap(t *testing.T) {
 				}
 				calls = calls[:0]
 			}
-			for i := 0; i < perG; i++ {
+			// At least two swaps must land among the checks, however
+			// fast the checks are.
+			for i := 0; i < perG || swaps.Load() < 2; i++ {
 				ev := tr[(g*perG+i*7)%len(tr)]
 				if batch {
 					calls = append(calls, Call{SID: ev.SID, Args: ev.Args})
@@ -86,7 +88,6 @@ func TestHammerWithHotSwap(t *testing.T) {
 	// loads interleaving with stores and walk the retired generations.
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
-	var swaps atomic.Uint64
 	aux.Add(1)
 	go func() {
 		defer aux.Done()

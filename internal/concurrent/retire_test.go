@@ -14,17 +14,12 @@ import (
 // TestStoredShardMatchesCRCRouting recomputes RouteBySyscall's CRC-64 from
 // scratch for every plane record (and for numbers beyond the plane) and
 // requires the shard the plane stored at build to be that one, at every
-// fan-out shape; under RouteByArgs the per-call hash must be untouched.
+// fan-out shape.
 func TestStoredShardMatchesCRCRouting(t *testing.T) {
 	w := workloads.All()[0]
-	tr := w.Generate(5_000, 15)
-	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	crcShard := func(n int, words ...uint64) int {
-		var key []byte
-		for _, w := range words {
-			key = binary.LittleEndian.AppendUint64(key, w)
-		}
-		return int(hashes.Sum64(key) % uint64(n))
+	p := profilegen.Complete(w.Name, w.Generate(5_000, 15), profilegen.Options{IncludeRuntime: true})
+	crcShard := func(n int, sid uint64) int {
+		return int(hashes.Sum64(binary.LittleEndian.AppendUint64(nil, sid)) % uint64(n))
 	}
 	for _, n := range []int{1, 2, 8, 1024} {
 		c, err := NewCheckerConfig(p, Config{Shards: n, Mode: seccomp.ExecBitmap})
@@ -35,32 +30,11 @@ func TestStoredShardMatchesCRCRouting(t *testing.T) {
 		if len(st.plane.records) < seccomp.BitmapMaxNr {
 			t.Fatalf("plane has %d records, want the bitmap's %d", len(st.plane.records), seccomp.BitmapMaxNr)
 		}
-		args := hashes.Args{1, 2, 3, 4, 5, 6}
 		// Every record, and on either side of the plane a number without one.
 		for sid := -1; sid <= len(st.plane.records); sid++ {
-			if got, want := st.shardIndex(sid, &args), crcShard(n, uint64(sid)); got != want {
+			if got, want := st.shardIndex(sid), crcShard(n, uint64(sid)); got != want {
 				t.Fatalf("shards=%d sid=%d: routed to %d, CRC says %d", n, sid, got, want)
 			}
-		}
-
-		byArgs, err := NewCheckerConfig(p, Config{Shards: n, Routing: RouteByArgs, Mode: seccomp.ExecBitmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = byArgs.state.Load()
-		masked := 0
-		for _, ev := range tr {
-			var h1 uint64
-			if m := st.mask(ev.SID); m != 0 {
-				h1 = hashes.ArgSet(ev.Args, m).H1
-				masked++
-			}
-			if got, want := st.shardIndex(ev.SID, &ev.Args), crcShard(n, uint64(ev.SID), h1); got != want {
-				t.Fatalf("args routing, shards=%d sid=%d: routed to %d, CRC says %d", n, ev.SID, got, want)
-			}
-		}
-		if masked == 0 {
-			t.Fatal("trace has no argument-checked call")
 		}
 	}
 }
@@ -158,7 +132,7 @@ func TestStaleGenerationIsRedone(t *testing.T) {
 	var calls []Call
 	for _, ev := range tr {
 		k := stale.plane.records[ev.SID].kind
-		if k == planeFallthrough && stale.mask(ev.SID) == 0 {
+		if k == planeFallthrough && stale.plane.records[ev.SID].table.Load() == nil {
 			continue
 		}
 		if !kinds[k] {

@@ -7,9 +7,23 @@
 // insertion, the cuckoo relocation algorithm is used to find a spot; if
 // relocation fails after a bounded number of attempts, the OS "makes room by
 // evicting one entry" (paper §VII-A).
+//
+// Writers (Put, Remove, Clear) must be serialized by the caller, but a
+// reader need not be: SharedLookup and SharedContains may run while a
+// writer mutates the table. The table carries a sequence counter that every
+// mutation makes odd before its first slot store and even after its last,
+// and the slot words a probe compares — the valid word and the argument
+// words the bitmask selects — are stored and loaded atomically (plain
+// loads on amd64).
+// A shared probe reads the counter, bails out if it is odd, probes, and
+// answers a hit only if the counter still reads the same: the slot it
+// matched was then read whole, between two mutations. A shared miss proves
+// nothing — the caller retries under the writers' lock.
 package cuckoo
 
 import (
+	"sync/atomic"
+
 	"draco/internal/hashes"
 	"draco/internal/syscalls"
 )
@@ -29,10 +43,29 @@ type Entry struct {
 	Valid bool
 }
 
+// slot is one table entry in words, so that shared probes can load the
+// words they compare atomically while a writer stores them: the argument
+// set, the hash that placed it, and the valid flag (0 or 1). 64 bytes, one
+// cache line.
+type slot struct {
+	args  hashes.Args
+	hash  uint64
+	valid uint64
+}
+
+// entry converts a slot the caller may read plainly (it holds the writers'
+// lock) to its exported form.
+func (s *slot) entry() Entry {
+	return Entry{Args: s.args, Hash: s.hash, Valid: s.valid != 0}
+}
+
 // Table is a 2-ary cuckoo hash table of validated argument sets.
 type Table struct {
-	slots []Entry
-	used  int
+	slots []slot
+	// seq is the mutation sequence counter: odd while a writer is storing
+	// slots, bumped to even when it is done (see the package comment).
+	seq  atomic.Uint64
+	used int
 	// evictions counts entries displaced permanently because a relocation
 	// chain exceeded RelocationLimit.
 	evictions uint64
@@ -42,6 +75,12 @@ type Table struct {
 	// wmask is bitmask expanded once, at construction, to the per-argument
 	// word masks every probe compares under.
 	wmask WordMask
+	// lanes[:nlanes] are the arguments wmask selects a byte of, in order.
+	// A probe compares only these words, so only they (and the valid word)
+	// are ever loaded without the writers' lock, and only they are stored
+	// atomically.
+	lanes  [syscalls.MaxArgs]uint8
+	nlanes int
 }
 
 // WordMask is an SPT Argument Bitmask (one bit per argument byte) expanded
@@ -90,7 +129,14 @@ func NewWithProvision(estimatedSets, provision int, bitmask uint64) *Table {
 	for capacity < want {
 		capacity *= 2
 	}
-	return &Table{slots: make([]Entry, capacity), bitmask: bitmask, wmask: ExpandMask(bitmask)}
+	t := &Table{slots: make([]slot, capacity), bitmask: bitmask, wmask: ExpandMask(bitmask)}
+	for i, w := range t.wmask {
+		if w != 0 {
+			t.lanes[t.nlanes] = uint8(i)
+			t.nlanes++
+		}
+	}
+	return t
 }
 
 // Bitmask returns the argument bitmask the table hashes under.
@@ -119,35 +165,103 @@ func (t *Table) index(h uint64) int {
 }
 
 // holds reports whether the slot h indexes stores an argument set equal to
-// args under the table's mask. Slots are probed in place: an Entry is 64
-// bytes, and a probe only needs to read it.
+// args under the table's mask. Slots are probed in place: a slot is 64
+// bytes, and a probe only needs to read the words it compares. Those are
+// loaded atomically, so a caller without the writers' lock may probe too;
+// only the seqlock check around its probe then makes the answer mean
+// anything.
 func (t *Table) holds(h uint64, args *hashes.Args) bool {
-	e := &t.slots[t.index(h)]
-	return e.Valid && EqualMasked(&e.Args, args, &t.wmask)
+	s := &t.slots[t.index(h)]
+	if atomic.LoadUint64(&s.valid) == 0 {
+		return false
+	}
+	var diff uint64
+	for _, i := range t.lanes[:t.nlanes] {
+		diff |= (atomic.LoadUint64(&s.args[i]) ^ args[i]) & t.wmask[i]
+	}
+	return diff == 0
+}
+
+// store overwrites slot s with e: the compared argument words and the valid
+// word atomically, the rest plainly, since only lock holders read them.
+func (t *Table) store(s *slot, e *Entry) {
+	for i := range s.args {
+		if t.wmask[i] != 0 {
+			atomic.StoreUint64(&s.args[i], e.Args[i])
+		} else {
+			s.args[i] = e.Args[i]
+		}
+	}
+	s.hash = e.Hash
+	var valid uint64
+	if e.Valid {
+		valid = 1
+	}
+	atomic.StoreUint64(&s.valid, valid)
+}
+
+// way reports which of pair's two slots holds args: 1 or 2, H1's first,
+// and 0 when neither does.
+func (t *Table) way(pair hashes.Pair, args *hashes.Args) int {
+	switch {
+	case t.holds(pair.H1, args):
+		return 1
+	case t.holds(pair.H2, args):
+		return 2
+	}
+	return 0
 }
 
 // Lookup probes both ways for an argument set equal to args (compared under
 // the table's bitmask) and reports whether it was found, and under which
 // hash function (1 or 2; 0 when absent). Both probe indices are returned so
-// timing models can charge the two parallel memory accesses.
+// timing models can charge the two parallel memory accesses. The caller
+// holds the writers' lock, or there are no writers.
 func (t *Table) Lookup(args hashes.Args) (found bool, way int, pair hashes.Pair) {
-	pair = hashes.ArgSet(args, t.bitmask)
-	if t.holds(pair.H1, &args) {
-		return true, 1, pair
+	pair = hashes.ArgSetOf(&args, t.bitmask)
+	way = t.way(pair, &args)
+	return way != 0, way, pair
+}
+
+// SharedLookup is Lookup for a caller that does not hold the writers' lock.
+// way is 1 or 2 only for a validated hit: no writer was active and none
+// intervened while the matching slot was read, so args was resident at that
+// instant, and pair is its hash pair. Otherwise way is 0 — a miss, or a
+// probe a writer disturbed — and the caller must redo it under the lock.
+func (t *Table) SharedLookup(args *hashes.Args) (way int, pair hashes.Pair) {
+	seq := t.seq.Load()
+	if seq&1 != 0 {
+		return 0, pair
 	}
-	if t.holds(pair.H2, &args) {
-		return true, 2, pair
+	pair = hashes.ArgSetOf(args, t.bitmask)
+	if way = t.way(pair, args); way == 0 || t.seq.Load() != seq {
+		return 0, pair
 	}
-	return false, 0, pair
+	return way, pair
+}
+
+// SharedContains is SharedLookup for a caller that needs no hash value: it
+// computes H1, probes that slot, and computes H2 only if H1's slot does not
+// hold args. True means a validated hit; false means redo under the lock.
+func (t *Table) SharedContains(args *hashes.Args) bool {
+	seq := t.seq.Load()
+	if seq&1 != 0 {
+		return false
+	}
+	if !t.holds(hashes.ArgH1(args, t.bitmask), args) &&
+		!t.holds(hashes.ArgH2(args, t.bitmask), args) {
+		return false
+	}
+	return t.seq.Load() == seq
 }
 
 // LookupHash probes for an entry stored under the exact hash value h. This
 // is the access the hardware SLB preloader performs: the STB supplies a hash
 // value, not an argument set (paper §VI-B).
 func (t *Table) LookupHash(h uint64) (Entry, bool) {
-	e := t.slots[t.index(h)]
-	if e.Valid && e.Hash == h {
-		return e, true
+	s := &t.slots[t.index(h)]
+	if s.valid != 0 && s.hash == h {
+		return s.entry(), true
 	}
 	return Entry{}, false
 }
@@ -162,12 +276,14 @@ func (t *Table) Put(args hashes.Args) (hash uint64, resident bool) {
 	if h, ok := t.storedHash(&args, pair); ok {
 		return h, true
 	}
+	t.seq.Add(1) // odd: slots are about to change under shared probes
+	defer t.seq.Add(1)
 	e := Entry{Args: args, Hash: pair.H1, Valid: true}
 	// Try H1's slot, then displace along the cuckoo chain.
 	for n := 0; n < RelocationLimit; n++ {
-		slot := &t.slots[t.index(e.Hash)]
-		victim := *slot
-		*slot = e
+		s := &t.slots[t.index(e.Hash)]
+		victim := s.entry()
+		t.store(s, &e)
 		if !victim.Valid {
 			t.used++
 			return t.storedHash(&args, pair)
@@ -191,10 +307,10 @@ func (t *Table) Insert(args hashes.Args) uint64 {
 
 // storedHash returns the hash under which args currently resides, if it does.
 func (t *Table) storedHash(args *hashes.Args, pair hashes.Pair) (uint64, bool) {
-	if t.holds(pair.H1, args) {
+	switch t.way(pair, args) {
+	case 1:
 		return pair.H1, true
-	}
-	if t.holds(pair.H2, args) {
+	case 2:
 		return pair.H2, true
 	}
 	return 0, false
@@ -214,7 +330,9 @@ func (t *Table) Remove(args hashes.Args) bool {
 	pair := hashes.ArgSet(args, t.bitmask)
 	h, ok := t.storedHash(&args, pair)
 	if ok {
-		t.slots[t.index(h)] = Entry{}
+		t.seq.Add(1)
+		t.store(&t.slots[t.index(h)], &Entry{})
+		t.seq.Add(1)
 		t.used--
 	}
 	return ok
@@ -222,18 +340,20 @@ func (t *Table) Remove(args hashes.Args) bool {
 
 // Clear removes all entries.
 func (t *Table) Clear() {
+	t.seq.Add(1)
 	for i := range t.slots {
-		t.slots[i] = Entry{}
+		t.store(&t.slots[i], &Entry{})
 	}
+	t.seq.Add(1)
 	t.used = 0
 }
 
 // Entries returns a copy of all valid entries (test/diagnostic helper).
 func (t *Table) Entries() []Entry {
 	out := make([]Entry, 0, t.used)
-	for _, e := range t.slots {
-		if e.Valid {
-			out = append(out, e)
+	for i := range t.slots {
+		if s := &t.slots[i]; s.valid != 0 {
+			out = append(out, s.entry())
 		}
 	}
 	return out

@@ -2,6 +2,9 @@ package cuckoo
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -328,4 +331,110 @@ func TestPutReportsResidency(t *testing.T) {
 		t.Fatal("no insert lost its own entry: the probe no longer reaches the case it pins")
 	}
 	t.Logf("%d of %d inserts were dropped by their own relocation chain", lost, 800*16)
+}
+
+// TestSharedProbeSeqlockHammer races shared probes against a writer on a
+// 4-slot table, where nearly every insert relocates or evicts. The writer
+// inserts and removes sets (x_k, y_k) under a mutex; readers probe every
+// mix (x_i, y_j) with no lock. A slot caught half rewritten from set a to
+// set b reads as (x_b, y_a), which was never inserted, so the seqlock must
+// keep every such torn read from counting as a hit; every validated hit
+// must be a set the writer had inserted, and the two shared entry points
+// must agree with Lookup on a quiescent table.
+func TestSharedProbeSeqlockHammer(t *testing.T) {
+	const universe = 12
+	x := func(k int) uint64 { return uint64(k+1) * 0x9e3779b97f4a7c15 }
+	y := func(k int) uint64 { return ^uint64(k) * 0xc2b2ae3d27d4eb4f }
+	tb := New(2, testMask)
+	if tb.Cap() != 4 {
+		t.Fatalf("Cap = %d, want 4", tb.Cap())
+	}
+	var (
+		mu       sync.Mutex
+		inserted [universe]atomic.Bool
+		hits     atomic.Uint64
+		readers  sync.WaitGroup
+	)
+	writes := 20_000
+	if raceEnabled {
+		writes = 2_000
+	}
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		rng := rand.New(rand.NewSource(7))
+		for n := 0; n < writes; n++ {
+			k := rng.Intn(universe)
+			a := args(x(k), y(k))
+			mu.Lock()
+			if rng.Intn(4) == 0 {
+				tb.Remove(a)
+			} else {
+				inserted[k].Store(true)
+				tb.Insert(a)
+			}
+			mu.Unlock()
+			if k%2 == 0 {
+				// Leave readers quiet spells too, or hardly a probe
+				// validates.
+				runtime.Gosched()
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for n := 0; ; n++ {
+				if n%64 == 0 {
+					select {
+					case <-writerDone:
+						return
+					default:
+						runtime.Gosched() // one P: let the writer in
+					}
+				}
+				i, j := rng.Intn(universe), rng.Intn(universe)
+				q := args(x(i), y(j))
+				way, pair := tb.SharedLookup(&q)
+				contains := tb.SharedContains(&q)
+				if way == 0 && !contains {
+					continue
+				}
+				hits.Add(1)
+				if i != j {
+					t.Errorf("torn read counted as a hit: (x_%d, y_%d) way=%d contains=%v", i, j, way, contains)
+					return
+				}
+				if !inserted[i].Load() {
+					t.Errorf("hit on set %d, which was never inserted", i)
+					return
+				}
+				if way != 0 && pair != hashes.ArgSet(q, testMask) {
+					t.Errorf("SharedLookup pair %+v, ArgSet %+v", pair, hashes.ArgSet(q, testMask))
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no probe validated a hit")
+	}
+	if tb.Evictions() == 0 {
+		t.Fatal("no eviction: the table is too large to exercise relocation")
+	}
+	// Quiescent: the shared probes answer exactly what Lookup does.
+	for i := 0; i < universe; i++ {
+		for j := 0; j < universe; j++ {
+			q := args(x(i), y(j))
+			found, wantWay, wantPair := tb.Lookup(q)
+			way, pair := tb.SharedLookup(&q)
+			if way != wantWay || (found && pair != wantPair) || tb.SharedContains(&q) != found {
+				t.Fatalf("(x_%d, y_%d): shared way %d, Lookup found=%v way %d", i, j, way, found, wantWay)
+			}
+		}
+	}
+	t.Logf("%d validated hits over %d writes, %d evictions", hits.Load(), writes, tb.Evictions())
 }

@@ -58,17 +58,16 @@ func TestDracoSWCheckZeroAllocs(t *testing.T) {
 }
 
 // TestDracoConcurrentCheckZeroAllocs pins the server's wiring: no observer,
-// so the wrapper holds a nil hook and makes no call through it.
+// so the wrapper holds a nil hook, makes no call through it, and answers
+// through the checker's decision path.
 func TestDracoConcurrentCheckZeroAllocs(t *testing.T) {
-	for _, routing := range []string{"syscall", "args"} {
-		t.Run(routing, func(t *testing.T) {
-			e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Routing: routing})
-			if obs := e.(*dracoConcurrent).obs; obs != nil {
-				t.Fatalf("engine built without an observer holds %T", obs)
-			}
-			assertZeroAllocs(t, e, calls)
-		})
-	}
+	t.Run("syscall", func(t *testing.T) {
+		e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Routing: "syscall"})
+		if obs := e.(*dracoConcurrent).obs; obs != nil {
+			t.Fatalf("engine built without an observer holds %T", obs)
+		}
+		assertZeroAllocs(t, e, calls)
+	})
 }
 
 // TestDracoConcurrentCheckBatchZeroAllocs pins the batch path: the caller's

@@ -46,35 +46,33 @@ func BenchmarkEngineCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCheckParallel is the PR-1 shard sweep rerun through the
-// registry: parallel callers against draco-concurrent across the same
-// routing × shard grid as internal/concurrent's benchmarks.
+// BenchmarkEngineCheckParallel is the shard sweep rerun through the
+// registry: parallel callers against draco-concurrent across the same shard
+// counts as internal/concurrent's benchmarks.
 func BenchmarkEngineCheckParallel(b *testing.B) {
 	calls, opts := benchTrace(b)
-	for _, routing := range []string{"syscall", "args"} {
-		for _, shards := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("routing=%s/shards=%d", routing, shards), func(b *testing.B) {
-				o := opts
-				o.Shards, o.Routing = shards, routing
-				e, err := New("draco-concurrent", o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, cl := range calls {
+	for _, shards := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			o := opts
+			o.Shards = shards
+			e, err := New("draco-concurrent", o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cl := range calls {
+				e.Check(cl.SID, cl.Args)
+			}
+			var cursor atomic.Uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := cursor.Add(1) * 7919
+				for pb.Next() {
+					cl := calls[i%uint64(len(calls))]
 					e.Check(cl.SID, cl.Args)
+					i++
 				}
-				var cursor atomic.Uint64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := cursor.Add(1) * 7919
-					for pb.Next() {
-						cl := calls[i%uint64(len(calls))]
-						e.Check(cl.SID, cl.Args)
-						i++
-					}
-				})
 			})
-		}
+		})
 	}
 }

@@ -70,12 +70,17 @@ func TestDifferentialAllEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialArgsRoutingDecisionExact pins the documented contract of
-// args routing at the registry level: allow/deny/action decisions are exact
-// against draco-sw on every event (cuckoo-eviction timing — the cached flag
-// — may diverge, bounded). Regression test for the doc/behavior mismatch
-// the refactor surfaced.
+// TestDifferentialArgsRoutingDecisionExact pins what became of args
+// routing at the registry level. The "args" key is rejected: a syscall's
+// VAT table lives whole in one shard, where the plane record names it. On
+// every workload a 16-shard draco-concurrent, whose argument-checked hits
+// are served by the lock-free VAT probe, must equal draco-sw event for
+// event, cached flag and filter instructions included, both bare (the
+// decision path) and observed (the full-outcome path).
 func TestDifferentialArgsRoutingDecisionExact(t *testing.T) {
+	if _, err := New("draco-concurrent", Options{Profile: seccomp.DockerDefault(), Routing: "args"}); err == nil {
+		t.Fatal(`draco-concurrent accepted the deleted "args" routing key`)
+	}
 	const events = 100_000
 	genOpts := profilegen.Options{IncludeRuntime: true}
 	for _, w := range workloads.All() {
@@ -88,23 +93,29 @@ func TestDifferentialArgsRoutingDecisionExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			con, err := New("draco-concurrent", Options{Profile: p, Shards: 16, Routing: "args"})
+			bare, err := New("draco-concurrent", Options{Profile: p, Shards: 16, Routing: "syscall"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cacheDivergence int
+			observed, err := New("draco-concurrent", Options{Profile: p, Shards: 16, Routing: "syscall", Observer: &Counters{}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, ev := range tr {
 				want := sw.Check(ev.SID, ev.Args)
-				got := con.Check(ev.SID, ev.Args)
-				if got.Allowed != want.Allowed || got.Action != want.Action {
-					t.Fatalf("event %d (sid=%d): draco-sw %+v, args-routed %+v", i, ev.SID, want, got)
+				if got := bare.Check(ev.SID, ev.Args); got != want {
+					t.Fatalf("event %d (sid=%d args=%v): draco-sw %+v, bare draco-concurrent %+v", i, ev.SID, ev.Args, want, got)
 				}
-				if got.Cached != want.Cached {
-					cacheDivergence++
+				if got := observed.Check(ev.SID, ev.Args); got != want {
+					t.Fatalf("event %d (sid=%d args=%v): draco-sw %+v, observed draco-concurrent %+v", i, ev.SID, ev.Args, want, got)
 				}
 			}
-			if cacheDivergence > events/100 {
-				t.Fatalf("cache decisions diverged on %d/%d events", cacheDivergence, events)
+			ssw := sw.Stats()
+			for name, e := range map[string]Engine{"bare": bare, "observed": observed} {
+				s := e.Stats()
+				if s.Checks != ssw.Checks || s.FilterRuns != ssw.FilterRuns || s.Denied != ssw.Denied {
+					t.Fatalf("%s stats diverge: draco-sw %+v, draco-concurrent %+v", name, ssw, s)
+				}
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 func init() {
 	Register(Info{
 		Name:        "draco-concurrent",
-		Description: "sharded concurrent Draco: read-mostly SPT behind an atomic profile pointer, N-way sharded VAT, hot-swappable profile",
+		Description: "sharded concurrent Draco: lock-free plane and seqlock-checked VAT hits, N-way sharded VAT behind them, hot-swappable profile",
 		Concurrent:  true,
 		New:         newDracoConcurrent,
 	})
@@ -43,16 +43,19 @@ func newDracoConcurrent(opts Options) (Engine, error) {
 
 func (e *dracoConcurrent) Name() string { return "draco-concurrent" }
 
+// Check answers through the checker's decision path when there is no
+// observer; the hook needs the whole outcome.
 func (e *dracoConcurrent) Check(sid int, args Args) Decision {
-	out := e.chk.Check(sid, args)
-	if e.obs != nil {
-		observeOutcome(e.obs, sid, &out)
+	if e.obs == nil {
+		return e.chk.CheckDecision(sid, &args)
 	}
+	out := e.chk.Check(sid, args)
+	observeOutcome(e.obs, sid, &out)
 	return out.Decision()
 }
 
-// CheckBatch uses the checker's native batching (one lock per shard per
-// batch). Without an observer the decisions are written straight into dst;
+// CheckBatch uses the checker's native batching (lock-free hits, then one
+// lock per touched shard per batch). Without an observer the decisions are written straight into dst;
 // the hook needs whole outcomes, taken in a stack buffer for service-sized
 // batches.
 func (e *dracoConcurrent) CheckBatch(calls []Call, dst []Decision) []Decision {

@@ -52,8 +52,6 @@ func foldCases(t testing.TB, events int) []foldCase {
 			trace: progTrace(events),
 		})
 	}
-	cases = append(cases, foldCase{name: "draco-concurrent/args", engine: "draco-concurrent",
-		opts: Options{Shards: 4, Routing: "args"}, p1: complete, p2: idOnly, trace: calls})
 	return cases
 }
 

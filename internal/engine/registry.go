@@ -17,8 +17,8 @@ type Options struct {
 	// Shards is the VAT shard fan-out for sharded engines (0 selects the
 	// mechanism's default; must be a power of two).
 	Shards int
-	// Routing selects the shard-routing key for sharded engines:
-	// "" or "syscall" (decision-exact), or "args" (spread hot syscalls).
+	// Routing names the shard-routing key for sharded engines: "" or
+	// "syscall", the only key.
 	Routing string
 	// Observer receives one callback per check (nil: none is made).
 	Observer Observer

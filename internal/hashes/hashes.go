@@ -8,13 +8,16 @@
 // selects: one bit per argument byte, so pointer arguments and absent
 // arguments never influence the hash (paper §V-B).
 //
-// Both hot paths — shard routing (Sum64) and the VAT probe (ArgSet) — hash
-// on every check, so the implementation is slicing-by-8: selected bytes are
-// gathered into a contiguous buffer and consumed eight at a time through
-// eight derived tables, one table lookup per input byte but only one
-// dependent chain step per eight bytes. The hardware LFSR this models
-// consumes the whole argument set in 3 cycles (§XI-C); slicing-by-8 is the
-// software analog of widening the datapath.
+// The VAT probe hashes on every argument-checked check, so the
+// implementation is slicing-by-8: eight derived tables, one table lookup
+// per input byte but only one dependent chain step per eight bytes. An
+// argument set is consumed in place, lane by lane — a fully selected
+// argument in one 8-byte step, a 4-byte declared width in one 4-byte step,
+// other lanes bytewise — with no gather buffer in between. The hardware
+// LFSR this models consumes the whole argument set in 3 cycles (§XI-C);
+// slicing-by-8 is the software analog of widening the datapath. ArgH1 and
+// ArgH2 compute one polynomial each, for a probe that needs H2 only when
+// H1's slot misses.
 package hashes
 
 import (
@@ -68,24 +71,11 @@ func fillTables(t *[8][256]uint64, poly uint64) {
 // tables, then a 4-byte block through the low four, the rest bytewise.
 func crcUpdate(crc uint64, t *[8][256]uint64, p []byte) uint64 {
 	for len(p) >= 8 {
-		crc ^= binary.LittleEndian.Uint64(p)
-		crc = t[7][byte(crc)] ^
-			t[6][byte(crc>>8)] ^
-			t[5][byte(crc>>16)] ^
-			t[4][byte(crc>>24)] ^
-			t[3][byte(crc>>32)] ^
-			t[2][byte(crc>>40)] ^
-			t[1][byte(crc>>48)] ^
-			t[0][byte(crc>>56)]
+		crc = step8(crc^binary.LittleEndian.Uint64(p), t)
 		p = p[8:]
 	}
 	if len(p) >= 4 {
-		crc ^= uint64(binary.LittleEndian.Uint32(p))
-		crc = t[3][byte(crc)] ^
-			t[2][byte(crc>>8)] ^
-			t[1][byte(crc>>16)] ^
-			t[0][byte(crc>>24)] ^
-			crc>>32
+		crc = step4(crc^uint64(binary.LittleEndian.Uint32(p)), t)
 		p = p[4:]
 	}
 	for _, b := range p {
@@ -94,55 +84,58 @@ func crcUpdate(crc uint64, t *[8][256]uint64, p []byte) uint64 {
 	return crc
 }
 
-// crcUpdatePair advances both hash functions over p in one pass: the two
-// CRCs have no data dependency on each other, so interleaving them fills
-// the load ports instead of walking the buffer twice. A 4-byte tail — the
-// declared width of int/fd/flags arguments, so most argument sets end in
-// one — takes a single slicing-by-4 step instead of four dependent loads.
-func crcUpdatePair(h1, h2 uint64, p []byte) (uint64, uint64) {
-	for len(p) >= 8 {
-		w := binary.LittleEndian.Uint64(p)
-		h1 ^= w
-		h2 ^= w
-		h1 = ecmaTable[7][byte(h1)] ^
-			ecmaTable[6][byte(h1>>8)] ^
-			ecmaTable[5][byte(h1>>16)] ^
-			ecmaTable[4][byte(h1>>24)] ^
-			ecmaTable[3][byte(h1>>32)] ^
-			ecmaTable[2][byte(h1>>40)] ^
-			ecmaTable[1][byte(h1>>48)] ^
-			ecmaTable[0][byte(h1>>56)]
-		h2 = notEcmaTable[7][byte(h2)] ^
-			notEcmaTable[6][byte(h2>>8)] ^
-			notEcmaTable[5][byte(h2>>16)] ^
-			notEcmaTable[4][byte(h2>>24)] ^
-			notEcmaTable[3][byte(h2>>32)] ^
-			notEcmaTable[2][byte(h2>>40)] ^
-			notEcmaTable[1][byte(h2>>48)] ^
-			notEcmaTable[0][byte(h2>>56)]
-		p = p[8:]
+// step8 advances crc, already XORed with the next eight input bytes, by
+// one slicing-by-8 step.
+func step8(crc uint64, t *[8][256]uint64) uint64 {
+	return t[7][byte(crc)] ^
+		t[6][byte(crc>>8)] ^
+		t[5][byte(crc>>16)] ^
+		t[4][byte(crc>>24)] ^
+		t[3][byte(crc>>32)] ^
+		t[2][byte(crc>>40)] ^
+		t[1][byte(crc>>48)] ^
+		t[0][byte(crc>>56)]
+}
+
+// step4 advances crc, already XORed with the next four input bytes in its
+// low half, by one slicing-by-4 step.
+func step4(crc uint64, t *[8][256]uint64) uint64 {
+	return t[3][byte(crc)] ^
+		t[2][byte(crc>>8)] ^
+		t[1][byte(crc>>16)] ^
+		t[0][byte(crc>>24)] ^
+		crc>>32
+}
+
+// stepBytes advances crc over the bytes of a that byteBits selects, low
+// byte first.
+func stepBytes(crc uint64, t *[8][256]uint64, a, byteBits uint64) uint64 {
+	for b := uint(0); byteBits != 0; b, byteBits = b+8, byteBits>>1 {
+		if byteBits&1 != 0 {
+			crc = t[0][byte(crc)^byte(a>>b)] ^ (crc >> 8)
+		}
 	}
-	if len(p) >= 4 {
-		w := uint64(binary.LittleEndian.Uint32(p))
-		h1 ^= w
-		h2 ^= w
-		h1 = ecmaTable[3][byte(h1)] ^
-			ecmaTable[2][byte(h1>>8)] ^
-			ecmaTable[1][byte(h1>>16)] ^
-			ecmaTable[0][byte(h1>>24)] ^
-			h1>>32
-		h2 = notEcmaTable[3][byte(h2)] ^
-			notEcmaTable[2][byte(h2>>8)] ^
-			notEcmaTable[1][byte(h2>>16)] ^
-			notEcmaTable[0][byte(h2>>24)] ^
-			h2>>32
-		p = p[4:]
+	return crc
+}
+
+// crcArgs advances crc over the bytes of args that bitmask selects, lane
+// by lane: a fully selected argument is one 8-byte step, a 4-byte declared
+// width (int/fd/flags, the common case) one 4-byte step, any other lane
+// bytewise. The selected bytes are never gathered into a buffer, so no
+// narrow store is re-read as a wider load.
+func crcArgs(crc uint64, t *[8][256]uint64, args *Args, bitmask uint64) uint64 {
+	for i := range args {
+		switch lane := (bitmask >> uint(i*syscalls.ArgBytes)) & 0xff; lane {
+		case 0:
+		case 0xff:
+			crc = step8(crc^args[i], t)
+		case 0x0f:
+			crc = step4(crc^uint64(uint32(args[i])), t)
+		default:
+			crc = stepBytes(crc, t, args[i], lane)
+		}
 	}
-	for _, b := range p {
-		h1 = ecmaTable[0][byte(h1)^b] ^ (h1 >> 8)
-		h2 = notEcmaTable[0][byte(h2)^b] ^ (h2 >> 8)
-	}
-	return h1, h2
+	return crc
 }
 
 // Pair holds both hash values of an argument set. Draco computes both in
@@ -158,46 +151,47 @@ type Args = [syscalls.MaxArgs]uint64
 // ArgSet hashes the bytes of args selected by bitmask (the SPT Argument
 // Bitmask: bit k selects byte k%8 of argument k/8) and returns both CRCs.
 func ArgSet(args Args, bitmask uint64) Pair {
-	if bitmask == 0 {
-		// No selected bytes: both CRCs of the empty string.
-		return Pair{}
-	}
-	// Gather the selected bytes (in argument, then byte order — the wire
-	// order the bitmask defines) into a stack buffer, then run both CRCs
-	// over it with the slicing path. Fully-selected arguments — the common
-	// case, since bitmasks cover whole declared widths — copy as one word.
-	var buf [syscalls.MaxArgs * syscalls.ArgBytes]byte
-	n := 0
-	for i := 0; i < syscalls.MaxArgs; i++ {
-		byteBits := (bitmask >> uint(i*syscalls.ArgBytes)) & 0xff
-		if byteBits == 0 {
-			continue
-		}
+	return ArgSetOf(&args, bitmask)
+}
+
+// ArgSetOf is ArgSet on an argument vector the caller keeps in place. The
+// two CRCs have no data dependency on each other, so they advance lane by
+// lane side by side, which fills the load ports instead of walking the
+// arguments twice.
+func ArgSetOf(args *Args, bitmask uint64) Pair {
+	h1, h2 := ^uint64(0), ^uint64(0)
+	for i := range args {
 		a := args[i]
-		switch byteBits {
-		case 0xff: // full 8-byte argument
-			binary.LittleEndian.PutUint64(buf[n:], a)
-			n += syscalls.ArgBytes
-		case 0x0f: // 4-byte declared width (int/fd/flags), the common case
-			binary.LittleEndian.PutUint32(buf[n:], uint32(a))
-			n += 4
+		switch lane := (bitmask >> uint(i*syscalls.ArgBytes)) & 0xff; lane {
+		case 0:
+		case 0xff:
+			h1 = step8(h1^a, &ecmaTable)
+			h2 = step8(h2^a, &notEcmaTable)
+		case 0x0f:
+			h1 = step4(h1^uint64(uint32(a)), &ecmaTable)
+			h2 = step4(h2^uint64(uint32(a)), &notEcmaTable)
 		default:
-			for b := 0; b < syscalls.ArgBytes; b++ {
-				if byteBits&(1<<uint(b)) == 0 {
-					continue
-				}
-				buf[n] = byte(a >> uint(b*8))
-				n++
-			}
+			h1 = stepBytes(h1, &ecmaTable, a, lane)
+			h2 = stepBytes(h2, &notEcmaTable, a, lane)
 		}
 	}
-	h1, h2 := crcUpdatePair(^uint64(0), ^uint64(0), buf[:n])
 	return Pair{H1: ^h1, H2: ^h2}
 }
 
+// ArgH1 is ArgSetOf(args, bitmask).H1 alone: the first hash a probe needs,
+// for callers that compute H2 only when H1's slot misses.
+func ArgH1(args *Args, bitmask uint64) uint64 {
+	return ^crcArgs(^uint64(0), &ecmaTable, args, bitmask)
+}
+
+// ArgH2 is ArgSetOf(args, bitmask).H2 alone.
+func ArgH2(args *Args, bitmask uint64) uint64 {
+	return ^crcArgs(^uint64(0), &notEcmaTable, args, bitmask)
+}
+
 // Sum64 returns the CRC-64/ECMA code of an arbitrary byte string. The
-// concurrent checker uses it to spread (syscall ID, argument-set hash) keys
-// across VAT shards with the same hash family the VAT itself uses.
+// concurrent checker uses it to route a syscall ID to its VAT shard with
+// the same hash family the VAT itself uses.
 func Sum64(b []byte) uint64 {
 	return ^crcUpdate(^uint64(0), &ecmaTable, b)
 }

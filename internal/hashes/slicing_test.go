@@ -122,6 +122,41 @@ func TestArgSetMatchesBytewiseReference(t *testing.T) {
 	}
 }
 
+// TestSingleHashesMatchArgSet pins the one-polynomial entry points a
+// probe uses when it computes H2 only after H1's slot missed: ArgH1 and
+// ArgH2 must equal ArgSet's H1 and H2 (and ArgSetOf must equal ArgSet) over
+// random masks, irregular lanes, and every selected-byte count 0..48.
+func TestSingleHashesMatchArgSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	masks := []uint64{
+		0, 0xff, 0x0f, 0x01, 0x80, 0x7e, 0xf0, 0x0f0f000f, 0xff0f, (1 << 48) - 1,
+	}
+	for trial := 0; trial < 1000; trial++ {
+		masks = append(masks, rng.Uint64()&((1<<syscalls.BitmaskBits)-1))
+	}
+	for n := 0; n <= syscalls.BitmaskBits; n++ {
+		masks = append(masks, uint64(1)<<uint(n)-1)
+		var scattered uint64
+		for _, bit := range rng.Perm(syscalls.BitmaskBits)[:n] {
+			scattered |= 1 << uint(bit)
+		}
+		masks = append(masks, scattered)
+	}
+	for _, mask := range masks {
+		var args Args
+		for i := range args {
+			args[i] = rng.Uint64()
+		}
+		want := ArgSet(args, mask)
+		if got := ArgSetOf(&args, mask); got != want {
+			t.Fatalf("ArgSetOf(%v, %#x) = %+v, ArgSet %+v", args, mask, got, want)
+		}
+		if h1, h2 := ArgH1(&args, mask), ArgH2(&args, mask); h1 != want.H1 || h2 != want.H2 {
+			t.Fatalf("ArgH1/ArgH2(%v, %#x) = %#x/%#x, ArgSet %+v", args, mask, h1, h2, want)
+		}
+	}
+}
+
 // --- benchmarks: the routing + VAT-probe hash path ------------------------
 //
 // BenchmarkHashSum64Route and BenchmarkHashArgSet* measure the two
@@ -185,4 +220,14 @@ func BenchmarkHashArgSetAllBytesBytewise(b *testing.B) {
 		args[0] = uint64(i)
 		_ = referenceArgSet(args, mask)
 	}
+}
+
+func BenchmarkHashArgH1(b *testing.B) {
+	args, mask := benchArgs()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		args[0] = uint64(i)
+		sink += ArgH1(&args, mask)
+	}
+	_ = sink
 }

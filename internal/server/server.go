@@ -47,8 +47,8 @@ type Options struct {
 	// Shards is the per-tenant VAT shard fan-out (0 =
 	// concurrent.DefaultShards).
 	Shards int
-	// Routing selects the shard-routing key: "" or "syscall"
-	// (decision-exact), or "args" (spread hot syscalls).
+	// Routing names the shard-routing key: "" or "syscall", the only
+	// key.
 	Routing string
 	// DefaultProfile, when non-nil, auto-provisions unknown tenants named
 	// in wire or shm check frames with this profile. When nil, tenants must

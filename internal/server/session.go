@@ -174,13 +174,13 @@ func (c *session) handleCheck(id uint64, p []byte) {
 		c.sendError(id, err)
 		return
 	}
-	out := t.chk.Check(call.SID, call.Args)
+	d := t.chk.CheckDecision(call.SID, &call.Args)
 	// Count before publishing: a shm client spinning on the completion
 	// ring can observe the response — and read the metrics — the moment
 	// the frame lands, so counters must already cover it.
 	m := c.hub.s.metrics
 	m.WireChecks.Add(1)
-	c.resp.sendCheck(id, out.Decision())
+	c.resp.sendCheck(id, d)
 	c.unflushed = true
 	m.WireCheckLatency.Observe(time.Since(start))
 }

@@ -44,5 +44,9 @@ go test -count=1 -run 'Fuzz' ./internal/bpf/
 go test -count=1 -run 'Fuzz' ./internal/ebpf/
 
 go test -race -count=1 -run 'TestFastPathHotSwapHammer' ./internal/concurrent/
+# Lock-free VAT probes: the table's seqlock against a writer on a 4-slot
+# table, and argument-checked profiles swapped under lock-free readers.
+go test -race -count=1 -cpu 1,2 -run 'TestSharedProbeSeqlockHammer' ./internal/cuckoo/
+go test -race -count=1 -cpu 1,2 -run 'TestVATProbeHotSwapHammer' ./internal/concurrent/
 go test -race -count=1 -run 'TestSPTAccessedConcurrentMark' ./internal/core/
 go test -race -count=1 -run 'TestProgrammable' ./internal/engine/ ./internal/server/
