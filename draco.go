@@ -8,9 +8,11 @@
 //   - Security policies: exact-value whitelist profiles (Docker's default,
 //     gVisor's, Firecracker's, or application-specific profiles generated
 //     from recorded traces), compiled to classic-BPF filters.
-//   - The Draco software checker: a System Call Permissions Table plus a
-//     per-syscall cuckoo-hashed Validated Argument Table consulted before
-//     the filter.
+//   - The Draco software checker (Checker): a System Call Permissions
+//     Table plus a per-syscall cuckoo-hashed Validated Argument Table
+//     consulted before the filter, shared by every calling goroutine and
+//     hot-swappable, as the dracod service runs it per tenant. FilterOnly
+//     is the uncached filter baseline.
 //   - The Draco hardware model: SLB/STB/SPT structures evaluated by a
 //     cycle-accounting full-system simulator over statistical workload
 //     models of the paper's fifteen benchmarks.
@@ -29,6 +31,7 @@ import (
 	"fmt"
 	"io"
 
+	"draco/internal/concurrent"
 	"draco/internal/core"
 	"draco/internal/engine"
 	"draco/internal/experiments"
@@ -148,156 +151,69 @@ func ReadProfileJSON(r io.Reader, name string) (*Profile, error) {
 }
 
 // --- checking -------------------------------------------------------------
-//
-// Every checking mechanism lives behind the internal/engine registry; the
-// types below are thin wrappers that select an engine by name. Use
-// NewEngine directly to program against the unified interface, or the
-// Checker/ConcurrentChecker/FilterOnly convenience types for the common
-// mechanisms.
 
 // Decision reports one checked system call: whether it may proceed, whether
 // Draco's tables served the decision without running the filter, the BPF
 // instructions executed when the filter ran, and the effective action.
-type Decision = engine.Decision
+type Decision = core.Decision
 
-// Engine is the unified checking interface every mechanism implements:
-// Check/CheckBatch (the hot paths), SetProfile, Stats, VATBytes, Describe,
-// and Close. Whether an instance is safe for concurrent use is a
-// per-mechanism property (see EngineInfos); draco-concurrent is.
-type Engine = engine.Engine
-
-// EngineCall names one call in an Engine batch.
-type EngineCall = engine.Call
-
-// EngineDesc identifies an engine instance (mechanism, profile, generation,
-// shards, routing).
-type EngineDesc = engine.Desc
-
-// EngineInfo describes one registered mechanism.
-type EngineInfo = engine.Info
-
-// Observer receives one callback per check; see Observation. Without one the
-// engines make no call and classify nothing per check.
-type Observer = engine.Observer
-
-// Observation carries one check's outcome to an Observer, by value.
-type Observation = engine.Observation
-
-// EngineOptions tunes engine construction; the zero value selects each
-// mechanism's defaults.
-type EngineOptions struct {
-	// Shards is the VAT shard fan-out for sharded engines (power of two;
-	// 0 selects the default).
-	Shards int
-	// Routing is the shard-routing key: "" or "syscall", the only key.
-	Routing string
-	// Observer receives per-check callbacks (nil: none).
-	Observer Observer
-}
-
-// EngineNames lists the registered checking mechanisms: filter-only,
-// draco-sw, draco-concurrent, and the hardware model draco-hw.
-func EngineNames() []string { return engine.Names() }
-
-// EngineInfos lists the registered mechanisms with descriptions.
-func EngineInfos() []EngineInfo { return engine.Infos() }
-
-// NewEngine builds a checking engine by registry name.
-func NewEngine(name string, p *Profile, opts EngineOptions) (Engine, error) {
-	return engine.New(name, engine.Options{
-		Profile:  p,
-		Shards:   opts.Shards,
-		Routing:  opts.Routing,
-		Observer: opts.Observer,
-	})
-}
-
-// NewTraceDumpObserver builds an Observer writing one text line per check
-// to w; flush it by closing the engine it is attached to.
-func NewTraceDumpObserver(w io.Writer) *engine.TraceDump { return engine.NewTraceDump(w) }
-
-// Checker validates system calls with Draco's software fast path (SPT +
-// VAT) backed by a compiled Seccomp filter: the draco-sw engine. It is not
-// safe for concurrent use; create one per goroutine or process model.
-type Checker struct {
-	eng Engine
-}
-
-// NewChecker compiles the profile and builds the Draco state.
-func NewChecker(p *Profile) (*Checker, error) {
-	eng, err := NewEngine("draco-sw", p, EngineOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{eng: eng}, nil
-}
-
-// Check validates a system call invocation.
-func (c *Checker) Check(sid int, args Args) Decision { return c.eng.Check(sid, args) }
-
-// VATBytes returns the current memory footprint of the checker's Validated
-// Argument Table.
-func (c *Checker) VATBytes() int { return c.eng.VATBytes() }
+// Call names one system call invocation in a CheckBatch request.
+type Call = concurrent.Call
 
 // CheckerStats aggregates checker behaviour over a run: total checks, SPT
 // and VAT hits, filter executions, inserts, and denials.
 type CheckerStats = core.Stats
 
-// ConcurrentChecker is a concurrency-safe Draco checker: a read-mostly SPT
-// behind an atomic profile pointer plus an N-way sharded VAT — the
-// draco-concurrent engine. Any number of goroutines may call Check and
-// CheckBatch while another hot-swaps the profile with SetProfile; decisions
-// are identical to Checker's. It backs the dracod service (cmd/dracod).
-type ConcurrentChecker struct {
-	eng Engine
+// Checker validates system calls with Draco's software fast path (paper
+// §V): one System Call Permissions Table and one cuckoo-hashed Validated
+// Argument Table shared by every caller, consulted before the compiled
+// Seccomp filter. It is the checker the dracod service holds per tenant.
+//
+// A Checker is safe for concurrent use: any number of goroutines may call
+// Check and CheckBatch while another hot-swaps the profile with
+// SetProfile. Cached hits take no lock.
+type Checker struct {
+	chk *concurrent.Checker
 }
 
-// NewConcurrentChecker builds a sharded concurrent checker. shards must be
-// a power of two (0 picks a default suited to server use).
-func NewConcurrentChecker(p *Profile, shards int) (*ConcurrentChecker, error) {
-	eng, err := NewEngine("draco-concurrent", p, EngineOptions{Shards: shards})
+// NewChecker compiles the profile and builds the Draco state.
+func NewChecker(p *Profile) (*Checker, error) {
+	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		return nil, err
 	}
-	return &ConcurrentChecker{eng: eng}, nil
+	return &Checker{chk: chk}, nil
 }
 
-// Check validates a system call invocation. Safe for concurrent use.
-func (c *ConcurrentChecker) Check(sid int, args Args) Decision { return c.eng.Check(sid, args) }
+// Check validates a system call invocation.
+func (c *Checker) Check(sid int, args Args) Decision { return c.chk.CheckDecision(sid, &args) }
 
-// BatchCall names one call in a CheckBatch request.
-type BatchCall = engine.Call
-
-// CheckBatch validates a batch of calls in one pass, locking each VAT
-// shard at most once (amortized, AnyCall-style batching). Results are in
-// call order.
-func (c *ConcurrentChecker) CheckBatch(calls []BatchCall) []Decision {
-	return c.eng.CheckBatch(calls, nil)
+// CheckBatch validates a batch of calls in one pass and returns the
+// decisions in call order.
+func (c *Checker) CheckBatch(calls []Call) []Decision {
+	return c.chk.CheckBatchDecisions(calls, nil)
 }
 
 // SetProfile hot-swaps the checker's profile without dropping in-flight
 // checks; cached validations are discarded (the new policy revalidates).
-func (c *ConcurrentChecker) SetProfile(p *Profile) error { return c.eng.SetProfile(p) }
+func (c *Checker) SetProfile(p *Profile) error { return c.chk.SetProfile(p) }
 
-// Stats returns cumulative statistics across all shards and profile swaps.
-func (c *ConcurrentChecker) Stats() CheckerStats { return c.eng.Stats() }
+// Stats returns cumulative statistics across profile swaps.
+func (c *Checker) Stats() CheckerStats { return c.chk.Stats() }
 
-// VATBytes returns the current Validated Argument Table footprint summed
-// across shards.
-func (c *ConcurrentChecker) VATBytes() int { return c.eng.VATBytes() }
-
-// Shards returns the checker's VAT shard count.
-func (c *ConcurrentChecker) Shards() int { return c.eng.Describe().Shards }
+// VATBytes returns the current memory footprint of the checker's Validated
+// Argument Table.
+func (c *Checker) VATBytes() int { return c.chk.VATBytes() }
 
 // FilterOnly wraps a compiled Seccomp filter without Draco caching, for
 // baseline comparisons: the filter-only engine.
 type FilterOnly struct {
-	eng Engine
+	eng engine.Engine
 }
 
 // NewFilterOnly compiles a profile to a plain filter.
 func NewFilterOnly(p *Profile) (*FilterOnly, error) {
-	eng, err := NewEngine("filter-only", p, EngineOptions{})
+	eng, err := engine.New("filter-only", engine.Options{Profile: p})
 	if err != nil {
 		return nil, err
 	}
@@ -353,18 +269,14 @@ const (
 	HardwareDraco
 )
 
-// mechanismNames maps the legacy Mechanism selectors onto the registry's
-// engine names; Simulate funnels through the same name-keyed lookup as
-// everything else (kernelmodel.ModeByName).
-var mechanismNames = map[Mechanism]string{
-	Insecure:      "insecure",
-	Seccomp:       "seccomp",
-	SoftwareDraco: "draco-sw",
-	HardwareDraco: "draco-hw",
+// mechanismModes maps the Mechanism selectors onto the kernel model's
+// checking modes.
+var mechanismModes = map[Mechanism]kernelmodel.Mode{
+	Insecure:      kernelmodel.ModeInsecure,
+	Seccomp:       kernelmodel.ModeSeccomp,
+	SoftwareDraco: kernelmodel.ModeDracoSW,
+	HardwareDraco: kernelmodel.ModeDracoHW,
 }
-
-// EngineName returns the registry name of a mechanism's engine.
-func (m Mechanism) EngineName() string { return mechanismNames[m] }
 
 // PolicyKind selects the profile used in a simulation.
 type PolicyKind int
@@ -397,16 +309,16 @@ type SimResult struct {
 	Denied uint64
 }
 
-// simConfig maps a mechanism engine name and the PolicyKind selector onto a
-// simulator configuration, rejecting unknown values. Simulate,
-// SimulateEngine, and SimulateMulticore share it.
-func simConfig(engineName string, policy PolicyKind, events int, seed int64) (sim.Config, error) {
-	cfg := sim.DefaultConfig()
+// simConfig maps the Mechanism and PolicyKind selectors onto a simulator
+// configuration and the insecure baseline it is normalized against,
+// rejecting unknown values. Simulate and SimulateMulticore share it.
+func simConfig(mech Mechanism, policy PolicyKind, events int, seed int64) (cfg, base sim.Config, err error) {
+	cfg = sim.DefaultConfig()
 	cfg.Events = events
 	cfg.Seed = seed
-	mode, ok := kernelmodel.ModeByName(engineName)
+	mode, ok := mechanismModes[mech]
 	if !ok {
-		return cfg, fmt.Errorf("draco: unknown engine %q (have %v)", engineName, kernelmodel.ModeNames())
+		return cfg, base, fmt.Errorf("draco: unknown mechanism %d", mech)
 	}
 	cfg.Mode = mode
 	switch policy {
@@ -421,34 +333,21 @@ func simConfig(engineName string, policy PolicyKind, events int, seed int64) (si
 	case AppComplete2x:
 		cfg.Profile = sim.ProfileComplete2x
 	default:
-		return cfg, fmt.Errorf("draco: unknown policy %d", policy)
+		return cfg, base, fmt.Errorf("draco: unknown policy %d", policy)
 	}
-	return cfg, nil
+	base = cfg
+	base.Mode = kernelmodel.ModeInsecure
+	base.Profile = sim.ProfileInsecure
+	return cfg, base, nil
 }
 
 // Simulate runs a workload under the given mechanism and policy with the
 // paper's Table II configuration and returns normalized results.
 func Simulate(w *Workload, mech Mechanism, policy PolicyKind, events int, seed int64) (SimResult, error) {
-	name, ok := mechanismNames[mech]
-	if !ok {
-		return SimResult{}, fmt.Errorf("draco: unknown mechanism %d", mech)
-	}
-	return SimulateEngine(w, name, policy, events, seed)
-}
-
-// SimulateEngine is Simulate with the mechanism selected by engine registry
-// name ("insecure", "seccomp"/"filter-only", "draco-sw", "draco-hw",
-// "tracer"), so simulations, the server, and the benchmarks pick mechanisms
-// the same way.
-func SimulateEngine(w *Workload, engineName string, policy PolicyKind, events int, seed int64) (SimResult, error) {
-	cfg, err := simConfig(engineName, policy, events, seed)
+	cfg, baseCfg, err := simConfig(mech, policy, events, seed)
 	if err != nil {
 		return SimResult{}, err
 	}
-
-	baseCfg := cfg
-	baseCfg.Mode = kernelmodel.ModeInsecure
-	baseCfg.Profile = sim.ProfileInsecure
 	base, err := sim.Run(w, baseCfg)
 	if err != nil {
 		return SimResult{}, err
@@ -476,23 +375,10 @@ func SimulateEngine(w *Workload, engineName string, policy PolicyKind, events in
 // organization), returning the mean slowdown across cores relative to an
 // insecure multicore baseline.
 func SimulateMulticore(w *Workload, nCores int, mech Mechanism, policy PolicyKind, events int, seed int64) (float64, error) {
-	name, ok := mechanismNames[mech]
-	if !ok {
-		return 0, fmt.Errorf("draco: unknown mechanism %d", mech)
-	}
-	return SimulateMulticoreEngine(w, nCores, name, policy, events, seed)
-}
-
-// SimulateMulticoreEngine is SimulateMulticore with the mechanism selected
-// by engine registry name.
-func SimulateMulticoreEngine(w *Workload, nCores int, engineName string, policy PolicyKind, events int, seed int64) (float64, error) {
-	cfg, err := simConfig(engineName, policy, events, seed)
+	cfg, baseCfg, err := simConfig(mech, policy, events, seed)
 	if err != nil {
 		return 0, err
 	}
-	baseCfg := cfg
-	baseCfg.Mode = kernelmodel.ModeInsecure
-	baseCfg.Profile = sim.ProfileInsecure
 	base, err := sim.RunMulticoreShared(w, nCores, baseCfg)
 	if err != nil {
 		return 0, err

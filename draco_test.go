@@ -2,6 +2,7 @@ package draco
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -31,6 +32,100 @@ func TestCheckerQuickstart(t *testing.T) {
 	ptrace := Syscall("ptrace").Num
 	if d := chk.Check(ptrace, Args{}); d.Allowed {
 		t.Fatal("ptrace allowed by docker-default")
+	}
+}
+
+// TestCheckerPublicAPI exercises the checker's concurrent surface:
+// parallel checks, a batch, exact stats, and a hot swap that revalidates.
+func TestCheckerPublicAPI(t *testing.T) {
+	chk, err := NewChecker(DockerDefaultProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := Syscall("read").Num
+	personality := Syscall("personality").Num
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if d := chk.Check(read, Args{3, 0, 4096}); !d.Allowed {
+					t.Error("read denied")
+					return
+				}
+				if d := chk.Check(personality, Args{0}); !d.Allowed {
+					t.Error("personality(0) denied")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	ds := chk.CheckBatch([]Call{
+		{SID: read, Args: Args{3, 0, 4096}},
+		{SID: personality, Args: Args{0}},
+		{SID: Syscall("init_module").Num},
+	})
+	if !ds[0].Allowed || !ds[0].Cached {
+		t.Fatalf("batch read: %+v", ds[0])
+	}
+	if !ds[1].Allowed || !ds[1].Cached {
+		t.Fatalf("batch personality: %+v", ds[1])
+	}
+	if ds[2].Allowed {
+		t.Fatalf("batch init_module: %+v", ds[2])
+	}
+
+	// However the callers interleaved, each syscall ran the filter once:
+	// read and personality(0) on their first check, which cached them, and
+	// init_module once, denied.
+	const perSyscall = 8*500 + 1
+	st := chk.Stats()
+	if st.Checks != 2*perSyscall+1 || st.FilterRuns != 3 || st.Denied != 1 ||
+		st.SPTHits != perSyscall-1 || st.VATHits != perSyscall-1 || st.Inserts != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+
+	if err := chk.SetProfile(DockerDefaultMaskedProfile()); err != nil {
+		t.Fatal(err)
+	}
+	if d := chk.Check(read, Args{3, 0, 4096}); !d.Allowed || d.Cached {
+		t.Fatalf("read after swap should revalidate: %+v", d)
+	}
+	if st := chk.Stats(); st.Checks != 2*perSyscall+2 {
+		t.Fatalf("stats not cumulative across swap: %+v", st)
+	}
+}
+
+// TestCheckerZeroAllocs pins Check at zero heap allocations on each
+// lock-free kind: a constant allow, a constant deny and a VAT hit.
+func TestCheckerZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed under -race")
+	}
+	chk, err := NewChecker(DockerDefaultProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		sid           int
+		args          Args
+		allow, cached bool
+	}{
+		{"constant-allow", Syscall("getpid").Num, Args{}, true, true},
+		{"constant-deny", Syscall("ptrace").Num, Args{}, false, false},
+		{"vat-hit", Syscall("personality").Num, Args{0}, true, true},
+	} {
+		chk.Check(c.sid, c.args) // warm: the first check fills the tables
+		if d := chk.Check(c.sid, c.args); d.Allowed != c.allow || d.Cached != c.cached {
+			t.Fatalf("%s: %+v", c.name, d)
+		}
+		if n := testing.AllocsPerRun(1000, func() { chk.Check(c.sid, c.args) }); n != 0 {
+			t.Fatalf("%s: Check allocates %.2f allocs/op, want 0", c.name, n)
+		}
 	}
 }
 
@@ -114,11 +209,23 @@ func TestSimulateFacade(t *testing.T) {
 	if hw.STBHitRate == 0 || hw.SLBAccessHitRate == 0 {
 		t.Fatalf("hardware hit rates missing: %+v", hw)
 	}
-	if _, err := Simulate(w, Mechanism(99), AppComplete, 100, 1); err == nil {
-		t.Fatal("bad mechanism accepted")
+}
+
+// TestSimulateRejectsUnknownSelectors covers the shared config-mapping
+// helper's error paths for both simulation entry points.
+func TestSimulateRejectsUnknownSelectors(t *testing.T) {
+	w, _ := WorkloadByName("nginx")
+	if _, err := Simulate(w, Mechanism(99), DockerDefault, 100, 1); err == nil {
+		t.Fatal("unknown mechanism accepted by Simulate")
 	}
 	if _, err := Simulate(w, Seccomp, PolicyKind(99), 100, 1); err == nil {
-		t.Fatal("bad policy accepted")
+		t.Fatal("unknown policy accepted by Simulate")
+	}
+	if _, err := SimulateMulticore(w, 2, Mechanism(99), DockerDefault, 100, 1); err == nil {
+		t.Fatal("unknown mechanism accepted by SimulateMulticore")
+	}
+	if _, err := SimulateMulticore(w, 2, Seccomp, PolicyKind(99), 100, 1); err == nil {
+		t.Fatal("unknown policy accepted by SimulateMulticore")
 	}
 }
 
@@ -157,12 +264,6 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 	}
 	if hw >= sec {
 		t.Fatalf("multicore hw (%.3f) not faster than seccomp (%.3f)", hw, sec)
-	}
-	if _, err := SimulateMulticore(w, 2, Mechanism(9), AppComplete, 100, 1); err == nil {
-		t.Fatal("bad mechanism accepted")
-	}
-	if _, err := SimulateMulticore(w, 2, Seccomp, PolicyKind(9), 100, 1); err == nil {
-		t.Fatal("bad policy accepted")
 	}
 }
 

@@ -231,6 +231,15 @@ func TestNewCheckerShardValidation(t *testing.T) {
 			t.Fatalf("NewCheckerConfig accepted shard count %d", bad)
 		}
 	}
+	for _, good := range []int{1, 4, MaxShards} {
+		c, err := NewCheckerConfig(p, Config{Shards: good})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Shards() != good {
+			t.Fatalf("shards = %d, want %d", c.Shards(), good)
+		}
+	}
 	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)

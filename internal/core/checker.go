@@ -241,7 +241,8 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 		return out
 	}
 	e := c.SPT.Lookup(sid)
-	if e == nil {
+	fresh := e == nil
+	if fresh {
 		entry := SPTEntry{Valid: true}
 		entry.MarkAccessed()
 		if rule.ChecksArgs() || progMask != 0 {
@@ -263,10 +264,14 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 	}
 	if e.ChecksArgs() {
 		out.ArgsChecked = true
-		out.Pair = hashes.ArgSet(args, e.ArgBitmask)
+		// An entry that existed at Check has had the set hashed by its
+		// table's Lookup; only a fresh one needs the pair computed.
+		if fresh {
+			out.Pair = hashes.ArgSet(args, e.ArgBitmask)
+		}
 		// A set the relocation chain dropped again is not in the VAT: no
 		// hash to hand the SLB/STB, and not an insert.
-		if h, resident := e.table.Put(args); resident {
+		if h, resident := e.table.Put(args, out.Pair); resident {
 			out.Hash = h
 			out.Inserted = true
 			c.Stats.Inserts++

@@ -267,12 +267,13 @@ func (t *Table) LookupHash(h uint64) (Entry, bool) {
 }
 
 // Put adds args as a validated set and returns the hash value under which
-// it is stored. Putting an already-present set is a no-op returning the
-// existing way's hash. resident is false when the relocation chain ran out
-// and the entry it dropped was the new one: nothing is stored for args then,
-// and hash is zero.
-func (t *Table) Put(args hashes.Args) (hash uint64, resident bool) {
-	pair := hashes.ArgSet(args, t.bitmask)
+// it is stored. pair is args' hash pair under the table's bitmask, as
+// Lookup returned it: a caller that just missed passes it on rather than
+// hash the set again. Putting an already-present set is a no-op returning
+// the existing way's hash. resident is false when the relocation chain ran
+// out and the entry it dropped was the new one: nothing is stored for args
+// then, and hash is zero.
+func (t *Table) Put(args hashes.Args, pair hashes.Pair) (hash uint64, resident bool) {
 	if h, ok := t.storedHash(&args, pair); ok {
 		return h, true
 	}
@@ -298,10 +299,10 @@ func (t *Table) Put(args hashes.Args) (hash uint64, resident bool) {
 	return t.storedHash(&args, pair)
 }
 
-// Insert is Put without the residency report: the zero hash stands for a
-// set that was not kept.
+// Insert is Put without the residency report, hashing args itself: the
+// zero hash stands for a set that was not kept.
 func (t *Table) Insert(args hashes.Args) uint64 {
-	h, _ := t.Put(args)
+	h, _ := t.Put(args, hashes.ArgSet(args, t.bitmask))
 	return h
 }
 

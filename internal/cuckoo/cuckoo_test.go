@@ -299,6 +299,37 @@ func TestQuickEqualMaskedMatchesPerBitReference(t *testing.T) {
 	}
 }
 
+// TestPutPairMatchesInsert drives the same random sets into two small
+// tables, one through Put with a caller-supplied pair and one through
+// Insert, which hashes for itself. Every step must report the same hash and
+// residency, and the tables must end holding the same entries in the same
+// slots.
+func TestPutPairMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for table := 0; table < 400; table++ {
+		put := NewWithProvision(16, 1, testMask)
+		ins := NewWithProvision(16, 1, testMask)
+		for i := 0; i < 24; i++ {
+			a := args(rng.Uint64()%64, rng.Uint64())
+			h, resident := put.Put(a, hashes.ArgSet(a, testMask))
+			hi := ins.Insert(a)
+			found, _, _ := ins.Lookup(a)
+			if h != hi || resident != found {
+				t.Fatalf("table %d insert %d: Put (%#x, %v), Insert (%#x, %v)", table, i, h, resident, hi, found)
+			}
+		}
+		pe, ie := put.Entries(), ins.Entries()
+		if len(pe) != len(ie) || put.Evictions() != ins.Evictions() {
+			t.Fatalf("table %d: Put %d entries/%d evictions, Insert %d/%d", table, len(pe), put.Evictions(), len(ie), ins.Evictions())
+		}
+		for j := range pe {
+			if pe[j] != ie[j] {
+				t.Fatalf("table %d entry %d: Put %+v, Insert %+v", table, j, pe[j], ie[j])
+			}
+		}
+	}
+}
+
 // TestPutReportsResidency fills exactly-provisioned 16-slot tables past
 // what their relocation chains can place. The set a chain drops can be the
 // one being inserted; Put must then say so instead of naming a slot that
@@ -310,7 +341,7 @@ func TestPutReportsResidency(t *testing.T) {
 		tb := NewWithProvision(16, 1, testMask)
 		for i := 0; i < 16; i++ {
 			a := args(rng.Uint64(), rng.Uint64())
-			h, resident := tb.Put(a)
+			h, resident := tb.Put(a, hashes.ArgSet(a, testMask))
 			found, way, pair := tb.Lookup(a)
 			if resident != found {
 				t.Fatalf("table %d insert %d: Put resident=%v, Lookup found=%v", table, i, resident, found)

@@ -10,10 +10,9 @@ import (
 
 func init() {
 	Register(Info{
-		Name:        "draco-concurrent",
-		Description: "sharded concurrent Draco: lock-free plane and seqlock-checked VAT hits, N-way sharded VAT behind them, hot-swappable profile",
-		Concurrent:  true,
-		New:         newDracoConcurrent,
+		Name:       "draco-concurrent",
+		Concurrent: true,
+		New:        newDracoConcurrent,
 	})
 }
 
@@ -81,14 +80,4 @@ func (e *dracoConcurrent) SetProfile(p *seccomp.Profile) error { return e.chk.Se
 
 func (e *dracoConcurrent) VATBytes() int { return e.chk.VATBytes() }
 
-func (e *dracoConcurrent) Describe() Desc {
-	return Desc{
-		Engine:     "draco-concurrent",
-		Profile:    e.chk.Profile().Name,
-		Generation: e.chk.Generation(),
-		Shards:     e.chk.Shards(),
-		Routing:    e.chk.Routing().String(),
-	}
-}
-
-func (e *dracoConcurrent) Close() error { return closeObserver(e.obs) }
+func (e *dracoConcurrent) Close() error { return nil }

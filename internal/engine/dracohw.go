@@ -12,10 +12,9 @@ import (
 
 func init() {
 	Register(Info{
-		Name:        "draco-hw",
-		Description: "hardware Draco model (paper §VI): SLB/STB/SPT fast path over the software checker, every check annotated with modeled cycle latency",
-		Concurrent:  false,
-		New:         newDracoHW,
+		Name:       "draco-hw",
+		Concurrent: false,
+		New:        newDracoHW,
 	})
 }
 
@@ -31,7 +30,6 @@ type dracoHW struct {
 	hw    *hwdraco.Engine
 	costs kernelmodel.CostModel
 	obs   Observer
-	gen   uint64
 	// stats is tracked locally: the embedded software checker only sees
 	// the slow path, so hw-served checks are accounted here.
 	stats Stats
@@ -40,7 +38,7 @@ type dracoHW struct {
 }
 
 func newDracoHW(opts Options) (Engine, error) {
-	e := &dracoHW{costs: kernelmodel.Linux53Costs(), obs: opts.Observer, gen: 1}
+	e := &dracoHW{costs: kernelmodel.Linux53Costs(), obs: opts.Observer}
 	if err := e.build(opts.Profile); err != nil {
 		return nil, err
 	}
@@ -133,14 +131,9 @@ func (e *dracoHW) SetProfile(p *seccomp.Profile) error {
 		return err
 	}
 	e.priorInserts += prior.Stats.Inserts
-	e.gen++
 	return nil
 }
 
 func (e *dracoHW) VATBytes() int { return e.os.VAT.SizeBytes() }
 
-func (e *dracoHW) Describe() Desc {
-	return Desc{Engine: "draco-hw", Profile: e.os.Profile.Name, Generation: e.gen, Shards: 1}
-}
-
-func (e *dracoHW) Close() error { return closeObserver(e.obs) }
+func (e *dracoHW) Close() error { return nil }

@@ -7,10 +7,9 @@ import (
 
 func init() {
 	Register(Info{
-		Name:        "draco-sw",
-		Description: "software Draco (paper §V): SPT + cuckoo VAT consulted before the filter, one table per process",
-		Concurrent:  false,
-		New:         newDracoSW,
+		Name:       "draco-sw",
+		Concurrent: false,
+		New:        newDracoSW,
 	})
 }
 
@@ -19,7 +18,6 @@ func init() {
 type dracoSW struct {
 	chk *core.Checker
 	obs Observer
-	gen uint64
 	// prior accumulates stats from generations retired by SetProfile.
 	prior Stats
 }
@@ -29,7 +27,7 @@ func newDracoSW(opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dracoSW{chk: chk, obs: opts.Observer, gen: 1}, nil
+	return &dracoSW{chk: chk, obs: opts.Observer}, nil
 }
 
 // buildCoreChecker compiles a profile (compilation validates it) into a
@@ -78,14 +76,9 @@ func (e *dracoSW) SetProfile(p *seccomp.Profile) error {
 	}
 	e.prior.Add(e.chk.Stats)
 	e.chk = chk
-	e.gen++
 	return nil
 }
 
 func (e *dracoSW) VATBytes() int { return e.chk.VAT.SizeBytes() }
 
-func (e *dracoSW) Describe() Desc {
-	return Desc{Engine: "draco-sw", Profile: e.chk.Profile.Name, Generation: e.gen, Shards: 1}
-}
-
-func (e *dracoSW) Close() error { return closeObserver(e.obs) }
+func (e *dracoSW) Close() error { return nil }

@@ -10,14 +10,14 @@
 //	Check(sid, args) Decision   // the hot path: by-value in, by-value out
 //	CheckBatch(calls, dst)      // amortized batch checking
 //	SetProfile(p)               // policy replacement
-//	Stats() / Describe()        // aggregate counters and identity
-//	Close()                     // release resources, flush observers
+//	Stats()                     // aggregate counters
+//	Close()                     // release resources
 //
-// plus a name-keyed registry (see registry.go) so that the public API, the
-// simulator, the benchmarks and the tests all select mechanisms by name
-// instead of hand-wiring each one: adding a mechanism is one Register call,
-// not an N-site edit. The dracod service does not select: its tenants hold
-// the concurrent checker directly.
+// plus a name-keyed registry (see registry.go) so that the benchmarks and
+// the tests select mechanisms by name instead of hand-wiring each one:
+// adding a mechanism is one Register call, not an N-site edit. The dracod
+// service and the public draco.Checker do not select: they hold the
+// concurrent checker directly.
 //
 // The single-call hot path is allocation-free end to end for the software
 // engines: Args and Decision travel by value, statistics are pre-sized
@@ -98,25 +98,10 @@ type Observer interface {
 	Observe(Observation)
 }
 
-// Desc identifies an engine instance: which mechanism, what policy, and the
-// mechanism-specific shape parameters. The serving layer reports it in
-// stats responses.
-type Desc struct {
-	// Engine is the registry name the instance was built under.
-	Engine string
-	// Profile is the active policy's name.
-	Profile string
-	// Generation counts policy replacements, starting at 1.
-	Generation uint64
-	// Shards is the VAT shard fan-out (1 for unsharded engines).
-	Shards int
-	// Routing is the shard-routing key name ("" for unsharded engines).
-	Routing string
-}
-
 // Engine is the unified checking contract. Check and CheckBatch are the hot
-// paths; whether they are safe for concurrent use is a per-mechanism
-// property reported by the registry (Info.Concurrent).
+// paths. Only draco-concurrent is safe for concurrent use; the other
+// mechanisms serve one caller at a time (Lookup(name).Concurrent says
+// which).
 type Engine interface {
 	// Name returns the registry name the engine was built under.
 	Name() string
@@ -131,9 +116,6 @@ type Engine interface {
 	SetProfile(p *seccomp.Profile) error
 	// VATBytes returns the current Validated Argument Table footprint.
 	VATBytes() int
-	// Describe reports the instance's identity.
-	Describe() Desc
-	// Close releases resources and flushes the observer. The engine must
-	// not be used afterwards.
+	// Close releases resources. The engine must not be used afterwards.
 	Close() error
 }

@@ -7,10 +7,9 @@ import (
 
 func init() {
 	Register(Info{
-		Name:        "filter-only",
-		Description: "plain Seccomp filter on every call, no Draco caching (the paper's baseline mechanism)",
-		Concurrent:  false,
-		New:         newFilterOnly,
+		Name:       "filter-only",
+		Concurrent: false,
+		New:        newFilterOnly,
 	})
 }
 
@@ -26,7 +25,6 @@ type filterOnly struct {
 	// decision stream for a programmable profile.
 	prog  *ebpf.Attached
 	obs   Observer
-	gen   uint64
 	stats Stats
 }
 
@@ -40,7 +38,6 @@ func newFilterOnly(opts Options) (Engine, error) {
 		profile: opts.Profile,
 		prog:    attachProgram(opts.Profile),
 		obs:     opts.Observer,
-		gen:     1,
 	}, nil
 }
 
@@ -100,17 +97,12 @@ func (e *filterOnly) SetProfile(p *seccomp.Profile) error {
 	e.f = f
 	e.profile = p
 	e.prog = attachProgram(p)
-	e.gen++
 	return nil
 }
 
 func (e *filterOnly) VATBytes() int { return 0 }
 
-func (e *filterOnly) Describe() Desc {
-	return Desc{Engine: "filter-only", Profile: e.profile.Name, Generation: e.gen, Shards: 1}
-}
-
-func (e *filterOnly) Close() error { return closeObserver(e.obs) }
+func (e *filterOnly) Close() error { return nil }
 
 // sizeBatch returns dst resized to n results, reusing its capacity.
 func sizeBatch(dst []Decision, n int) []Decision {

@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
 
 	"draco/internal/core"
@@ -60,39 +56,6 @@ func (c *Counters) ByClass(class LatencyClass) uint64 {
 	return c.byClass[class].Load()
 }
 
-// TraceDump is an Observer writing one text line per check, for offline
-// analysis of an engine's decision stream:
-//
-//	sid=0 allowed=true cached=true class=vat-hit cycles=0
-//
-// Writes are buffered and serialized under a mutex, so a TraceDump may be
-// attached to a concurrent engine; Flush (or the owning engine's Close)
-// drains the buffer.
-type TraceDump struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-}
-
-// NewTraceDump builds a trace-dump observer over w.
-func NewTraceDump(w io.Writer) *TraceDump {
-	return &TraceDump{w: bufio.NewWriter(w)}
-}
-
-// Observe implements Observer.
-func (t *TraceDump) Observe(o Observation) {
-	t.mu.Lock()
-	fmt.Fprintf(t.w, "sid=%d allowed=%t cached=%t class=%s cycles=%d\n",
-		o.SID, o.Decision.Allowed, o.Decision.Cached, o.Class, o.CheckCycles)
-	t.mu.Unlock()
-}
-
-// Flush drains buffered lines to the underlying writer.
-func (t *TraceDump) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.w.Flush()
-}
-
 // MultiObserver fans one observation out to several observers.
 type MultiObserver []Observer
 
@@ -106,12 +69,4 @@ func (m MultiObserver) Observe(o Observation) {
 // observeOutcome delivers one software-checker outcome to obs.
 func observeOutcome(obs Observer, sid int, out *core.Outcome) {
 	obs.Observe(Observation{SID: sid, Decision: out.Decision(), CacheHit: !out.FilterRan, Class: out.Class()})
-}
-
-// closeObserver flushes observers that buffer (engines call it from Close).
-func closeObserver(obs Observer) error {
-	if t, ok := obs.(*TraceDump); ok {
-		return t.Flush()
-	}
-	return nil
 }

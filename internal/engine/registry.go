@@ -36,8 +36,6 @@ type Constructor func(opts Options) (Engine, error)
 type Info struct {
 	// Name is the registry key.
 	Name string
-	// Description is a one-line summary for listings.
-	Description string
 	// Concurrent reports whether instances are safe for concurrent use as
 	// built; the others serve one caller at a time.
 	Concurrent bool
@@ -81,18 +79,6 @@ func Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Infos lists the registrations, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for _, info := range registry {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -8,6 +8,10 @@ go vet ./...
 test -z "$(gofmt -l .)"
 # The contract benchmark is a nested module built against this one.
 (cd benchmark && go vet ./... && go test ./...)
+# Every example runs to completion: they are the public surface's callers.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
 # The experiments suite needs well over 30m under -race on slow runners.
 go test -race -timeout 60m ./...
 
@@ -17,7 +21,7 @@ go test -race -timeout 60m ./...
 # (interp = compiled in Decision and Stats, bitmap = interp in action),
 # bitmap soundness, and fold-vs-hook (Stats against a Counters observer,
 # which /metrics rests on).
-go test -count=1 -run 'ZeroAllocs|Differential' ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+go test -count=1 -run 'ZeroAllocs|Differential' . ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
 go test -race -count=1 -run 'TestFoldMatchesHookRace' ./internal/engine/
 # Full depth here; under -race it runs a tenth of the swaps.
 go test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
