@@ -25,8 +25,10 @@ test:
 test-race:
 	$(GO) test -race -timeout 60m ./...
 
-# bench runs the concurrent checker's parallel throughput benchmarks across
-# 1/4/16-shard configurations.
+# bench runs the concurrent checker's parallel throughput benchmarks on the
+# serving tier, single checks and 64-call batches, per traffic shape: warm
+# hits (lock-free) and a 10% deny mix (the denials take the lock). Add
+# -cpu 1,2 through GOFLAGS to see what a second caller adds.
 bench:
 	$(GO) test -run='^$$' -bench 'BenchmarkConcurrentChecker' -benchmem ./internal/concurrent
 
@@ -38,13 +40,14 @@ bench:
 bench-server:
 	$(GO) test -run='^$$' -bench 'BenchmarkShmCheck' -benchmem ./internal/server
 
-# bench-engine runs the registry-level sweep: every engine serially plus the
-# shard grid through draco-concurrent.
+# bench-engine runs the registry-level sweep: every engine serially, plus
+# parallel callers through draco-concurrent.
 bench-engine:
 	$(GO) test -run='^$$' -bench 'BenchmarkEngine' -benchmem ./internal/engine
 
-# bench-batch compares the shard-grouped CheckBatch path against the
-# one-lock-per-call baseline at batch sizes 8/64/512.
+# bench-batch compares CheckBatchDecisions (lock-free pass, then one lock
+# for the residue) against the same calls through CheckDecision one by one
+# at batch sizes 8/64/512.
 bench-batch:
 	$(GO) test -run='^$$' -bench 'BenchmarkCheckBatch' -benchmem ./internal/concurrent
 

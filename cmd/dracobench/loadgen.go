@@ -80,9 +80,7 @@ func loadgenMode(out io.Writer, cfg loadgenConfig) ([]loadgenResult, error) {
 	if wireConns <= 0 {
 		wireConns = 4
 	}
-	const shards = 8
-
-	srv := server.New(server.Options{Shards: shards, Routing: "syscall"})
+	srv := server.New(server.Options{})
 	// One session hub behind both binary front ends: frame dispatch is
 	// shared, the edges differ only in framing.
 	hub := srv.NewSessionHub(server.SessionOptions{})

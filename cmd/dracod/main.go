@@ -3,10 +3,11 @@
 //
 // Serving:
 //
-//	dracod serve -addr :8477 -shards 8 -default-profile docker
+//	dracod serve -addr :8477 -default-profile docker
 //
-// Every tenant is checked by Draco's sharded concurrent checker
-// (draco-concurrent) with the bitmap filter tier. The service listens on
+// Every tenant is checked by Draco's concurrent checker (draco-concurrent)
+// with the bitmap filter tier: one SPT and VAT per profile generation under
+// one lock, with lock-free hits. The service listens on
 // up to three fronts over one tenant set. Checks travel over the
 // length-prefixed binary wire protocol (-wire, see internal/wire) with
 // pipelined connections, and over shared-memory submission/completion
@@ -42,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"draco/internal/concurrent"
 	"draco/internal/engine"
 	"draco/internal/seccomp"
 	"draco/internal/server"
@@ -127,7 +127,6 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8477", "HTTP listen address")
 	wireAddr := fs.String("wire", ":8478", "wire-protocol listen address (empty = disabled)")
 	shmDir := fs.String("shm", "", "serve the shared-memory transport from this directory (empty = disabled)")
-	shards := fs.Int("shards", concurrent.DefaultShards, "VAT shards per tenant (power of two)")
 	preset := fs.String("default-profile", "docker", "auto-provision tenants with this preset (docker, docker-masked, gvisor, firecracker, none)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	fs.Parse(args)
@@ -136,7 +135,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := server.New(server.Options{Shards: *shards, DefaultProfile: def})
+	srv := server.New(server.Options{DefaultProfile: def})
 	handler := srv.Handler()
 	if *pprofOn {
 		// Mount the profiler next to the API instead of importing
@@ -196,7 +195,7 @@ func runServe(args []string) error {
 		}()
 		extra += ", shm in " + *shmDir
 	}
-	log.Printf("listening on %s (engine=%s shards=%d default-profile=%s%s)", *addr, server.DefaultEngine, *shards, defProfile, extra)
+	log.Printf("listening on %s (engine=%s default-profile=%s%s)", *addr, server.DefaultEngine, defProfile, extra)
 	return hs.ListenAndServe()
 }
 

@@ -4,35 +4,28 @@ import (
 	"fmt"
 	"testing"
 
-	"draco/internal/profilegen"
-	"draco/internal/workloads"
+	"draco/internal/core"
 )
 
-// benchBatchSetup builds a warm checker over the first workload's trace and
-// the call slices the batch benchmarks replay.
-func benchBatchSetup(b testing.TB, shards int) (*Checker, []Call) {
-	b.Helper()
-	w := workloads.All()[0]
-	tr := w.Generate(50_000, 42)
-	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c := mustChecker(b, p, shards)
-	calls := make([]Call, len(tr))
-	for i, ev := range tr {
-		calls[i] = Call{SID: ev.SID, Args: ev.Args}
-		c.Check(ev.SID, ev.Args)
-	}
-	return c, calls
+// benchBatchSetup builds a warm serving-tier checker over the first
+// workload's trace and the calls the batch benchmarks replay.
+func benchBatchSetup(tb testing.TB) (*Checker, []Call) {
+	tb.Helper()
+	p, traffics := benchTraffics(tb)
+	calls := traffics[0].calls
+	return warmChecker(tb, p, calls), calls
 }
 
-// BenchmarkCheckBatchGrouped measures the shard-grouped batch path (one
-// lock per touched shard per batch) against BenchmarkCheckBatchNaive (one
-// lock per call) at the service's batch sizes. The 512-call case is the
+// BenchmarkCheckBatchBatched measures CheckBatchDecisions (the lock-free
+// pass, then one lock for the residue) against
+// BenchmarkCheckBatchOneByOne (the same calls through CheckDecision one at
+// a time) at the service's batch sizes. The 512-call case is the
 // stack-buffer cutoff; 8 and 64 sit well inside it.
-func BenchmarkCheckBatchGrouped(b *testing.B) {
+func BenchmarkCheckBatchBatched(b *testing.B) {
 	for _, size := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			c, calls := benchBatchSetup(b, 16)
-			var dst []Outcome
+			c, calls := benchBatchSetup(b)
+			var dst []core.Decision
 			off := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -40,20 +33,21 @@ func BenchmarkCheckBatchGrouped(b *testing.B) {
 				if off+size > len(calls) {
 					off = 0
 				}
-				dst = c.CheckBatch(calls[off:off+size], dst)
+				dst = c.CheckBatchDecisions(calls[off:off+size], dst)
 				off += size
 			}
 		})
 	}
 }
 
-// BenchmarkCheckBatchNaive is the ungrouped baseline: the same batches
-// checked call by call, paying the route + lock + unlock on every call.
-func BenchmarkCheckBatchNaive(b *testing.B) {
+// BenchmarkCheckBatchOneByOne is the unbatched baseline: the same batches
+// checked call by call, each loading the state and, on a miss, taking the
+// lock on its own.
+func BenchmarkCheckBatchOneByOne(b *testing.B) {
 	for _, size := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			c, calls := benchBatchSetup(b, 16)
-			dst := make([]Outcome, size)
+			c, calls := benchBatchSetup(b)
+			dst := make([]core.Decision, size)
 			off := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -61,8 +55,9 @@ func BenchmarkCheckBatchNaive(b *testing.B) {
 				if off+size > len(calls) {
 					off = 0
 				}
-				for j, cl := range calls[off : off+size] {
-					dst[j] = c.Check(cl.SID, cl.Args)
+				for j := range calls[off : off+size] {
+					cl := &calls[off+j]
+					dst[j] = c.CheckDecision(cl.SID, &cl.Args)
 				}
 				off += size
 			}
@@ -70,11 +65,11 @@ func BenchmarkCheckBatchNaive(b *testing.B) {
 	}
 }
 
-// TestCheckBatchZeroAllocs pins the grouped batch path at zero heap
-// allocations for batches up to batchStack when dst is reused: the
-// counting-sort index buffers live on the stack.
+// TestCheckBatchZeroAllocs pins the batch path at zero heap allocations
+// for batches up to batchStack when dst is reused: the residue list lives
+// on the stack.
 func TestCheckBatchZeroAllocs(t *testing.T) {
-	c, calls := benchBatchSetup(t, 16)
+	c, calls := benchBatchSetup(t)
 	for _, size := range []int{8, 64, batchStack} {
 		dst := make([]Outcome, size)
 		off := 0

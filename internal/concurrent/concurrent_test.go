@@ -1,6 +1,9 @@
 package concurrent
 
 import (
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"draco/internal/core"
@@ -20,9 +23,9 @@ func sequentialChecker(t testing.TB, p *seccomp.Profile) *core.Checker {
 	return core.NewChecker(p, seccomp.Chain{f})
 }
 
-func mustChecker(t testing.TB, p *seccomp.Profile, shards int) *Checker {
+func mustChecker(t testing.TB, p *seccomp.Profile) *Checker {
 	t.Helper()
-	c, err := NewCheckerConfig(p, Config{Shards: shards, Mode: seccomp.ExecCompiled})
+	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func mustChecker(t testing.TB, p *seccomp.Profile, shards int) *Checker {
 
 // decision is the externally visible outcome of one check: what the service
 // reports to a caller. The differential test requires these to be identical
-// between the sequential and the sharded checker.
+// between the sequential and the concurrent checker.
 type decision struct {
 	allowed  bool
 	cached   bool
@@ -44,7 +47,7 @@ func decide(o core.Outcome) decision {
 }
 
 // TestDifferentialAgainstSequential replays a 100k-event trace of every
-// workload through the sharded checker and the sequential core.Checker and
+// workload through the concurrent checker and the sequential core.Checker and
 // requires identical allow/deny/cached decisions event for event, under
 // both the workload's complete application-specific profile and the Docker
 // default profile.
@@ -62,26 +65,29 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 			}
 			for pname, p := range profiles {
 				seq := sequentialChecker(t, p)
-				con := mustChecker(t, p, 4)
+				con := mustChecker(t, p)
 				for i, ev := range tr {
 					want := decide(seq.Check(ev.SID, ev.Args))
 					got := decide(con.Check(ev.SID, ev.Args))
 					if got != want {
-						t.Fatalf("%s event %d (sid=%d args=%v): sequential %+v, sharded %+v",
+						t.Fatalf("%s event %d (sid=%d args=%v): sequential %+v, concurrent %+v",
 							pname, i, ev.SID, ev.Args, want, got)
 					}
 				}
 				ss, cs := seq.Stats, con.Stats()
 				if ss.Checks != cs.Checks || ss.FilterRuns != cs.FilterRuns || ss.Denied != cs.Denied {
-					t.Fatalf("%s stats diverge: sequential %+v, sharded %+v", pname, ss, cs)
+					t.Fatalf("%s stats diverge: sequential %+v, concurrent %+v", pname, ss, cs)
 				}
 			}
 		})
 	}
 }
 
-// TestDifferentialShardCounts repeats the differential comparison across
-// shard fan-outs on one workload, including the degenerate 1-shard case.
+// TestDifferentialShardCounts replays one workload's 100k-event trace
+// through one checker and the sequential core.Checker and requires the same
+// decision on every event and the same Stats at the end: one SPT and VAT
+// per generation, under one lock, is the sequential checker plus lock-free
+// hits.
 func TestDifferentialShardCounts(t *testing.T) {
 	w, ok := workloads.ByName("nginx")
 	if !ok {
@@ -90,18 +96,15 @@ func TestDifferentialShardCounts(t *testing.T) {
 	tr := w.Generate(100_000, 7)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
 	seq := sequentialChecker(t, p)
-	shardCounts := []int{1, 4, 16}
-	cons := make([]*Checker, len(shardCounts))
-	for i, n := range shardCounts {
-		cons[i] = mustChecker(t, p, n)
-	}
+	con := mustChecker(t, p)
 	for i, ev := range tr {
 		want := decide(seq.Check(ev.SID, ev.Args))
-		for j, con := range cons {
-			if got := decide(con.Check(ev.SID, ev.Args)); got != want {
-				t.Fatalf("event %d shards=%d: sequential %+v, sharded %+v", i, shardCounts[j], want, got)
-			}
+		if got := decide(con.Check(ev.SID, ev.Args)); got != want {
+			t.Fatalf("event %d (sid=%d args=%v): sequential %+v, concurrent %+v", i, ev.SID, ev.Args, want, got)
 		}
+	}
+	if ss, cs := seq.Stats, con.Stats(); ss != cs {
+		t.Fatalf("stats diverge:\nsequential %+v\nconcurrent %+v", ss, cs)
 	}
 }
 
@@ -111,8 +114,8 @@ func TestBatchMatchesSingle(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 11)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	single := mustChecker(t, p, 4)
-	batched := mustChecker(t, p, 4)
+	single := mustChecker(t, p)
+	batched := mustChecker(t, p)
 
 	const batchSize = 64
 	for off := 0; off < len(tr); off += batchSize {
@@ -137,8 +140,91 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestProgrammableBatchOrder pins batch order across syscalls under a
+// stateful program: the shipped open-before-read policy denies read until
+// an open or openat has been seen. A batch interleaves the stateful calls
+// with constant allows (close, fstat, write) and a constant deny (getpid),
+// and CheckBatch and CheckBatchDecisions must each answer what a twin
+// checker answers through CheckDecision one call at a time, with the same
+// Stats up to the classes that name the serving path (a constant allow not
+// yet seeded when the batch began is an id-fast check in the batch and a
+// fast hit one by one). Every batch runs on fresh checkers, so each starts
+// a blank map epoch; seeded random batches add interleavings beyond the
+// fixed one.
+func TestProgrammableBatchOrder(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "examples", "programmable", "open-before-read.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, err := seccomp.ReadJSON(f, "open-before-read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]string{{"read", "getpid", "read", "open", "read", "fstat", "getpid", "read", "close", "openat", "read", "write"}}
+	pool := []string{"read", "read", "read", "getpid", "open", "openat", "close", "fstat", "write"}
+	rng := rand.New(rand.NewSource(29))
+	for b := 0; b < 50; b++ {
+		batch := make([]string, 1+rng.Intn(64))
+		for i := range batch {
+			batch[i] = pool[rng.Intn(len(pool))]
+		}
+		batches = append(batches, batch)
+	}
+	mk := func() *Checker {
+		c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var reads, deniedReads int
+	for bi, batch := range batches {
+		calls := make([]Call, len(batch))
+		for i, n := range batch {
+			calls[i] = Call{SID: syscalls.MustByName(n).Num, Args: hashes.Args{3, 0, 4096}}
+		}
+		twin, outs, decs := mk(), mk(), mk()
+		gotOuts := outs.CheckBatch(calls, nil)
+		gotDecs := decs.CheckBatchDecisions(calls, nil)
+		for i := range calls {
+			want := twin.CheckDecision(calls[i].SID, &calls[i].Args)
+			if d := gotOuts[i].Decision(); d != want {
+				t.Fatalf("batch %d call %d (%s): CheckBatch %+v, one by one %+v", bi, i, batch[i], d, want)
+			}
+			if gotDecs[i] != want {
+				t.Fatalf("batch %d call %d (%s): CheckBatchDecisions %+v, one by one %+v", bi, i, batch[i], gotDecs[i], want)
+			}
+			if batch[i] == "read" {
+				reads++
+				if !want.Allowed {
+					deniedReads++
+				}
+			}
+		}
+		ws := pathFree(twin.Stats())
+		for name, c := range map[string]*Checker{"CheckBatch": outs, "CheckBatchDecisions": decs} {
+			if s := pathFree(c.Stats()); s != ws {
+				t.Fatalf("batch %d: %s stats diverge:\nbatch      %+v\none by one %+v", bi, name, s, ws)
+			}
+		}
+	}
+	// Both orders must occur, or the test proves nothing about order.
+	if deniedReads == 0 || deniedReads == reads {
+		t.Fatalf("%d of %d reads denied: the batches do not mix reads before and after an open", deniedReads, reads)
+	}
+}
+
+// pathFree folds the classes of plane constants, which name the path that
+// served, into the locked path's: a fast hit is an id-fast check.
+func pathFree(s Stats) Stats {
+	s.Classes[core.ClassIDFast] += s.Classes[core.ClassFastHit]
+	s.Classes[core.ClassFastHit] = 0
+	return s
+}
+
 func TestCheckBatchEmptyAndReuse(t *testing.T) {
-	c := mustChecker(t, seccomp.DockerDefault(), 2)
+	c := mustChecker(t, seccomp.DockerDefault())
 	if got := c.CheckBatch(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
@@ -171,7 +257,7 @@ func TestHotSwapSemantics(t *testing.T) {
 		},
 	}
 
-	c := mustChecker(t, allowRead, 4)
+	c := mustChecker(t, allowRead)
 	if out := c.Check(read, hashes.Args{}); !out.Allowed || !out.FilterRan {
 		t.Fatalf("first read: %+v", out)
 	}
@@ -213,7 +299,7 @@ func TestHotSwapSemantics(t *testing.T) {
 }
 
 func TestSetProfileRejectsInvalid(t *testing.T) {
-	c := mustChecker(t, seccomp.DockerDefault(), 2)
+	c := mustChecker(t, seccomp.DockerDefault())
 	bad := &seccomp.Profile{Name: "bad", DefaultAction: seccomp.ActAllow}
 	if err := c.SetProfile(bad); err == nil {
 		t.Fatal("SetProfile accepted an allowing-default profile")
@@ -224,33 +310,8 @@ func TestSetProfileRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestNewCheckerShardValidation(t *testing.T) {
-	p := seccomp.DockerDefault()
-	for _, bad := range []int{-1, 3, 5, 1000, MaxShards * 2} {
-		if _, err := NewCheckerConfig(p, Config{Shards: bad}); err == nil {
-			t.Fatalf("NewCheckerConfig accepted shard count %d", bad)
-		}
-	}
-	for _, good := range []int{1, 4, MaxShards} {
-		c, err := NewCheckerConfig(p, Config{Shards: good})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Shards() != good {
-			t.Fatalf("shards = %d, want %d", c.Shards(), good)
-		}
-	}
-	c, err := NewCheckerConfig(p, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shards() != DefaultShards {
-		t.Fatalf("default shards = %d, want %d", c.Shards(), DefaultShards)
-	}
-}
-
 func TestResetClearsCache(t *testing.T) {
-	c := mustChecker(t, seccomp.DockerDefault(), 2)
+	c := mustChecker(t, seccomp.DockerDefault())
 	read := syscalls.MustByName("read").Num
 	c.Check(read, hashes.Args{})
 	if out := c.Check(read, hashes.Args{}); out.FilterRan {
@@ -270,7 +331,7 @@ func TestVATBytesGrows(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(5_000, 3)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c := mustChecker(t, p, 4)
+	c := mustChecker(t, p)
 	if c.VATBytes() != 0 {
 		t.Fatalf("fresh checker VATBytes = %d, want 0", c.VATBytes())
 	}
@@ -288,7 +349,7 @@ func TestTracesExerciseArgChecking(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(10_000, 5)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c := mustChecker(t, p, 4)
+	c := mustChecker(t, p)
 	var argChecked int
 	for _, ev := range tr {
 		if c.Check(ev.SID, ev.Args).ArgsChecked {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestDifferentialExecModes replays 100k-event traces of every workload
-// through the sharded checker under each filter execution tier and pins the
+// through the concurrent checker under each filter execution tier and pins the
 // tier contracts where the tier is chosen (Config.Mode):
 //
 //   - interp vs compiled: the compiled direct-threaded program is decision-
@@ -28,7 +28,7 @@ func TestDifferentialExecModes(t *testing.T) {
 			tr := w.Generate(100_000, 0xD12AC0)
 			p := profilegen.Complete(w.Name, tr, genOpts)
 			mk := func(mode seccomp.ExecMode) *Checker {
-				c, err := NewCheckerConfig(p, Config{Shards: 4, Routing: RouteBySyscall, Mode: mode})
+				c, err := NewCheckerConfig(p, Config{Mode: mode})
 				if err != nil {
 					t.Fatalf("%v: %v", mode, err)
 				}
@@ -55,20 +55,5 @@ func TestDifferentialExecModes(t *testing.T) {
 				t.Fatalf("bitmap stats diverge: interp %+v, bitmap %+v", si, sb)
 			}
 		})
-	}
-}
-
-func TestParseRouting(t *testing.T) {
-	for in, want := range map[string]Routing{"": RouteBySyscall, "syscall": RouteBySyscall} {
-		if got, err := ParseRouting(in); err != nil || got != want {
-			t.Fatalf("ParseRouting(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	// "args" spread one syscall's table over shards; it is gone, because a
-	// plane record must name the one table its syscall has.
-	for _, in := range []string{"hash", "args"} {
-		if _, err := ParseRouting(in); err == nil {
-			t.Fatalf("routing %q accepted", in)
-		}
 	}
 }

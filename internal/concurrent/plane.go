@@ -1,16 +1,16 @@
 package concurrent
 
-// The decision plane is the lock-free hit path of the sharded checker: at
+// The decision plane is the lock-free hit path of the concurrent checker: at
 // SetProfile time the profile, the filter's constant-action bitmap, and the
 // programmable policy's classification are compiled into one flat table —
-// a dense per-syscall record holding the syscall's shard and, where
-// provable, the entire decision. Check paths consult the plane before
-// touching any shard: syscalls whose outcome is a compile-time constant are
-// answered with zero locks, zero map or table probes, and zero filter
-// execution. An argument-checked syscall's record also points at its VAT
-// table, once the locked path has created it, and checks probe that table
-// with no lock under the table's seqlock (internal/cuckoo). Only misses,
-// disturbed probes and must-run stateful programs take the shard lock.
+// a dense per-syscall record holding, where provable, the entire decision.
+// Check paths consult the plane before taking the generation's lock:
+// syscalls whose outcome is a compile-time constant are answered with zero
+// locks, zero map or table probes, and zero filter execution. An
+// argument-checked syscall's record also points at its VAT table, once the
+// locked path has created it, and checks probe that table with no lock
+// under the table's seqlock (internal/cuckoo). Only misses, disturbed
+// probes and must-run stateful programs take the lock.
 //
 // Soundness of the constants leans entirely on analyses that already
 // exist: a record is constant only when seccomp.ComputeBitmap proved the
@@ -27,11 +27,11 @@ package concurrent
 // in one atomic store. Records are immutable after construction except for
 // three atomics — a hit counter (folded into Stats), the constAllow
 // "seeded" latch described below, and the table pointer, stored once under
-// the shard lock and never replaced within a generation. A superseded plane
-// is sealed: each counter is folded into the checker's running total and
-// marked, and a late reader whose count lands on a marked counter retries
-// on the new plane, so the old generation can be dropped without losing a
-// check.
+// the generation's lock and never replaced within a generation. A
+// superseded plane is sealed: each counter is folded into the checker's
+// running total and marked, and a late reader whose count lands on a marked
+// counter retries on the new plane, so the old generation can be dropped
+// without losing a check.
 
 import (
 	"sync/atomic"
@@ -44,7 +44,7 @@ import (
 )
 
 // Record kinds. fallthrough is the zero value: any syscall the plane
-// cannot prove constant routes to the locked shard path.
+// cannot prove constant goes to the locked path.
 const (
 	planeFallthrough uint8 = iota
 	// planeConstAllow: the bitmap proved the chain returns an allowing
@@ -61,14 +61,11 @@ const (
 	planeConstDeny
 )
 
-// planeRecord is one syscall's compiled decision-plane entry: its shard,
-// its VAT table once there is one, and the precomputed outcome when the
-// decision is constant.
+// planeRecord is one syscall's compiled decision-plane entry: its VAT
+// table once there is one, and the precomputed outcome when the decision is
+// constant.
 type planeRecord struct {
 	kind uint8
-	// shard is the syscall's shard: a pure function of the number, so it is
-	// hashed once at plane build instead of per check.
-	shard uint16
 	// steady is the outcome a fast hit returns, byte-identical to what the
 	// locked path would report in steady state, with FastHit set.
 	steady core.Outcome
@@ -76,8 +73,8 @@ type planeRecord struct {
 	// fallthrough record — folded into Stats by kind. sealBit is set once
 	// the generation is retired and the count folded.
 	hits atomic.Uint64
-	// table is the syscall's VAT table in its shard's checker. The locked
-	// path stores it, under the shard lock, when the table exists; until
+	// table is the syscall's VAT table in the generation's checker. The
+	// locked path stores it, under the lock, when the table exists; until
 	// then (and always under NoFastPath) it is nil and nothing is probed
 	// lock-free.
 	table atomic.Pointer[cuckoo.Table]
@@ -85,10 +82,10 @@ type planeRecord struct {
 	// The first check must take the locked path: it runs the filter once
 	// (ticking FilterRuns and reporting FilterRan/BitmapHit exactly like
 	// the sequential checker's first check) and installs the SPT entry.
-	// Once any shard has done that, the steady outcome is fixed and the
-	// plane takes over. The latch is a fidelity gate, not a
-	// synchronization point: steady is immutable, and serving it a check
-	// early or late never changes a decision, only which path reports it.
+	// Once that is done, the steady outcome is fixed and the plane takes
+	// over. The latch is a fidelity gate, not a synchronization point:
+	// steady is immutable, and serving it a check early or late never
+	// changes a decision, only which path reports it.
 	seeded atomic.Bool
 }
 
@@ -110,10 +107,10 @@ type plane struct {
 
 // buildPlane compiles the profile into the decision plane. bm is the
 // shared filter's constant-action bitmap (nil below ExecBitmap), prog the
-// generation's attached program (nil without one). When noFast is set the
-// plane still carries the shards but marks every record fallthrough and
-// publishes no table — the measurement baseline for the lock-free paths.
-func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool, nShards int) *plane {
+// generation's attached program (nil without one). When noFast is set
+// every record is fallthrough and no table is published — the measurement
+// baseline for the lock-free paths.
+func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool) *plane {
 	maxNum := 0
 	for _, r := range p.Rules {
 		if r.Syscall.Num > maxNum {
@@ -129,11 +126,6 @@ func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noF
 		n = seccomp.BitmapMaxNr
 	}
 	pl := &plane{records: make([]planeRecord, n), enabled: useBM, probing: !noFast}
-	if nShards > 1 {
-		for sid := range pl.records {
-			pl.records[sid].shard = uint16(sidShard(sid, nShards))
-		}
-	}
 	if !useBM {
 		return pl
 	}
@@ -245,7 +237,7 @@ func compileRecord(rec *planeRecord, sid int, p *seccomp.Profile, bm *seccomp.Bi
 
 // fastCheck resolves one call from the plane: a non-nil outcome is the
 // decision (the record's steady outcome, in place). Otherwise the call goes
-// on to the VAT probe and the locked shard path — unless sealed, which says
+// on to the VAT probe and the locked path — unless sealed, which says
 // the generation was retired before the hit could be counted in it and the
 // call must be redone on the checker's current state. Lock-free: one bounds
 // check, one kind switch, one atomic add on the hit path.
@@ -310,10 +302,10 @@ func (pl *plane) contains(sid int, args *hashes.Args) (found, sealed bool) {
 }
 
 // noteLocked records that a locked check of sid completed with out on chk,
-// under chk's shard lock. It seeds a constAllow record — the locked check
-// ran the filter and installed the SPT entry, so the steady outcome is live
-// from now on — and publishes a syscall's VAT table to lock-free probes the
-// first time an argument-checked outcome shows the table exists.
+// under the generation's lock. It seeds a constAllow record — the locked
+// check ran the filter and installed the SPT entry, so the steady outcome
+// is live from now on — and publishes a syscall's VAT table to lock-free
+// probes the first time an argument-checked outcome shows the table exists.
 func (pl *plane) noteLocked(sid int, out *core.Outcome, chk *core.Checker) {
 	if uint(sid) >= uint(len(pl.records)) {
 		return

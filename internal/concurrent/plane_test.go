@@ -40,17 +40,17 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 				"docker-default": seccomp.DockerDefault(),
 			}
 			for pname, p := range profiles {
-				fast, err := NewCheckerConfig(p, Config{Shards: 4, Mode: seccomp.ExecBitmap})
+				fast, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := NewCheckerConfig(p, Config{Shards: 4, Mode: seccomp.ExecBitmap, NoFastPath: true})
+				slow, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap, NoFastPath: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				// A third checker answers through the decision entry points
 				// only, with H1-first lock-free probes.
-				dec, err := NewCheckerConfig(p, Config{Shards: 4, Mode: seccomp.ExecBitmap})
+				dec, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,9 +67,9 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 							pname, i, ev.SID, ev.Args, d, want.Decision())
 					}
 				}
-				// Batch entry point, deliberately uneven batch sizes so both
-				// the single-shard loop and the grouped drain see plane-
-				// resolved calls at every position.
+				// Batch entry point, deliberately uneven batch sizes so the
+				// lock-free pass and the locked drain see plane-resolved
+				// calls at every position.
 				sizes := []int{1, 3, 64, 17, 128, 5, 31}
 				var calls []Call
 				var decs []core.Decision
@@ -147,7 +147,7 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 }
 
 // lockFreeVATHits sums the VAT hits the live generation served without the
-// shard lock.
+// lock.
 func lockFreeVATHits(c *Checker) uint64 {
 	var n uint64
 	pl := c.state.Load().plane
@@ -174,7 +174,7 @@ func TestFastPathHotSwapHammer(t *testing.T) {
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
 	// Bitmap execution activates the plane.
-	c, err := NewCheckerConfig(full, Config{Shards: 4, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(full, Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestVATProbeHotSwapHammer(t *testing.T) {
 	// Two equal policies, so every swap is a new generation with empty
 	// tables and both allow every trace event.
 	profiles := []*seccomp.Profile{profilegen.Complete(w.Name, tr, genOpts), profilegen.Complete(w.Name, tr, genOpts)}
-	c, err := NewCheckerConfig(profiles[0], Config{Shards: 4, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(profiles[0], Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestFastPathCheckZeroAllocs(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 0xA110C)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Shards: 4, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestCheckDecisionZeroAllocs(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 0xA110C)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Shards: 4, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}

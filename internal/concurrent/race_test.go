@@ -22,7 +22,7 @@ func TestHammerWithHotSwap(t *testing.T) {
 	full := profilegen.Complete(w.Name, tr, genOpts)
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
-	c, err := NewCheckerConfig(full, Config{Shards: 4, Mode: seccomp.ExecCompiled})
+	c, err := NewCheckerConfig(full, Config{Mode: seccomp.ExecCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,6 @@ func TestHammerWithHotSwap(t *testing.T) {
 			for i := 0; i < 5_000; i++ {
 				_ = c.Generation()
 				_ = c.Profile().Name
-				_ = c.Shards()
 			}
 		}()
 	}

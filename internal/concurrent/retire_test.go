@@ -1,7 +1,6 @@
 package concurrent
 
 import (
-	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -10,34 +9,6 @@ import (
 	"draco/internal/seccomp"
 	"draco/internal/workloads"
 )
-
-// TestStoredShardMatchesCRCRouting recomputes RouteBySyscall's CRC-64 from
-// scratch for every plane record (and for numbers beyond the plane) and
-// requires the shard the plane stored at build to be that one, at every
-// fan-out shape.
-func TestStoredShardMatchesCRCRouting(t *testing.T) {
-	w := workloads.All()[0]
-	p := profilegen.Complete(w.Name, w.Generate(5_000, 15), profilegen.Options{IncludeRuntime: true})
-	crcShard := func(n int, sid uint64) int {
-		return int(hashes.Sum64(binary.LittleEndian.AppendUint64(nil, sid)) % uint64(n))
-	}
-	for _, n := range []int{1, 2, 8, 1024} {
-		c, err := NewCheckerConfig(p, Config{Shards: n, Mode: seccomp.ExecBitmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := c.state.Load()
-		if len(st.plane.records) < seccomp.BitmapMaxNr {
-			t.Fatalf("plane has %d records, want the bitmap's %d", len(st.plane.records), seccomp.BitmapMaxNr)
-		}
-		// Every record, and on either side of the plane a number without one.
-		for sid := -1; sid <= len(st.plane.records); sid++ {
-			if got, want := st.shardIndex(sid), crcShard(n, uint64(sid)); got != want {
-				t.Fatalf("shards=%d sid=%d: routed to %d, CRC says %d", n, sid, got, want)
-			}
-		}
-	}
-}
 
 // TestSwapsReleaseRetiredGenerations swaps the profile 2000 times with
 // checks on every path in between. A superseded generation is folded into
@@ -51,7 +22,7 @@ func TestSwapsReleaseRetiredGenerations(t *testing.T) {
 		profilegen.Complete(w.Name, tr, genOpts),
 		profilegen.NoArgs(w.Name, tr, genOpts),
 	}
-	c, err := NewCheckerConfig(profiles[0], Config{Shards: 8, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(profiles[0], Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +78,14 @@ func TestSwapsReleaseRetiredGenerations(t *testing.T) {
 
 // TestStaleGenerationIsRedone holds on to a generation across the swap that
 // retires it, the way a check that loaded the state just before the swap
-// does: the sealed plane must refuse its constants, every shard must be
-// sealed, the grouped batch drain must redo its calls on the successor, and
-// Stats must count each call exactly once.
+// does: the sealed plane must refuse its constants, the generation must be
+// sealed, the batch drain must redo its calls on the successor, and Stats
+// must count each call exactly once.
 func TestStaleGenerationIsRedone(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(2_000, 15)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Shards: 8, Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +120,8 @@ func TestStaleGenerationIsRedone(t *testing.T) {
 			t.Fatalf("sealed plane answered sid %d", cl.SID)
 		}
 	}
-	for i, sh := range stale.shards {
-		if !sh.sealed {
-			t.Fatalf("shard %d of the retired generation is not sealed", i)
-		}
+	if !stale.sealed {
+		t.Fatal("the retired generation is not sealed")
 	}
 	if got := c.Stats().Checks; got != issued {
 		t.Fatalf("refused calls were counted: Stats().Checks = %d, issued %d", got, issued)
@@ -160,7 +129,7 @@ func TestStaleGenerationIsRedone(t *testing.T) {
 
 	n := len(calls)
 	dst := make([]Outcome, n)
-	c.drainGrouped(stale, calls, dst, make([]int32, n), make([]int32, n), make([]int32, len(stale.shards)+1))
+	c.drainTo(stale, calls, batchDst{outs: dst}, make([]int32, n))
 	for i, cl := range calls {
 		want := c.Check(cl.SID, cl.Args)
 		// The redone call was the successor's first of its kind; the

@@ -283,8 +283,7 @@ func (c *Checker) slowPath(sid int, args hashes.Args, out Outcome) Outcome {
 
 // BitmaskFor derives the SPT Argument Bitmask from a profile rule: the
 // meaningful bytes (per the argument's declared width) of every checked
-// argument. It is exported because the concurrent checker routes argument
-// sets to VAT shards by the same masked-byte hash the SPT uses.
+// argument.
 func BitmaskFor(rule seccomp.Rule) uint64 {
 	var m uint64
 	cover := func(idx int) {

@@ -41,7 +41,7 @@ func ValidateSpecs(specs []MapSpec) error {
 
 // MapSet is the live per-tenant state for one attached program: one atomic
 // uint64 array per declared map. Slots are lock-free, so a single MapSet is
-// shared by every VAT shard of a concurrent checker; a profile hot-swap
+// shared by every caller of a concurrent checker; a profile hot-swap
 // builds a fresh MapSet, the same epoch semantic the VAT applies to cached
 // decisions: new generation, blank state.
 type MapSet struct {

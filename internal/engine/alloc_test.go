@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"draco/internal/profilegen"
+	"draco/internal/seccomp"
 	"draco/internal/workloads"
 )
 
@@ -19,24 +20,32 @@ import (
 // cuckoo evictions — none of which may allocate either).
 func warmEngine(t testing.TB, name string, opts Options) (Engine, []Call) {
 	t.Helper()
-	w := workloads.All()[0]
-	tr := w.Generate(20_000, 0xA110C)
-	opts.Profile = profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
+	p, calls := allocTrace()
+	opts.Profile = p
 	e, err := New(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := make([]Call, len(tr))
-	for i, ev := range tr {
-		calls[i] = Call{SID: ev.SID, Args: ev.Args}
-		e.Check(ev.SID, ev.Args)
+	for _, cl := range calls {
+		e.Check(cl.SID, cl.Args)
 	}
 	return e, calls
 }
 
-// assertZeroAllocs replays the warm trace under testing.AllocsPerRun and
-// requires zero allocations per checked call.
-func assertZeroAllocs(t *testing.T, e Engine, calls []Call) {
+// allocTrace is the first workload's trace and its complete profile.
+func allocTrace() (*seccomp.Profile, []Call) {
+	w := workloads.All()[0]
+	tr := w.Generate(20_000, 0xA110C)
+	calls := make([]Call, len(tr))
+	for i, ev := range tr {
+		calls[i] = Call{SID: ev.SID, Args: ev.Args}
+	}
+	return profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true}), calls
+}
+
+// assertZeroAllocs replays the warm trace through check under
+// testing.AllocsPerRun and requires zero allocations per checked call.
+func assertZeroAllocs(t *testing.T, check func(int, Args) Decision, calls []Call) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed under -race")
@@ -44,17 +53,25 @@ func assertZeroAllocs(t *testing.T, e Engine, calls []Call) {
 	i := 0
 	perRun := testing.AllocsPerRun(2000, func() {
 		cl := calls[i%len(calls)]
-		e.Check(cl.SID, cl.Args)
+		check(cl.SID, cl.Args)
 		i++
 	})
 	if perRun != 0 {
-		t.Fatalf("%s single-call hot path allocates %.2f allocs/op, want 0", e.Name(), perRun)
+		t.Fatalf("single-call hot path allocates %.2f allocs/op, want 0", perRun)
 	}
 }
 
+// TestDracoSWCheckZeroAllocs pins software Draco's sequential checker — the
+// bare core.Checker that draco-concurrent's locked path runs and draco-hw's
+// OS side is — warm.
 func TestDracoSWCheckZeroAllocs(t *testing.T) {
-	e, calls := warmEngine(t, "draco-sw", Options{})
-	assertZeroAllocs(t, e, calls)
+	p, calls := allocTrace()
+	chk := mustCoreChecker(t, p)
+	check := func(sid int, args Args) Decision { return decide(chk, sid, args) }
+	for _, cl := range calls {
+		check(cl.SID, cl.Args)
+	}
+	assertZeroAllocs(t, check, calls)
 }
 
 // TestDracoConcurrentCheckZeroAllocs pins the server's wiring: no observer,
@@ -62,11 +79,11 @@ func TestDracoSWCheckZeroAllocs(t *testing.T) {
 // through the checker's decision path.
 func TestDracoConcurrentCheckZeroAllocs(t *testing.T) {
 	t.Run("syscall", func(t *testing.T) {
-		e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Routing: "syscall"})
+		e, calls := warmEngine(t, "draco-concurrent", Options{})
 		if obs := e.(*dracoConcurrent).obs; obs != nil {
 			t.Fatalf("engine built without an observer holds %T", obs)
 		}
-		assertZeroAllocs(t, e, calls)
+		assertZeroAllocs(t, e.Check, calls)
 	})
 }
 
@@ -80,7 +97,7 @@ func TestDracoConcurrentCheckBatchZeroAllocs(t *testing.T) {
 		t.Skip("alloc accounting is perturbed under -race")
 	}
 	for name, obs := range map[string]Observer{"bare": nil, "observed": &Counters{}} {
-		e, calls := warmEngine(t, "draco-concurrent", Options{Shards: 4, Observer: obs})
+		e, calls := warmEngine(t, "draco-concurrent", Options{Observer: obs})
 		const batch = 64
 		dst := make([]Decision, 0, batch)
 		off := 0
@@ -99,8 +116,8 @@ func TestDracoConcurrentCheckBatchZeroAllocs(t *testing.T) {
 // by value.
 func TestZeroAllocsWithCounters(t *testing.T) {
 	var c Counters
-	e, calls := warmEngine(t, "draco-sw", Options{Observer: &c})
-	assertZeroAllocs(t, e, calls)
+	e, calls := warmEngine(t, "draco-concurrent", Options{Observer: &c})
+	assertZeroAllocs(t, e.Check, calls)
 	if c.Checks() == 0 || c.CacheHits() == 0 {
 		t.Fatalf("counters not fed: checks=%d hits=%d", c.Checks(), c.CacheHits())
 	}

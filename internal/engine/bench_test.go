@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"draco/internal/workloads"
 )
 
-// benchTrace builds the PR-1 benchmark fixture: the httpd trace under its
+// benchTrace builds the benchmark fixture: the httpd trace under its
 // app-complete profile, so the measured path is the warm serving state.
 func benchTrace(b *testing.B) ([]Call, Options) {
 	b.Helper()
@@ -46,33 +45,27 @@ func BenchmarkEngineCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCheckParallel is the shard sweep rerun through the
-// registry: parallel callers against draco-concurrent across the same shard
-// counts as internal/concurrent's benchmarks.
+// BenchmarkEngineCheckParallel runs parallel callers against
+// draco-concurrent through the registry: the warm trace, so its hits take
+// the plane and the lock-free VAT probe.
 func BenchmarkEngineCheckParallel(b *testing.B) {
 	calls, opts := benchTrace(b)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			o := opts
-			o.Shards = shards
-			e, err := New("draco-concurrent", o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, cl := range calls {
-				e.Check(cl.SID, cl.Args)
-			}
-			var cursor atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := cursor.Add(1) * 7919
-				for pb.Next() {
-					cl := calls[i%uint64(len(calls))]
-					e.Check(cl.SID, cl.Args)
-					i++
-				}
-			})
-		})
+	e, err := New("draco-concurrent", opts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	for _, cl := range calls {
+		e.Check(cl.SID, cl.Args)
+	}
+	var cursor atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := cursor.Add(1) * 7919
+		for pb.Next() {
+			cl := calls[i%uint64(len(calls))]
+			e.Check(cl.SID, cl.Args)
+			i++
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"draco/internal/concurrent"
 	"draco/internal/core"
 	"draco/internal/seccomp"
@@ -16,7 +14,7 @@ func init() {
 	})
 }
 
-// dracoConcurrent wraps the sharded concurrent checker. Safe for concurrent
+// dracoConcurrent wraps the concurrent checker. Safe for concurrent
 // use: any number of goroutines may call Check/CheckBatch while another
 // hot-swaps the profile.
 type dracoConcurrent struct {
@@ -25,22 +23,12 @@ type dracoConcurrent struct {
 }
 
 func newDracoConcurrent(opts Options) (Engine, error) {
-	routing, err := concurrent.ParseRouting(opts.Routing)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %v", err)
-	}
-	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{
-		Shards:  opts.Shards,
-		Routing: routing,
-		Mode:    seccomp.ExecBitmap,
-	})
+	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		return nil, err
 	}
 	return &dracoConcurrent{chk: chk, obs: opts.Observer}, nil
 }
-
-func (e *dracoConcurrent) Name() string { return "draco-concurrent" }
 
 // Check answers through the checker's decision path when there is no
 // observer; the hook needs the whole outcome.
@@ -54,7 +42,8 @@ func (e *dracoConcurrent) Check(sid int, args Args) Decision {
 }
 
 // CheckBatch uses the checker's native batching (lock-free hits, then one
-// lock per touched shard per batch). Without an observer the decisions are written straight into dst;
+// lock per batch). Without an observer the decisions are written straight
+// into dst;
 // the hook needs whole outcomes, taken in a stack buffer for service-sized
 // batches.
 func (e *dracoConcurrent) CheckBatch(calls []Call, dst []Decision) []Decision {

@@ -23,8 +23,8 @@ func init() {
 // checker and a private cache hierarchy, and annotates every Observation
 // with the modeled check latency in 2 GHz cycles (Table II configuration,
 // Linux 5.3 cost model for the OS slow path). Decisions are identical to
-// draco-sw: the hardware structures only cache what the same deterministic
-// filter validated. Not safe for concurrent use.
+// the sequential software checker's: the hardware structures only cache
+// what the same deterministic filter validated. Not safe for concurrent use.
 type dracoHW struct {
 	os    *core.Checker
 	hw    *hwdraco.Engine
@@ -62,12 +62,25 @@ func (e *dracoHW) build(p *seccomp.Profile) error {
 	return nil
 }
 
+// buildCoreChecker compiles a profile (compilation validates it) into a
+// linear bitmap-tier filter and assembles the sequential checker.
+func buildCoreChecker(p *seccomp.Profile) (*core.Checker, error) {
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
+	if err != nil {
+		return nil, err
+	}
+	chk := core.NewChecker(p, seccomp.Chain{f})
+	// A profile-carried programmable policy attaches fresh here: a rebuild
+	// (construction or SetProfile) starts a blank map-state epoch, just as
+	// it starts an empty VAT.
+	chk.Prog = attachProgram(p)
+	return chk, nil
+}
+
 // sitePC synthesizes a stable per-syscall call-site PC for the STB: one
 // static call site per syscall number, the common case the STB is built for
 // (libc wrappers).
 func sitePC(sid int) uint64 { return 0x40_1000 + uint64(sid)*16 }
-
-func (e *dracoHW) Name() string { return "draco-hw" }
 
 func (e *dracoHW) Check(sid int, args Args) Decision {
 	r := e.hw.OnSyscall(sitePC(sid), sid, args)
@@ -120,10 +133,6 @@ func (e *dracoHW) Stats() Stats {
 	s.Inserts = e.priorInserts + e.os.Stats.Inserts
 	return s
 }
-
-// HWStats exposes the hardware model's own counters (flow distribution,
-// STB/SLB hit rates) for latency-curious callers.
-func (e *dracoHW) HWStats() hwdraco.Stats { return e.hw.Stats() }
 
 func (e *dracoHW) SetProfile(p *seccomp.Profile) error {
 	prior := e.os

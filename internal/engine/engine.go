@@ -3,9 +3,9 @@
 //
 // The paper's central observation (§V-§VI) is that the caching structure —
 // SPT + VAT — stays fixed while the checking mechanism varies: a plain
-// Seccomp filter, the kernel-only software Draco, a sharded concurrent
-// variant, or the SLB/STB hardware model. Mirroring that, this package
-// defines one contract every mechanism implements:
+// Seccomp filter, the software Draco made safe for concurrent callers, or
+// the SLB/STB hardware model. Mirroring that, this package defines one
+// contract every mechanism implements:
 //
 //	Check(sid, args) Decision   // the hot path: by-value in, by-value out
 //	CheckBatch(calls, dst)      // amortized batch checking
@@ -103,8 +103,6 @@ type Observer interface {
 // mechanisms serve one caller at a time (Lookup(name).Concurrent says
 // which).
 type Engine interface {
-	// Name returns the registry name the engine was built under.
-	Name() string
 	// Check validates one system call invocation.
 	Check(sid int, args Args) Decision
 	// CheckBatch validates a batch in call order, reusing dst when it has

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"draco-concurrent", "draco-hw", "draco-sw", "filter-only"}
+	want := []string{"draco-concurrent", "draco-hw", "filter-only"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -24,11 +24,8 @@ func TestNewUnknownEngine(t *testing.T) {
 	if _, err := New("nope", Options{Profile: seccomp.DockerDefault()}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	if _, err := New("draco-sw", Options{}); err == nil {
+	if _, err := New("draco-concurrent", Options{}); err == nil {
 		t.Fatal("nil profile accepted")
-	}
-	if _, err := New("draco-concurrent", Options{Profile: seccomp.DockerDefault(), Routing: "bogus"}); err == nil {
-		t.Fatal("bogus routing accepted")
 	}
 }
 
@@ -138,7 +135,7 @@ func TestCountersObserver(t *testing.T) {
 
 func TestMultiObserver(t *testing.T) {
 	var a, b Counters
-	e, err := New("draco-sw", Options{Profile: seccomp.DockerDefault(), Observer: MultiObserver{&a, &b}})
+	e, err := New("draco-concurrent", Options{Profile: seccomp.DockerDefault(), Observer: MultiObserver{&a, &b}})
 	if err != nil {
 		t.Fatal(err)
 	}

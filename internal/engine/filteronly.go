@@ -41,8 +41,6 @@ func newFilterOnly(opts Options) (Engine, error) {
 	}, nil
 }
 
-func (e *filterOnly) Name() string { return "filter-only" }
-
 func (e *filterOnly) Check(sid int, args Args) Decision {
 	d := seccomp.Data{Nr: int32(sid), Arch: seccomp.AuditArchX8664, Args: args}
 	r := e.f.Check(&d)

@@ -21,7 +21,6 @@ import (
 type foldCase struct {
 	name   string
 	engine string
-	opts   Options
 	p1, p2 *seccomp.Profile
 	trace  []Call
 }
@@ -40,19 +39,45 @@ func foldCases(t testing.TB, events int) []foldCase {
 	complete := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
 	idOnly := profilegen.NoArgs(w.Name, tr, profilegen.Options{IncludeRuntime: true})
 	var cases []foldCase
-	for _, name := range Names() {
-		cases = append(cases, foldCase{name: name, engine: name, opts: Options{Shards: 4}, p1: complete, p2: idOnly, trace: calls})
+	for _, name := range append(Names(), sequential) {
+		cases = append(cases, foldCase{name: name, engine: name, p1: complete, p2: idOnly, trace: calls})
 		if name == "draco-hw" {
 			continue // no programmable policies on the hardware model
 		}
 		cases = append(cases, foldCase{
-			name: name + "/programmable", engine: name, opts: Options{Shards: 4},
+			name: name + "/programmable", engine: name,
 			p1:    progTestProfile(t, "fold-rate", rateLimitSource(t)),
 			p2:    progTestProfile(t, "fold-phase", phaseTighteningSource(t)),
 			trace: progTrace(events),
 		})
 	}
 	return cases
+}
+
+// sequential names the fold cases of the bare core.Checker — software
+// Draco, as the simulator calls it — which is no registry engine: its cases
+// run through replaySequential.
+const sequential = "draco-sw"
+
+// replaySequential replays fc's trace through a bare core.Checker, rebuilt
+// for p2 halfway the way an engine's SetProfile rebuilds it, feeds obs
+// (when non-nil) each outcome, and returns the Stats folded across both
+// generations.
+func replaySequential(t testing.TB, fc foldCase, obs Observer) Stats {
+	chk := mustCoreChecker(t, fc.p1)
+	var prior Stats
+	for i, cl := range fc.trace {
+		if i == len(fc.trace)/2 {
+			prior.Add(chk.Stats)
+			chk = mustCoreChecker(t, fc.p2)
+		}
+		out := chk.Check(cl.SID, cl.Args)
+		if obs != nil {
+			observeOutcome(obs, cl.SID, &out)
+		}
+	}
+	prior.Add(chk.Stats)
+	return prior
 }
 
 // replay drives calls through e, alternating single checks with batches of
@@ -100,8 +125,9 @@ func requireFoldEqualsHook(t *testing.T, st Stats, c *Counters, issued uint64) {
 }
 
 // TestFoldMatchesHookDifferential replays a 100k-event trace with a profile
-// swap mid-way through every registry engine with a Counters observer
-// attached and requires the folded Stats to equal the observer's counts.
+// swap mid-way through every registry engine, and the bare sequential
+// checker, with a Counters observer attached and requires the folded Stats
+// to equal the observer's counts.
 // A twin built without an observer — the server's wiring, which takes the
 // no-classify paths — must fold to the same Stats.
 func TestFoldMatchesHookDifferential(t *testing.T) {
@@ -111,30 +137,32 @@ func TestFoldMatchesHookDifferential(t *testing.T) {
 		t.Run(fc.name, func(t *testing.T) {
 			t.Parallel()
 			var c Counters
-			opts := fc.opts
-			opts.Profile, opts.Observer = fc.p1, &c
-			e, err := New(fc.engine, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Observer = nil
-			bare, err := New(fc.engine, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, eng := range []Engine{e, bare} {
-				replay(eng, fc.trace[:events/2])
-				if err := eng.SetProfile(fc.p2); err != nil {
+			var st, bs Stats
+			if fc.engine == sequential {
+				st, bs = replaySequential(t, fc, &c), replaySequential(t, fc, nil)
+			} else {
+				e, err := New(fc.engine, Options{Profile: fc.p1, Observer: &c})
+				if err != nil {
 					t.Fatal(err)
 				}
-				replay(eng, fc.trace[events/2:])
+				bare, err := New(fc.engine, Options{Profile: fc.p1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eng := range []Engine{e, bare} {
+					replay(eng, fc.trace[:events/2])
+					if err := eng.SetProfile(fc.p2); err != nil {
+						t.Fatal(err)
+					}
+					replay(eng, fc.trace[events/2:])
+				}
+				st, bs = e.Stats(), bare.Stats()
 			}
-			st := e.Stats()
 			requireFoldEqualsHook(t, st, &c, events)
 			if c.Denied() == 0 || (c.CacheHits() == 0 && fc.engine != "filter-only") {
 				t.Fatalf("trace exercised no denials or no cache hits: %+v", st)
 			}
-			if bs := bare.Stats(); bs != st {
+			if bs != st {
 				t.Fatalf("observer-less twin folds differently:\nbare     %+v\nobserved %+v", bs, st)
 			}
 		})
@@ -156,9 +184,7 @@ func TestFoldMatchesHookRace(t *testing.T) {
 		t.Run(fc.name, func(t *testing.T) {
 			t.Parallel()
 			var c Counters
-			opts := fc.opts
-			opts.Profile, opts.Observer = fc.p1, &c
-			e, err := New(fc.engine, opts)
+			e, err := New(fc.engine, Options{Profile: fc.p1, Observer: &c})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,7 +125,8 @@ func progTrace(events int) []Call {
 }
 
 // TestProgrammableCrossEngineDifferential replays one stateful trace through
-// every software engine and requires identical decision streams: caching
+// every software engine and the sequential checker and requires identical
+// decision streams: caching
 // (SPT/VAT, decision plane) must never change what a stateful policy
 // decides. A mid-trace SetProfile swaps the program on every engine at the
 // same event, so epoch semantics (fresh map state per generation) must
@@ -135,20 +136,16 @@ func TestProgrammableCrossEngineDifferential(t *testing.T) {
 	p1 := progTestProfile(t, "prog-p1", openBeforeReadSource(t))
 	p2 := progTestProfile(t, "prog-p2", phaseTighteningSource(t))
 
-	names := []string{"filter-only", "draco-sw", "draco-concurrent"}
+	names := []string{"filter-only", "draco-concurrent"}
 	engines := make([]Engine, len(names))
 	for i, n := range names {
-		opts := Options{Profile: p1}
-		if n == "draco-concurrent" {
-			opts.Shards = 4
-			opts.Routing = "syscall"
-		}
-		e, err := New(n, opts)
+		e, err := New(n, Options{Profile: p1})
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
 		engines[i] = e
 	}
+	seq := mustCoreChecker(t, p1)
 
 	tr := progTrace(events)
 	var denied int
@@ -159,10 +156,15 @@ func TestProgrammableCrossEngineDifferential(t *testing.T) {
 					t.Fatalf("%s: SetProfile: %v", names[j], err)
 				}
 			}
+			seq = mustCoreChecker(t, p2)
 		}
 		base := engines[0].Check(ev.SID, ev.Args)
 		if !base.Allowed {
 			denied++
+		}
+		if got := seq.Check(ev.SID, ev.Args); got.Allowed != base.Allowed || got.Action != base.Action {
+			t.Fatalf("event %d (sid=%d): %s says %+v, sequential says %+v",
+				i, ev.SID, names[0], base, got.Decision())
 		}
 		for j := 1; j < len(engines); j++ {
 			got := engines[j].Check(ev.SID, ev.Args)
@@ -190,30 +192,26 @@ func TestProgrammableCrossEngineDifferential(t *testing.T) {
 func TestProgrammableBitmapResolution(t *testing.T) {
 	p := progTestProfile(t, "prog-bitmap", rateLimitSource(t))
 
-	obs := &Counters{}
-	e, err := New("draco-sw", Options{Profile: p, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := mustCoreChecker(t, p)
 	read := syscalls.MustByName("read").Num
 	open := syscalls.MustByName("open").Num
 	for i := 0; i < 3; i++ {
 		for _, sid := range []int{read, syscalls.MustByName("close").Num, syscalls.MustByName("write").Num} {
-			dec := e.Check(sid, Args{3, 4096})
+			dec := decide(seq, sid, Args{3, 4096})
 			if !dec.Allowed || dec.FilterInstructions != 0 {
 				t.Fatalf("const-path sid=%d round %d: %+v (want allowed, 0 instructions)", sid, i, dec)
 			}
 		}
 	}
-	if got := obs.ByClass(ClassProgHit); got == 0 {
-		t.Fatalf("no prog-hit observations on constant paths (counters: checks=%d)", obs.Checks())
+	if got := seq.Stats.Classes[ClassProgHit]; got == 0 {
+		t.Fatalf("no prog-hit checks on constant paths (checks=%d)", seq.Stats.Checks)
 	}
-	dec := e.Check(open, Args{0, 0})
+	dec := decide(seq, open, Args{0, 0})
 	if !dec.Allowed || dec.FilterInstructions == 0 {
 		t.Fatalf("must-run open: %+v (want allowed with executed instructions)", dec)
 	}
-	if got := obs.ByClass(ClassProgMiss); got == 0 {
-		t.Fatal("no prog-miss observation on the must-run path")
+	if got := seq.Stats.Classes[ClassProgMiss]; got == 0 {
+		t.Fatal("no prog-miss check on the must-run path")
 	}
 
 	// Same profile, compiled tier: no constant extraction, so the formerly
@@ -232,7 +230,7 @@ func TestProgrammableBitmapResolution(t *testing.T) {
 // SetProfile reverts to the (absent) profile-carried policy.
 func TestProgrammableOptionsOverride(t *testing.T) {
 	plain := progTestProfile(t, "prog-plain", nil)
-	e, err := New("draco-sw", Options{Profile: plain, Program: rateLimitSource(t)})
+	e, err := New("draco-concurrent", Options{Profile: plain, Program: rateLimitSource(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +273,7 @@ func TestProgrammableDracoHWRejected(t *testing.T) {
 // TestProgrammableRaceHammer hammers per-tenant map state from 16 goroutines
 // (mixed single checks and batches) while the main goroutine hot-swaps the
 // programmable profile mid-stream, on the most layered engine
-// (decision plane + sharded VAT + program). Run under -race this is the
+// (decision plane + lock-free VAT + program). Run under -race this is the
 // concurrency safety net for the whole programmable stack; afterwards a
 // final swap verifies the epoch contract — a fresh generation starts with
 // blank maps.
@@ -287,7 +285,7 @@ func TestProgrammableRaceHammer(t *testing.T) {
 	)
 	p1 := progTestProfile(t, "hammer-rate", rateLimitSource(t))
 	p2 := progTestProfile(t, "hammer-phase", phaseTighteningSource(t))
-	e, err := New("draco-concurrent", Options{Profile: p1, Shards: 4})
+	e, err := New("draco-concurrent", Options{Profile: p1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,14 @@ import (
 type Options struct {
 	// Profile is the policy to enforce (required).
 	Profile *seccomp.Profile
-	// Shards is the VAT shard fan-out for sharded engines (0 selects the
-	// mechanism's default; must be a power of two).
+	// Shards is ignored: no engine shards its tables.
+	//
+	// Deprecated: kept only for the contract benchmark, which still sets
+	// it; it goes with ROADMAP item 1(a).
 	Shards int
-	// Routing names the shard-routing key for sharded engines: "" or
-	// "syscall", the only key.
+	// Routing is ignored, like Shards.
+	//
+	// Deprecated: see Shards.
 	Routing string
 	// Observer receives one callback per check (nil: none is made).
 	Observer Observer

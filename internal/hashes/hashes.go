@@ -189,9 +189,8 @@ func ArgH2(args *Args, bitmask uint64) uint64 {
 	return ^crcArgs(^uint64(0), &notEcmaTable, args, bitmask)
 }
 
-// Sum64 returns the CRC-64/ECMA code of an arbitrary byte string. The
-// concurrent checker uses it to route a syscall ID to its VAT shard with
-// the same hash family the VAT itself uses.
+// Sum64 returns the CRC-64/ECMA code of an arbitrary byte string, in the
+// hash family the VAT uses.
 func Sum64(b []byte) uint64 {
 	return ^crcUpdate(^uint64(0), &ecmaTable, b)
 }

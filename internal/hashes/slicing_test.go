@@ -11,8 +11,8 @@ import (
 // --- bytewise reference (the pre-slicing implementation) -------------------
 //
 // The slicing-by-8 rewrite must be bit-identical to the original bytewise
-// CRC: every committed VAT layout, shard routing, and recorded result
-// depends on these hash values. The reference below is the old loop, kept
+// CRC: every committed VAT layout and recorded result depends on these
+// hash values. The reference below is the old loop, kept
 // test-only, and doubles as the baseline for the speedup benchmarks.
 
 func referenceUpdate(crc uint64, t *[256]uint64, b byte) uint64 {
@@ -160,8 +160,8 @@ func TestSingleHashesMatchArgSet(t *testing.T) {
 // --- benchmarks: the routing + VAT-probe hash path ------------------------
 //
 // BenchmarkHashSum64Route and BenchmarkHashArgSet* measure the two
-// per-check hash costs (shard routing over a 16-byte key; VAT probe over
-// the masked argument bytes); the *Bytewise variants run the pre-slicing
+// hash costs (a 16-byte key; the VAT probe over the masked argument
+// bytes); the *Bytewise variants run the pre-slicing
 // reference so the speedup is visible in one `go test -bench Hash` run.
 
 func benchArgs() (Args, uint64) {

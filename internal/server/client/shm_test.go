@@ -363,10 +363,9 @@ func dialRealServer(t testing.TB, opts server.Options, copts ShmOptions) *Shm {
 // equal the in-process engine's, nobody may hang, and the in-flight table
 // must end empty.
 func TestShmCallerReapHammer(t *testing.T) {
-	const shards = 4
 	p := seccomp.DockerDefault()
-	sc := dialRealServer(t, server.Options{Shards: shards, Routing: "syscall", DefaultProfile: p}, ShmOptions{})
-	ref, err := engine.New("draco-concurrent", engine.Options{Profile: p, Shards: shards, Routing: "syscall"})
+	sc := dialRealServer(t, server.Options{DefaultProfile: p}, ShmOptions{})
+	ref, err := engine.New("draco-concurrent", engine.Options{Profile: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func TestShmCallerReapHammer(t *testing.T) {
 // holding the reap role. After the storm a healthy call must complete.
 func TestShmCancelledStormDoesNotWedge(t *testing.T) {
 	sc := dialRealServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		ShmOptions{SubmitSlots: 4, CompleteSlots: 4})
 	read := testSID(t, "read")
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -512,7 +511,7 @@ func TestZeroAllocsShmCheck(t *testing.T) {
 	if shm.RaceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
-	sc := dialRealServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
+	sc := dialRealServer(t, server.Options{DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
 	ctx := context.Background()
 	read := testSID(t, "read")
 	args := engine.Args{3, 0, 4096}
@@ -538,7 +537,7 @@ func TestZeroAllocsShmCheckBatch(t *testing.T) {
 	if shm.RaceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
-	sc := dialRealServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
+	sc := dialRealServer(t, server.Options{DefaultProfile: seccomp.DockerDefault()}, ShmOptions{})
 	ctx := context.Background()
 	calls := make([]engine.Call, 64)
 	for i := range calls {

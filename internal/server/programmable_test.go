@@ -43,7 +43,7 @@ func checkSyscall(t *testing.T, wc *client.Wire, tenant, name string, args ...ui
 // denied, which no stateless whitelist can express. A profile re-upload
 // starts a fresh map epoch, restoring the budget.
 func TestProgrammableRateLimitE2E(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	raw := examplePolicy(t, "rate-limit.json")
 	if _, err := c.PutProfile(ctx, "rl", bytes.NewReader(raw)); err != nil {
@@ -84,7 +84,7 @@ func TestProgrammableRateLimitE2E(t *testing.T) {
 // from denied to allowed once an open has been observed — a relational,
 // order-dependent decision.
 func TestProgrammableOpenBeforeReadE2E(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	if _, err := c.PutProfile(context.Background(), "seq", bytes.NewReader(examplePolicy(t, "open-before-read.json"))); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestProgrammableOpenBeforeReadE2E(t *testing.T) {
 // and denied after the tenant marks itself serving via prctl — the
 // whitelist never changes, the program narrows it over time.
 func TestProgrammablePhaseTighteningE2E(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	if _, err := c.PutProfile(context.Background(), "svc", bytes.NewReader(examplePolicy(t, "phase-tightening.json"))); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestProgrammablePhaseTighteningE2E(t *testing.T) {
 // instructions on every check, while the stateful open path executes the
 // program each time. /metrics exposes both as prog-hit / prog-miss classes.
 func TestProgrammableBitmapResolutionE2E(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	if _, err := c.PutProfile(ctx, "bm", bytes.NewReader(examplePolicy(t, "rate-limit.json"))); err != nil {
 		t.Fatal(err)
@@ -162,12 +162,34 @@ func TestProgrammableBitmapResolutionE2E(t *testing.T) {
 
 // TestProgrammableBatchOrderE2E: stateful policies make batch order
 // semantic — the server must evaluate a batch in submission order, so a
-// batch of five opens has exactly the last one denied.
+// batch of five opens has exactly the last one denied, and under
+// open-before-read a batch interleaving reads with an open, constant
+// allows and a constant deny denies exactly the reads before the open.
 func TestProgrammableBatchOrderE2E(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	if _, err := c.PutProfile(ctx, "batch", bytes.NewReader(examplePolicy(t, "rate-limit.json"))); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.PutProfile(ctx, "order", bytes.NewReader(examplePolicy(t, "open-before-read.json"))); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"read", "getpid", "read", "open", "read", "fstat", "getpid", "read", "close", "openat", "read", "write"}
+	order := make([]engine.Call, len(names))
+	for i, n := range names {
+		order[i] = engine.Call{SID: sidOf(t, n), Args: engine.Args{3, 0, 4096}}
+	}
+	got, err := wc.CheckBatch(ctx, "order", order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := false
+	for i, n := range names {
+		opened = opened || n == "open"
+		want := n != "getpid" && (n != "read" || opened)
+		if got[i].Allowed != want {
+			t.Fatalf("order batch call %d (%s): %+v, want allowed=%v", i, n, got[i], want)
+		}
 	}
 	var calls []engine.Call
 	for i := 0; i < 5; i++ {

@@ -11,8 +11,8 @@
 //	GET  /metrics                      plain-text service counters and latency quantiles
 //
 // Each tenant owns one concurrent.Checker (the draco-concurrent mechanism,
-// bitmap filter tier): one sharded SPT plus VAT per tenant, consulted before
-// the filter. Profile uploads hot-swap the tenant's profile without dropping
+// bitmap filter tier): one SPT plus VAT per profile generation, consulted
+// before the filter. Profile uploads hot-swap the tenant's profile without dropping
 // in-flight checks. The other registry engines are comparison points for the
 // library, dracobench and the tests; an upload naming one is rejected.
 //
@@ -44,11 +44,14 @@ const DefaultEngine = "draco-concurrent"
 
 // Options configures a Server.
 type Options struct {
-	// Shards is the per-tenant VAT shard fan-out (0 =
-	// concurrent.DefaultShards).
+	// Shards is ignored: a tenant's checker does not shard its tables.
+	//
+	// Deprecated: kept only for the contract benchmark, which still sets
+	// it; it goes with ROADMAP item 1(a).
 	Shards int
-	// Routing names the shard-routing key: "" or "syscall", the only
-	// key.
+	// Routing is ignored, like Shards.
+	//
+	// Deprecated: see Shards.
 	Routing string
 	// DefaultProfile, when non-nil, auto-provisions unknown tenants named
 	// in wire or shm check frames with this profile. When nil, tenants must
@@ -91,8 +94,6 @@ type StatsResponse struct {
 	Engine      string `json:"engine"`
 	Profile     string `json:"profile"`
 	Generation  uint64 `json:"generation"`
-	Shards      int    `json:"shards"`
-	Routing     string `json:"routing,omitempty"`
 	Checks      uint64 `json:"checks"`
 	SPTHits     uint64 `json:"sptHits"`
 	VATHits     uint64 `json:"vatHits"`
@@ -180,15 +181,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 
 // newTenant builds a tenant's checker for p.
 func (s *Server) newTenant(name string, p *seccomp.Profile) (*tenant, error) {
-	routing, err := concurrent.ParseRouting(s.opts.Routing)
-	if err != nil {
-		return nil, err
-	}
-	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{
-		Shards:  s.opts.Shards,
-		Routing: routing,
-		Mode:    seccomp.ExecBitmap,
-	})
+	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
 	if err != nil {
 		return nil, err
 	}
@@ -247,8 +240,8 @@ func (s *Server) putProfile(id, engineName string, body io.Reader) (ProfileRespo
 		return ProfileResponse{}, err
 	}
 	// An existing tenant swaps outside the registry lock: SetProfile
-	// compiles filters per shard, and in-flight checks must keep flowing
-	// meanwhile.
+	// compiles the filter and the decision plane, and in-flight checks must
+	// keep flowing meanwhile.
 	if !created {
 		if err := t.chk.SetProfile(p); err != nil {
 			return ProfileResponse{}, err
@@ -289,8 +282,6 @@ func (s *Server) stats(name string) (StatsResponse, error) {
 		Engine:      DefaultEngine,
 		Profile:     t.chk.Profile().Name,
 		Generation:  t.chk.Generation(),
-		Shards:      t.chk.Shards(),
-		Routing:     t.chk.Routing().String(),
 		Checks:      st.Checks,
 		SPTHits:     st.SPTHits,
 		VATHits:     st.VATHits,

@@ -72,7 +72,7 @@ func TestUnknownTenantWithoutDefault(t *testing.T) {
 }
 
 func TestProfileUploadAndHotSwap(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	ctx := context.Background()
 
 	readOnly := &seccomp.Profile{
@@ -138,7 +138,7 @@ func TestProfileUploadAndHotSwap(t *testing.T) {
 // escaped-looking name is a tenant of its own rather than an alias of
 // another.
 func TestTenantNamesEscaped(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4})
+	_, c, wc := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	pj := profileJSON(t, seccomp.DockerDefault())
 	names := []string{"a/b", "x?y", "p q", "a%2Fb"}
@@ -175,7 +175,7 @@ func TestTenantNamesEscaped(t *testing.T) {
 // name it or nothing; naming any other registry engine, or an unknown one,
 // is a 400 that provisions no tenant.
 func TestOtherEnginesRejected(t *testing.T) {
-	ts, c, _ := newTestServer(t, server.Options{Shards: 4})
+	ts, c, _ := newTestServer(t, server.Options{})
 	ctx := context.Background()
 	put := func(tenant, query string) int {
 		t.Helper()
@@ -210,7 +210,7 @@ func TestOtherEnginesRejected(t *testing.T) {
 }
 
 func TestStatsAndMetrics(t *testing.T) {
-	_, c, wc := newTestServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	_, c, wc := newTestServer(t, server.Options{DefaultProfile: seccomp.DockerDefault()})
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
@@ -225,7 +225,7 @@ func TestStatsAndMetrics(t *testing.T) {
 	if st.Checks != 10 || st.FilterRuns != 1 || st.SPTHits != 9 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.Engine != server.DefaultEngine || st.Shards != 4 || st.Routing != "syscall" || st.Profile != seccomp.DockerDefault().Name {
+	if st.Engine != server.DefaultEngine || st.Profile != seccomp.DockerDefault().Name {
 		t.Fatalf("stats metadata: %+v", st)
 	}
 

@@ -71,7 +71,7 @@ func TestHandleCheckZeroAllocs(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 0xA110C)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	s := New(Options{Shards: 4, DefaultProfile: p})
+	s := New(Options{DefaultProfile: p})
 	var rec lastDecision
 	c := s.NewSessionHub(SessionOptions{}).newSession(&rec)
 	frame := func(sid int, args [6]uint64) []byte {

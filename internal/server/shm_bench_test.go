@@ -26,7 +26,7 @@ const benchShmArgs = 64
 // the check the benchmarks time.
 func warmShmConn(b *testing.B) func(i uint64) error {
 	_, sc := newShmServer(b,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		client.ShmOptions{})
 	ctx := context.Background()
 	read := sidOf(b, "read")
@@ -59,7 +59,7 @@ func BenchmarkShmCheck(b *testing.B) {
 // sides plus the engine's CheckBatch. ns/op is per 64-call request.
 func BenchmarkShmCheckBatch64(b *testing.B) {
 	_, sc := newShmServer(b,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		client.ShmOptions{})
 	ctx := context.Background()
 	calls := make([]engine.Call, 64)

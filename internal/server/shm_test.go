@@ -170,7 +170,7 @@ func (c *rawShm) reap(t testing.TB, use func(f *shm.Frame)) {
 
 func TestShmCheckAndBatch(t *testing.T) {
 	srv, sc := newShmServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		client.ShmOptions{})
 	ctx := context.Background()
 
@@ -229,7 +229,7 @@ func TestShmCheckAndBatch(t *testing.T) {
 }
 
 func TestShmProfileSwapAndStats(t *testing.T) {
-	_, sc := newShmServer(t, server.Options{Shards: 4},
+	_, sc := newShmServer(t, server.Options{},
 		client.ShmOptions{})
 	ctx := context.Background()
 
@@ -289,7 +289,7 @@ func TestShmProfileSwapAndStats(t *testing.T) {
 // batch size guard against the smaller slots, and the ring request's one
 // accepted size.
 func TestShmCustomGeometryAndLimits(t *testing.T) {
-	_, ss := newShmServerOnly(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	_, ss := newShmServerOnly(t, server.Options{DefaultProfile: seccomp.DockerDefault()})
 	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{SlotSize: 512, SubmitSlots: 8, CompleteSlots: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestShmCustomGeometryAndLimits(t *testing.T) {
 // TestShmMetricsPage proves the shm series render on /metrics.
 func TestShmMetricsPage(t *testing.T) {
 	srv, sc := newShmServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		client.ShmOptions{})
 	if _, err := sc.Check(context.Background(), "t", sidOf(t, "read"), engine.Args{}); err != nil {
 		t.Fatal(err)
@@ -369,10 +369,9 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 	}
 	const events = 100_000
 	const singles = 10_000
-	const shards = 4
 	genOpts := profilegen.Options{IncludeRuntime: true}
 
-	_, ss := newShmServerOnly(t, server.Options{Shards: shards, Routing: "syscall"})
+	_, ss := newShmServerOnly(t, server.Options{})
 	sc, err := client.DialShm(ss.Dir(), client.ShmOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +382,7 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 
 	newRef := func(t *testing.T, p *seccomp.Profile) engine.Engine {
 		t.Helper()
-		ref, err := engine.New("draco-concurrent", engine.Options{Profile: p, Shards: shards, Routing: "syscall"})
+		ref, err := engine.New("draco-concurrent", engine.Options{Profile: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +503,7 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 // Every request must complete without a transport- or request-level
 // error.
 func TestShmHotSwapHammer(t *testing.T) {
-	_, sc := newShmServer(t, server.Options{Shards: 4},
+	_, sc := newShmServer(t, server.Options{},
 		client.ShmOptions{})
 	fold := client.NewBatcher(sc, client.BatcherOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -567,7 +566,7 @@ func TestShmHotSwapHammer(t *testing.T) {
 // and a peer advertising the futex gets it and wakes the server through
 // the shared word.
 func TestShmDoorbellNegotiation(t *testing.T) {
-	_, ss := newShmServerOnly(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	_, ss := newShmServerOnly(t, server.Options{DefaultProfile: seccomp.DockerDefault()})
 	read := sidOf(t, "read")
 
 	t.Run("auto", func(t *testing.T) {
@@ -676,7 +675,7 @@ func TestShmCloseRacesHandshake(t *testing.T) {
 	if !shm.Supported() {
 		t.Skip("shm transport unsupported on this platform")
 	}
-	srv := server.New(server.Options{Shards: 2})
+	srv := server.New(server.Options{})
 	hub := srv.NewSessionHub(server.SessionOptions{})
 	const rounds = 40
 	for i := 0; i < rounds; i++ {

@@ -28,7 +28,7 @@ import (
 // never publishes it, so the server's consumer waits on the hole.
 func TestStalledPeerDoesNotDelayOthers(t *testing.T) {
 	const tenant = "shared"
-	opts := server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()}
+	opts := server.Options{DefaultProfile: seccomp.DockerDefault()}
 	call := engine.Call{SID: sidOf(t, "read"), Args: engine.Args{3, 0, 4096}}
 
 	// healthy drives the second connection: sequential checks until

@@ -26,18 +26,17 @@ var oddSyscallNums = []int{-1, math.MinInt32, 400, 1023, 1 << 20, math.MaxInt32}
 // server's configuration fed the same calls, and the connection answers a
 // normal read afterwards.
 func TestOddSyscallNumbers(t *testing.T) {
-	const shards = 4
 	profiles := map[string][]byte{
 		"docker-default": profileJSON(t, seccomp.DockerDefault()),
 		"rate-limit":     examplePolicy(t, "rate-limit.json"),
 	}
 	edges := map[string]func(t *testing.T) client.Transport{
 		"wire": func(t *testing.T) client.Transport {
-			_, wc := newWireServer(t, server.Options{Shards: shards}, client.WireOptions{Conns: 1})
+			_, wc := newWireServer(t, server.Options{}, client.WireOptions{Conns: 1})
 			return wc
 		},
 		"shm": func(t *testing.T) client.Transport {
-			_, sc := newShmServer(t, server.Options{Shards: shards}, client.ShmOptions{})
+			_, sc := newShmServer(t, server.Options{}, client.ShmOptions{})
 			return sc
 		},
 	}
@@ -54,7 +53,7 @@ func TestOddSyscallNumbers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := concurrent.NewCheckerConfig(p, concurrent.Config{Shards: shards, Mode: seccomp.ExecBitmap})
+				ref, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
 				if err != nil {
 					t.Fatal(err)
 				}

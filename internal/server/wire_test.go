@@ -65,7 +65,7 @@ func sidOf(t testing.TB, name string) int {
 
 func TestWireCheckAndBatch(t *testing.T) {
 	srv, wc := newWireServer(t,
-		server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()},
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
 		client.WireOptions{})
 	ctx := context.Background()
 
@@ -140,7 +140,7 @@ func TestWireCheckAndBatch(t *testing.T) {
 }
 
 func TestWireProfileSwapAndStats(t *testing.T) {
-	_, wc := newWireServer(t, server.Options{Shards: 4},
+	_, wc := newWireServer(t, server.Options{},
 		client.WireOptions{})
 	ctx := context.Background()
 
@@ -202,7 +202,7 @@ func TestWireProfileSwapAndStats(t *testing.T) {
 // garbage on the stream closes the connection and is counted, while other
 // connections keep serving.
 func TestWireFrameErrorDropsConnection(t *testing.T) {
-	srv, addr := startWireServer(t, server.Options{Shards: 4, DefaultProfile: seccomp.DockerDefault()})
+	srv, addr := startWireServer(t, server.Options{DefaultProfile: seccomp.DockerDefault()})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -243,10 +243,9 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 	}
 	const events = 100_000
 	const singles = 10_000
-	const shards = 4
 	genOpts := profilegen.Options{IncludeRuntime: true}
 
-	_, addr := startWireServer(t, server.Options{Shards: shards, Routing: "syscall"})
+	_, addr := startWireServer(t, server.Options{})
 	wc, err := client.DialWire(addr, client.WireOptions{Conns: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +267,7 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 			if _, err := wc.PutProfile(ctx, w.Name, "", pj); err != nil {
 				t.Fatal(err)
 			}
-			ref, err := engine.New("draco-concurrent", engine.Options{Profile: p, Shards: shards, Routing: "syscall"})
+			ref, err := engine.New("draco-concurrent", engine.Options{Profile: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +302,7 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 			if _, err := wc.PutProfile(ctx, single, "", pj); err != nil {
 				t.Fatal(err)
 			}
-			ref2, err := engine.New("draco-concurrent", engine.Options{Profile: p, Shards: shards, Routing: "syscall"})
+			ref2, err := engine.New("draco-concurrent", engine.Options{Profile: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +355,7 @@ func TestWireDifferentialAllWorkloads(t *testing.T) {
 // with in-flight checks). Every request must complete without a
 // transport- or request-level error.
 func TestWireHotSwapHammer(t *testing.T) {
-	_, wc := newWireServer(t, server.Options{Shards: 4},
+	_, wc := newWireServer(t, server.Options{},
 		client.WireOptions{Conns: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

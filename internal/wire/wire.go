@@ -46,7 +46,7 @@ const (
 	// MaxPayload bounds a frame payload (matches the HTTP body bound).
 	MaxPayload = 8 << 20
 	// MaxBatch bounds the calls in one batch frame, so a single request
-	// cannot monopolize shard locks.
+	// cannot monopolize a tenant's lock.
 	MaxBatch = 4096
 	// MaxTenant bounds a tenant-name length (encoded as one byte).
 	MaxTenant = 255
