@@ -83,12 +83,12 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardCounts replays one workload's 100k-event trace
+// TestDifferentialExactStats replays one workload's 100k-event trace
 // through one checker and the sequential core.Checker and requires the same
-// decision on every event and the same Stats at the end: one SPT and VAT
+// decision on every event and exactly the same Stats at the end: one SPT and VAT
 // per generation, under one lock, is the sequential checker plus lock-free
 // hits.
-func TestDifferentialShardCounts(t *testing.T) {
+func TestDifferentialExactStats(t *testing.T) {
 	w, ok := workloads.ByName("nginx")
 	if !ok {
 		w = workloads.All()[0]

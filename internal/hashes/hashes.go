@@ -20,11 +20,7 @@
 // H1's slot misses.
 package hashes
 
-import (
-	"encoding/binary"
-
-	"draco/internal/syscalls"
-)
+import "draco/internal/syscalls"
 
 // ECMAPoly is the CRC-64/ECMA-182 polynomial in the reversed (LSB-first)
 // representation used by table-driven implementations.
@@ -65,23 +61,6 @@ func fillTables(t *[8][256]uint64, poly uint64) {
 			t[k][i] = t[0][byte(prev)] ^ (prev >> 8)
 		}
 	}
-}
-
-// crcUpdate advances crc over p: whole 8-byte blocks through the slicing
-// tables, then a 4-byte block through the low four, the rest bytewise.
-func crcUpdate(crc uint64, t *[8][256]uint64, p []byte) uint64 {
-	for len(p) >= 8 {
-		crc = step8(crc^binary.LittleEndian.Uint64(p), t)
-		p = p[8:]
-	}
-	if len(p) >= 4 {
-		crc = step4(crc^uint64(binary.LittleEndian.Uint32(p)), t)
-		p = p[4:]
-	}
-	for _, b := range p {
-		crc = t[0][byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc
 }
 
 // step8 advances crc, already XORed with the next eight input bytes, by
@@ -187,12 +166,6 @@ func ArgH1(args *Args, bitmask uint64) uint64 {
 // ArgH2 is ArgSetOf(args, bitmask).H2 alone.
 func ArgH2(args *Args, bitmask uint64) uint64 {
 	return ^crcArgs(^uint64(0), &notEcmaTable, args, bitmask)
-}
-
-// Sum64 returns the CRC-64/ECMA code of an arbitrary byte string, in the
-// hash family the VAT uses.
-func Sum64(b []byte) uint64 {
-	return ^crcUpdate(^uint64(0), &ecmaTable, b)
 }
 
 // Select returns which of the pair's values matches h, or -1. The SLB and

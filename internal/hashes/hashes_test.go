@@ -1,6 +1,7 @@
 package hashes
 
 import (
+	"encoding/binary"
 	"hash/crc64"
 	"testing"
 	"testing/quick"
@@ -16,19 +17,41 @@ func fullMask(nargs int) uint64 {
 	return m
 }
 
+// TestECMAMatchesStdlib pins the polynomial convention against an
+// independent implementation: H1 is hash/crc64's ECMA (init ^0, final ^,
+// reversed polynomial) of the selected bytes, little-endian, argument by
+// argument. It covers one 8-byte step, six chained 8-byte steps (a full
+// 48-byte mask) and a 4-byte lane's step.
 func TestECMAMatchesStdlib(t *testing.T) {
-	// With a full one-argument mask, H1 must equal the stdlib CRC-64/ECMA of
-	// the argument's little-endian bytes.
-	args := Args{0x1122334455667788}
-	got := ArgSet(args, 0xff).H1
-
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(args[0] >> uint(i*8))
+	tab := crc64.MakeTable(crc64.ECMA)
+	args := Args{0x1122334455667788, 0xdeadbeefcafef00d, 3, 1 << 63, 0x0102030405060708, ^uint64(0)}
+	le := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
 	}
-	want := crc64.Checksum(buf[:], crc64.MakeTable(crc64.ECMA))
-	if got != want {
-		t.Fatalf("H1 = %#x, want stdlib ECMA %#x", got, want)
+	var low4 []byte
+	for _, a := range args[:3] {
+		low4 = binary.LittleEndian.AppendUint32(low4, uint32(a))
+	}
+	for _, tc := range []struct {
+		name string
+		mask uint64
+		want []byte
+	}{
+		{"one arg", 0xff, le(args[0])},
+		{"six args", fullMask(6), le(args[:]...)},
+		{"three 0x0f lanes", 0x0f0f0f, low4},
+	} {
+		want := crc64.Checksum(tc.want, tab)
+		if got := ArgH1(&args, tc.mask); got != want {
+			t.Fatalf("%s: ArgH1 = %#x, want stdlib ECMA %#x", tc.name, got, want)
+		}
+		if got := ArgSet(args, tc.mask).H1; got != want {
+			t.Fatalf("%s: ArgSet.H1 = %#x, want stdlib ECMA %#x", tc.name, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package hashes
 
 import (
-	"hash/crc64"
 	"math/rand"
 	"testing"
 
@@ -17,14 +16,6 @@ import (
 
 func referenceUpdate(crc uint64, t *[256]uint64, b byte) uint64 {
 	return t[byte(crc)^b] ^ (crc >> 8)
-}
-
-func referenceSum64(b []byte) uint64 {
-	h := ^uint64(0)
-	for _, v := range b {
-		h = referenceUpdate(h, &ecmaTable[0], v)
-	}
-	return ^h
 }
 
 func referenceArgSet(args Args, bitmask uint64) Pair {
@@ -46,32 +37,6 @@ func referenceArgSet(args Args, bitmask uint64) Pair {
 		}
 	}
 	return Pair{H1: ^h1, H2: ^h2}
-}
-
-func TestSum64MatchesBytewiseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		b := make([]byte, rng.Intn(64))
-		rng.Read(b)
-		if got, want := Sum64(b), referenceSum64(b); got != want {
-			t.Fatalf("Sum64(%x) = %#x, reference %#x", b, got, want)
-		}
-	}
-}
-
-// TestSum64MatchesStdlib pins the polynomial convention against an
-// independent implementation: the repo's CRC-64/ECMA is the same function
-// as hash/crc64's ECMA (init ^0, final ^, reversed polynomial).
-func TestSum64MatchesStdlib(t *testing.T) {
-	tab := crc64.MakeTable(crc64.ECMA)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		b := make([]byte, rng.Intn(128))
-		rng.Read(b)
-		if got, want := Sum64(b), crc64.Checksum(b, tab); got != want {
-			t.Fatalf("Sum64(%x) = %#x, stdlib %#x", b, got, want)
-		}
-	}
 }
 
 func TestArgSetMatchesBytewiseReference(t *testing.T) {
@@ -157,33 +122,14 @@ func TestSingleHashesMatchArgSet(t *testing.T) {
 	}
 }
 
-// --- benchmarks: the routing + VAT-probe hash path ------------------------
+// --- benchmarks: the VAT-probe hash path ----------------------------------
 //
-// BenchmarkHashSum64Route and BenchmarkHashArgSet* measure the two
-// hash costs (a 16-byte key; the VAT probe over the masked argument
-// bytes); the *Bytewise variants run the pre-slicing
-// reference so the speedup is visible in one `go test -bench Hash` run.
+// BenchmarkHashArgSet* measure the VAT probe's hash over the masked
+// argument bytes; the *Bytewise variants run the pre-slicing reference so
+// the speedup is visible in one `go test -bench Hash` run.
 
 func benchArgs() (Args, uint64) {
 	return Args{3, 0xdeadbeef, 4096, 0, 0, 0}, 0x0f00ff0f // typical fd/flags/len widths
-}
-
-func BenchmarkHashSum64Route(b *testing.B) {
-	var key [16]byte
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		key[0] = byte(i)
-		_ = Sum64(key[:])
-	}
-}
-
-func BenchmarkHashSum64RouteBytewise(b *testing.B) {
-	var key [16]byte
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		key[0] = byte(i)
-		_ = referenceSum64(key[:])
-	}
 }
 
 func BenchmarkHashArgSet(b *testing.B) {

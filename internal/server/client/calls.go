@@ -32,9 +32,27 @@ var wireCallPool = sync.Pool{New: func() any { return &wireCall{done: make(chan 
 
 func getWireCall() *wireCall {
 	c := wireCallPool.Get().(*wireCall)
+	c.reset()
+	return c
+}
+
+// reset clears the result fields, keeping the raw buffer's capacity.
+func (c *wireCall) reset() {
 	c.typ, c.decision, c.err = 0, engine.Decision{}, nil
 	c.raw = c.raw[:0]
-	return c
+}
+
+// fill stores one response frame's result. Payloads other than
+// single-check decisions are copied out of p (receivers recycle their
+// buffers).
+func (c *wireCall) fill(typ wire.Type, p []byte) {
+	c.typ = typ
+	switch typ {
+	case wire.TypeCheckResp:
+		c.decision, c.err = wire.DecodeCheckResp(p)
+	default:
+		c.raw = append(c.raw[:0], p...)
+	}
 }
 
 func putWireCall(c *wireCall) { wireCallPool.Put(c) }
@@ -75,6 +93,8 @@ func controlRoundTrip(ctx context.Context, send func(context.Context, wire.Type,
 
 // callTable tracks one connection's in-flight requests by id.
 type callTable struct {
+	// nextID numbers every request on the connection, including the shm
+	// reap-role holder's, which never enters pending.
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
@@ -87,11 +107,14 @@ func newCallTable() *callTable {
 }
 
 // alive reports whether the table's connection is still usable.
-func (t *callTable) alive() bool {
+func (t *callTable) alive() bool { return t.failure() == nil }
+
+// failure returns the terminal error, nil while the connection is usable.
+func (t *callTable) failure() error {
 	t.mu.Lock()
-	ok := t.err == nil
+	err := t.err
 	t.mu.Unlock()
-	return ok
+	return err
 }
 
 // register allocates an id and a pooled completion slot for one request.
@@ -150,9 +173,8 @@ func (t *callTable) await(ctx context.Context, id uint64, call *wireCall) (*wire
 	}
 }
 
-// complete routes one response to its waiting caller. Payloads other than
-// single-check decisions are copied out of p (receivers recycle their
-// buffers). Unmatched ids are dropped: the caller cancelled.
+// complete routes one response to its waiting caller (see fill). Unmatched
+// ids are dropped: the caller cancelled.
 func (t *callTable) complete(typ wire.Type, id uint64, p []byte) {
 	t.mu.Lock()
 	call := t.pending[id]
@@ -161,13 +183,7 @@ func (t *callTable) complete(typ wire.Type, id uint64, p []byte) {
 	if call == nil {
 		return
 	}
-	call.typ = typ
-	switch typ {
-	case wire.TypeCheckResp:
-		call.decision, call.err = wire.DecodeCheckResp(p)
-	default:
-		call.raw = append(call.raw[:0], p...)
-	}
+	call.fill(typ, p)
 	call.done <- struct{}{}
 }
 

@@ -15,9 +15,12 @@ package client
 // shared read-lock — the write-lock belongs to teardown, which must
 // exclude all producers before unmapping. The completion ring has no
 // goroutine of its own: whichever caller is waiting for an answer consumes
-// it under the connection's reap role (awaitRing; the protocol is written
-// up in DESIGN.md §12). For call-level aggregation that amortizes even the
-// per-call ring traffic, wrap the connection in a Batcher (batcher.go).
+// it under the connection's reap role. A caller that finds the role free
+// takes it before submitting and answers its own call without the
+// in-flight table (roundTripOwn); the others register in the table and
+// wait (awaitRing). The protocol is written up in DESIGN.md §12. For
+// call-level aggregation that amortizes even the per-call ring traffic,
+// wrap the connection in a Batcher (batcher.go).
 
 import (
 	"context"
@@ -82,13 +85,25 @@ type Shm struct {
 	spin     *shm.SpinController
 
 	// reapMu is the reap role: its holder is the completion ring's single
-	// consumer. Callers only ever TryLock it (see awaitRing); teardown
-	// Locks it, so the mapping outlives whoever is in the ring loop.
+	// consumer. Callers only ever TryLock it (see roundTripRing and
+	// awaitRing); teardown Locks it, so the mapping outlives whoever is in
+	// the ring loop.
 	reapMu sync.Mutex
 	// reaper is the completion-ring consume loop, run under reapMu.
 	reaper shm.ConsumeLoop
+	// own is the call of a caller that took the reap role before
+	// submitting (roundTripOwn). It never enters tab: the reaper decodes
+	// the completion for ownID straight into own and sets ownDone. Only
+	// the role holder touches the three; ownID is 0 when nobody waits.
+	own     wireCall
+	ownID   uint64
+	ownDone bool
+	// ownIn reports ownDone, the role holder's leave condition; built
+	// once so that waiting allocates nothing.
+	ownIn func() bool
 	// drained reports the completion ring empty: the leave condition of a
-	// leader with no call of its own to wait for (see submit).
+	// producer draining it because the submission ring is full (see submit
+	// and submitOwn).
 	drained func() bool
 	// promote carries at most one token from a leader leaving the reap
 	// role to one follower, which then tries for the role itself.
@@ -173,9 +188,15 @@ func DialShm(dir string, opts ShmOptions) (*Shm, error) {
 		Spin: s.spin,
 		Stop: s.stop,
 		Handle: func(f *shm.Frame) {
+			if s.ownID != 0 && f.ID == s.ownID {
+				s.own.fill(wire.Type(f.Type), f.Payload)
+				s.ownDone = true
+				return
+			}
 			s.tab.complete(wire.Type(f.Type), f.ID, f.Payload)
 		},
 	}
+	s.ownIn = func() bool { return s.ownDone }
 	s.drained = reg.Complete.Empty
 	go s.readSocket(r)
 	return s, nil
@@ -213,11 +234,12 @@ func (s *Shm) sendWake() {
 // goroutine holds the reap role and the producer write-lock — unmapping
 // under a live ring loop is a fault — so fail
 // returns after the current leader is out and must not be called with the
-// reap role held. Callers arriving later find closed set. Idempotent.
+// reap role held. Callers arriving later find closed set, and the table's
+// terminal error already in place. Idempotent.
 func (s *Shm) fail(err error) {
 	s.closeOnce.Do(func() {
-		s.closed.Store(true)
 		s.tab.fail(err)
+		s.closed.Store(true)
 		s.nc.Close()
 		close(s.stop)
 		s.reg.Invalidate()
@@ -247,10 +269,39 @@ func (s *Shm) readSocket(r *wire.Reader) {
 	}
 }
 
-// submit claims a submission slot, fills it via enc (appending to the
+// tryPublish claims a submission slot, fills it via enc (appending to the
 // slot's own buffer — zero copy), publishes, and rings the server's
-// doorbell if its consumer has parked. Multiple goroutines submit
-// concurrently; the ring's CAS claim orders them.
+// doorbell if its consumer has parked. full reports a full ring, with
+// nothing done. Multiple goroutines publish concurrently; the ring's CAS
+// claim orders them.
+func (s *Shm) tryPublish(t wire.Type, id uint64, enc func([]byte) []byte) (full bool, err error) {
+	// The closed check shares the lock with the deferred unmap in fail,
+	// so a producer never touches the mapping after it is gone.
+	s.submitMu.RLock()
+	defer s.submitMu.RUnlock()
+	sub := s.reg.Submit
+	if sub.Closed() {
+		return false, shm.ErrRingClosed
+	}
+	pos, buf, ok := sub.TryClaim()
+	if !ok {
+		return true, nil
+	}
+	err = sub.Publish(pos, uint8(t), id, enc(buf))
+	if err != nil {
+		// Only ErrFrameTooBig reaches here, and the MPSC claim contract
+		// is hole-free: this slot must still publish. A zero-length
+		// error frame stands in; the server answers it with an
+		// "unexpected frame" error for an id nobody is waiting on, and
+		// the caller gets the local error.
+		sub.Publish(pos, uint8(wire.TypeError), id, buf[:0])
+	} else if sub.ConsumerParked() {
+		s.subDoor.Ring()
+	}
+	return false, err
+}
+
+// submit publishes a request for a caller without the reap role.
 //
 // A full submission ring is backpressure, but it is not waited out blindly:
 // the server stops consuming submissions when it cannot publish their
@@ -259,51 +310,99 @@ func (s *Shm) readSocket(r *wire.Reader) {
 // So a producer that finds the ring full drains the completion ring if
 // nobody else is, then backs off.
 func (s *Shm) submit(t wire.Type, id uint64, enc func([]byte) []byte) error {
-	sub := s.reg.Submit
 	var bo shm.Backoff
 	for {
-		// The closed check shares the lock with the deferred unmap in fail,
-		// so a producer never touches the mapping after it is gone.
-		s.submitMu.RLock()
-		if sub.Closed() {
-			s.submitMu.RUnlock()
-			return shm.ErrRingClosed
+		full, err := s.tryPublish(t, id, enc)
+		if !full {
+			return err
 		}
-		pos, buf, ok := sub.TryClaim()
-		if !ok {
-			s.submitMu.RUnlock()
-			s.lead(context.Background(), s.drained)
-			bo.Wait()
-			continue
-		}
-		err := sub.Publish(pos, uint8(t), id, enc(buf))
-		if err != nil {
-			// Only ErrFrameTooBig reaches here, and the MPSC claim contract
-			// is hole-free: this slot must still publish. A zero-length
-			// error frame stands in; the server answers it with an
-			// "unexpected frame" error for an id nobody is waiting on, and
-			// the caller gets the local error.
-			sub.Publish(pos, uint8(wire.TypeError), id, buf[:0])
-		} else if sub.ConsumerParked() {
-			s.subDoor.Ring()
-		}
-		s.submitMu.RUnlock()
-		return err
+		s.lead(context.Background(), s.drained)
+		bo.Wait()
 	}
 }
 
-// roundTripRing registers a request, publishes it to the submission ring,
-// and waits for the completion-ring response or ctx.
-func (s *Shm) roundTripRing(ctx context.Context, t wire.Type, enc func([]byte) []byte) (*wireCall, error) {
+// submitOwn is submit for the reap-role holder. On a full ring it drains
+// the completion ring itself — lead would find the role taken, by itself —
+// and reports a torn completion slot as reapErr.
+func (s *Shm) submitOwn(t wire.Type, id uint64, enc func([]byte) []byte) (err, reapErr error) {
+	var bo shm.Backoff
+	for {
+		full, err := s.tryPublish(t, id, enc)
+		if !full {
+			return err, nil
+		}
+		if reapErr := s.reaper.RunUntil(context.Background(), s.drained); reapErr != nil {
+			return nil, reapErr
+		}
+		bo.Wait()
+	}
+}
+
+// roundTripRing submits one request to the submission ring, waits for its
+// completion or ctx, and hands the completed call to use, which must not
+// keep it. A caller that finds the reap role free takes it before
+// submitting and answers its own call without the table (roundTripOwn);
+// the others register in the table, submit, and wait in awaitRing.
+func (s *Shm) roundTripRing(ctx context.Context, t wire.Type, enc func([]byte) []byte, use func(*wireCall) error) error {
+	if s.reapMu.TryLock() {
+		return s.roundTripOwn(ctx, t, enc, use)
+	}
 	id, call, err := s.tab.register()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.submit(t, id, enc); err != nil {
 		s.tab.drop(id, call)
-		return nil, err
+		return err
 	}
-	return s.awaitRing(ctx, id, call)
+	if call, err = s.awaitRing(ctx, id, call); err != nil {
+		return err
+	}
+	err = use(call)
+	putWireCall(call)
+	return err
+}
+
+// roundTripOwn is roundTripRing for a caller holding the reap role, which
+// it releases before returning. The call takes an id but no table entry:
+// it is submitted under the role, and the holder consumes the completion
+// ring — completing every registered call it finds — until the reaper has
+// decoded its own completion into s.own, ctx is cancelled, or the rings
+// close. use reads the result before the role is released. On the way out
+// ownID is cleared, so a completion that arrives after a cancel is dropped
+// like a withdrawn call's.
+func (s *Shm) roundTripOwn(ctx context.Context, t wire.Type, enc func([]byte) []byte, use func(*wireCall) error) error {
+	var err, reapErr error
+	if s.closed.Load() {
+		// Teardown has had the role, and the mapping is gone.
+		err = s.tab.failure()
+	} else {
+		id := s.tab.nextID.Add(1)
+		s.own.reset()
+		s.ownID, s.ownDone = id, false
+		err, reapErr = s.submitOwn(t, id, enc)
+		if err == nil && reapErr == nil {
+			reapErr = s.reaper.RunUntil(ctx, s.ownIn)
+			switch {
+			case reapErr != nil:
+			case s.ownDone:
+				err = use(&s.own)
+			case ctx.Err() != nil:
+				err = ctx.Err()
+			default:
+				// The rings closed: fail set the table's error first.
+				err = s.tab.failure()
+			}
+		}
+		s.ownID = 0
+	}
+	s.reapMu.Unlock()
+	s.handOff()
+	if reapErr != nil {
+		s.fail(fmt.Errorf("shm: completion ring: %w", reapErr))
+		err = s.tab.failure()
+	}
+	return err
 }
 
 // lead takes the reap role if it is free and runs the completion ring's
@@ -324,17 +423,23 @@ func (s *Shm) lead(ctx context.Context, done func() bool) bool {
 		err = s.reaper.RunUntil(ctx, done)
 	}
 	s.reapMu.Unlock()
-	select {
-	case s.promote <- struct{}{}:
-	default:
-	}
+	s.handOff()
 	if err != nil {
 		s.fail(fmt.Errorf("shm: completion ring: %w", err))
 	}
 	return true
 }
 
-// awaitRing waits for a submitted call's completion, reaping the
+// handOff drops a promotion token on a leader's way out of the reap role
+// (see awaitRing).
+func (s *Shm) handOff() {
+	select {
+	case s.promote <- struct{}{}:
+	default:
+	}
+}
+
+// awaitRing waits for a registered call's completion, reaping the
 // completion ring itself when nobody else is. The caller that gets the
 // reap role (the leader) consumes completions for every pending call
 // until its own is in or ctx is cancelled; the others (followers) block
@@ -389,17 +494,17 @@ func (s *Shm) Check(ctx context.Context, tenant string, sid int, args engine.Arg
 	if len(tenant) > wire.MaxTenant {
 		return engine.Decision{}, fmt.Errorf("shm: tenant name exceeds %d bytes", wire.MaxTenant)
 	}
-	call, err := s.roundTripRing(ctx, wire.TypeCheckReq, func(buf []byte) []byte {
+	var d engine.Decision
+	err := s.roundTripRing(ctx, wire.TypeCheckReq, func(buf []byte) []byte {
 		return wire.AppendCheckReq(buf, tenant, engine.Call{SID: sid, Args: args})
+	}, func(c *wireCall) error {
+		if err := c.respErr(wire.TypeCheckResp); err != nil {
+			return err
+		}
+		d = c.decision
+		return nil
 	})
-	if err != nil {
-		return engine.Decision{}, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeCheckResp); err != nil {
-		return engine.Decision{}, err
-	}
-	return call.decision, nil
+	return d, err
 }
 
 // CheckBatch validates a batch in one ring frame, reusing dst when it has
@@ -412,17 +517,18 @@ func (s *Shm) CheckBatch(ctx context.Context, tenant string, calls []engine.Call
 	if max := s.MaxBatchCalls(tenant); len(calls) > max {
 		return nil, fmt.Errorf("shm: batch of %d exceeds the slot capacity of %d calls", len(calls), max)
 	}
-	call, err := s.roundTripRing(ctx, wire.TypeBatchReq, func(buf []byte) []byte {
+	var out []engine.Decision
+	err := s.roundTripRing(ctx, wire.TypeBatchReq, func(buf []byte) []byte {
 		return wire.AppendBatchReq(buf, tenant, calls)
+	}, func(c *wireCall) error {
+		if err := c.respErr(wire.TypeBatchResp); err != nil {
+			return err
+		}
+		var err error
+		out, err = wire.DecodeBatchResp(c.raw, dst[:0])
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer putWireCall(call)
-	if err := call.respErr(wire.TypeBatchResp); err != nil {
-		return nil, err
-	}
-	return wire.DecodeBatchResp(call.raw, dst[:0])
+	return out, err
 }
 
 // PutProfile uploads a profile over the control socket (JSON bodies do not

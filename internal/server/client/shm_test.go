@@ -12,6 +12,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -211,6 +212,68 @@ func TestShmParkedLeaderHonoursContext(t *testing.T) {
 	peer.answer(id, want)
 	if err := <-got; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShmRoleHolderBypassesTable: a lone caller takes the reap role before
+// submitting, so while it waits parked its call is not in the in-flight
+// table, though a second caller's, submitted behind it, is. Cancelling the
+// holder returns context.Canceled; its completion, published late, is
+// dropped, and the follower and the next check get their own decisions.
+func TestShmRoleHolderBypassesTable(t *testing.T) {
+	sc, peer := dialHandDriven(t, shm.DoorbellFutex)
+	read := testSID(t, "read")
+	type result struct {
+		d   engine.Decision
+		err error
+	}
+	check := func(ctx context.Context, arg uint64) chan result {
+		c := make(chan result, 1)
+		go func() {
+			d, err := sc.Check(ctx, "t", read, engine.Args{arg})
+			c <- result{d, err}
+		}()
+		return c
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	holder := check(ctx, 0)
+	stale := peer.next()
+	peer.waitParked()
+	if n := sc.pendingCalls(); n != 0 {
+		t.Fatalf("the role holder's call is in the table (%d pending)", n)
+	}
+	follower := check(context.Background(), 1)
+	idF := peer.next()
+	if n := sc.pendingCalls(); n != 1 {
+		t.Fatalf("%d calls pending with one follower registered, want 1", n)
+	}
+
+	cancel()
+	if r := <-holder; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled role holder returned %+v, %v", r.d, r.err)
+	}
+	wantF := engine.Decision{Allowed: true}
+	peer.answer(stale, engine.Decision{}) // nobody waits for it any more
+	peer.answer(idF, wantF)
+	select {
+	case r := <-follower:
+		if r.err != nil || r.d != wantF {
+			t.Fatalf("follower: %+v, %v", r.d, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower stranded after the role holder was cancelled")
+	}
+
+	want := engine.Decision{Allowed: true, Cached: true}
+	next := check(context.Background(), 2)
+	peer.answer(peer.next(), want)
+	if r := <-next; r.err != nil || r.d != want {
+		t.Fatalf("check after the cancel: %+v, %v (want %+v)", r.d, r.err, want)
+	}
+	if n := sc.pendingCalls(); n != 0 {
+		t.Fatalf("%d calls still pending", n)
 	}
 }
 
@@ -461,45 +524,67 @@ func TestShmCallerReapHammer(t *testing.T) {
 // cancelled submit but leave without waiting, so on small rings their
 // un-reaped completions fill the completion ring, the server stalls
 // publishing, and the submission ring fills behind it. Producers that find
-// it full must reap; otherwise every caller spins in the claim with nobody
-// holding the reap role. After the storm a healthy call must complete.
+// it full must reap — a caller holding the reap role drains the completion
+// ring itself, since nobody else can; otherwise every caller spins in the
+// claim with nobody reaping. A healthy caller runs through the storm, so
+// it often holds the role behind full rings; on two slots almost every
+// submit finds the ring full. After the storm a healthy call must
+// complete.
 func TestShmCancelledStormDoesNotWedge(t *testing.T) {
-	sc := dialRealServer(t,
-		server.Options{DefaultProfile: seccomp.DockerDefault()},
-		ShmOptions{SubmitSlots: 4, CompleteSlots: 4})
-	read := testSID(t, "read")
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
+	for _, slots := range []int{4, 2} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			sc := dialRealServer(t,
+				server.Options{DefaultProfile: seccomp.DockerDefault()},
+				ShmOptions{SubmitSlots: slots, CompleteSlots: slots})
+			read := testSID(t, "read")
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
 
-	const goroutines, perG = 8, 2000
-	stormed := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				if _, err := sc.Check(cancelled, "t", read, engine.Args{uint64(i % 4)}); err != nil && !errors.Is(err, context.Canceled) {
-					t.Errorf("cancelled check: %v", err)
-					return
-				}
+			const goroutines, perG = 8, 2000
+			stormed := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						if _, err := sc.Check(cancelled, "t", read, engine.Args{uint64(i % 4)}); err != nil && !errors.Is(err, context.Canceled) {
+							t.Errorf("cancelled check: %v", err)
+							return
+						}
+					}
+				}()
 			}
-		}()
-	}
-	go func() { wg.Wait(); close(stormed) }()
-	select {
-	case <-stormed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("wedged: cancelled callers are stuck submitting and nobody reaps")
-	}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG/10; i++ {
+					if d, err := sc.Check(context.Background(), "t", read, engine.Args{uint64(i % 4)}); err != nil || !d.Allowed {
+						t.Errorf("healthy check %d in the storm: %+v, %v", i, d, err)
+						return
+					}
+				}
+			}()
+			go func() { wg.Wait(); close(stormed) }()
+			select {
+			case <-stormed:
+			case <-time.After(30 * time.Second):
+				// Release the stuck callers first: they report through t,
+				// which must not outlive the test.
+				sc.Close()
+				<-stormed
+				t.Fatal("wedged: callers are stuck submitting and nobody reaps")
+			}
 
-	ctx, cancelHealthy := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelHealthy()
-	if d, err := sc.Check(ctx, "t", read, engine.Args{0}); err != nil || !d.Allowed {
-		t.Fatalf("healthy check after the storm: %+v, %v", d, err)
-	}
-	if n := sc.pendingCalls(); n != 0 {
-		t.Fatalf("%d calls still pending", n)
+			ctx, cancelHealthy := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancelHealthy()
+			if d, err := sc.Check(ctx, "t", read, engine.Args{0}); err != nil || !d.Allowed {
+				t.Fatalf("healthy check after the storm: %+v, %v", d, err)
+			}
+			if n := sc.pendingCalls(); n != 0 {
+				t.Fatalf("%d calls still pending", n)
+			}
+		})
 	}
 }
 

@@ -124,9 +124,12 @@ type Metrics struct {
 	WireErrors atomic.Uint64
 	// WireFrameErrors counts framing failures that dropped a connection.
 	WireFrameErrors atomic.Uint64
-	// WireCheckLatency tracks decode-to-publish time of single checks.
+	// WireCheckLatency tracks decode-to-publish time of single checks,
+	// sampled: each connection's first single-check frame, then one in
+	// latencySampleEvery. Count is the number of samples, not of checks.
 	WireCheckLatency Histogram
-	// WireBatchLatency tracks service time for batch frames.
+	// WireBatchLatency tracks service time for batch frames, sampled the
+	// same way per connection.
 	WireBatchLatency Histogram
 
 	// Shared-memory front-end counters. Checks and batches moving over the

@@ -185,8 +185,9 @@ type shmConn struct {
 // teardown closes everything exactly once: the socket (stopping the read
 // loop), the rings (unblocking ring spins), and the doorbells (releasing
 // a parked consumer promptly). The mapping and the region file are
-// released only after the ring consumer has exited and responder
-// publishes are excluded — unmapping under a live ring loop is a fault.
+// released only after the ring consumer has exited — unmapping under a
+// live ring loop is a fault. The consumer is also the responder's only
+// caller, so its exit excludes every publish without a lock.
 func (c *shmConn) teardown() {
 	c.closeOnce.Do(func() {
 		close(c.dead)
@@ -194,7 +195,7 @@ func (c *shmConn) teardown() {
 		ss := c.srv
 		ss.mu.Lock()
 		delete(ss.conns, c)
-		reg, path, resp, ringDone := c.reg, c.path, c.resp, c.ringDone
+		reg, path, ringDone := c.reg, c.path, c.ringDone
 		subDoor, compDoor, spin, ringID, kind := c.subDoor, c.compDoor, c.spin, c.ringID, c.kind
 		ss.mu.Unlock()
 		m := ss.hub.s.metrics
@@ -204,9 +205,7 @@ func (c *shmConn) teardown() {
 			compDoor.Close()
 			go func() {
 				<-ringDone
-				resp.mu.Lock()
 				reg.Close()
-				resp.mu.Unlock()
 				os.Remove(path)
 				m.dropShmRing(ringID, spin, kind)
 			}()
@@ -366,26 +365,21 @@ func (c *shmConn) consumeRing() {
 }
 
 // shmResponder publishes responses into the connection's completion ring.
-// The ring consumer is the only producer; it publishes under a read-lock
-// because the write-lock belongs to teardown, which must exclude it before
-// unmapping. A full ring makes Claim spin — the transport's backpressure,
-// same as a wire responder blocked on TCP flow control — and stalls this
-// connection's consumer only.
+// The ring consumer goroutine is its only caller, and teardown unmaps only
+// after that goroutine has exited (ringDone), so it needs no lock. A full
+// ring makes Claim spin — the transport's backpressure, same as a wire
+// responder blocked on TCP flow control — and stalls this connection's
+// consumer only.
 type shmResponder struct {
 	conn *shmConn
-	mu   sync.RWMutex
 	ring *shm.Ring
 }
 
 // publish claims a slot, encodes via fill (which appends to the slot's own
 // buffer — zero copy), and publishes it.
 func (r *shmResponder) publish(t wire.Type, id uint64, fill func([]byte) []byte) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	// The closed check shares the lock with teardown's deferred unmap, so
-	// a publish never touches the mapping after it is gone.
 	if r.ring.Closed() {
-		return
+		return // the connection is tearing down
 	}
 	pos, buf := r.ring.Claim()
 	if buf == nil {
@@ -419,10 +413,8 @@ func (r *shmResponder) send(t wire.Type, id uint64, p []byte) {
 func (r *shmResponder) flush() { r.doorbell() }
 
 func (r *shmResponder) doorbell() {
-	r.mu.RLock()
 	if !r.ring.Closed() && r.ring.ConsumerParked() {
 		r.conn.srv.hub.s.metrics.ShmWakes.Add(1)
 		r.conn.compDoor.Ring()
 	}
-	r.mu.RUnlock()
 }

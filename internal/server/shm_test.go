@@ -228,6 +228,61 @@ func TestShmCheckAndBatch(t *testing.T) {
 	}
 }
 
+// TestSampledCheckLatency pins the latency histograms' sampling: a
+// session times its first single-check frame and first batch frame, then
+// one in 64 of each, while the check counters stay exact.
+func TestSampledCheckLatency(t *testing.T) {
+	srv, sc := newShmServer(t,
+		server.Options{DefaultProfile: seccomp.DockerDefault()},
+		client.ShmOptions{})
+	ctx := context.Background()
+	m := srv.Metrics()
+	read := sidOf(t, "read")
+
+	if _, err := sc.Check(ctx, "t", read, engine.Args{3, 0, 4096}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.WireCheckLatency.Count(); got != 1 {
+		t.Fatalf("after the first check: %d latency samples, want 1", got)
+	}
+	for i := 1; i < 1000; i++ {
+		if _, err := sc.Check(ctx, "t", read, engine.Args{3, 0, uint64(i % 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.WireChecks.Load(); got != 1000 {
+		t.Fatalf("WireChecks = %d, want 1000", got)
+	}
+	// Frames 0, 64, ..., 960.
+	if got := m.WireCheckLatency.Count(); got != 16 {
+		t.Fatalf("after 1000 checks: %d latency samples, want 16", got)
+	}
+	if m.WireCheckLatency.Quantile(0.5) == 0 {
+		t.Fatal("sampled check latency has no median")
+	}
+
+	calls := []engine.Call{{SID: read, Args: engine.Args{3, 0, 4096}}, {SID: sidOf(t, "write"), Args: engine.Args{1, 0, 12}}}
+	var ds []engine.Decision
+	var err error
+	for i := 0; i < 65; i++ {
+		if ds, err = sc.CheckBatch(ctx, "t", calls, ds); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && m.WireBatchLatency.Count() != 1 {
+			t.Fatalf("after the first batch: %d latency samples, want 1", m.WireBatchLatency.Count())
+		}
+	}
+	if got := m.WireBatchCalls.Load(); got != 130 {
+		t.Fatalf("WireBatchCalls = %d, want 130", got)
+	}
+	if got := m.WireBatchLatency.Count(); got != 2 {
+		t.Fatalf("after 65 batches: %d latency samples, want 2", got)
+	}
+	if got := m.WireCheckLatency.Count(); got != 16 {
+		t.Fatalf("batches moved the single-check samples to %d", got)
+	}
+}
+
 func TestShmProfileSwapAndStats(t *testing.T) {
 	_, sc := newShmServer(t, server.Options{},
 		client.ShmOptions{})

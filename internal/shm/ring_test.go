@@ -254,6 +254,72 @@ func TestRingTornSeq(t *testing.T) {
 	}
 }
 
+// TestSeqStateClassification pins the three classes of a slot's sequence
+// word at lap boundaries for every ring size from one slot to MaxSlots:
+// pos+1 is ready, zero and whole laps back are not yet published, and
+// anything else (a partial lap back, any future value) is torn. ParseSlot
+// must classify the same way.
+func TestSeqStateClassification(t *testing.T) {
+	const (
+		ready = iota
+		empty
+		torn
+	)
+	for _, n := range []uint64{1, 2, 64, MaxSlots} {
+		for _, pos := range []uint64{0, n - 1, n, n + 1, 2*n - 1, 3 * n, 1000*n + n - 1} {
+			type tc struct {
+				seq  uint64
+				want int
+			}
+			cases := []tc{
+				{pos + 1, ready},
+				{0, empty},
+				{pos + 2, torn},
+				{pos + 1 + n, torn},
+			}
+			if pos+1 > n {
+				cases = append(cases, tc{pos + 1 - n, empty})
+			}
+			if pos+1 > 2*n {
+				cases = append(cases, tc{pos + 1 - 2*n, empty})
+			}
+			if pos > 0 {
+				// One position back: a whole lap only in a one-slot ring.
+				want := torn
+				if n == 1 {
+					want = empty
+				}
+				cases = append(cases, tc{pos, want})
+			}
+			if n > 2 && pos+1 > n/2 {
+				cases = append(cases, tc{pos + 1 - n/2, torn})
+			}
+			for _, c := range cases {
+				rdy, err := seqState(c.seq, pos, n)
+				got := empty
+				switch {
+				case err != nil:
+					got = torn
+					if !errors.Is(err, ErrTornSeq) {
+						t.Fatalf("n=%d pos=%d seq=%d: error %v, want ErrTornSeq", n, pos, c.seq, err)
+					}
+				case rdy:
+					got = ready
+				}
+				if got != c.want {
+					t.Fatalf("n=%d pos=%d seq=%d: class %d, want %d", n, pos, c.seq, got, c.want)
+				}
+				slot := make([]byte, SlotHdrSize)
+				le.PutUint64(slot[slotSeqOff:], c.seq)
+				_, prdy, perr := ParseSlot(slot, pos, n)
+				if prdy != rdy || (perr != nil) != (err != nil) {
+					t.Fatalf("n=%d pos=%d seq=%d: ParseSlot (%v, %v), seqState (%v, %v)", n, pos, c.seq, prdy, perr, rdy, err)
+				}
+			}
+		}
+	}
+}
+
 // TestRingOversizedLen corrupts a published slot's length field beyond the
 // payload capacity; the consumer must refuse it.
 func TestRingOversizedLen(t *testing.T) {

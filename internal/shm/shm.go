@@ -517,14 +517,16 @@ func (r *Ring) futexWord() *atomic.Uint32 { return r.futexW }
 
 // seqState classifies a slot's sequence word for position pos in a ring
 // of n slots: published now (pos+1), not yet published (zero or a value
-// from an earlier lap), or torn/corrupt (anything else).
+// from an earlier lap), or torn/corrupt (anything else). n is a power of
+// two (Layout.Validate, ParseSlot), so a whole number of laps is a mask
+// test, not a divide: the consumer runs this on every empty poll.
 func seqState(seq, pos, n uint64) (ready bool, err error) {
 	switch {
 	case seq == pos+1:
 		return true, nil
 	case seq == 0:
 		return false, nil
-	case seq <= pos && (pos+1-seq)%n == 0:
+	case seq <= pos && (pos+1-seq)&(n-1) == 0:
 		// A stale epoch: the frame published at this slot some whole
 		// number of laps ago, not yet overwritten this lap.
 		return false, nil

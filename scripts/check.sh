@@ -41,7 +41,7 @@ go test -count=1 -run 'TestBatcher' ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -cpu 1,2 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 go test -race -count=1 -cpu 1,2 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
-go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmCloseRacesHandshake|TestStalledPeerDoesNotDelayOthers' ./internal/server/
+go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|TestShmCloseRacesHandshake|TestStalledPeerDoesNotDelayOthers|TestSampledCheckLatency' ./internal/server/
 go test -race -count=1 -cpu 1,2 -run 'TestShm' ./internal/server/client/
 
 go test -count=1 -run 'Fuzz' ./internal/bpf/
