@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race bench bench-server bench-engine bench-batch bench-filter bench-prog loadgen loadgen-shm
+.PHONY: check build vet test test-race bench bench-server bench-engine bench-batch bench-filter bench-prog
 
 # check is the CI gate: build, vet, the full test suite under the race
 # detector, then the guards that skip themselves under -race (the
@@ -61,15 +61,3 @@ bench-filter:
 bench-prog:
 	$(GO) test -run='^$$' -bench 'BenchmarkProgExec' -benchmem ./internal/ebpf
 
-# loadgen: service-edge comparison — single-check traffic from every
-# workload over the edges that carry checks (wire, shm, and shm_fold, the
-# client Batcher on shm) at equal client concurrency.
-loadgen:
-	$(GO) run ./cmd/dracobench -loadgen
-
-# loadgen-shm: the shm-focused quick loop — two workloads at reduced
-# depth, for iterating on the ring/doorbell/Batcher hot path without the
-# full sweep. loadgen itself already includes the shm edges at full depth
-# whenever the platform supports mmap.
-loadgen-shm:
-	$(GO) run ./cmd/dracobench -loadgen -workloads httpd,redis -events 20000

@@ -15,11 +15,19 @@ import (
 // graded strictly, magnitudes loosely (this is a calibrated simulator, not
 // the authors' testbed).
 func Conformance(o Options) (*Result, error) {
+	ws := workloads.All()
+	bases := make([][]sim.Metrics, len(ws))
+	for i, w := range ws {
+		var err error
+		if bases[i], err = insecureBaselines(o, w); err != nil {
+			return nil, err
+		}
+	}
 	type avg struct{ macro, micro float64 }
 	measure := func(mode kernelmodel.Mode, kind sim.ProfileKind) (avg, error) {
 		var ma, mi []float64
-		for _, w := range workloads.All() {
-			v, err := runAveraged(o, w, mode, kind)
+		for i, w := range ws {
+			v, err := runAveraged(o, w, bases[i], mode, kind)
 			if err != nil {
 				return avg{}, err
 			}

@@ -137,30 +137,40 @@ func (o Options) simConfig(mode kernelmodel.Mode, kind sim.ProfileKind) sim.Conf
 	return cfg
 }
 
-// runAveraged runs one (workload, mode, profile) cell, averaging the
-// slowdown against the per-seed insecure baseline over o.Repeats seeds.
-func runAveraged(o Options, w *workloads.Workload, mode kernelmodel.Mode, kind sim.ProfileKind) (float64, error) {
+// insecureBaselines runs a workload's insecure baseline once per averaged
+// seed. sim.Run is deterministic per config (its RNG is seeded from
+// cfg.Seed), so every cell of the workload shares these runs.
+func insecureBaselines(o Options, w *workloads.Workload) ([]sim.Metrics, error) {
 	reps := o.Repeats
 	if reps < 1 {
 		reps = 1
 	}
-	var sum float64
-	for r := 0; r < reps; r++ {
+	base := make([]sim.Metrics, reps)
+	for r := range base {
 		cfg := o.simConfig(kernelmodel.ModeInsecure, sim.ProfileInsecure)
 		cfg.Seed = o.Seed + int64(r)
-		base, err := sim.Run(w, cfg)
-		if err != nil {
-			return 0, err
+		var err error
+		if base[r], err = sim.Run(w, cfg); err != nil {
+			return nil, err
 		}
-		cfg = o.simConfig(mode, kind)
+	}
+	return base, nil
+}
+
+// runAveraged runs one (workload, mode, profile) cell, averaging the
+// slowdown against base, the workload's per-seed insecure baselines.
+func runAveraged(o Options, w *workloads.Workload, base []sim.Metrics, mode kernelmodel.Mode, kind sim.ProfileKind) (float64, error) {
+	var sum float64
+	for r, b := range base {
+		cfg := o.simConfig(mode, kind)
 		cfg.Seed = o.Seed + int64(r)
 		m, err := sim.Run(w, cfg)
 		if err != nil {
 			return 0, err
 		}
-		sum += m.Slowdown(base)
+		sum += m.Slowdown(b)
 	}
-	return sum / float64(reps), nil
+	return sum / float64(len(base)), nil
 }
 
 // slowdownMatrix runs every workload under each (mode, profile) cell and
@@ -171,9 +181,13 @@ func slowdownMatrix(o Options, title string, columns []string, cells []cell) (*s
 	macro := make([][]float64, len(cells))
 	micro := make([][]float64, len(cells))
 	for _, w := range workloads.All() {
+		base, err := insecureBaselines(o, w)
+		if err != nil {
+			return nil, err
+		}
 		row := make([]float64, len(cells))
 		for i, c := range cells {
-			v, err := runAveraged(o, w, c.mode, c.kind)
+			v, err := runAveraged(o, w, base, c.mode, c.kind)
 			if err != nil {
 				return nil, err
 			}

@@ -97,6 +97,9 @@ type callTable struct {
 	// reap-role holder's, which never enters pending.
 	nextID atomic.Uint64
 
+	// dead is set once err is: the lock-free answer to alive.
+	dead atomic.Bool
+
 	mu      sync.Mutex
 	pending map[uint64]*wireCall
 	err     error
@@ -106,8 +109,9 @@ func newCallTable() *callTable {
 	return &callTable{pending: make(map[uint64]*wireCall)}
 }
 
-// alive reports whether the table's connection is still usable.
-func (t *callTable) alive() bool { return t.failure() == nil }
+// alive reports whether the table's connection is still usable, without
+// taking the lock: the wire client asks it on every call it routes.
+func (t *callTable) alive() bool { return !t.dead.Load() }
 
 // failure returns the terminal error, nil while the connection is usable.
 func (t *callTable) failure() error {
@@ -193,6 +197,7 @@ func (t *callTable) fail(err error) {
 	t.mu.Lock()
 	if t.err == nil {
 		t.err = err
+		t.dead.Store(true)
 	}
 	calls := make([]*wireCall, 0, len(t.pending))
 	for id, call := range t.pending {

@@ -1,8 +1,8 @@
 // Package client reaches a running dracod. Checks travel over the binary
-// edges, Wire (TCP) and Shm (shared-memory rings), optionally aggregated by
-// a Batcher; all three implement Transport. Client is the thin HTTP client
-// for the control plane (profiles, stats, tenants, metrics) that the dracod
-// binary's ctl subcommands use.
+// edges, Wire (TCP) and Shm (shared-memory rings); both implement
+// Transport. Client is the thin HTTP client for the control plane
+// (profiles, stats, tenants, metrics) that the dracod binary's ctl
+// subcommands use.
 package client
 
 import (

@@ -11,16 +11,16 @@ package client
 // elsewhere.
 //
 // Concurrency: the submission ring is multi-producer (CAS slot claiming),
-// so calling goroutines and Batcher flushers publish concurrently under a
-// shared read-lock — the write-lock belongs to teardown, which must
-// exclude all producers before unmapping. The completion ring has no
-// goroutine of its own: whichever caller is waiting for an answer consumes
-// it under the connection's reap role. A caller that finds the role free
+// so calling goroutines publish concurrently under a shared read-lock —
+// the write-lock belongs to teardown, which must exclude all producers
+// before unmapping. The completion ring has no goroutine of its own:
+// whichever caller is waiting for an answer consumes it under the
+// connection's reap role. A caller that finds the role free
 // takes it before submitting and answers its own call without the
 // in-flight table (roundTripOwn); the others register in the table and
-// wait (awaitRing). The protocol is written up in DESIGN.md §12. For
-// call-level aggregation that amortizes even the per-call ring traffic,
-// wrap the connection in a Batcher (batcher.go).
+// wait (awaitRing). The protocol is written up in DESIGN.md §12. Callers
+// that hold many calls at once amortize the per-call ring traffic with
+// CheckBatch.
 
 import (
 	"context"
@@ -480,7 +480,7 @@ func (s *Shm) roundTripSocket(ctx context.Context, t wire.Type, payload []byte) 
 }
 
 // MaxBatchCalls reports how many calls fit in one submission-ring batch
-// frame for this tenant (the Batcher's size bound).
+// frame for this tenant: CheckBatch rejects a longer batch.
 func (s *Shm) MaxBatchCalls(tenant string) int {
 	n := (s.reg.Submit.PayloadCap() - 1 - len(tenant) - 4) / wire.CallBytes
 	if n > wire.MaxBatch {

@@ -1,10 +1,9 @@
 package client
 
 // Transport is the client-side face of the session layer: one interface
-// over every way a check reaches dracod — the TCP wire protocol (Wire),
-// shared-memory rings (Shm), and the client-side aggregator (Batcher,
-// which wraps either). Code written against Transport — the loadgen
-// driver, replay, tests — runs unchanged over all three.
+// over both ways a check reaches dracod — the TCP wire protocol (Wire) and
+// shared-memory rings (Shm). Code written against Transport — the
+// contract benchmark, replay, tests — runs unchanged over either.
 
 import (
 	"context"
@@ -34,5 +33,4 @@ type Transport interface {
 var (
 	_ Transport = (*Wire)(nil)
 	_ Transport = (*Shm)(nil)
-	_ Transport = (*Batcher)(nil)
 )

@@ -17,7 +17,8 @@ package server
 //     responder, so a peer that stops reading (a full TCP window, a full
 //     completion ring) blocks that goroutine and nobody else's.
 //
-// Aggregation is the caller's choice (client.Batcher, TypeBatchReq frames).
+// Aggregation is the caller's choice: a TypeBatchReq frame carries many
+// calls.
 // The split of responsibilities:
 //
 //   - SessionHub binds the front ends to one Server; transports create

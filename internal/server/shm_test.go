@@ -2,7 +2,7 @@ package server_test
 
 // Shared-memory front-end tests: end-to-end over a real mmap'd region and
 // unix control socket, the shm-vs-in-process differential suite (the rings
-// must be a transparent transport, Batcher fold included), and the
+// must be a transparent transport, for the real client's singles too), and the
 // 16-goroutine producer/consumer hammer over one ring pair that
 // scripts/check.sh runs under -race. Everything skips cleanly where mmap
 // is unavailable.
@@ -416,7 +416,7 @@ func TestShmMetricsPage(t *testing.T) {
 // TestShmDifferentialAllWorkloads is the transport-transparency proof for
 // the rings: on 100k-event traces of every workload, decisions served over
 // shared memory — batch frames, singles pipelined through one ring pair,
-// and singles folded by the client-side Batcher — are identical, cached
+// and singles through the real client's Check — are identical, cached
 // flag included, to an in-process engine with the same configuration.
 func TestShmDifferentialAllWorkloads(t *testing.T) {
 	if testing.Short() {
@@ -432,7 +432,6 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sc.Close() })
-	fold := client.NewBatcher(sc, client.BatcherOptions{})
 	raw := dialRawShm(t, ss.Dir(), 0, 0)
 
 	newRef := func(t *testing.T, p *seccomp.Profile) engine.Engine {
@@ -529,21 +528,22 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The same prefix through the client-side Batcher: a sequential
-			// caller is always the lone flusher (batches of one), so
+			// The same prefix through the real client's Check: a sequential
+			// caller always finds the reap role free, so every call is
+			// answered outside the in-flight table (roundTripOwn), and
 			// decisions — cached flag included — must still match exactly.
-			folded := w.Name + "-fold"
-			if _, err := sc.PutProfile(ctx, folded, "", pj); err != nil {
+			direct := w.Name + "-client"
+			if _, err := sc.PutProfile(ctx, direct, "", pj); err != nil {
 				t.Fatal(err)
 			}
 			ref3 := newRef(t, p)
 			for i, ev := range tr[:singles] {
-				got, err := fold.Check(ctx, folded, ev.SID, ev.Args)
+				got, err := sc.Check(ctx, direct, ev.SID, ev.Args)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := ref3.Check(ev.SID, ev.Args); got != want {
-					t.Fatalf("folded event %d (sid=%d): shm %+v, in-process %+v", i, ev.SID, got, want)
+					t.Fatalf("client event %d (sid=%d): shm %+v, in-process %+v", i, ev.SID, got, want)
 				}
 			}
 		})
@@ -551,8 +551,9 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 }
 
 // TestShmHotSwapHammer is the -race workout for the ring pair: 16
-// goroutines hammer one shm connection — checks through the Batcher fold
-// and direct batches, all funneling into the single submission ring —
+// goroutines hammer one shm connection — single checks, which contend for
+// the reap role, and batches on every 8th call, all funneling into the
+// single submission ring —
 // while a writer hot-swaps the tenant's profile over the control socket
 // (alternating two profiles, so generation swaps race with ring traffic).
 // Every request must complete without a transport- or request-level
@@ -560,7 +561,6 @@ func TestShmDifferentialAllWorkloads(t *testing.T) {
 func TestShmHotSwapHammer(t *testing.T) {
 	_, sc := newShmServer(t, server.Options{},
 		client.ShmOptions{})
-	fold := client.NewBatcher(sc, client.BatcherOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
@@ -590,7 +590,7 @@ func TestShmHotSwapHammer(t *testing.T) {
 					}
 					continue
 				}
-				if _, err := fold.Check(ctx, "hammer", read, engine.Args{uint64(g), uint64(i)}); err != nil {
+				if _, err := sc.Check(ctx, "hammer", read, engine.Args{uint64(g), uint64(i)}); err != nil {
 					errCh <- err
 					return
 				}

@@ -8,8 +8,8 @@ import (
 )
 
 // Shared fixtures for the differential tests: the quantile math used to
-// be reimplemented inline in cmd/dracobench/loadgen.go (pct over sorted
-// []time.Duration), cmd/dracod/main.go (percentile), and
+// be reimplemented inline in a load generator since removed (pct over
+// sorted []time.Duration), cmd/dracod/main.go (percentile), and
 // internal/server/metrics.go (bucket rank walks). These fixtures pin
 // the deduplicated helpers to the originals' outputs.
 var quantileFixtures = [][]int64{
@@ -22,8 +22,8 @@ var quantileFixtures = [][]int64{
 	{0, 0, 0, 1, 1_000_000_000},
 }
 
-// refPct is a verbatim copy of the original loadgen percentile (over
-// sorted samples): i := int(p * float64(len(all)-1)).
+// refPct is a verbatim copy of the removed load generator's percentile
+// (over sorted samples): i := int(p * float64(len(all)-1)).
 func refPct(all []int64, p float64) int64 {
 	if len(all) == 0 {
 		return 0
@@ -55,7 +55,7 @@ func TestQuantileSortedMatchesLoadgenPct(t *testing.T) {
 			got := QuantileSorted(fix, q)
 			want := refPct(fix, q)
 			if got != want {
-				t.Errorf("QuantileSorted(%v, %v) = %d, loadgen pct = %d", fix, q, got, want)
+				t.Errorf("QuantileSorted(%v, %v) = %d, load generator pct = %d", fix, q, got, want)
 			}
 		}
 	}
@@ -147,22 +147,5 @@ func TestBucketQuantileIndexMatchesServerWalk(t *testing.T) {
 				t.Errorf("BucketQuantileIndex(%v, %v) = %d, server walk = %d", counts, q, got, want)
 			}
 		}
-	}
-}
-
-func TestMedianAndQuantile(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median = %v, want 2", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median(nil) = %v, want 0", got)
-	}
-	// Quantile must not mutate its input.
-	xs := []float64{9, 1, 5}
-	if got := Quantile(xs, 1); got != 9 {
-		t.Errorf("Quantile(...,1) = %v, want 9", got)
-	}
-	if xs[0] != 9 || xs[1] != 1 || xs[2] != 5 {
-		t.Errorf("Quantile mutated its input: %v", xs)
 	}
 }

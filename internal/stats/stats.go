@@ -3,17 +3,15 @@
 // quantiles (both exact-over-samples and bucket-resolved), and
 // fixed-width text tables that mirror the paper's figures as rows/series.
 //
-// This package is the single home for quantile math. The loadgen and
-// dracod-replay latency percentiles and the server's fixed-bucket
-// histogram quantiles all resolve through here; differential tests pin
-// the helpers against the original inline implementations on shared
-// fixtures.
+// This package is the single home for quantile math. The dracod-replay
+// latency percentiles and the server's fixed-bucket histogram quantiles
+// both resolve through here; differential tests pin the helpers against
+// the original inline implementations on shared fixtures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -68,19 +66,6 @@ func QuantileSorted[T Real](xs []T, q float64) T {
 	}
 	return xs[int(q*float64(len(xs)-1))]
 }
-
-// Quantile sorts a copy of xs and returns its nearest-rank q-quantile.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return QuantileSorted(s, q)
-}
-
-// Median returns the nearest-rank median (0 for empty input).
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // BucketQuantileIndex returns the index of the bucket holding the
 // q-quantile sample, given per-bucket counts, or -1 when all counts are

@@ -37,7 +37,6 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # one P, tight-spin-then-yield with two.
 go test -count=1 -run 'Fuzz' ./internal/shm/
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
-go test -count=1 -run 'TestBatcher' ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -cpu 1,2 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
 go test -race -count=1 -cpu 1,2 -run 'DoorbellStress|TestFutexParkWake|TestParkProtocol' ./internal/shm/
