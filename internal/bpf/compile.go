@@ -218,9 +218,10 @@ func Compile(p Program) (*Exec, error) {
 		e.ops[i] = decode(ins, int32(i))
 	}
 	e.threadJumps()
-	e.buildLadders()
+	sc := chainScratch{seen: map[uint32]uint32{}}
+	e.buildLadders(&sc)
 	e.fuseLoads()
-	e.buildLoadLadders()
+	e.buildLoadLadders(&sc)
 	return e, nil
 }
 
@@ -378,16 +379,16 @@ const denseMaxSpan = 4096
 // shared table dispatches. Every chain member becomes a opSwitch with its
 // own entry position, so jumps into the middle of the ladder dispatch
 // over exactly the compares the interpreter would still execute.
-func (e *Exec) buildLadders() {
+func (e *Exec) buildLadders(sc *chainScratch) {
 	for s := range e.ops {
 		if e.ops[s].code != opJeqK {
 			continue
 		}
-		chain, keys := e.collectChain(int32(s), opJeqK, 0)
+		chain := e.collectChain(sc, int32(s), opJeqK, 0)
 		if len(chain) < ladderMinLen {
 			continue
 		}
-		ti := e.makeTable(chain, keys, func(r int32) (uint16, uint16, int32, uint32) {
+		ti := e.makeTable(chain, func(r int32) (uint16, uint16, int32, uint32) {
 			op := &e.ops[r]
 			return op.costF, op.costT, op.jt, op.k
 		})
@@ -401,26 +402,36 @@ func (e *Exec) buildLadders() {
 	}
 }
 
+// chainScratch is collectChain's workspace, reused by every walk of one
+// Compile: the chain walked last, and the keys seen, each stamped with the
+// walk that saw it, so no walk has to clear what the one before it left.
+type chainScratch struct {
+	chain []int32
+	seen  map[uint32]uint32
+	walk  uint32
+}
+
 // collectChain walks false-edge links from head while each member is a
 // `code` op (and, for load ladders, loads the same offset `off`),
-// stopping at duplicate keys so table keys stay unique.
-func (e *Exec) collectChain(head int32, code uint8, off uint32) ([]int32, map[uint32]bool) {
-	var chain []int32
-	keys := map[uint32]bool{}
+// stopping at duplicate keys so table keys stay unique. The chain it
+// returns is sc's, valid until the next walk.
+func (e *Exec) collectChain(sc *chainScratch, head int32, code uint8, off uint32) []int32 {
+	sc.walk++
+	sc.chain = sc.chain[:0]
 	for cur := head; ; cur = e.ops[cur].jf {
 		op := &e.ops[cur]
-		if op.code != code || (code == opLdJeq && op.off != off) || keys[op.k] {
+		if op.code != code || (code == opLdJeq && op.off != off) || sc.seen[op.k] == sc.walk {
 			break
 		}
-		keys[op.k] = true
-		chain = append(chain, cur)
+		sc.seen[op.k] = sc.walk
+		sc.chain = append(sc.chain, cur)
 	}
-	return chain, keys
+	return sc.chain
 }
 
 // makeTable builds one jumpTable for a chain. member reports a rung's
 // (missCost, matchCost, matchTarget, key).
-func (e *Exec) makeTable(chain []int32, _ map[uint32]bool, member func(int32) (uint16, uint16, int32, uint32)) int {
+func (e *Exec) makeTable(chain []int32, member func(int32) (uint16, uint16, int32, uint32)) int {
 	n := len(chain)
 	ents := make([]tableEnt, 0, n)
 	keys := make([]uint32, 0, n)
@@ -489,17 +500,17 @@ func (e *Exec) fuseLoads() {
 // every allowed tuple reloads the argument and compares it — into load
 // dispatches. The data buffer cannot change mid-run, so one load decides
 // the whole ladder.
-func (e *Exec) buildLoadLadders() {
+func (e *Exec) buildLoadLadders(sc *chainScratch) {
 	for s := range e.ops {
 		if e.ops[s].code != opLdJeq {
 			continue
 		}
-		chain, keys := e.collectChain(int32(s), opLdJeq, e.ops[s].off)
+		chain := e.collectChain(sc, int32(s), opLdJeq, e.ops[s].off)
 		if len(chain) < ladderMinLen {
 			continue
 		}
 		off := e.ops[s].off
-		ti := e.makeTable(chain, keys, func(r int32) (uint16, uint16, int32, uint32) {
+		ti := e.makeTable(chain, func(r int32) (uint16, uint16, int32, uint32) {
 			op := &e.ops[r]
 			return op.costF, op.costT, op.jt, op.k
 		})

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"draco/internal/bpf"
 	"draco/internal/core"
 	"draco/internal/profilegen"
 	"draco/internal/seccomp"
@@ -117,6 +118,72 @@ func BenchmarkConcurrentCheckerBatchParallel(b *testing.B) {
 					off += batchSize
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkSetProfileStages splits one profile swap by stage, per macro
+// workload's complete profile: the seccomp compiler (compile), the
+// compiled BPF tier (bpfcompile), the constant-action bitmap (bitmap), the
+// decision plane (plane), and the whole SetProfile the stages sum into
+// (setprofile), which also validates the profile and builds the fresh
+// generation's checker. Run it with -benchmem.
+func BenchmarkSetProfileStages(b *testing.B) {
+	type subject struct {
+		name string
+		p    *seccomp.Profile
+		prog bpf.Program
+		bm   *seccomp.Bitmap
+	}
+	var subjects []subject
+	for _, w := range workloads.MacroWorkloads() {
+		p := profilegen.Complete(w.Name+"-complete", w.Generate(50_000, 42), profilegen.Options{IncludeRuntime: true})
+		prog, err := seccomp.Compile(p, seccomp.ShapeLinear)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subjects = append(subjects, subject{w.Name, p, prog, seccomp.ComputeBitmap(prog)})
+	}
+	stages := []struct {
+		name string
+		run  func(b *testing.B, s subject)
+	}{
+		{"compile", func(b *testing.B, s subject) {
+			if _, err := seccomp.Compile(s.p, seccomp.ShapeLinear); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"bpfcompile", func(b *testing.B, s subject) {
+			if _, err := bpf.Compile(s.prog); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"bitmap", func(b *testing.B, s subject) { seccomp.ComputeBitmap(s.prog) }},
+		{"plane", func(b *testing.B, s subject) { buildPlane(s.p, s.bm, nil, false) }},
+	}
+	for _, st := range stages {
+		for _, s := range subjects {
+			b.Run(st.name+"/"+s.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.run(b, s)
+				}
+			})
+		}
+	}
+	for _, s := range subjects {
+		b.Run("setprofile/"+s.name, func(b *testing.B) {
+			c, err := NewCheckerConfig(s.p, Config{Mode: seccomp.ExecBitmap})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.SetProfile(s.p); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

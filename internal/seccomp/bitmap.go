@@ -28,7 +28,11 @@ import (
 // syscall fall back to real filter execution, never mis-resolves it.
 // Forward-only jumps (enforced by validation) make the program a DAG, so
 // one pass in pc order with per-pc state merging visits each reachable
-// instruction once.
+// instruction once. The pass carries its state in place from each
+// instruction to the next and queues a state only at a branch on an
+// unknown condition, where the far target waits to be joined by every
+// other path reaching it; a resolved branch (the nr dispatch, nearly every
+// step) costs no copy and no queue operation.
 const (
 	// BitmapMaxNr bounds the syscall numbers the bitmap covers; x86-64
 	// numbers fit comfortably. Checks outside the range use the filter.
@@ -84,18 +88,25 @@ type absVal struct {
 
 // absState is the abstract machine state reaching one pc.
 type absState struct {
-	gen  uint32
 	a, x absVal
 	mem  [bpf.ScratchSlots]absVal
 }
 
-// bitmapComputer runs the per-nr abstract passes, reusing its per-pc state
-// array across numbers via generation stamps.
+// pending is a queued branch target and the join of the states reaching it.
+type pending struct {
+	pc int32
+	st absState
+}
+
+// bitmapComputer holds what the per-nr passes queue: the heap of queued
+// pcs and, in pend, the join of the states reaching each. slot maps a pc
+// to its entry in pend, valid only while pend[slot[pc]].pc == pc (a sparse
+// set), so one slot array of len(prog) serves all passes without clearing.
 type bitmapComputer struct {
-	prog   bpf.Program
-	states []absState
-	heap   []int32 // min-heap of pending pcs for the current pass
-	gen    uint32
+	prog bpf.Program
+	slot []int32
+	pend []pending
+	heap []int32 // min-heap of pending pcs for the current pass
 }
 
 // ComputeBitmap abstractly interprets prog for every syscall number in
@@ -107,7 +118,7 @@ func ComputeBitmap(prog bpf.Program) *Bitmap {
 		return nil
 	}
 	b := &Bitmap{arch: AuditArchX8664}
-	c := &bitmapComputer{prog: prog, states: make([]absState, len(prog))}
+	c := &bitmapComputer{prog: prog, slot: make([]int32, len(prog))}
 	for nr := uint32(0); nr < BitmapMaxNr; nr++ {
 		if act, ok := c.run(nr, b.arch); ok {
 			b.known[nr] = true
@@ -120,28 +131,28 @@ func ComputeBitmap(prog bpf.Program) *Bitmap {
 
 // push queues pc for processing, merging st into its pending state.
 func (c *bitmapComputer) push(pc int32, st *absState) {
-	dst := &c.states[pc]
-	if dst.gen != c.gen {
-		*dst = *st
-		dst.gen = c.gen
-		// Sift up.
-		c.heap = append(c.heap, pc)
-		i := len(c.heap) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if c.heap[parent] <= c.heap[i] {
-				break
-			}
-			c.heap[parent], c.heap[i] = c.heap[i], c.heap[parent]
-			i = parent
+	if i := c.slot[pc]; int(i) < len(c.pend) && c.pend[i].pc == pc {
+		// Join: keep only cells proven equal on both paths.
+		dst := &c.pend[i].st
+		meet(&dst.a, st.a)
+		meet(&dst.x, st.x)
+		for i := range dst.mem {
+			meet(&dst.mem[i], st.mem[i])
 		}
 		return
 	}
-	// Join: keep only cells proven equal on both paths.
-	meet(&dst.a, st.a)
-	meet(&dst.x, st.x)
-	for i := range dst.mem {
-		meet(&dst.mem[i], st.mem[i])
+	c.slot[pc] = int32(len(c.pend))
+	c.pend = append(c.pend, pending{pc: pc, st: *st})
+	// Sift up.
+	c.heap = append(c.heap, pc)
+	i := len(c.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if c.heap[parent] <= c.heap[i] {
+			break
+		}
+		c.heap[parent], c.heap[i] = c.heap[i], c.heap[parent]
+		i = parent
 	}
 }
 
@@ -151,8 +162,8 @@ func meet(dst *absVal, src absVal) {
 	}
 }
 
-// pop removes and returns the smallest pending pc.
-func (c *bitmapComputer) pop() int32 {
+// pop removes the smallest pending pc and loads its joined state into st.
+func (c *bitmapComputer) pop(st *absState) int32 {
 	pc := c.heap[0]
 	last := len(c.heap) - 1
 	c.heap[0] = c.heap[last]
@@ -173,26 +184,33 @@ func (c *bitmapComputer) pop() int32 {
 		c.heap[i], c.heap[small] = c.heap[small], c.heap[i]
 		i = small
 	}
+	*st = c.pend[c.slot[pc]].st
 	return pc
 }
 
-// run analyzes one syscall number; ok reports a proven constant action.
-func (c *bitmapComputer) run(nr, arch uint32) (Action, bool) {
-	c.gen++
-	c.heap = c.heap[:0]
-	var init absState
-	init.a = absVal{known: true}
-	init.x = absVal{known: true}
-	for i := range init.mem {
-		init.mem[i] = absVal{known: true}
+// initState is the machine at pc 0: A, X and every scratch word are 0.
+var initState = func() (st absState) {
+	st.a = absVal{known: true}
+	st.x = absVal{known: true}
+	for i := range st.mem {
+		st.mem[i] = absVal{known: true}
 	}
-	c.push(0, &init)
+	return st
+}()
 
+// run analyzes one syscall number; ok reports a proven constant action.
+// It visits pcs in increasing order, as a worklist over the whole program
+// would: the current state steps to its successor in place unless a queued
+// pc comes first (or is the successor itself, whose states must join), and
+// jumps are forward only, so no path can reach a pc already passed.
+func (c *bitmapComputer) run(nr, arch uint32) (Action, bool) {
+	c.heap = c.heap[:0]
+	c.pend = c.pend[:0]
+	st := initState
 	var ret absVal
 	haveRet := false
-	for len(c.heap) > 0 {
-		pc := c.pop()
-		st := c.states[pc] // copy: pushes below may grow/merge states
+	pc := int32(0)
+	for {
 		ins := c.prog[pc]
 		next := pc + 1
 		switch ins.Op & 0x07 {
@@ -206,24 +224,20 @@ func (c *bitmapComputer) run(nr, arch uint32) (Action, bool) {
 			} else {
 				st.a = v
 			}
-			c.push(next, &st)
 		case bpf.ClassST:
 			st.mem[ins.K] = st.a
-			c.push(next, &st)
 		case bpf.ClassSTX:
 			st.mem[ins.K] = st.x
-			c.push(next, &st)
 		case bpf.ClassALU:
 			v, ok := absALU(ins, st.a, st.x)
 			if !ok {
 				return 0, false // division by unknown or zero X: bail
 			}
 			st.a = v
-			c.push(next, &st)
 		case bpf.ClassJMP:
 			op := ins.Op & 0xf0
 			if op == bpf.JmpJA {
-				c.push(pc+1+int32(ins.K), &st)
+				next = pc + 1 + int32(ins.K)
 				break
 			}
 			operand := absVal{known: true, v: ins.K}
@@ -244,15 +258,17 @@ func (c *bitmapComputer) run(nr, arch uint32) (Action, bool) {
 				case bpf.JmpJSET:
 					cond = st.a.v&operand.v != 0
 				}
+				next = tf
 				if cond {
-					c.push(tt, &st)
-				} else {
-					c.push(tf, &st)
+					next = tt
 				}
 			} else {
-				// Condition depends on unknown input: both ways.
-				c.push(tt, &st)
-				c.push(tf, &st)
+				// Condition depends on unknown input: both ways. The far
+				// target waits in the queue; the near one goes on below.
+				next = min(tt, tf)
+				if far := max(tt, tf); far != next {
+					c.push(far, &st)
+				}
 			}
 		case bpf.ClassRET:
 			v := absVal{known: true, v: ins.K}
@@ -266,19 +282,25 @@ func (c *bitmapComputer) run(nr, arch uint32) (Action, bool) {
 				return 0, false // two reachable outcomes: arg-dependent
 			}
 			ret, haveRet = v, true
+			if len(c.heap) == 0 {
+				return Action(ret.v), true
+			}
+			pc = c.pop(&st)
+			continue
 		case bpf.ClassMISC:
 			if ins.Op&0xf8 == bpf.MiscTAX {
 				st.x = st.a
 			} else {
 				st.a = st.x
 			}
-			c.push(next, &st)
 		}
+		if len(c.heap) > 0 && c.heap[0] <= next {
+			c.push(next, &st)
+			pc = c.pop(&st)
+			continue
+		}
+		pc = next
 	}
-	if !haveRet {
-		return 0, false
-	}
-	return Action(ret.v), true
 }
 
 // absLoad models a load against seccomp_data with fixed nr/arch and

@@ -36,6 +36,8 @@ go test -count=1 -run 'TestWireDifferentialAllWorkloads' ./internal/server/
 # The -cpu 1,2 race lines run both consumer poll ladders: yield-only with
 # one P, tight-spin-then-yield with two.
 go test -count=1 -run 'Fuzz' ./internal/shm/
+# The client's pins are full round trips through an in-process server:
+# Shm.Check, Shm.CheckBatch and Wire.Check (TestZeroAllocsWireCheck).
 go test -count=1 -run 'ZeroAllocs' ./internal/shm/ ./internal/server/client/
 go test -count=1 -run 'TestShmDifferentialAllWorkloads' ./internal/server/
 go test -race -count=1 -cpu 1,2 -run 'TestRingSPSCConcurrent|TestRingMPSCConcurrent' ./internal/shm/
@@ -44,6 +46,7 @@ go test -race -count=1 -run 'TestShmHotSwapHammer|TestShmDoorbellNegotiation|Tes
 go test -race -count=1 -cpu 1,2 -run 'TestShm' ./internal/server/client/
 
 go test -count=1 -run 'Fuzz' ./internal/bpf/
+go test -count=1 -run 'Fuzz' ./internal/seccomp/
 go test -count=1 -run 'Fuzz' ./internal/ebpf/
 
 go test -race -count=1 -run 'TestFastPathHotSwapHammer' ./internal/concurrent/
