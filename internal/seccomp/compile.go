@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"draco/internal/bpf"
+	"draco/internal/syscalls"
 )
 
 // Shape selects the code layout a profile compiles to.
@@ -82,13 +83,7 @@ func linearRule(r Rule) bpf.Program {
 	}
 	// Body: argument-set checks followed by a reload of the syscall number
 	// (argument loads clobber A, and the next rule expects nr in A).
-	var body bpf.Program
-	for _, set := range r.AllowedSets {
-		body = append(body, argSetCheck(r, set)...)
-	}
-	for _, conds := range r.MaskedSets {
-		body = append(body, maskedSetCheck(r, conds)...)
-	}
+	body := setChecks(r)
 	body = append(body, bpf.Stmt(bpf.ClassLD|bpf.ModeABS|bpf.SizeW, OffNr))
 	// Header: skip the whole body (including the reload) when the syscall
 	// number does not match. Use a ja trampoline when the body is too long
@@ -104,27 +99,41 @@ func linearRule(r Rule) bpf.Program {
 	}, body...)
 }
 
-// argSetCheck emits the comparison ladder for one allowed argument tuple:
-// for each checked argument, compare the low 32-bit word and — only for
-// arguments wider than a C int (widths.go) — the high word as well (cBPF is
-// a 32-bit machine; real libseccomp conditions on int-typed arguments
-// compare one word the same way). Any mismatch jumps past the set; a full
-// match returns ALLOW.
-func argSetCheck(r Rule, set []uint64) bpf.Program {
-	checked := r.CheckedArgs
+// setChecks emits a rule's argument-set and masked-set checks, in order,
+// into one program. Which arguments are wider than a C int is looked up
+// once per rule, not once per set.
+func setChecks(r Rule) bpf.Program {
+	var wide [syscalls.MaxArgs]bool
+	for i := range wide {
+		wide[i] = r.Syscall.ArgWidth(i) > 4
+	}
+	var prog bpf.Program
+	for _, set := range r.AllowedSets {
+		prog = argSetCheck(prog, r.CheckedArgs, &wide, set)
+	}
+	for _, conds := range r.MaskedSets {
+		prog = maskedSetCheck(prog, &wide, conds)
+	}
+	return prog
+}
+
+// argSetCheck appends the comparison ladder for one allowed argument
+// tuple: for each checked argument, compare the low 32-bit word and — only
+// for arguments wider than a C int (widths.go) — the high word as well
+// (cBPF is a 32-bit machine; real libseccomp conditions on int-typed
+// arguments compare one word the same way). Any mismatch jumps past the
+// set; a full match returns ALLOW.
+func argSetCheck(prog bpf.Program, checked []int, wide *[syscalls.MaxArgs]bool, set []uint64) bpf.Program {
 	// Total set length: 2 instructions per narrow argument, 4 per wide
 	// one, plus the final RET. Max 6*4+1 = 25, well within 8-bit offsets.
 	setLen := 1
-	wide := make([]bool, len(checked))
-	for i, idx := range checked {
-		wide[i] = r.Syscall.ArgWidth(idx) > 4
-		if wide[i] {
+	for _, idx := range checked {
+		if wide[idx] {
 			setLen += 4
 		} else {
 			setLen += 2
 		}
 	}
-	prog := make(bpf.Program, 0, setLen)
 	pos := 0 // index within the set
 	for i, idx := range checked {
 		lo := uint32(set[i])
@@ -133,7 +142,7 @@ func argSetCheck(r Rule, set []uint64) bpf.Program {
 			bpf.Jump(bpf.ClassJMP|bpf.JmpJEQ|bpf.SrcK, lo, 0, uint8(setLen-(pos+2))),
 		)
 		pos += 2
-		if wide[i] {
+		if wide[idx] {
 			hi := uint32(set[i] >> 32)
 			prog = append(prog,
 				bpf.Stmt(bpf.ClassLD|bpf.ModeABS|bpf.SizeW, ArgHighOff(idx)),
@@ -146,32 +155,31 @@ func argSetCheck(r Rule, set []uint64) bpf.Program {
 	return prog
 }
 
-// maskedSetCheck emits one masked-comparison conjunction: for each
+// maskedSetCheck appends one masked-comparison conjunction: for each
 // condition, load the argument word(s), AND with the mask, and compare —
 // libseccomp's SCMP_CMP_MASKED_EQ lowering. A conjunction that fully holds
-// returns ALLOW; any failure falls through to the next set.
-func maskedSetCheck(r Rule, conds []MaskCond) bpf.Program {
+// returns ALLOW; any failure falls through to the next set. wideArg marks
+// the rule's arguments wider than a C int.
+func maskedSetCheck(prog bpf.Program, wideArg *[syscalls.MaxArgs]bool, conds []MaskCond) bpf.Program {
+	wide := func(c MaskCond) bool { return wideArg[c.ArgIndex] || c.Mask>>32 != 0 }
 	// Condition cost: 3 instructions per compared word.
 	setLen := 1
-	wide := make([]bool, len(conds))
-	for i, c := range conds {
-		wide[i] = r.Syscall.ArgWidth(c.ArgIndex) > 4 || c.Mask>>32 != 0
-		if wide[i] {
+	for _, c := range conds {
+		if wide(c) {
 			setLen += 6
 		} else {
 			setLen += 3
 		}
 	}
-	prog := make(bpf.Program, 0, setLen)
 	pos := 0
-	for i, c := range conds {
+	for _, c := range conds {
 		prog = append(prog,
 			bpf.Stmt(bpf.ClassLD|bpf.ModeABS|bpf.SizeW, ArgLowOff(c.ArgIndex)),
 			bpf.Stmt(bpf.ClassALU|bpf.ALUAnd|bpf.SrcK, uint32(c.Mask)),
 			bpf.Jump(bpf.ClassJMP|bpf.JmpJEQ|bpf.SrcK, uint32(c.Value), 0, uint8(setLen-(pos+3))),
 		)
 		pos += 3
-		if wide[i] {
+		if wide(c) {
 			prog = append(prog,
 				bpf.Stmt(bpf.ClassLD|bpf.ModeABS|bpf.SizeW, ArgHighOff(c.ArgIndex)),
 				bpf.Stmt(bpf.ClassALU|bpf.ALUAnd|bpf.SrcK, uint32(c.Mask>>32)),
@@ -224,13 +232,7 @@ func treeLeaf(r Rule, def Action) bpf.Program {
 			bpf.Stmt(bpf.ClassRET, uint32(def)),
 		}
 	}
-	var body bpf.Program
-	for _, set := range r.AllowedSets {
-		body = append(body, argSetCheck(r, set)...)
-	}
-	for _, conds := range r.MaskedSets {
-		body = append(body, maskedSetCheck(r, conds)...)
-	}
+	body := setChecks(r)
 	body = append(body, bpf.Stmt(bpf.ClassRET, uint32(def)))
 	if len(body)-1 <= 255 {
 		leaf := bpf.Program{
