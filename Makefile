@@ -56,8 +56,8 @@ bench-batch:
 bench-filter:
 	$(GO) test -run='^$$' -bench 'BenchmarkFilterExec' -benchmem ./internal/seccomp
 
-# bench-prog compares the programmable-policy execution tiers (interp vs
-# compiled vs constant-extracted vs the full stateful Check path).
+# bench-prog times the programmable-policy paths: a bare interpreter run,
+# a constant-extracted check, and the full stateful Check path.
 bench-prog:
 	$(GO) test -run='^$$' -bench 'BenchmarkProgExec' -benchmem ./internal/ebpf
 

@@ -280,3 +280,36 @@ func TestExecLen(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ex.Len(), len(p))
 	}
 }
+
+// TestThreadJumpChains pins the compiled tier's jump threading: a branch
+// into a chain of unconditional jumps lands on the chain's final target,
+// and the edge is charged for every ja it skips, so Executed still matches
+// the interpreter.
+func TestThreadJumpChains(t *testing.T) {
+	// jeq -> ja -> ja -> ret 1; fall-through: ret 0.
+	p := Program{
+		Stmt(ClassLD|ModeABS|SizeW, 0),
+		Jump(ClassJMP|JmpJEQ|SrcK, 5, 0, 1), // jt -> ja at 2
+		Jump(ClassJMP|JmpJA, 1, 0, 0),       // -> ja at 4
+		Stmt(ClassRET, 0),                   // jf target
+		Jump(ClassJMP|JmpJA, 0, 0, 0),       // -> ret 1
+		Stmt(ClassRET, 1),
+	}
+	ex, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pc, jt int32
+		cost   uint16
+	}{{1, 5, 3}, {2, 5, 2}, {4, 5, 1}} {
+		if op := ex.ops[c.pc]; op.jt != c.jt || op.costT != c.cost {
+			t.Fatalf("op %d: taken edge -> %d cost %d, want -> %d cost %d", c.pc, op.jt, op.costT, c.jt, c.cost)
+		}
+	}
+	for nr, want := range map[byte]uint32{5: 1, 6: 0} {
+		if r, _ := runBoth(t, p, []byte{nr, 0, 0, 0}); r.Value != want {
+			t.Fatalf("nr=%d: value %d, want %d", nr, r.Value, want)
+		}
+	}
+}

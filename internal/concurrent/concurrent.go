@@ -88,19 +88,13 @@ type state struct {
 }
 
 func newState(p *seccomp.Profile, mode seccomp.ExecMode, gen uint64, noFast bool) (*state, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, mode)
 	if err != nil {
 		return nil, err
 	}
 	var prog *ebpf.Attached
 	if src := p.Programmable; src != nil {
-		prog = src.Attach(ebpf.AttachOpts{
-			Interp:    mode == seccomp.ExecInterp,
-			NoExtract: mode != seccomp.ExecBitmap,
-		})
+		prog = src.Attach(ebpf.AttachOpts{NoExtract: mode != seccomp.ExecBitmap})
 	}
 	chk := core.NewChecker(p, seccomp.Chain{f})
 	chk.Prog = prog

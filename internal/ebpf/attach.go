@@ -1,13 +1,9 @@
 package ebpf
 
 // AttachOpts configures how a programmable policy executes once attached
-// to a tenant. The flags mirror the seccomp ExecMode tiers, so a checker's
-// Mode governs both filter kinds uniformly; the zero value is the bitmap
-// tier every registry engine and dracod run.
+// to a tenant. The zero value is the bitmap tier every registry engine and
+// dracod run.
 type AttachOpts struct {
-	// Interp selects the generic interpreter instead of the direct-threaded
-	// compiled tier (the differential baseline and escape hatch).
-	Interp bool
 	// NoExtract disables constant-action extraction, so even constant-tier
 	// numbers execute the program (parity with the exec modes below
 	// seccomp.ExecBitmap, which run real BPF instead of consulting the
@@ -23,27 +19,21 @@ type AttachOpts struct {
 type Attached struct {
 	src     *Source
 	vm      *VM
-	exec    *Exec
 	maps    *MapSet
 	cls     *Classification
 	extract bool
 }
 
-// Attach builds the live instance: lowers the program through the selected
-// tier and allocates fresh map state.
+// Attach builds the live instance: an interpreter for the verified program
+// and fresh map state.
 func (s *Source) Attach(opts AttachOpts) *Attached {
-	a := &Attached{
+	return &Attached{
 		src:     s,
+		vm:      s.verified.NewVM(),
 		cls:     s.Classify(),
 		maps:    NewMapSet(s.Maps),
 		extract: !opts.NoExtract,
 	}
-	if opts.Interp {
-		a.vm = s.verified.NewVM()
-	} else {
-		a.exec = s.verified.Compile()
-	}
-	return a
 }
 
 // CheckResult is one programmable check's outcome.
@@ -65,13 +55,7 @@ func (a *Attached) Check(ctx *Ctx) CheckResult {
 			return CheckResult{Action: act, ConstHit: true}
 		}
 	}
-	var r Result
-	var err error
-	if a.exec != nil {
-		r, err = a.exec.Run(ctx, a.maps)
-	} else {
-		r, err = a.vm.Run(ctx, a.maps)
-	}
+	r, err := a.vm.Run(ctx, a.maps)
 	if err != nil {
 		// Unreachable for verified programs; fail closed if it ever fires.
 		return CheckResult{Action: RetKillProcess, Executed: r.Executed}

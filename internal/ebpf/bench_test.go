@@ -2,9 +2,9 @@ package ebpf
 
 import "testing"
 
-// BenchmarkProgExec measures one programmable check at each execution tier:
-// the generic interpreter, the direct-threaded compiled tier, and the
-// constant-extraction (bitmap-analog) tier that answers without executing.
+// BenchmarkProgExec measures one programmable check: a bare interpreter
+// run, the constant-extraction (bitmap-analog) tier that answers without
+// executing, and the full Check path on a must-run number.
 func BenchmarkProgExec(b *testing.B) {
 	src, err := NewSource("rate-limit", rateLimitMaps, rateLimitText)
 	if err != nil {
@@ -19,14 +19,6 @@ func BenchmarkProgExec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, _ = vm.Run(&statefulCtx, ms)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		ex := src.Verified().Compile()
-		ms := NewMapSet(rateLimitMaps)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, _ = ex.Run(&statefulCtx, ms)
 		}
 	})
 	b.Run("const-extract", func(b *testing.B) {

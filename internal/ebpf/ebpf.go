@@ -9,10 +9,9 @@
 // view of the call (an extended seccomp_data that models deep-argument /
 // pointer-payload inspection). Before a program may run it must pass a
 // static verifier (verify.go) that proves termination and memory safety;
-// verified programs lower through a direct-threaded compiler (compile.go)
-// in the style of internal/bpf/compile.go, and a bitmap-style abstract
-// interpreter (classify.go) extracts the syscalls whose outcome is a
-// map-independent constant so they keep the Executed==0 fast path.
+// verified programs run on one interpreter (interp.go), and a bitmap-style
+// abstract interpreter (classify.go) extracts the syscalls whose outcome is
+// a map-independent constant so they keep the Executed==0 fast path.
 //
 // The package is self-contained (stdlib only): internal/seccomp imports it
 // to carry a program alongside a whitelist profile, never the other way

@@ -150,87 +150,9 @@ func TestNestedLoopBudgets(t *testing.T) {
 	}
 	// The inner site's budget of 4 is global across outer iterations: the
 	// body increments r5 once per inner arrival. Whatever the exact count,
-	// interp and compiled must agree bit for bit (checked below) and the
-	// action must be a canonicalized word.
+	// the action must be a canonicalized word.
 	if r.Action != RetKillProcess && !Allows(r.Action) {
 		t.Logf("action %#x", r.Action)
-	}
-}
-
-// TestInterpCompiledDifferential pins exec-tier equivalence — action and
-// Executed — across representative programs and inputs, including ladder
-// programs that exercise the table dispatch.
-func TestInterpCompiledDifferential(t *testing.T) {
-	ladder := []string{
-		"ldctx r1, nr",
-		"jeq r1, 0, a",
-		"jeq r1, 1, b",
-		"jeq r1, 2, c",
-		"jeq r1, 3, d",
-		"jeq r1, 7, e",
-		"ret allow",
-		"a:", "ret errno(1)",
-		"b:", "ret errno(2)",
-		"c:", "ret errno(3)",
-		"d:", "ret errno(4)",
-		"e:", "ret errno(5)",
-	}
-	reload := []string{
-		"ldctx r1, arg0",
-		"jeq r1, 10, t",
-		"ldctx r1, arg0",
-		"jeq r1, 20, t",
-		"ldctx r1, arg0",
-		"jeq r1, 30, t",
-		"ldctx r1, arg0",
-		"jeq r1, 40, t",
-		"ret errno(1)",
-		"t:", "ret allow",
-	}
-	cases := []struct {
-		name string
-		maps []MapSpec
-		text []string
-	}{
-		{"ladder", nil, ladder},
-		{"reload", nil, reload},
-		{"ratelimit", rateLimitMaps, rateLimitText},
-		{"openread", openBeforeReadMaps, openBeforeReadText},
-	}
-	for _, tc := range cases {
-		src := mustSource(t, tc.name, tc.maps, tc.text)
-		vm := src.Verified().NewVM()
-		exec := src.Verified().Compile()
-		if tc.name == "ladder" && exec.Tables() == 0 {
-			t.Fatalf("ladder: no dispatch table built")
-		}
-		if tc.name == "reload" && exec.Tables() == 0 {
-			t.Fatalf("reload: no load-ladder table built")
-		}
-		msI := NewMapSet(tc.maps)
-		msC := NewMapSet(tc.maps)
-		for nr := int32(0); nr < 12; nr++ {
-			for _, a0 := range []uint64{0, 10, 20, 30, 40, 41, 1 << 40} {
-				ctx := NewCtx(nr, [NumArgs]uint64{a0, a0})
-				ri, errI := vm.Run(&ctx, msI)
-				rc, errC := exec.Run(&ctx, msC)
-				if (errI == nil) != (errC == nil) {
-					t.Fatalf("%s nr=%d a0=%d: err mismatch %v vs %v", tc.name, nr, a0, errI, errC)
-				}
-				if ri.Action != rc.Action || ri.Executed != rc.Executed {
-					t.Fatalf("%s nr=%d a0=%d: interp %+v != compiled %+v", tc.name, nr, a0, ri, rc)
-				}
-			}
-		}
-		// Map state must have evolved identically.
-		for mi := range tc.maps {
-			si, sc := msI.Snapshot(mi), msC.Snapshot(mi)
-			for k := range si {
-				if si[k] != sc[k] {
-					t.Fatalf("%s map %d slot %d: interp %d != compiled %d", tc.name, mi, k, si[k], sc[k])
-				}
-			}
-		}
 	}
 }
 
@@ -479,7 +401,7 @@ func TestZeroAllocsProgCheck(t *testing.T) {
 	a := src.Attach(AttachOpts{})
 	ctx := NewCtx(2, [NumArgs]uint64{})
 	if n := testing.AllocsPerRun(2000, func() { a.Check(&ctx) }); n != 0 {
-		t.Fatalf("stateful compiled Check allocates %v per op", n)
+		t.Fatalf("stateful Check allocates %v per op", n)
 	}
 	c2 := NewCtx(1, [NumArgs]uint64{})
 	if n := testing.AllocsPerRun(2000, func() { a.Check(&c2) }); n != 0 {

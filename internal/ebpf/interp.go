@@ -1,8 +1,8 @@
 package ebpf
 
-// VM interprets a verified program. The generic interpreter is the
-// reference semantics: the direct-threaded Exec (compile.go) is
-// differentially tested against it, including exact Executed counts.
+// VM interprets a verified program. It is the tier's only executor: every
+// attached policy runs here, and the Executed count it reports is what the
+// cost model charges and what Verified.Cost bounds.
 type VM struct {
 	v *Verified
 }

@@ -61,7 +61,7 @@ func NewMapSet(specs []MapSpec) *MapSet {
 
 // Load reads slot key of map mi. Out-of-range keys read as zero; the
 // verifier proves key < size, so the guard is a belt-and-braces backstop
-// that keeps even a buggy lowering memory-safe.
+// that keeps a run memory-safe even if the verifier had a bug.
 func (m *MapSet) Load(mi int, key uint64) uint64 {
 	v := m.vals[mi]
 	if key >= uint64(len(v)) {
@@ -96,16 +96,6 @@ func (m *MapSet) Reset() {
 			v[i].Store(0)
 		}
 	}
-}
-
-// Snapshot copies map mi's slots, for tests and diagnostics.
-func (m *MapSet) Snapshot(mi int) []uint64 {
-	v := m.vals[mi]
-	out := make([]uint64, len(v))
-	for i := range v {
-		out[i] = v[i].Load()
-	}
-	return out
 }
 
 // Index returns the index of the named map, or -1.

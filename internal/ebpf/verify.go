@@ -6,8 +6,8 @@ import (
 )
 
 // Verified is a program that passed static verification: the only type the
-// interpreter and the compiler accept, so a rejected program is never
-// executable by construction.
+// interpreter accepts, so a rejected program is never executable by
+// construction.
 //
 // The verifier proves two properties before a program is admitted:
 //
@@ -34,7 +34,6 @@ import (
 // terminates on every input.
 type Verified struct {
 	prog     Program
-	specs    []MapSpec
 	cost     int
 	site     []int16 // per-pc loop-site index, -1 unless p[pc] is OpLoop
 	numSites int
@@ -44,14 +43,8 @@ type Verified struct {
 // Program returns the verified instruction sequence.
 func (v *Verified) Program() Program { return v.prog }
 
-// Specs returns the map declarations the program was verified against.
-func (v *Verified) Specs() []MapSpec { return v.specs }
-
 // Cost returns the proven worst-case executed-instruction count.
 func (v *Verified) Cost() int { return v.cost }
-
-// UsesMaps reports whether any reachable instruction touches a map.
-func (v *Verified) UsesMaps() bool { return v.usesMaps }
 
 // validField reports whether sel is a defined OpLdCtx selector.
 func validField(sel uint64) bool {
@@ -255,7 +248,7 @@ func Verify(p Program, specs []MapSpec) (*Verified, error) {
 		return nil, fmt.Errorf("ebpf: pc %d: program must end in ret", n-1)
 	}
 
-	v := &Verified{prog: p, specs: specs, site: make([]int16, n)}
+	v := &Verified{prog: p, site: make([]int16, n)}
 	type loopRegion struct{ start, end, bound int }
 	var loops []loopRegion
 

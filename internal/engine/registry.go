@@ -106,7 +106,7 @@ func New(name string, opts Options) (Engine, error) {
 }
 
 // attachProgram builds the live programmable policy for a profile in the
-// tier every registry engine runs: compiled, with constant-action
+// tier every registry engine runs: the interpreter behind constant-action
 // extraction. Nil when the profile has no program.
 func attachProgram(p *seccomp.Profile) *ebpf.Attached {
 	if p.Programmable == nil {

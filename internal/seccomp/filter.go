@@ -63,15 +63,14 @@ func NewFilterMode(p *Profile, shape Shape, mode ExecMode) (*Filter, error) {
 		return nil, err
 	}
 	f := &Filter{Profile: p, Shape: shape, Mode: mode, prog: prog}
-	f.vm, err = bpf.NewVM(prog)
+	// Each executor validates prog again, so build only the one this mode runs.
+	if mode == ExecInterp {
+		f.vm, err = bpf.NewVM(prog)
+	} else {
+		f.exec, err = bpf.Compile(prog)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if mode != ExecInterp {
-		f.exec, err = bpf.Compile(prog)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if mode == ExecBitmap {
 		f.bitmap = ComputeBitmap(prog)

@@ -1,7 +1,6 @@
 package seccomp
 
 import (
-	"strings"
 	"testing"
 
 	"draco/internal/bpf"
@@ -67,44 +66,5 @@ func TestGenericProfilesCompile(t *testing.T) {
 				t.Errorf("%s/%v: %d instructions, implausibly large for a generic profile", p.Name, shape, len(prog))
 			}
 		}
-	}
-}
-
-// TestOptimizerOnCompiledFilters: the BPF optimizer must preserve compiled
-// filter semantics (the JIT invariant) on real profiles.
-func TestOptimizerOnCompiledFilters(t *testing.T) {
-	p := DockerDefault()
-	prog, err := Compile(p, ShapeBinaryTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := bpf.Optimize(prog)
-	vmA, err := bpf.NewVM(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmB, err := bpf.NewVM(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, DataSize)
-	for nr := 0; nr < 450; nr += 7 {
-		d := Data{Nr: int32(nr), Arch: AuditArchX8664}
-		d.Args[0] = uint64(nr) * 3
-		d.Marshal(buf)
-		ra, errA := vmA.Run(buf)
-		rb, errB := vmB.Run(buf)
-		if errA != nil || errB != nil {
-			t.Fatalf("nr=%d: run errors %v / %v", nr, errA, errB)
-		}
-		if ra.Value != rb.Value {
-			t.Fatalf("nr=%d: optimizer changed action %#x -> %#x", nr, ra.Value, rb.Value)
-		}
-		if rb.Executed > ra.Executed {
-			t.Fatalf("nr=%d: optimizer slowed execution %d -> %d", nr, ra.Executed, rb.Executed)
-		}
-	}
-	if strings.Contains(bpf.Disassemble(opt), ".word") {
-		t.Fatal("optimizer emitted unknown opcodes")
 	}
 }

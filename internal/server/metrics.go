@@ -124,12 +124,16 @@ type Metrics struct {
 	WireErrors atomic.Uint64
 	// WireFrameErrors counts framing failures that dropped a connection.
 	WireFrameErrors atomic.Uint64
-	// WireCheckLatency tracks decode-to-publish time of single checks,
-	// sampled: each connection's first single-check frame, then one in
-	// latencySampleEvery. Count is the number of samples, not of checks.
+	// WireCheckLatency tracks the service time of single checks, from the
+	// frame's decode until its decision is ready; the sample is recorded
+	// before the response is published, so a caller whose check returned
+	// already sees it. Sampled: each connection's first single-check
+	// frame, then one in latencySampleEvery. Count is the number of
+	// samples, not of checks.
 	WireCheckLatency Histogram
-	// WireBatchLatency tracks service time for batch frames, sampled the
-	// same way per connection.
+	// WireBatchLatency tracks the service time of batch frames, from decode
+	// until the encoded response is ready, recorded before publishing and
+	// sampled the same way per connection.
 	WireBatchLatency Histogram
 
 	// Shared-memory front-end counters. Checks and batches moving over the

@@ -201,14 +201,14 @@ func (c *session) handleCheck(id uint64, p []byte) {
 	d := t.chk.CheckDecision(call.SID, &call.Args)
 	// Count before publishing: a shm client spinning on the completion
 	// ring can observe the response — and read the metrics — the moment
-	// the frame lands, so counters must already cover it.
+	// the frame lands, so counters and samples must already cover it.
 	m := c.hub.s.metrics
 	m.WireChecks.Add(1)
-	c.resp.sendCheck(id, d)
-	c.unflushed = true
 	if !start.IsZero() {
 		m.WireCheckLatency.Observe(time.Since(start))
 	}
+	c.resp.sendCheck(id, d)
+	c.unflushed = true
 }
 
 func (c *session) handleBatch(id uint64, p []byte) {
@@ -229,10 +229,10 @@ func (c *session) handleBatch(id uint64, p []byte) {
 	// Count before publishing, as in handleCheck.
 	m := c.hub.s.metrics
 	m.WireBatchCalls.Add(uint64(seq.Len()))
-	c.resp.send(wire.TypeBatchResp, id, c.respBuf)
 	if !start.IsZero() {
 		m.WireBatchLatency.Observe(time.Since(start))
 	}
+	c.resp.send(wire.TypeBatchResp, id, c.respBuf)
 }
 
 func (c *session) handleProfile(id uint64, p []byte) {

@@ -8,10 +8,14 @@ go vet ./...
 test -z "$(gofmt -l .)"
 # The contract benchmark is a nested module built against this one.
 (cd benchmark && go vet ./... && go test ./...)
-# Every example runs to completion: they are the public surface's callers.
+# Every example runs to completion and prints exactly its committed
+# stdout.golden: they are the public surface's callers, and deterministic.
+out=$(mktemp)
 for ex in examples/*/; do
-	go run "./$ex" >/dev/null
+	go run "./$ex" >"$out"
+	diff -u "${ex}stdout.golden" "$out"
 done
+rm -f "$out"
 # The experiments suite needs well over 30m under -race on slow runners.
 go test -race -timeout 60m ./...
 
