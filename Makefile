@@ -40,8 +40,8 @@ bench:
 bench-server:
 	$(GO) test -run='^$$' -bench 'BenchmarkShmCheck' -benchmem ./internal/server
 
-# bench-engine runs the registry-level sweep: every engine serially, plus
-# parallel callers through draco-concurrent.
+# bench-engine runs the registry-level sweep: both engines (filter-only,
+# draco-concurrent) serially, plus parallel callers through draco-concurrent.
 bench-engine:
 	$(GO) test -run='^$$' -bench 'BenchmarkEngine' -benchmem ./internal/engine
 
@@ -51,8 +51,9 @@ bench-engine:
 bench-batch:
 	$(GO) test -run='^$$' -bench 'BenchmarkCheckBatch' -benchmem ./internal/concurrent
 
-# bench-filter compares the filter execution tiers (interp vs compiled vs
-# bitmap) on the docker-default miss path.
+# bench-filter compares the filter execution tiers on the docker-default
+# miss path: interp (the test oracle), compiled (the simulator's filter) and
+# bitmap (what the concurrent checker always runs).
 bench-filter:
 	$(GO) test -run='^$$' -bench 'BenchmarkFilterExec' -benchmem ./internal/seccomp
 

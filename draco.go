@@ -178,7 +178,7 @@ type Checker struct {
 
 // NewChecker compiles the profile and builds the Draco state.
 func NewChecker(p *Profile) (*Checker, error) {
-	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
+	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{})
 	if err != nil {
 		return nil, err
 	}

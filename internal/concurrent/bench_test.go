@@ -59,7 +59,7 @@ func benchTraffics(tb testing.TB) (*seccomp.Profile, []traffic) {
 // calls through it once, so the tables and the plane are warm.
 func warmChecker(tb testing.TB, p *seccomp.Profile, calls []Call) *Checker {
 	tb.Helper()
-	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func BenchmarkSetProfileStages(b *testing.B) {
 	}
 	for _, s := range subjects {
 		b.Run("setprofile/"+s.name, func(b *testing.B) {
-			c, err := NewCheckerConfig(s.p, Config{Mode: seccomp.ExecBitmap})
+			c, err := NewCheckerConfig(s.p, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

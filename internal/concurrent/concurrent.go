@@ -69,11 +69,10 @@ type Outcome = core.Outcome
 type state struct {
 	profile *seccomp.Profile
 	gen     uint64
-	mode    seccomp.ExecMode
 	// plane is the generation's decision plane (plane.go): one flat
 	// per-syscall record holding the syscall's VAT table once the locked
-	// path has created it, and — under ExecBitmap — the provably constant
-	// decisions, all served before the lock is taken.
+	// path has created it, and the provably constant decisions, all served
+	// before the lock is taken.
 	plane *plane
 	// mu guards chk and sealed.
 	mu sync.Mutex
@@ -87,21 +86,23 @@ type state struct {
 	sealed bool
 }
 
-func newState(p *seccomp.Profile, mode seccomp.ExecMode, gen uint64, noFast bool) (*state, error) {
-	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, mode)
+// newState builds one generation on the bitmap tier: the filter's
+// constant-action bitmap and the program's extracted constants both feed
+// the decision plane.
+func newState(p *seccomp.Profile, gen uint64, noFast bool) (*state, error) {
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
 	if err != nil {
 		return nil, err
 	}
 	var prog *ebpf.Attached
 	if src := p.Programmable; src != nil {
-		prog = src.Attach(ebpf.AttachOpts{NoExtract: mode != seccomp.ExecBitmap})
+		prog = src.Attach()
 	}
 	chk := core.NewChecker(p, seccomp.Chain{f})
 	chk.Prog = prog
 	// Compile the decision plane from the same attach-time proofs the
-	// filter and program carry: f.Bitmap() is nil below ExecBitmap, which
-	// builds the plane without constant records.
-	return &state{profile: p, gen: gen, mode: mode, plane: buildPlane(p, f.Bitmap(), prog, noFast), chk: chk}, nil
+	// filter and program carry.
+	return &state{profile: p, gen: gen, plane: buildPlane(p, f.Bitmap(), prog, noFast), chk: chk}, nil
 }
 
 // checkLocked runs one call through the generation's sequential checker
@@ -133,9 +134,8 @@ type Checker struct {
 	noFast bool
 }
 
-// Config bundles the knobs of a checker. The zero value selects compiled
-// filter execution with the lock-free paths enabled; the serving layer runs
-// Mode seccomp.ExecBitmap.
+// Config bundles the knobs of a checker. The zero value is the serving
+// configuration: the bitmap filter tier with the lock-free paths enabled.
 type Config struct {
 	// Shards is ignored: a generation has one checker under one lock.
 	//
@@ -146,8 +146,10 @@ type Config struct {
 	//
 	// Deprecated: see Shards.
 	Routing Routing
-	// Mode is the filter execution mode; the decision plane's constant
-	// records exist only under seccomp.ExecBitmap.
+	// Mode is ignored: every generation runs the bitmap filter tier
+	// (seccomp.ExecBitmap) and extracts the program's constant actions.
+	//
+	// Deprecated: see Shards.
 	Mode seccomp.ExecMode
 	// NoFastPath disables the lock-free paths — the decision plane's
 	// constants and the lock-free VAT probe — forcing every check through
@@ -159,7 +161,7 @@ type Config struct {
 // NewCheckerConfig builds a checker from a Config; the config survives
 // SetProfile/Reset rebuilds.
 func NewCheckerConfig(p *seccomp.Profile, cfg Config) (*Checker, error) {
-	st, err := newState(p, cfg.Mode, 1, cfg.NoFastPath)
+	st, err := newState(p, 1, cfg.NoFastPath)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +427,7 @@ func (c *Checker) swap(p *seccomp.Profile) error {
 	if p == nil {
 		p = old.profile
 	}
-	st, err := newState(p, old.mode, old.gen+1, c.noFast)
+	st, err := newState(p, old.gen+1, c.noFast)
 	if err != nil {
 		return err
 	}

@@ -14,18 +14,31 @@ import (
 	"draco/internal/workloads"
 )
 
+// sequentialChecker is the oracle: the bare core.Checker on the bitmap
+// tier a generation runs, with p's program attached the same way.
 func sequentialChecker(t testing.TB, p *seccomp.Profile) *core.Checker {
 	t.Helper()
-	f, err := seccomp.NewFilter(p, seccomp.ShapeLinear)
+	return sequentialCheckerMode(t, p, seccomp.ExecBitmap)
+}
+
+// sequentialCheckerMode builds the sequential checker on one filter
+// execution tier.
+func sequentialCheckerMode(t testing.TB, p *seccomp.Profile, mode seccomp.ExecMode) *core.Checker {
+	t.Helper()
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.NewChecker(p, seccomp.Chain{f})
+	chk := core.NewChecker(p, seccomp.Chain{f})
+	if p.Programmable != nil {
+		chk.Prog = p.Programmable.Attach()
+	}
+	return chk
 }
 
 func mustChecker(t testing.TB, p *seccomp.Profile) *Checker {
 	t.Helper()
-	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecCompiled})
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +100,8 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 // through one checker and the sequential core.Checker and requires the same
 // decision on every event and exactly the same Stats at the end: one SPT and VAT
 // per generation, under one lock, is the sequential checker plus lock-free
-// hits.
+// hits. The decision plane's constants are the one attributed difference:
+// each is a fast-hit where the sequential checker names its own class.
 func TestDifferentialExactStats(t *testing.T) {
 	w, ok := workloads.ByName("nginx")
 	if !ok {
@@ -97,14 +111,23 @@ func TestDifferentialExactStats(t *testing.T) {
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
 	seq := sequentialChecker(t, p)
 	con := mustChecker(t, p)
+	var moved [core.NumLatencyClasses]uint64
 	for i, ev := range tr {
-		want := decide(seq.Check(ev.SID, ev.Args))
-		if got := decide(con.Check(ev.SID, ev.Args)); got != want {
+		so, co := seq.Check(ev.SID, ev.Args), con.Check(ev.SID, ev.Args)
+		if got, want := decide(co), decide(so); got != want {
 			t.Fatalf("event %d (sid=%d args=%v): sequential %+v, concurrent %+v", i, ev.SID, ev.Args, want, got)
 		}
+		if co.FastHit {
+			moved[so.Class()]++
+		}
 	}
-	if ss, cs := seq.Stats, con.Stats(); ss != cs {
-		t.Fatalf("stats diverge:\nsequential %+v\nconcurrent %+v", ss, cs)
+	want := seq.Stats
+	for cl, n := range moved {
+		want.Classes[cl] -= n
+		want.Classes[core.ClassFastHit] += n
+	}
+	if cs := con.Stats(); want != cs {
+		t.Fatalf("stats diverge:\nsequential %+v\nconcurrent %+v", want, cs)
 	}
 }
 
@@ -172,7 +195,7 @@ func TestProgrammableBatchOrder(t *testing.T) {
 		batches = append(batches, batch)
 	}
 	mk := func() *Checker {
-		c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+		c, err := NewCheckerConfig(p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

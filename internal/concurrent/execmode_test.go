@@ -13,20 +13,22 @@ import (
 )
 
 // TestDifferentialExecModes replays 100k-event traces of every workload
-// through the concurrent checker under each filter execution tier and pins the
-// tier contracts where the tier is chosen (Config.Mode):
+// through the filter execution tiers and pins their contracts:
 //
-//   - interp vs compiled: the compiled direct-threaded program is decision-
-//     AND observability-identical — every Decision field (including
-//     FilterInstructions) and the aggregate Stats must match exactly.
-//   - bitmap vs interp: the bitmap and the decision plane may skip filter
-//     runs (so instruction counts and classes legitimately differ) but the
-//     security outcome — Allowed and Action — must match on every event,
-//     and check and denial counts must agree.
+//   - interp vs compiled, each on a sequential core.Checker: the compiled
+//     direct-threaded program (the simulator's filter) is decision- AND
+//     observability-identical to the interpreter (the oracle) — every
+//     Decision field (including FilterInstructions) and the aggregate Stats
+//     must match exactly.
+//   - the concurrent checker (always the bitmap tier) vs interp: the bitmap
+//     and the decision plane may skip filter runs (so instruction counts and
+//     classes legitimately differ) but the security outcome — Allowed and
+//     Action — must match on every event, and check and denial counts must
+//     agree.
 //
 // The programmable/ inputs stack each demo policy of examples/programmable
-// on httpd's profile, so the same contracts also cover the mode's mapping
-// onto the attached program (constant extraction only under bitmap).
+// on httpd's profile, so the same contracts also cover the attached program
+// under every tier.
 func TestDifferentialExecModes(t *testing.T) {
 	genOpts := profilegen.Options{IncludeRuntime: true}
 	for _, w := range workloads.All() {
@@ -75,34 +77,28 @@ func TestDifferentialExecModes(t *testing.T) {
 	}
 }
 
-// replayExecModes runs tr through one checker per exec mode on p and
-// checks the tier contracts of TestDifferentialExecModes.
+// replayExecModes runs tr through a sequential checker per lower tier and
+// the concurrent checker on p and checks the tier contracts of
+// TestDifferentialExecModes.
 func replayExecModes(t *testing.T, p *seccomp.Profile, tr trace.Trace) {
-	mk := func(mode seccomp.ExecMode) *Checker {
-		c, err := NewCheckerConfig(p, Config{Mode: mode})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		return c
-	}
-	interp := mk(seccomp.ExecInterp)
-	compiled := mk(seccomp.ExecCompiled)
-	bitmap := mk(seccomp.ExecBitmap)
+	interp := sequentialCheckerMode(t, p, seccomp.ExecInterp)
+	compiled := sequentialCheckerMode(t, p, seccomp.ExecCompiled)
+	con := mustChecker(t, p)
 	for i, ev := range tr {
-		oi, oc, ob := interp.Check(ev.SID, ev.Args), compiled.Check(ev.SID, ev.Args), bitmap.Check(ev.SID, ev.Args)
+		oi, oc, ob := interp.Check(ev.SID, ev.Args), compiled.Check(ev.SID, ev.Args), con.Check(ev.SID, ev.Args)
 		di, dc, db := oi.Decision(), oc.Decision(), ob.Decision()
 		if dc != di {
 			t.Fatalf("event %d (sid=%d args=%v): interp %+v, compiled %+v", i, ev.SID, ev.Args, di, dc)
 		}
 		if db.Allowed != di.Allowed || db.Action != di.Action {
-			t.Fatalf("event %d (sid=%d args=%v): interp %+v, bitmap %+v", i, ev.SID, ev.Args, di, db)
+			t.Fatalf("event %d (sid=%d args=%v): interp %+v, concurrent %+v", i, ev.SID, ev.Args, di, db)
 		}
 	}
-	si, sc, sb := interp.Stats(), compiled.Stats(), bitmap.Stats()
+	si, sc, sb := interp.Stats, compiled.Stats, con.Stats()
 	if si != sc {
 		t.Fatalf("stats diverge: interp %+v, compiled %+v", si, sc)
 	}
 	if si.Checks != sb.Checks || si.Denied != sb.Denied {
-		t.Fatalf("bitmap stats diverge: interp %+v, bitmap %+v", si, sb)
+		t.Fatalf("concurrent stats diverge: interp %+v, concurrent %+v", si, sb)
 	}
 }

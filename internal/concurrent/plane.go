@@ -96,20 +96,16 @@ const sealBit = 1 << 63
 // build except the per-record atomics.
 type plane struct {
 	records []planeRecord
-	// enabled is false when the plane was built without constants
-	// (non-bitmap execution, or fast path disabled): every record is then
-	// fallthrough.
+	// enabled is false under NoFastPath: every record is then fallthrough
+	// and no VAT table is published to lock-free probes.
 	enabled bool
-	// probing publishes VAT tables to lock-free probes; false under
-	// NoFastPath.
-	probing bool
 }
 
 // buildPlane compiles the profile into the decision plane. bm is the
-// shared filter's constant-action bitmap (nil below ExecBitmap), prog the
-// generation's attached program (nil without one). When noFast is set
-// every record is fallthrough and no table is published — the measurement
-// baseline for the lock-free paths.
+// shared filter's constant-action bitmap, prog the generation's attached
+// program (nil without one). When noFast is set every record is
+// fallthrough and no table is published — the measurement baseline for the
+// lock-free paths.
 func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noFast bool) *plane {
 	maxNum := 0
 	for _, r := range p.Rules {
@@ -118,15 +114,14 @@ func buildPlane(p *seccomp.Profile, bm *seccomp.Bitmap, prog *ebpf.Attached, noF
 		}
 	}
 	n := maxNum + 1
-	useBM := bm != nil && !noFast
-	if useBM && n < seccomp.BitmapMaxNr {
+	if !noFast && n < seccomp.BitmapMaxNr {
 		// Constant denials cover unlisted syscalls too: the profile's
 		// default action resolves through the bitmap for every number in
 		// range, so the plane spans the bitmap, not just the rule list.
 		n = seccomp.BitmapMaxNr
 	}
-	pl := &plane{records: make([]planeRecord, n), enabled: useBM, probing: !noFast}
-	if !useBM {
+	pl := &plane{records: make([]planeRecord, n), enabled: !noFast}
+	if noFast {
 		return pl
 	}
 	var cls *ebpf.Classification
@@ -316,7 +311,7 @@ func (pl *plane) noteLocked(sid int, out *core.Outcome, chk *core.Checker) {
 		if !rec.seeded.Load() {
 			rec.seeded.Store(true)
 		}
-	case out.ArgsChecked && pl.probing && rec.table.Load() == nil:
+	case out.ArgsChecked && pl.enabled && rec.table.Load() == nil:
 		rec.table.Store(chk.VAT.Table(sid))
 	}
 }
@@ -381,8 +376,8 @@ type FastStats struct {
 	Hits uint64
 	// AllowRecords/DenyRecords count compiled constant records.
 	AllowRecords, DenyRecords int
-	// Enabled reports whether the fast path was active (bitmap execution
-	// and not disabled).
+	// Enabled reports whether the fast path was active (not disabled by
+	// NoFastPath).
 	Enabled bool
 }
 

@@ -40,17 +40,17 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 				"docker-default": seccomp.DockerDefault(),
 			}
 			for pname, p := range profiles {
-				fast, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+				fast, err := NewCheckerConfig(p, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap, NoFastPath: true})
+				slow, err := NewCheckerConfig(p, Config{NoFastPath: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				// A third checker answers through the decision entry points
 				// only, with H1-first lock-free probes.
-				dec, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+				dec, err := NewCheckerConfig(p, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func TestFastPathDifferentialPlaneIdentity(t *testing.T) {
 				}
 				fs := fast.FastStats()
 				if !fs.Enabled {
-					t.Fatalf("%s: plane not enabled under ExecBitmap", pname)
+					t.Fatalf("%s: plane not enabled", pname)
 				}
 				// ID-only profiles make every in-policy trace event constant:
 				// the plane must have taken over after the per-syscall seed
@@ -174,7 +174,7 @@ func TestFastPathHotSwapHammer(t *testing.T) {
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
 	// Bitmap execution activates the plane.
-	c, err := NewCheckerConfig(full, Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(full, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestVATProbeHotSwapHammer(t *testing.T) {
 	// Two equal policies, so every swap is a new generation with empty
 	// tables and both allow every trace event.
 	profiles := []*seccomp.Profile{profilegen.Complete(w.Name, tr, genOpts), profilegen.Complete(w.Name, tr, genOpts)}
-	c, err := NewCheckerConfig(profiles[0], Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(profiles[0], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestFastPathCheckZeroAllocs(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 0xA110C)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestCheckDecisionZeroAllocs(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(20_000, 0xA110C)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestHammerWithHotSwap(t *testing.T) {
 	full := profilegen.Complete(w.Name, tr, genOpts)
 	idOnly := profilegen.NoArgs(w.Name, tr, genOpts)
 
-	c, err := NewCheckerConfig(full, Config{Mode: seccomp.ExecCompiled})
+	c, err := NewCheckerConfig(full, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestSwapsReleaseRetiredGenerations(t *testing.T) {
 		profilegen.Complete(w.Name, tr, genOpts),
 		profilegen.NoArgs(w.Name, tr, genOpts),
 	}
-	c, err := NewCheckerConfig(profiles[0], Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(profiles[0], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStaleGenerationIsRedone(t *testing.T) {
 	w := workloads.All()[0]
 	tr := w.Generate(2_000, 15)
 	p := profilegen.Complete(w.Name, tr, profilegen.Options{IncludeRuntime: true})
-	c, err := NewCheckerConfig(p, Config{Mode: seccomp.ExecBitmap})
+	c, err := NewCheckerConfig(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

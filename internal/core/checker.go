@@ -61,9 +61,6 @@ type Stats struct {
 	// Classes tallies the checks by the tier that answered (Outcome.Class);
 	// the entries sum to Checks.
 	Classes [NumLatencyClasses]uint64
-	// CheckCycles sums the modeled check latency in 2 GHz core cycles. Only
-	// latency-annotated engines (draco-hw) fill it; zero elsewhere.
-	CheckCycles uint64
 }
 
 // Add folds o's counters into s.
@@ -78,7 +75,6 @@ func (s *Stats) Add(o Stats) {
 	for i, n := range o.Classes {
 		s.Classes[i] += n
 	}
-	s.CheckCycles += o.CheckCycles
 }
 
 // Checker is the software implementation of Draco (paper §V-C): a kernel

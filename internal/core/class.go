@@ -26,14 +26,15 @@ const (
 	// ClassBitmapHit: the whole filter chain resolved through per-syscall
 	// constant-action bitmaps (Linux 5.11 style) — an SPT/VAT miss that
 	// still executed zero BPF instructions. Only produced by checkers whose
-	// filters run seccomp.ExecBitmap (every registry engine and dracod).
+	// filters run seccomp.ExecBitmap (the concurrent checker, both registry
+	// engines and dracod).
 	ClassBitmapHit
 	// ClassProgHit: the programmable policy was consulted and resolved
 	// through its extracted constant-action table — zero program
 	// instructions executed (the programmable analog of ClassBitmapHit).
 	ClassProgHit
 	// ClassProgMiss: the programmable policy actually executed its program
-	// (a stateful/payload-dependent number, or extraction disabled).
+	// (a stateful or payload-dependent number).
 	ClassProgMiss
 	// ClassFastHit: the lock-free decision plane answered — the decision
 	// was compiled to a constant at SetProfile time and served with no

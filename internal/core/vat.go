@@ -70,9 +70,6 @@ func (v *VAT) CreateTable(sid int, estimatedSets int, bitmask uint64) uint64 {
 // Table returns the cuckoo table for a syscall, or nil.
 func (v *VAT) Table(sid int) *cuckoo.Table { return v.section(sid).table }
 
-// Base returns the base virtual address of a syscall's section (0 if none).
-func (v *VAT) Base(sid int) uint64 { return v.section(sid).base }
-
 // SlotAddr returns the virtual address the given hash probes in the
 // syscall's section; the hardware fetches this address through the cache
 // hierarchy (Figure 7 step 3).

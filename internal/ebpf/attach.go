@@ -1,38 +1,23 @@
 package ebpf
 
-// AttachOpts configures how a programmable policy executes once attached
-// to a tenant. The zero value is the bitmap tier every registry engine and
-// dracod run.
-type AttachOpts struct {
-	// NoExtract disables constant-action extraction, so even constant-tier
-	// numbers execute the program (parity with the exec modes below
-	// seccomp.ExecBitmap, which run real BPF instead of consulting the
-	// bitmap).
-	NoExtract bool
-}
-
 // Attached is one tenant's live programmable policy: the lowered program
 // plus its map state. A profile hot-swap attaches the (possibly new)
 // program afresh, which starts a blank map epoch — the same generation
 // semantics the VAT applies to cached decisions. Check is safe for
 // concurrent use: run state is on the stack and map slots are atomic.
 type Attached struct {
-	src     *Source
-	vm      *VM
-	maps    *MapSet
-	cls     *Classification
-	extract bool
+	vm   *VM
+	maps *MapSet
+	cls  *Classification
 }
 
-// Attach builds the live instance: an interpreter for the verified program
-// and fresh map state.
-func (s *Source) Attach(opts AttachOpts) *Attached {
+// Attach builds the live instance: an interpreter for the verified program,
+// the constant actions extracted from it, and fresh map state.
+func (s *Source) Attach() *Attached {
 	return &Attached{
-		src:     s,
-		vm:      s.verified.NewVM(),
-		cls:     s.Classify(),
-		maps:    NewMapSet(s.Maps),
-		extract: !opts.NoExtract,
+		vm:   s.verified.NewVM(),
+		cls:  s.Classify(),
+		maps: NewMapSet(s.Maps),
 	}
 }
 
@@ -48,12 +33,11 @@ type CheckResult struct {
 	ConstHit bool
 }
 
-// Check evaluates the policy for one call.
+// Check evaluates the policy for one call: an extracted constant answers
+// without running the program.
 func (a *Attached) Check(ctx *Ctx) CheckResult {
-	if a.extract {
-		if act, ok := a.cls.ConstAction(int32(ctx.Nr)); ok {
-			return CheckResult{Action: act, ConstHit: true}
-		}
+	if act, ok := a.cls.ConstAction(int32(ctx.Nr)); ok {
+		return CheckResult{Action: act, ConstHit: true}
 	}
 	r, err := a.vm.Run(ctx, a.maps)
 	if err != nil {
@@ -76,9 +60,6 @@ func (a *Attached) ArgMask(nr int32) uint64 { return a.cls.ArgMask(nr) }
 
 // Classification returns the per-nr tier table.
 func (a *Attached) Classification() *Classification { return a.cls }
-
-// Source returns the policy this instance was attached from.
-func (a *Attached) Source() *Source { return a.src }
 
 // Maps returns the live map state (shared, atomic).
 func (a *Attached) Maps() *MapSet { return a.maps }

@@ -22,14 +22,14 @@ func BenchmarkProgExec(b *testing.B) {
 		}
 	})
 	b.Run("const-extract", func(b *testing.B) {
-		a := src.Attach(AttachOpts{})
+		a := src.Attach()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = a.Check(&constCtx)
 		}
 	})
 	b.Run("stateful-check", func(b *testing.B) {
-		a := src.Attach(AttachOpts{})
+		a := src.Attach()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = a.Check(&statefulCtx)

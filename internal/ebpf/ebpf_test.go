@@ -62,9 +62,20 @@ func run(t *testing.T, a *Attached, nr int32, args [NumArgs]uint64) CheckResult 
 	return a.Check(&ctx)
 }
 
+// runVM executes src's program on ctx with no constant extraction, so even
+// a number the classifier would answer runs the program.
+func runVM(t *testing.T, src *Source, ctx *Ctx) Result {
+	t.Helper()
+	r, err := src.Verified().NewVM().Run(ctx, NewMapSet(src.Maps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRateLimitPolicy(t *testing.T) {
 	src := mustSource(t, "rate-limit", rateLimitMaps, rateLimitText)
-	a := src.Attach(AttachOpts{})
+	a := src.Attach()
 	for i := 0; i < 4; i++ {
 		if r := run(t, a, 2, [NumArgs]uint64{}); !Allows(r.Action) {
 			t.Fatalf("open %d: denied early (action %#x)", i+1, r.Action)
@@ -86,7 +97,7 @@ func TestRateLimitPolicy(t *testing.T) {
 
 func TestOpenBeforeReadPolicy(t *testing.T) {
 	src := mustSource(t, "open-before-read", openBeforeReadMaps, openBeforeReadText)
-	a := src.Attach(AttachOpts{})
+	a := src.Attach()
 	if r := run(t, a, 0, [NumArgs]uint64{}); Allows(r.Action) {
 		t.Fatalf("read before open: allowed")
 	}
@@ -116,7 +127,7 @@ func TestLoopMembershipScan(t *testing.T) {
 		"ret allow",
 	}
 	src := mustSource(t, "scan", []MapSpec{{Name: "allowed", Size: 8}}, text)
-	a := src.Attach(AttachOpts{})
+	a := src.Attach()
 	a.Maps().Store(0, 3, 42)
 	a.Maps().Store(0, 5, 99)
 	if r := run(t, a, 1, [NumArgs]uint64{0, 42}); !Allows(r.Action) {
@@ -143,8 +154,8 @@ func TestNestedLoopBudgets(t *testing.T) {
 		"ret r5",
 	}
 	src := mustSource(t, "nested", nil, text)
-	a := src.Attach(AttachOpts{NoExtract: true})
-	r := run(t, a, 0, [NumArgs]uint64{})
+	ctx := NewCtx(0, [NumArgs]uint64{})
+	r := runVM(t, src, &ctx)
 	if r.Executed <= 0 || r.Executed > src.Verified().Cost() {
 		t.Fatalf("executed %d outside (0, cost %d]", r.Executed, src.Verified().Cost())
 	}
@@ -379,16 +390,15 @@ func TestPayloadReads(t *testing.T) {
 		"deny:",
 		"ret errno(13)",
 	})
-	a := src.Attach(AttachOpts{NoExtract: true})
 	ctx := NewCtx(59, [NumArgs]uint64{})
 	ctx.Payload[0] = 0x7f454c46
 	ctx.PayloadLen = 1
-	if r := a.Check(&ctx); Allows(r.Action) {
+	if r := runVM(t, src, &ctx); Allows(r.Action) {
 		t.Fatalf("ELF payload: allowed")
 	}
 	// Out-of-window payload words read as zero, never fault.
 	ctx2 := NewCtx(59, [NumArgs]uint64{})
-	if r := a.Check(&ctx2); !Allows(r.Action) {
+	if r := runVM(t, src, &ctx2); !Allows(r.Action) {
 		t.Fatalf("empty payload: denied")
 	}
 }
@@ -398,7 +408,7 @@ func TestZeroAllocsProgCheck(t *testing.T) {
 		t.Skip("allocation behaviour differs under -race")
 	}
 	src := mustSource(t, "rate-limit", rateLimitMaps, rateLimitText)
-	a := src.Attach(AttachOpts{})
+	a := src.Attach()
 	ctx := NewCtx(2, [NumArgs]uint64{})
 	if n := testing.AllocsPerRun(2000, func() { a.Check(&ctx) }); n != 0 {
 		t.Fatalf("stateful Check allocates %v per op", n)

@@ -20,9 +20,6 @@ func NewVM(p Program, specs []MapSpec) (*VM, error) {
 // NewVM returns an interpreter for the verified program.
 func (v *Verified) NewVM() *VM { return &VM{v: v} }
 
-// Verified returns the underlying verified program.
-func (vm *VM) Verified() *Verified { return vm.v }
-
 // alu applies one 64-bit ALU operation. Division and modulus by zero yield
 // zero and shifts are masked, so no operation faults.
 func alu(sub uint8, a, b uint64) uint64 {

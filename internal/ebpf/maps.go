@@ -45,14 +45,13 @@ func ValidateSpecs(specs []MapSpec) error {
 // builds a fresh MapSet, the same epoch semantic the VAT applies to cached
 // decisions: new generation, blank state.
 type MapSet struct {
-	specs []MapSpec
-	vals  [][]atomic.Uint64
+	vals [][]atomic.Uint64
 }
 
 // NewMapSet allocates zeroed state for specs (which must already be
 // validated).
 func NewMapSet(specs []MapSpec) *MapSet {
-	m := &MapSet{specs: specs, vals: make([][]atomic.Uint64, len(specs))}
+	m := &MapSet{vals: make([][]atomic.Uint64, len(specs))}
 	for i, s := range specs {
 		m.vals[i] = make([]atomic.Uint64, s.Size)
 	}
@@ -96,14 +95,4 @@ func (m *MapSet) Reset() {
 			v[i].Store(0)
 		}
 	}
-}
-
-// Index returns the index of the named map, or -1.
-func (m *MapSet) Index(name string) int {
-	for i, s := range m.specs {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
 }

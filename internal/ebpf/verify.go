@@ -40,9 +40,6 @@ type Verified struct {
 	usesMaps bool
 }
 
-// Program returns the verified instruction sequence.
-func (v *Verified) Program() Program { return v.prog }
-
 // Cost returns the proven worst-case executed-instruction count.
 func (v *Verified) Cost() int { return v.cost }
 

@@ -62,8 +62,7 @@ func assertZeroAllocs(t *testing.T, check func(int, Args) Decision, calls []Call
 }
 
 // TestDracoSWCheckZeroAllocs pins software Draco's sequential checker — the
-// bare core.Checker that draco-concurrent's locked path runs and draco-hw's
-// OS side is — warm.
+// bare core.Checker that draco-concurrent's locked path runs — warm.
 func TestDracoSWCheckZeroAllocs(t *testing.T) {
 	p, calls := allocTrace()
 	chk := mustCoreChecker(t, p)

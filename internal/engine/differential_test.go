@@ -10,13 +10,17 @@ import (
 )
 
 // mustCoreChecker is the oracle of the differential tests: the bare
-// sequential checker, built the way draco-hw builds its OS side.
+// sequential checker on a linear bitmap-tier filter (compiling validates
+// the profile), with the profile's programmable policy attached fresh, as
+// a concurrent generation builds it.
 func mustCoreChecker(t testing.TB, p *seccomp.Profile) *core.Checker {
 	t.Helper()
-	chk, err := buildCoreChecker(p)
+	f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chk := core.NewChecker(p, seccomp.Chain{f})
+	chk.Prog = attachProgram(p)
 	return chk
 }
 
@@ -122,40 +126,6 @@ func TestDifferentialArgsRoutingDecisionExact(t *testing.T) {
 				s := e.Stats()
 				if s.Checks != sseq.Checks || s.FilterRuns != sseq.FilterRuns || s.Denied != sseq.Denied {
 					t.Fatalf("%s stats diverge: sequential %+v, draco-concurrent %+v", name, sseq, s)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialDracoHWAllows verifies the latency-annotated hardware
-// engine never changes a decision: its SLB/STB/SPT structures only cache
-// what the same deterministic filter validated, so the allow/deny stream
-// matches the sequential checker's event for event. Smaller event count: the hardware model
-// simulates a cache hierarchy per check.
-func TestDifferentialDracoHWAllows(t *testing.T) {
-	const events = 20_000
-	genOpts := profilegen.Options{IncludeRuntime: true}
-	for _, name := range []string{"httpd", "grep", "sysbench-fio"} {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			t.Fatalf("workload %s missing", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tr := w.Generate(events, 0xD12AC0)
-			p := profilegen.Complete(w.Name, tr, genOpts)
-			seq := mustCoreChecker(t, p)
-			hw, err := New("draco-hw", Options{Profile: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, ev := range tr {
-				want := seq.Check(ev.SID, ev.Args)
-				got := hw.Check(ev.SID, ev.Args)
-				if got.Allowed != want.Allowed {
-					t.Fatalf("event %d (sid=%d): sequential allowed=%v, draco-hw allowed=%v",
-						i, ev.SID, want.Allowed, got.Allowed)
 				}
 			}
 		})

@@ -23,7 +23,7 @@ type dracoConcurrent struct {
 }
 
 func newDracoConcurrent(opts Options) (Engine, error) {
-	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{Mode: seccomp.ExecBitmap})
+	chk, err := concurrent.NewCheckerConfig(opts.Profile, concurrent.Config{})
 	if err != nil {
 		return nil, err
 	}

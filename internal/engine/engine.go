@@ -2,10 +2,10 @@
 // behind a single zero-allocation Engine interface.
 //
 // The paper's central observation (§V-§VI) is that the caching structure —
-// SPT + VAT — stays fixed while the checking mechanism varies: a plain
-// Seccomp filter, the software Draco made safe for concurrent callers, or
-// the SLB/STB hardware model. Mirroring that, this package defines one
-// contract every mechanism implements:
+// SPT + VAT — stays fixed while the checking mechanism varies. This package
+// defines one contract for the two mechanisms that answer real checks, a
+// plain Seccomp filter and the software Draco made safe for concurrent
+// callers:
 //
 //	Check(sid, args) Decision   // the hot path: by-value in, by-value out
 //	CheckBatch(calls, dst)      // amortized batch checking
@@ -17,10 +17,11 @@
 // the tests select mechanisms by name instead of hand-wiring each one:
 // adding a mechanism is one Register call, not an N-site edit. The dracod
 // service and the public draco.Checker do not select: they hold the
-// concurrent checker directly.
+// concurrent checker directly. The SLB/STB hardware model is no engine: it
+// lives in internal/hwdraco, and internal/kernelmodel prices its checks in
+// cycles for the simulator.
 //
-// The single-call hot path is allocation-free end to end for the software
-// engines: Args and Decision travel by value, statistics are pre-sized
+// The single-call hot path is allocation-free end to end: Args and Decision travel by value, statistics are pre-sized
 // counters, and the Observer hook (when one is attached) receives its
 // Observation struct on the stack. Alloc-guard tests (alloc_test.go) pin
 // this property.
@@ -80,14 +81,11 @@ type Observation struct {
 	SID int
 	// Decision is what the caller was told.
 	Decision Decision
-	// CacheHit reports whether the engine's tables (SPT/VAT or SLB/STB)
-	// served the decision.
+	// CacheHit reports whether the engine's tables (SPT/VAT or the decision
+	// plane) served the decision.
 	CacheHit bool
 	// Class is the latency class of the check.
 	Class LatencyClass
-	// CheckCycles is the modeled checking latency in 2 GHz core cycles.
-	// Only latency-annotated engines (draco-hw) fill it; zero elsewhere.
-	CheckCycles uint64
 }
 
 // Observer receives one callback per check. Implementations must be cheap
@@ -99,9 +97,8 @@ type Observer interface {
 }
 
 // Engine is the unified checking contract. Check and CheckBatch are the hot
-// paths. Only draco-concurrent is safe for concurrent use; the other
-// mechanisms serve one caller at a time (Lookup(name).Concurrent says
-// which).
+// paths. Only draco-concurrent is safe for concurrent use; filter-only
+// serves one caller at a time (Lookup(name).Concurrent says which).
 type Engine interface {
 	// Check validates one system call invocation.
 	Check(sid int, args Args) Decision

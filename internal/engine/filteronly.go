@@ -109,3 +109,13 @@ func sizeBatch(dst []Decision, n int) []Decision {
 	}
 	return dst[:n]
 }
+
+// attachProgram builds filter-only's live programmable policy: the
+// interpreter behind constant-action extraction. Nil when the profile has
+// no program.
+func attachProgram(p *seccomp.Profile) *ebpf.Attached {
+	if p.Programmable == nil {
+		return nil
+	}
+	return p.Programmable.Attach()
+}

@@ -12,7 +12,7 @@ import (
 
 // The per-check Observer hook is the oracle for the read-side fold: what a
 // Counters observer saw call by call is what Stats() must report, exactly,
-// for every registry engine — classes, cache hits, denials, modeled cycles.
+// for every registry engine — classes, cache hits, denials.
 // The server renders its whole /metrics page from Stats alone on the
 // strength of this equality.
 
@@ -41,9 +41,6 @@ func foldCases(t testing.TB, events int) []foldCase {
 	var cases []foldCase
 	for _, name := range append(Names(), sequential) {
 		cases = append(cases, foldCase{name: name, engine: name, p1: complete, p2: idOnly, trace: calls})
-		if name == "draco-hw" {
-			continue // no programmable policies on the hardware model
-		}
 		cases = append(cases, foldCase{
 			name: name + "/programmable", engine: name,
 			p1:    progTestProfile(t, "fold-rate", rateLimitSource(t)),
@@ -118,9 +115,6 @@ func requireFoldEqualsHook(t *testing.T, st Stats, c *Counters, issued uint64) {
 	}
 	if st.Denied != c.Denied() {
 		t.Errorf("denials: fold %d, hook %d", st.Denied, c.Denied())
-	}
-	if st.CheckCycles != c.CheckCycles() {
-		t.Errorf("check cycles: fold %d, hook %d", st.CheckCycles, c.CheckCycles())
 	}
 }
 

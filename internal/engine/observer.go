@@ -15,7 +15,6 @@ type Counters struct {
 	checks  atomic.Uint64
 	hits    atomic.Uint64
 	denied  atomic.Uint64
-	cycles  atomic.Uint64
 	byClass [NumLatencyClasses]atomic.Uint64
 }
 
@@ -27,9 +26,6 @@ func (c *Counters) Observe(o Observation) {
 	}
 	if !o.Decision.Allowed {
 		c.denied.Add(1)
-	}
-	if o.CheckCycles != 0 {
-		c.cycles.Add(o.CheckCycles)
 	}
 	if o.Class < NumLatencyClasses {
 		c.byClass[o.Class].Add(1)
@@ -44,9 +40,6 @@ func (c *Counters) CacheHits() uint64 { return c.hits.Load() }
 
 // Denied returns the observed denials.
 func (c *Counters) Denied() uint64 { return c.denied.Load() }
-
-// CheckCycles returns the summed modeled check cycles (annotated engines).
-func (c *Counters) CheckCycles() uint64 { return c.cycles.Load() }
 
 // ByClass returns the count observed for one latency class.
 func (c *Counters) ByClass(class LatencyClass) uint64 {

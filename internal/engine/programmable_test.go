@@ -186,8 +186,9 @@ func TestProgrammableCrossEngineDifferential(t *testing.T) {
 // map-independent programmable paths bitmap-resolve: under the default
 // bitmap exec tier, syscalls the classifier proves constant execute zero
 // instructions (whitelist bitmap + extracted program constant), while
-// must-run numbers execute the program every time. A concurrent checker
-// built for the compiled tier runs instructions on the same constant paths,
+// must-run numbers execute the program every time. The concurrent checker
+// answers the same calls exactly as the sequential one, and the program run
+// without extraction executes instructions on the same constant path,
 // showing extraction (not accident) produces the zeros.
 func TestProgrammableBitmapResolution(t *testing.T) {
 	p := progTestProfile(t, "prog-bitmap", rateLimitSource(t))
@@ -214,14 +215,28 @@ func TestProgrammableBitmapResolution(t *testing.T) {
 		t.Fatal("no prog-miss check on the must-run path")
 	}
 
-	// Same profile, compiled tier: no constant extraction, so the formerly
-	// free constant path now executes program instructions.
-	ec, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecCompiled})
+	ref := mustCoreChecker(t, p)
+	con, err := concurrent.NewCheckerConfig(p, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := ec.Check(read, Args{3, 4096}); out.FilterExecuted == 0 {
-		t.Fatalf("compiled tier const path executed nothing: %+v", out)
+	for i, sid := range []int{read, read, syscalls.MustByName("close").Num, open, read, open} {
+		args := Args{3, 4096}
+		want := decide(ref, sid, args)
+		if got := con.CheckDecision(sid, &args); got != want {
+			t.Fatalf("call %d (sid=%d): sequential %+v, concurrent %+v", i, sid, want, got)
+		}
+	}
+
+	// The same constant path, run on the interpreter without extraction,
+	// executes program instructions.
+	ctx := ebpf.NewCtx(int32(read), Args{3, 4096})
+	r, err := p.Programmable.Verified().NewVM().Run(&ctx, ebpf.NewMapSet(p.Programmable.Maps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Executed == 0 {
+		t.Fatalf("unextracted const path executed nothing: %+v", r)
 	}
 }
 
@@ -250,23 +265,6 @@ func TestProgrammableOptionsOverride(t *testing.T) {
 		if dec := e.Check(open, Args{0, 0}); !dec.Allowed {
 			t.Fatalf("open denied after reverting to plain profile: %+v", dec)
 		}
-	}
-}
-
-// TestProgrammableDracoHWRejected: the hardware model's SLB/STB caches are
-// stateless-only, so programmable profiles must be refused loudly at
-// construction and at SetProfile, not silently mis-cached.
-func TestProgrammableDracoHWRejected(t *testing.T) {
-	p := progTestProfile(t, "prog-hw", rateLimitSource(t))
-	if _, err := New("draco-hw", Options{Profile: p}); err == nil {
-		t.Fatal("draco-hw accepted a programmable profile at construction")
-	}
-	e, err := New("draco-hw", Options{Profile: progTestProfile(t, "plain", nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetProfile(p); err == nil {
-		t.Fatal("draco-hw accepted a programmable profile via SetProfile")
 	}
 }
 

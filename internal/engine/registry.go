@@ -104,13 +104,3 @@ func New(name string, opts Options) (Engine, error) {
 	}
 	return info.New(opts)
 }
-
-// attachProgram builds the live programmable policy for a profile in the
-// tier every registry engine runs: the interpreter behind constant-action
-// extraction. Nil when the profile has no program.
-func attachProgram(p *seccomp.Profile) *ebpf.Attached {
-	if p.Programmable == nil {
-		return nil
-	}
-	return p.Programmable.Attach(ebpf.AttachOpts{})
-}

@@ -182,8 +182,3 @@ func (p Pair) Select(h uint64) int {
 		return -1
 	}
 }
-
-// CyclesPerHash is the latency, in 2 GHz core cycles, of computing the CRC
-// hash in hardware. The paper's Synopsys analysis reports 964 ps for the
-// LFSR implementation and accounts 3 cycles (§XI-C, Table III).
-const CyclesPerHash = 3

@@ -65,3 +65,46 @@ func TestDifferentialHWvsSWvsFilter(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialDracoHWAllows verifies the hardware engine never changes
+// a decision when it runs over the bitmap-tier software checker the
+// service runs, with one static call site per syscall number (libc
+// wrappers, the common case the STB is built for): its SLB/STB/SPT
+// structures only cache what the same deterministic filter validated, so
+// the allow/deny stream matches the sequential checker's event for event.
+// Smaller event count: the model simulates a cache hierarchy per check.
+func TestDifferentialDracoHWAllows(t *testing.T) {
+	const events = 20_000
+	genOpts := profilegen.Options{IncludeRuntime: true}
+	bitmapChecker := func(p *seccomp.Profile) *core.Checker {
+		f, err := seccomp.NewFilterMode(p, seccomp.ShapeLinear, seccomp.ExecBitmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewChecker(p, seccomp.Chain{f})
+	}
+	sitePC := func(sid int) uint64 { return 0x40_1000 + uint64(sid)*16 }
+	for _, name := range []string{"httpd", "grep", "sysbench-fio"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			tr := w.Generate(events, 0xD12AC0)
+			p := profilegen.Complete(w.Name, tr, genOpts)
+			seq := bitmapChecker(p)
+			mem := microarch.DefaultHierarchy()
+			mem.AttachDRAM(microarch.NewDRAM())
+			hw := NewEngine(DefaultConfig(), bitmapChecker(p), mem, microarch.DefaultTLB())
+			for i, ev := range tr {
+				want := seq.Check(ev.SID, ev.Args)
+				got := hw.OnSyscall(sitePC(ev.SID), ev.SID, ev.Args)
+				if got.Allowed != want.Allowed {
+					t.Fatalf("event %d (sid=%d): sequential allowed=%v, hardware allowed=%v",
+						i, ev.SID, want.Allowed, got.Allowed)
+				}
+			}
+		})
+	}
+}

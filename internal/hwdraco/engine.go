@@ -108,9 +108,6 @@ func NewEngine(cfg Config, checker *core.Checker, mem *microarch.Hierarchy, tlb 
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// OS exposes the software-side checker (for VAT sizing reports).
-func (e *Engine) OS() *core.Checker { return e.os }
-
 // vatFetch charges a VAT probe for one hash: address translation plus the
 // memory access.
 func (e *Engine) vatFetch(sid int, hash uint64) uint64 {

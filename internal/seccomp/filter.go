@@ -12,14 +12,16 @@ type ExecMode uint8
 const (
 	// ExecCompiled runs the pre-decoded direct-threaded program. It is
 	// decision- and Executed-count-identical to the interpreter (the
-	// differential suites pin this), so it is the default everywhere.
+	// differential suites pin this), so it is the simulator's filter, whose
+	// Executed counts the cycle model charges.
 	ExecCompiled ExecMode = iota
-	// ExecInterp runs the generic decode-and-dispatch interpreter; kept as
-	// an escape hatch and as the differential baseline.
+	// ExecInterp runs the generic decode-and-dispatch interpreter: the
+	// oracle the differential tests compare the other tiers against.
 	ExecInterp
 	// ExecBitmap is ExecCompiled plus the per-syscall constant-action
 	// bitmap: provably arg-independent syscalls resolve in O(1) with
-	// Executed == 0, everything else runs the compiled program.
+	// Executed == 0, everything else runs the compiled program. The
+	// concurrent checker always runs it.
 	ExecBitmap
 )
 
@@ -146,13 +148,4 @@ func (c Chain) Check(d *Data) CheckResult {
 		out.BitmapHit = out.BitmapHit && r.BitmapHit
 	}
 	return out
-}
-
-// TotalLen returns the summed static length of all filters.
-func (c Chain) TotalLen() int {
-	n := 0
-	for _, f := range c {
-		n += f.Len()
-	}
-	return n
 }

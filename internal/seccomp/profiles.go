@@ -168,10 +168,6 @@ func StripArgs(p *Profile) *Profile {
 	return out
 }
 
-// LinuxSyscallCount returns the size of the full syscall interface, the
-// "linux" bar of Figure 15(a).
-func LinuxSyscallCount() int { return syscalls.Count() }
-
 // CloneDeniedNamespaceBits are the namespace-creating clone flags the real
 // Moby profile denies via SCMP_CMP_MASKED_EQ: CLONE_NEWUSER, CLONE_NEWPID,
 // CLONE_NEWNET, CLONE_NEWIPC, CLONE_NEWUTS, CLONE_NEWNS, CLONE_NEWCGROUP.

@@ -13,8 +13,9 @@
 // Each tenant owns one concurrent.Checker (the draco-concurrent mechanism,
 // bitmap filter tier): one SPT plus VAT per profile generation, consulted
 // before the filter. Profile uploads hot-swap the tenant's profile without dropping
-// in-flight checks. The other registry engines are comparison points for the
-// library, dracobench and the tests; an upload naming one is rejected.
+// in-flight checks. The other registry engine, filter-only, is the uncached
+// baseline for the library, the benchmarks and the tests; an upload naming
+// it is rejected.
 //
 // The server counts nothing per check: /metrics folds every tenant
 // checker's Stats at scrape time and renders the aggregate and per-class
@@ -181,7 +182,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 
 // newTenant builds a tenant's checker for p.
 func (s *Server) newTenant(name string, p *seccomp.Profile) (*tenant, error) {
-	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
+	chk, err := concurrent.NewCheckerConfig(p, concurrent.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestOddSyscallNumbers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := concurrent.NewCheckerConfig(p, concurrent.Config{Mode: seccomp.ExecBitmap})
+				ref, err := concurrent.NewCheckerConfig(p, concurrent.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -45,9 +45,6 @@ func (h *SessionHub) NewWireServer() *WireServer {
 	}
 }
 
-// Hub returns the session hub this front end serves through.
-func (ws *WireServer) Hub() *SessionHub { return ws.hub }
-
 // Serve accepts wire connections on ln until the listener fails or the
 // server is closed. It blocks; run it in a goroutine next to the HTTP
 // server.

@@ -146,11 +146,6 @@ func Count() int {
 	return len(all)
 }
 
-// MaxNum returns the largest system call number in the table.
-func MaxNum() int {
-	return all[len(all)-1].Num
-}
-
 // ArgCountHistogram returns how many system calls take each argument count;
 // index i holds the number of calls with i arguments. This drives the
 // Figure 14 distribution and the SLB subtable sizing rationale (§XI-C).

@@ -56,10 +56,9 @@ const (
 	// decisionBytes is the fixed encoding of one engine.Decision.
 	decisionBytes = 1 + 4 + 4
 
-	// CallBytes / DecisionBytes export the fixed element encodings so
-	// transports with bounded frames (the shm slot rings) can size batches.
-	CallBytes     = callBytes
-	DecisionBytes = decisionBytes
+	// CallBytes exports the fixed call encoding so transports with bounded
+	// frames (the shm slot rings) can size batches.
+	CallBytes = callBytes
 )
 
 // Type identifies a frame's meaning.

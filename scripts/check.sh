@@ -4,6 +4,13 @@ set -eux
 
 go build ./...
 go vet ./...
+# The service, its wire codec and its client link no paper simulator: the
+# hardware model and the cycle pricing stay with internal/hwdraco, sim and
+# the experiments.
+if go list -deps ./cmd/dracod ./internal/wire ./internal/server/client |
+	grep -E '^draco/internal/(hwdraco|kernelmodel|microarch|sim)$'; then
+	exit 1
+fi
 # Every Go file is gofmt-clean, benchmark/ included.
 test -z "$(gofmt -l .)"
 # The contract benchmark is a nested module built against this one.
@@ -21,11 +28,12 @@ go test -race -timeout 60m ./...
 
 # The 0-allocs/op pins skip themselves under -race, so they run here with the
 # differential suites of their packages: decision-stream identity across
-# engines, plane vs locked path, the exec tiers on the concurrent checker
-# (interp = compiled in Decision and Stats, bitmap = interp in action),
-# bitmap soundness, and fold-vs-hook (Stats against a Counters observer,
-# which /metrics rests on).
-go test -count=1 -run 'ZeroAllocs|Differential' . ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/
+# engines, plane vs locked path, the exec tiers (interp = compiled in
+# Decision and Stats on the sequential checker, the concurrent checker's
+# bitmap tier = interp in action), bitmap soundness, fold-vs-hook (Stats
+# against a Counters observer, which /metrics rests on), and the hardware
+# model's decisions against the software checker's.
+go test -count=1 -run 'ZeroAllocs|Differential' . ./internal/engine/ ./internal/concurrent/ ./internal/seccomp/ ./internal/bpf/ ./internal/ebpf/ ./internal/hwdraco/
 go test -race -count=1 -run 'TestFoldMatchesHookRace' ./internal/engine/
 # Full depth here; under -race it runs a tenth of the swaps.
 go test -count=1 -run 'TestSwapsReleaseRetiredGenerations' ./internal/concurrent/
